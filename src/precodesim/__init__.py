@@ -31,7 +31,7 @@ from .exceptions import (
     ZeroSinrError,
 )
 from .harness import (
-    METHOD_TOKENS,
+    METHODS,
     SweepConfig,
     SweepResult,
     SweepRow,
@@ -58,7 +58,6 @@ from .optimizer import (
     gradient,
     objective,
     optimize,
-    write_trajectory_csv,
 )
 from .precoding import Precoder, arzf, mrt, normalize, parametric_rzf, rzf, wrzf, zf
 from .verification import CheckResult, run_all

@@ -18,6 +18,7 @@ from .exceptions import (
     DimensionError,
     RankDeficiencyError,
     SelectionError,
+    check_positive,
 )
 from .numerics import (
     RANK_TOLERANCE,
@@ -120,11 +121,6 @@ class SystemDims:
         start = sum(self.layers[:k])
         return slice(start, start + self.layers[k])
 
-    def rx_slice(self, k: int) -> slice:
-        """Index range of user k's antennas in the stacked receive order."""
-        start = sum(self.rx[:k])
-        return slice(start, start + self.rx[k])
-
 
 @dataclass(frozen=True)
 class ChannelSet:
@@ -210,11 +206,6 @@ class ChannelDecomposition:
         return self.v[self.dims.layer_slice(k)]
 
     @property
-    def user_of_layer(self) -> np.ndarray:
-        """Owning user index of each stacked layer."""
-        return np.repeat(np.arange(self.dims.num_users), self.dims.layers)
-
-    @property
     def c_matrix(self) -> np.ndarray:
         """Cross-user correlation matrix ``V V^H - I``.
 
@@ -292,6 +283,8 @@ class ScenarioConfig:
             raise ConfigError("path_loss_range_db must be (lo, hi) with lo <= hi")
         if self.max_retries < 1:
             raise ConfigError("max_retries must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         _ = self.dims  # validates layer/antenna consistency
 
     @property
@@ -370,10 +363,6 @@ def _draw_candidate(rng, config: ScenarioConfig, environment) -> np.ndarray:
     return (a * np.sqrt(powers)) @ b.conj().T
 
 
-def _dominant_direction(h: np.ndarray) -> np.ndarray:
-    return reduced_svd(h, keep=1).v[0]
-
-
 def generate_scenario(config: ScenarioConfig) -> ChannelSet:
     """Draw one channel realization satisfying the correlation cap.
 
@@ -395,7 +384,7 @@ def generate_scenario(config: ScenarioConfig) -> ChannelSet:
         directions = []
         for _ in range(config.candidate_pool):
             h = _draw_candidate(rng, config, environment)
-            d = _dominant_direction(h)
+            d = reduced_svd(h, keep=1).v[0]
             if all(
                 abs(d @ other.conj()) ** 2 <= config.corr_threshold
                 for other in directions
@@ -425,16 +414,19 @@ def calibrate_noise(decomp: ChannelDecomposition, power: float, target_susinr_db
     The single-user SINR of user k is
     ``(power / (layers_k * noise_var)) * geomean(s_k^2)`` and the
     average is the geometric mean over users; this solves that relation
-    for ``noise_var`` given the target in dB.
+    for ``noise_var`` given the target in dB; a result that over- or
+    underflows raises :class:`ConfigError`.
     """
-    if power <= 0:
-        raise ConfigError(f"power must be positive, got {power}")
-    target = 10.0 ** (target_susinr_db / 10.0)
+    check_positive("power", power)
     log_terms = []
     for k in range(decomp.dims.num_users):
         s_k = decomp.s_block(k)
         log_terms.append(2.0 * np.mean(np.log(s_k)) - np.log(decomp.dims.layers[k]))
-    return power / target * np.exp(np.mean(log_terms))
+    with np.errstate(over="ignore", divide="ignore"):
+        target = np.float64(10.0) ** (target_susinr_db / 10.0)
+        noise_var = power / target * np.exp(np.mean(log_terms))
+    check_positive(f"noise variance for target {target_susinr_db} dB", noise_var)
+    return noise_var
 
 
 def save_channels(path, channels: ChannelSet) -> None:

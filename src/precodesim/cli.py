@@ -10,11 +10,12 @@ arguments or a runtime failure.
 
 import argparse
 import json
+import math
 import sys
 
 from .exceptions import PrecodesimError
 from .harness import (
-    METHOD_TOKENS,
+    METHODS,
     SweepConfig,
     emit_csv,
     emit_plotdata,
@@ -25,13 +26,16 @@ from .verification import run_all
 
 __all__ = ["main", "parse_susinr"]
 
+# Most levels a ``start:stop:step`` grid may span, checked before it is built.
+MAX_SUSINR_LEVELS = 1000
+
 _RUN_DEFAULTS = {
     "scenario": "varied",
     "susinr": "0:40:4",
     "seeds": 40,
     "seed_base": 0,
     "power": 1.0,
-    "methods": ",".join(METHOD_TOKENS),
+    "methods": ",".join(METHODS),
     "skip_opt": False,
     "out": None,
     "plotdata": None,
@@ -40,19 +44,25 @@ _RUN_DEFAULTS = {
 
 def parse_susinr(text):
     """Grid text: ``start:stop:step`` (stop inclusive), a comma list,
-    or a single value, all in dB."""
+    or a single value, all in dB, every part finite."""
     text = str(text).strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"expected start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise ValueError(f"bad grid text {text!r}")
-        n = int(round((stop - start) / step))
-        grid = tuple(start + i * step for i in range(n + 1))
-        return tuple(g for g in grid if g <= stop + 1e-9)
-    return tuple(float(p) for p in text.split(",") if p.strip())
+    range_form = ":" in text
+    parts = text.split(":") if range_form else [p for p in text.split(",") if p.strip()]
+    values = tuple(float(p) for p in parts)
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"grid text {text!r} has a non-finite part")
+    if not range_form:
+        return values
+    if len(values) != 3:
+        raise ValueError(f"expected start:stop:step, got {text!r}")
+    start, stop, step = values
+    if step <= 0 or stop < start:
+        raise ValueError(f"bad grid text {text!r}")
+    steps = (stop - start) / step
+    if steps + 1 > MAX_SUSINR_LEVELS:
+        raise ValueError(f"grid text {text!r} spans more than {MAX_SUSINR_LEVELS} levels")
+    grid = tuple(start + i * step for i in range(int(round(steps)) + 1))
+    return tuple(g for g in grid if g <= stop + 1e-9)
 
 
 def _build_parser():
@@ -68,7 +78,7 @@ def _build_parser():
     run_p.add_argument("--seeds", type=int, help="number of channel realizations")
     run_p.add_argument("--seed-base", type=int, dest="seed_base")
     run_p.add_argument("--power", type=float, help="transmit power budget")
-    run_p.add_argument("--methods", help=f"comma list from {','.join(METHOD_TOKENS)}")
+    run_p.add_argument("--methods", help=f"comma list from {','.join(METHODS)}")
     run_p.add_argument("--skip-opt", action="store_true", default=None, dest="skip_opt",
                        help="drop the searched-ridge method from the run")
     run_p.add_argument("--out", help="CSV output path (default: stdout)")

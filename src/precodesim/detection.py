@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelDecomposition, ChannelSet
-from .exceptions import ConfigError, DimensionError
+from .exceptions import DimensionError, check_positive
 from .precoding import Precoder
 from .numerics import solve_hpd
 
@@ -56,8 +56,7 @@ def mmse_detection(
     only), the block is ``A_k^H @ inv(A_k A_k^H + noise_var I)``, the
     minimizer of ``||G A_k - I||^2 + noise_var ||G||^2``.
     """
-    if noise_var <= 0 or not np.isfinite(noise_var):
-        raise ConfigError(f"noise_var must be positive and finite, got {noise_var}")
+    check_positive("noise_var", noise_var)
     dims = channels.dims
     w = precoder.weights
     if w.shape != (dims.num_tx, dims.total_layers):

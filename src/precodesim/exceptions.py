@@ -1,4 +1,7 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the one validator for
+positive, finite inputs such as power and noise variance."""
+
+import math
 
 
 class PrecodesimError(Exception):
@@ -39,3 +42,9 @@ class ZeroSinrError(PrecodesimError, ValueError):
 
 class ConfigError(PrecodesimError, ValueError):
     """Invalid configuration values."""
+
+
+def check_positive(name: str, value) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is positive and finite."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ConfigError(f"{name} must be positive and finite, got {value}")

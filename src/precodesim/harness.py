@@ -20,13 +20,13 @@ from .channel import (
     generate_scenario,
 )
 from .detection import mmse_detection
-from .exceptions import ConfigError, PrecodesimError, SelectionError
+from .exceptions import ConfigError, PrecodesimError, SelectionError, check_positive
 from .metrics import report
 from .optimizer import OptConfig, optimize
 from .precoding import arzf, mrt, rzf, wrzf, zf
 
 __all__ = [
-    "METHOD_TOKENS",
+    "METHODS",
     "SweepConfig",
     "SweepRow",
     "SweepResult",
@@ -40,27 +40,18 @@ __all__ = [
 CSV_HEADER = "scenario,susinr_db,method,avg_sum_se,se_std,avg_min_se,min_se_std,seeds,detection"
 
 
-def _build_method(token, decomp, channels, power, noise_var, opt_config):
-    if token == "mrt":
-        return mrt(decomp, power)
-    if token == "zf_v":
-        return zf(decomp, power, basis="v")
-    if token == "zf_f":
-        return zf(decomp, power, basis="f")
-    if token == "rzf_v":
-        return rzf(decomp, power, noise_var, basis="v")
-    if token == "rzf_f":
-        return rzf(decomp, power, noise_var, basis="f")
-    if token == "wrzf":
-        return wrzf(decomp, power, noise_var)
-    if token == "arzf":
-        return arzf(decomp, power, noise_var)
-    if token == "opt":
-        return optimize(decomp, channels, power, noise_var, opt_config).precoder
-    raise ConfigError(f"unknown method token {token!r}")
-
-
-METHOD_TOKENS = ("mrt", "zf_v", "zf_f", "rzf_v", "rzf_f", "wrzf", "arzf", "opt")
+# Method token -> builder(decomp, channels, power, noise_var, opt_config),
+# in the default sweep's order.
+METHODS = {
+    "mrt": lambda dc, ch, p, nv, oc: mrt(dc, p),
+    "zf_v": lambda dc, ch, p, nv, oc: zf(dc, p, basis="v"),
+    "zf_f": lambda dc, ch, p, nv, oc: zf(dc, p, basis="f"),
+    "rzf_v": lambda dc, ch, p, nv, oc: rzf(dc, p, nv, basis="v"),
+    "rzf_f": lambda dc, ch, p, nv, oc: rzf(dc, p, nv, basis="f"),
+    "wrzf": lambda dc, ch, p, nv, oc: wrzf(dc, p, nv),
+    "arzf": lambda dc, ch, p, nv, oc: arzf(dc, p, nv),
+    "opt": lambda dc, ch, p, nv, oc: optimize(dc, ch, p, nv, oc).precoder,
+}
 
 
 @dataclass(frozen=True)
@@ -72,7 +63,7 @@ class SweepConfig:
     num_seeds: int = 40
     seed_base: int = 0
     power: float = 1.0
-    methods: tuple = METHOD_TOKENS
+    methods: tuple = tuple(METHODS)
     num_tx: int = 64
     num_users: int = 4
     rx_per_user: int = 16
@@ -88,11 +79,12 @@ class SweepConfig:
             raise ConfigError("susinr_db grid must be nonempty")
         if self.num_seeds < 1:
             raise ConfigError("num_seeds must be >= 1")
-        if self.power <= 0:
-            raise ConfigError("power must be positive")
-        unknown = [m for m in self.methods if m not in METHOD_TOKENS]
+        if self.seed_base < 0:
+            raise ConfigError(f"seed_base must be >= 0, got {self.seed_base}")
+        check_positive("power", self.power)
+        unknown = [m for m in self.methods if m not in METHODS]
         if unknown or not self.methods:
-            raise ConfigError(f"unknown methods {unknown}, valid: {METHOD_TOKENS}")
+            raise ConfigError(f"unknown methods {unknown}, valid: {tuple(METHODS)}")
 
     def scenario_config(self, seed: int) -> ScenarioConfig:
         return ScenarioConfig(
@@ -144,7 +136,9 @@ def evaluate_point(channels, decomp, power, susinr_db, methods, opt_config=None)
     noise_var = calibrate_noise(decomp, power, susinr_db)
     out = {}
     for token in methods:
-        pre = _build_method(token, decomp, channels, power, noise_var, opt_config)
+        if token not in METHODS:
+            raise ConfigError(f"unknown method token {token!r}")
+        pre = METHODS[token](decomp, channels, power, noise_var, opt_config)
         det = mmse_detection(channels, pre, noise_var)
         out[token] = report(channels, pre, det, noise_var)
     return out
@@ -156,7 +150,8 @@ def run_sweep(config: SweepConfig, progress=None) -> SweepResult:
     A seed whose realization cannot be generated or evaluated is
     recorded in ``failures`` and dropped from aggregation; the per-row
     ``seeds`` count reflects only successful realizations.  Raises
-    :class:`SelectionError` if every seed fails.
+    :class:`SelectionError` if every seed fails.  A :class:`ConfigError`
+    faults the configuration, not one realization, and ends the sweep.
     """
     per_seed = []
     failures = []
@@ -173,6 +168,8 @@ def run_sweep(config: SweepConfig, progress=None) -> SweepResult:
                 for m, rep in reps.items():
                     vals[(su, m)] = (rep.sum_se, rep.min_se)
             per_seed.append(vals)
+        except ConfigError:
+            raise
         except PrecodesimError as exc:
             failures.append((seed, f"{type(exc).__name__}: {exc}"))
         if progress is not None:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .channel import ChannelDecomposition, ChannelSet
 from .detection import DetectionSet
-from .exceptions import ConfigError, DimensionError, ZeroSinrError
+from .exceptions import DimensionError, ZeroSinrError, check_positive
 from .precoding import Precoder
 
 __all__ = [
@@ -42,11 +42,6 @@ class MetricsReport:
     detection: str
 
 
-def _check_noise(noise_var: float) -> None:
-    if noise_var <= 0 or not np.isfinite(noise_var):
-        raise ConfigError(f"noise_var must be positive and finite, got {noise_var}")
-
-
 def layer_sinr(
     channels: ChannelSet,
     precoder: Precoder,
@@ -59,7 +54,7 @@ def layer_sinr(
     interference from every other layer in the system, plus detection-
     shaped noise.
     """
-    _check_noise(noise_var)
+    check_positive("noise_var", noise_var)
     dims = channels.dims
     w = precoder.weights
     out = np.empty(dims.total_layers)
@@ -90,7 +85,7 @@ def layer_sinr_conjugate(
     ``|t_ll|^2 / (sum_{i!=l} |t_li|^2 + noise_var / s_l^2)`` with
     ``T = V @ W``.
     """
-    _check_noise(noise_var)
+    check_positive("noise_var", noise_var)
     t = decomp.v @ precoder.weights
     mag = np.abs(t) ** 2
     sig = np.diag(mag)
@@ -122,9 +117,8 @@ def av_susinr(decomp: ChannelDecomposition, power: float, noise_var: float) -> f
     """Geometric mean over users of the single-user SINR
     ``power / (layers_k * noise_var) * geomean(s_k^2)``, in linear
     scale."""
-    if power <= 0:
-        raise ConfigError(f"power must be positive, got {power}")
-    _check_noise(noise_var)
+    check_positive("power", power)
+    check_positive("noise_var", noise_var)
     logs = []
     for k in range(decomp.dims.num_users):
         s_k = decomp.s_block(k)

@@ -6,9 +6,9 @@ Search runs in elementwise log space, which keeps the ridge positive
 without constraints.  Function values always come from the production
 evaluation path (precoder build, per-user MMSE detection, metric
 report), so the objective at the starting point is bit-identical to
-the plain gain-adapted ridge.  Gradients come either from a hand-rolled
-forward-mode pass through that same computation or from central
-differences.
+the plain gain-adapted ridge.  The search follows a hand-rolled
+forward-mode gradient through that same computation; central
+differences (``gradient(mode="fd")``) are kept as its test oracle.
 """
 
 from collections import deque
@@ -19,7 +19,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .channel import ChannelDecomposition, ChannelSet
 from .detection import mmse_detection
-from .exceptions import ConfigError, NumericalError, PrecodesimError
+from .exceptions import ConfigError, NumericalError, PrecodesimError, check_positive
 from .metrics import report
 from .precoding import parametric_rzf
 
@@ -30,7 +30,6 @@ __all__ = [
     "objective",
     "gradient",
     "optimize",
-    "write_trajectory_csv",
 ]
 
 _LN2 = np.log(2.0)
@@ -40,12 +39,9 @@ _LN2 = np.log(2.0)
 class OptConfig:
     """Knobs for :func:`optimize`.
 
-    ``grad_mode`` selects the analytic forward-mode gradient
-    (``"dual"``) or central differences (``"fd"``).  ``fd_step`` is the
-    relative step in log space.  Stopping: gradient infinity norm at or
-    below ``grad_tol``, or both the objective change and the ridge
-    change falling to ``obj_tol`` / ``step_tol``, or ``max_iters``
-    accepted steps.
+    Stopping: gradient infinity norm at or below ``grad_tol``, or both
+    the objective change and the ridge change falling to ``obj_tol`` /
+    ``step_tol``, or ``max_iters`` accepted steps.
     """
 
     max_iters: int = 100
@@ -57,22 +53,17 @@ class OptConfig:
     backtrack: float = 0.5
     init_step: float = 1.0
     max_backtracks: int = 30
-    grad_mode: str = "dual"
-    fd_step: float = 1e-6
     norm_mode: str = "per_antenna"
 
     def __post_init__(self):
         if self.max_iters < 1 or self.memory < 1 or self.max_backtracks < 0:
             raise ConfigError("max_iters, memory must be >= 1; max_backtracks >= 0")
-        for name in ("grad_tol", "obj_tol", "step_tol", "fd_step", "init_step"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        for name in ("grad_tol", "obj_tol", "step_tol", "init_step"):
+            check_positive(name, getattr(self, name))
         if not 0 < self.backtrack < 1:
             raise ConfigError("backtrack must be in (0, 1)")
         if not 0 < self.armijo_c1 < 1:
             raise ConfigError("armijo_c1 must be in (0, 1)")
-        if self.grad_mode not in ("dual", "fd"):
-            raise ConfigError(f"grad_mode must be 'dual' or 'fd', got {self.grad_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -240,12 +231,8 @@ def gradient(
     if mode == "dual":
         _, g = _forward_pass(decomp, channels, u, power, noise_var, norm_mode)
         return g
-    if mode == "fd":
-        return _fd_gradient(decomp, channels, u, power, noise_var, fd_step, norm_mode)
-    raise ConfigError(f"unknown gradient mode {mode!r}")
-
-
-def _fd_gradient(decomp, channels, u, power, noise_var, fd_step, norm_mode):
+    if mode != "fd":
+        raise ConfigError(f"unknown gradient mode {mode!r}")
     g = np.empty(len(u))
     for i in range(len(u)):
         h = fd_step * max(1.0, abs(u[i]))
@@ -315,13 +302,9 @@ def optimize(
     def grad_at(u_cur):
         # works in log space directly so that accepted points whose
         # ridge entries underflow to zero stay differentiable
-        if config.grad_mode == "dual":
-            return _forward_pass(
-                decomp, channels, u_cur, power, noise_var, config.norm_mode
-            )[1]
-        return _fd_gradient(
-            decomp, channels, u_cur, power, noise_var, config.fd_step, config.norm_mode
-        )
+        return _forward_pass(
+            decomp, channels, u_cur, power, noise_var, config.norm_mode
+        )[1]
 
     u = np.log(default_start(decomp, power, noise_var))
     j_cur = value_at(u)
@@ -400,11 +383,3 @@ def optimize(
         grad_norm=gnorm,
         trajectory=tuple(traj),
     )
-
-
-def write_trajectory_csv(path, result: OptResult) -> None:
-    """Dump a search trajectory as CSV, one row per accepted iterate."""
-    with open(path, "w") as f:
-        f.write("iteration,objective,grad_norm,step\n")
-        for it, obj, gn, step in result.trajectory:
-            f.write(f"{it},{obj:.17g},{gn:.17g},{step:.17g}\n")

@@ -22,6 +22,7 @@ from .exceptions import (
     NotHpdError,
     SingularGramError,
     ZeroMatrixError,
+    check_positive,
 )
 from .numerics import solve_hpd
 
@@ -36,7 +37,6 @@ __all__ = [
     "parametric_rzf",
 ]
 
-NORM_MODES = ("total", "per_antenna")
 BASES = ("v", "f")
 
 
@@ -66,9 +66,6 @@ class Precoder:
         """Power-scaled weights ``gain * raw``."""
         return self.gain * self.raw
 
-    def layer_columns(self, sl: slice) -> np.ndarray:
-        return self.weights[:, sl]
-
 
 def normalize(raw: np.ndarray, power: float, mode: str = "per_antenna") -> float:
     """Scalar gain that fits ``raw`` to the power budget.
@@ -77,8 +74,7 @@ def normalize(raw: np.ndarray, power: float, mode: str = "per_antenna") -> float
     ``sqrt(power)``; ``"per_antenna"`` makes the largest row norm equal
     ``sqrt(power / num_tx)``.
     """
-    if power <= 0:
-        raise ConfigError(f"power must be positive, got {power}")
+    check_positive("power", power)
     if mode == "total":
         denom = np.linalg.norm(raw)
     elif mode == "per_antenna":
@@ -88,6 +84,11 @@ def normalize(raw: np.ndarray, power: float, mode: str = "per_antenna") -> float
     if denom == 0:
         raise ZeroMatrixError("cannot normalize an all-zero precoder")
     return np.sqrt(power) / denom
+
+
+def _scaled(raw: np.ndarray, power: float, norm_mode: str, method: str) -> Precoder:
+    """``raw`` with the gain that fits it to the power budget."""
+    return Precoder(raw=raw, gain=normalize(raw, power, norm_mode), method=method, norm_mode=norm_mode)
 
 
 def _ridge_solve(basis: np.ndarray, reg_diag) -> np.ndarray:
@@ -114,15 +115,10 @@ def _basis(decomp: ChannelDecomposition, which: str) -> np.ndarray:
     raise ConfigError(f"unknown basis {which!r}, expected one of {BASES}")
 
 
-def _check_noise(noise_var: float) -> None:
-    if not noise_var > 0 or not np.isfinite(noise_var):
-        raise ConfigError(f"noise_var must be positive and finite, got {noise_var}")
-
-
 def mrt(decomp: ChannelDecomposition, power: float, norm_mode: str = "per_antenna") -> Precoder:
     """Matched transmission: raw weights are the conjugated layer rows."""
     raw = decomp.v.conj().T
-    return Precoder(raw=raw, gain=normalize(raw, power, norm_mode), method="mrt", norm_mode=norm_mode)
+    return _scaled(raw, power, norm_mode, "mrt")
 
 
 def zf(
@@ -139,12 +135,7 @@ def zf(
     dependent.
     """
     raw = _ridge_solve(_basis(decomp, basis), None)
-    return Precoder(
-        raw=raw,
-        gain=normalize(raw, power, norm_mode),
-        method=f"zf_{basis}",
-        norm_mode=norm_mode,
-    )
+    return _scaled(raw, power, norm_mode, f"zf_{basis}")
 
 
 def rzf(
@@ -162,18 +153,13 @@ def rzf(
     skipped, not added as a zero).
     """
     if reg is None:
-        _check_noise(noise_var)
+        check_positive("noise_var", noise_var)
         reg = decomp.dims.total_layers * noise_var / power
     if reg < 0 or not np.isfinite(reg):
         raise ConfigError(f"reg must be finite and >= 0, got {reg}")
     b = _basis(decomp, basis)
     raw = _ridge_solve(b, None if reg == 0 else np.full(len(b), float(reg)))
-    return Precoder(
-        raw=raw,
-        gain=normalize(raw, power, norm_mode),
-        method=f"rzf_{basis}",
-        norm_mode=norm_mode,
-    )
+    return _scaled(raw, power, norm_mode, f"rzf_{basis}")
 
 
 def wrzf(
@@ -184,7 +170,7 @@ def wrzf(
 ) -> Precoder:
     """Ridge on the layer rows sized by the total inverse channel gain,
     ``reg = noise_var / power * sum(1 / s^2)``."""
-    _check_noise(noise_var)
+    check_positive("noise_var", noise_var)
     reg = noise_var / power * float(np.sum(decomp.s**-2.0))
     p = rzf(decomp, power, noise_var, basis="v", reg=reg, norm_mode=norm_mode)
     return replace(p, method="wrzf")
@@ -208,12 +194,7 @@ def parametric_rzf(
     if np.any(reg_vec < 0) or not np.all(np.isfinite(reg_vec)):
         raise ConfigError("reg_vec entries must be finite and >= 0")
     raw = _ridge_solve(decomp.v, reg_vec)
-    return Precoder(
-        raw=raw,
-        gain=normalize(raw, power, norm_mode),
-        method="parametric_rzf",
-        norm_mode=norm_mode,
-    )
+    return _scaled(raw, power, norm_mode, "parametric_rzf")
 
 
 def arzf(
@@ -225,7 +206,7 @@ def arzf(
     """Gain-adapted ridge: each layer's ridge entry is
     ``total_layers * noise_var / power`` divided by that layer's squared
     singular value, so weak layers are regularized harder."""
-    _check_noise(noise_var)
+    check_positive("noise_var", noise_var)
     lam = decomp.dims.total_layers * noise_var / power
     reg_vec = lam / decomp.s**2
     p = parametric_rzf(decomp, reg_vec, power, norm_mode)

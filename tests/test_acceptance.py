@@ -2,7 +2,9 @@
 
 One test per acceptance item, each printing a single summary line with
 the measured worst case and its tolerance (the line shows up inline in
-the pytest output).  The sweep-backed items share module-scoped
+the pytest output).  Items 01-05 call the checks in
+``precodesim.verification`` that ``precodesim verify`` also runs, at
+their seeds, sizes and bounds.  The sweep-backed items share module-scoped
 fixtures at the default desk scale (64 tx antennas, 4 users, 2 layers
 each, 40 seeds); the whole module takes a few minutes.
 """
@@ -13,21 +15,16 @@ import time
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag
 
-from precodesim.channel import (
-    ChannelDecomposition,
-    ChannelSet,
-    ScenarioConfig,
-    SystemDims,
-    decompose,
-    generate_scenario,
-)
-from precodesim.detection import conjugate_detection
+from precodesim.channel import ScenarioConfig, decompose, generate_scenario
 from precodesim.harness import evaluate_point
-from precodesim.numerics import complex_normal
-from precodesim.optimizer import default_start, gradient
-from precodesim.precoding import arzf, parametric_rzf, rzf, wrzf, zf
+from precodesim.verification import (
+    check_asymptotics,
+    check_gradient,
+    check_identities,
+    check_noise_shaping,
+    check_stationarity,
+)
 
 GRID = tuple(float(x) for x in range(0, 41, 4))
 MARGIN_GRID = tuple(su for su in GRID if su <= 24.0)
@@ -39,32 +36,6 @@ POWER = 1.0
 def _report(capsys, num, name, ok, detail):
     with capsys.disabled():
         print(f"\n[acceptance {num:02d}] {name}: {detail} -> {'PASS' if ok else 'FAIL'}")
-
-
-def _random_instance(rng):
-    """Random full-rank multi-user instance, up to 16 tx antennas and
-    8 total layers."""
-    k = int(rng.integers(2, 5))
-    layers = tuple(int(rng.integers(1, 3)) for _ in range(k))
-    rx = tuple(l + int(rng.integers(1, 4)) for l in layers)
-    num_tx = int(rng.integers(max(sum(layers), 8), 17))
-    dims = SystemDims(num_tx=num_tx, rx=rx, layers=layers)
-    blocks = tuple(complex_normal(rng, (r, num_tx), 1.0) for r in rx)
-    ch = ChannelSet(dims=dims, blocks=blocks)
-    return ch, decompose(ch)
-
-
-def _equal_gain_decomposition(rng, num_tx=12, rx=(4, 4), layers=(2, 2)):
-    """Synthetic decomposition whose singular values are all equal."""
-    s_val = 0.5 + rng.uniform(0.0, 2.0)
-    u_blocks, s_blocks, v_blocks = [], [], []
-    for r, l in zip(rx, layers):
-        qu, _ = np.linalg.qr(complex_normal(rng, (r, l), 1.0))
-        qv, _ = np.linalg.qr(complex_normal(rng, (num_tx, l), 1.0))
-        u_blocks.append(qu.conj().T)
-        s_blocks.append(np.full(l, s_val))
-        v_blocks.append(qv.conj().T)
-    return ChannelDecomposition.from_blocks(u_blocks, s_blocks, v_blocks)
 
 
 @pytest.fixture(scope="module")
@@ -104,185 +75,47 @@ def equal_sweep():
     return {key: float(np.mean(v)) for key, v in sums.items()}
 
 
+def _check(capsys, num, title, result):
+    _report(capsys, num, title, result.passed, result.detail)
+    assert result.passed, result.detail
+
+
 def test_01_closed_form_identities(capsys):
     """Basis-change identities, conjugate-detection reduction, and the
     equal-gain collapse, each within 1e-10 relative on raw weights."""
-    tol = 1e-10
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(100):
-        ch, dec = _random_instance(rng)
-        power = 0.5 + rng.uniform(0.0, 2.0)
-        nv = 0.2 + rng.uniform(0.0, 1.5)
-
-        zv = zf(dec, power, basis="v").raw
-        zf_s = zf(dec, power, basis="f").raw * dec.s[None, :]
-        worst = max(worst, np.linalg.norm(zf_s - zv) / np.linalg.norm(zv))
-
-        a = arzf(dec, power, nv).raw
-        b = rzf(dec, power, nv, basis="f").raw * dec.s[None, :]
-        worst = max(worst, np.linalg.norm(a - b) / np.linalg.norm(a))
-
-        g = conjugate_detection(dec)
-        reduced = np.vstack([gb @ hb for gb, hb in zip(g.blocks, ch.blocks)])
-        worst = max(worst, np.linalg.norm(reduced - dec.v) / np.linalg.norm(dec.v))
-
-        eq = _equal_gain_decomposition(rng)
-        wa = arzf(eq, power, nv).raw
-        ww = wrzf(eq, power, nv).raw
-        worst = max(worst, np.linalg.norm(wa - ww) / np.linalg.norm(wa))
-    ok = worst <= tol
-    _report(capsys, 1, "closed-form identities",
-            ok, f"worst relative residual {worst:.2e} over 100 instances (tol {tol:g})")
-    assert ok, f"identity residual {worst:.2e} exceeds {tol:g}"
+    _check(capsys, 1, "closed-form identities",
+           check_identities(seed=101, instances=100, tol=1e-10))
 
 
 def test_02_ridge_stationarity(capsys):
     """Each ridge solution zeroes its quadratic objective's gradient,
     and every nearby point scores strictly worse."""
-    tol = 1e-9
-    rng = np.random.default_rng(202)
-    worst = 0.0
-    increases_ok = True
-    for _ in range(100):
-        _, dec = _random_instance(rng)
-        lt = dec.dims.total_layers
-        power = 0.5 + rng.uniform(0.0, 2.0)
-        nv = 0.2 + rng.uniform(0.0, 1.5)
-        lam = lt * nv / power
-        eye = np.eye(lt)
-
-        cases = []
-        for basis_name in ("v", "f"):
-            b = dec.v if basis_name == "v" else dec.s[:, None] * dec.v
-            w = rzf(dec, power, nv, basis=basis_name).raw
-            resid = b.conj().T @ (b @ w - eye) + lam * w
-            scale = np.linalg.norm(b.conj().T @ (b @ w - eye)) + lam * np.linalg.norm(w)
-            worst = max(worst, np.linalg.norm(resid) / scale)
-            obj = lambda m, b=b: np.linalg.norm(b @ m - eye) ** 2 + lam * np.linalg.norm(m) ** 2
-            cases.append((w, obj))
-
-        w = arzf(dec, power, nv).raw
-        resid = dec.v.conj().T @ (dec.s[:, None] ** 2 * (dec.v @ w - eye)) + lam * w
-        scale = (
-            np.linalg.norm(dec.v.conj().T @ (dec.s[:, None] ** 2 * (dec.v @ w - eye)))
-            + lam * np.linalg.norm(w)
-        )
-        worst = max(worst, np.linalg.norm(resid) / scale)
-        obj = lambda m: (
-            np.linalg.norm(dec.s[:, None] * (dec.v @ m - eye)) ** 2
-            + lam * np.linalg.norm(m) ** 2
-        )
-        cases.append((w, obj))
-
-        for w, objective in cases:
-            base = objective(w)
-            for _ in range(100):
-                delta = complex_normal(rng, w.shape, 1.0)
-                delta *= 1e-3 * np.linalg.norm(w) / np.linalg.norm(delta)
-                if objective(w + delta) <= base:
-                    increases_ok = False
-    ok = worst <= tol and increases_ok
-    _report(capsys, 2, "ridge stationarity",
-            ok, f"worst scaled gradient residual {worst:.2e} (tol {tol:g}); "
-                f"100x3 perturbations of relative size 1e-3 per instance "
-                f"{'all increased' if increases_ok else 'DID NOT all increase'} the objective")
-    assert worst <= tol, f"stationarity residual {worst:.2e} exceeds {tol:g}"
-    assert increases_ok, "a perturbation failed to increase its objective"
+    _check(capsys, 2, "ridge stationarity",
+           check_stationarity(seed=202, instances=100, tol=1e-9))
 
 
 def test_03_ridge_asymptotics(capsys):
     """Normalized-direction distance to the pseudoinverse shrinks like
     the ridge, and to the gain-weighted matched filter like its inverse;
     each decade of ridge must shrink the distance by 5x to 20x."""
-    lo, hi = 5.0, 20.0
-    rng = np.random.default_rng(303)
-    unit = lambda m: m / np.linalg.norm(m)
-    worst_lo, worst_hi = np.inf, 0.0
-    for _ in range(20):
-        _, dec = _random_instance(rng)
-        zf_dir = unit(zf(dec, POWER, basis="v").raw)
-        matched_dir = unit(dec.v.conj().T * dec.s[None, :] ** 2)
-        small = [
-            np.linalg.norm(unit(parametric_rzf(dec, lam / dec.s**2, POWER).raw) - zf_dir)
-            for lam in (1e-2, 1e-3, 1e-4)
-        ]
-        large = [
-            np.linalg.norm(unit(parametric_rzf(dec, lam / dec.s**2, POWER).raw) - matched_dir)
-            for lam in (1e2, 1e3, 1e4)
-        ]
-        for seq in (small, large):
-            for a, b in zip(seq, seq[1:]):
-                worst_lo = min(worst_lo, a / b)
-                worst_hi = max(worst_hi, a / b)
-    ok = lo <= worst_lo and worst_hi <= hi
-    _report(capsys, 3, "ridge asymptotics",
-            ok, f"per-decade distance decay ratios in [{worst_lo:.2f}, {worst_hi:.2f}] "
-                f"over 20 instances (required within [{lo:g}, {hi:g}])")
-    assert ok, f"decay ratios [{worst_lo:.2f}, {worst_hi:.2f}] outside [{lo}, {hi}]"
+    _check(capsys, 3, "ridge asymptotics",
+           check_asymptotics(seed=303, instances=20, lo=5.0, hi=20.0))
 
 
 def test_04_diagonalized_noise_covariance(capsys):
     """Monte Carlo covariance of conjugate-detected noise: inverse
     squared singular values on the diagonal (3% relative), off-diagonal
     magnitudes within 3 standard errors, in under 10 seconds."""
-    draws = 100_000
-    start = time.monotonic()
-    rng = np.random.default_rng(404)
-    dims = SystemDims(num_tx=12, rx=(4, 4), layers=(2, 2))
-    blocks = tuple(complex_normal(rng, (r, 12), 1.0) for r in dims.rx)
-    dec = decompose(ChannelSet(dims=dims, blocks=blocks))
-    g = block_diag(*conjugate_detection(dec).blocks)
-    nv = 0.7
-    n = complex_normal(rng, (draws, dims.total_rx), nv)
-    z = n @ g.T
-    emp = z.T @ z.conj() / draws
-    want = nv / dec.s**2
-    diag_rel = np.abs(np.diag(emp).real - want) / want
-    se = 3.0 * np.sqrt(np.outer(want, want) / draws)
-    off_mask = ~np.eye(len(want), dtype=bool)
-    off_excess = (np.abs(emp) - se)[off_mask].max()
-    elapsed = time.monotonic() - start
-    ok = diag_rel.max() <= 0.03 and off_excess <= 0.0 and elapsed < 10.0
-    _report(capsys, 4, "diagonalized noise covariance",
-            ok, f"{draws} draws: diag rel err {diag_rel.max():.4f} (tol 0.03), "
-                f"worst off-diag minus 3se {off_excess:.2e} (must be <= 0), "
-                f"{elapsed:.1f}s (limit 10s)")
-    assert diag_rel.max() <= 0.03, f"diagonal error {diag_rel.max():.4f} exceeds 3%"
-    assert off_excess <= 0.0, "an off-diagonal entry exceeds 3 standard errors"
-    assert elapsed < 10.0, f"covariance check took {elapsed:.1f}s"
+    _check(capsys, 4, "diagonalized noise covariance",
+           check_noise_shaping(seed=404, draws=100_000, tol=0.03, time_limit=10.0))
 
 
 def test_05_gradient_against_central_differences(capsys):
     """Analytic spectral-efficiency gradient versus central differences
     at 20 random 4-layer operating points, skipping points where two
     antenna rows tie for the norm maximum."""
-    tol = 1e-4
-    rng = np.random.default_rng(505)
-    worst = 0.0
-    accepted = 0
-    skipped = 0
-    while accepted < 20:
-        dims = SystemDims(num_tx=12, rx=(4, 4), layers=(2, 2))
-        blocks = tuple(complex_normal(rng, (r, 12), 1.0) for r in dims.rx)
-        ch = ChannelSet(dims=dims, blocks=blocks)
-        dec = decompose(ch)
-        power, nv = 2.0, 0.2
-        r = default_start(dec, power, nv) * np.exp(rng.uniform(-1, 1, dims.total_layers))
-        rows = np.linalg.norm(parametric_rzf(dec, r, power).raw, axis=1)
-        top = np.sort(rows)[::-1]
-        if (top[0] - top[1]) < 1e-6 * top[0]:
-            skipped += 1
-            continue
-        gd = gradient(dec, ch, r, power, nv, mode="dual")
-        gf = gradient(dec, ch, r, power, nv, mode="fd")
-        worst = max(worst, np.abs(gd - gf).max() / max(np.abs(gf).max(), 1e-12))
-        accepted += 1
-    ok = worst <= tol
-    _report(capsys, 5, "gradient vs central differences",
-            ok, f"max relative component error {worst:.2e} over 20 instances "
-                f"({skipped} tie points skipped) (tol {tol:g})")
-    assert ok, f"gradient deviation {worst:.2e} exceeds {tol:g}"
+    _check(capsys, 5, "gradient vs central differences",
+           check_gradient(seed=505, instances=20, tol=1e-4))
 
 
 def test_06_searched_ridge_improves(capsys, varied_cases):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from precodesim.channel import (
@@ -19,6 +21,7 @@ from precodesim.exceptions import (
     RankDeficiencyError,
     SelectionError,
 )
+from precodesim.metrics import av_susinr
 from precodesim.numerics import complex_gaussian, reduced_svd
 
 
@@ -37,7 +40,6 @@ class TestSystemDims:
         assert d.total_rx == 9
         assert d.total_layers == 5
         assert d.layer_slice(1) == slice(2, 4)
-        assert d.rx_slice(2) == slice(7, 9)
 
     def test_layers_capped_by_rx(self):
         with pytest.raises(ConfigError):
@@ -89,7 +91,8 @@ class TestDecompose:
     def test_layer_order_and_ownership(self):
         ch = small_channels(rx=(4, 4), layers=(3, 2))
         dec = decompose(ch)
-        assert np.array_equal(dec.user_of_layer, [0, 0, 0, 1, 1])
+        assert dec.dims.layer_slice(0) == slice(0, 3)
+        assert dec.dims.layer_slice(1) == slice(3, 5)
         for k in range(2):
             sk = dec.s_block(k)
             assert np.all(np.diff(sk) <= 1e-12)
@@ -238,6 +241,8 @@ class TestScenario:
             quick_config(path_loss="none")
         with pytest.raises(ConfigError):
             quick_config(corr_threshold=0.0)
+        with pytest.raises(ConfigError, match="seed"):
+            quick_config(seed=-5)
 
 
 class TestCalibrateNoise:
@@ -263,8 +268,30 @@ class TestCalibrateNoise:
 
     def test_power_validated(self):
         dec = decompose(generate_scenario(quick_config()))
-        with pytest.raises(ConfigError):
-            calibrate_noise(dec, 0.0, 0.0)
+        for power in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                calibrate_noise(dec, power, 0.0)
+        # targets whose noise variance over- or underflows
+        for target_db in (4000.0, -4000.0, float("-inf"), float("nan")):
+            with pytest.raises(ConfigError):
+                calibrate_noise(dec, 1.0, target_db)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        power=st.floats(0.01, 100.0),
+        a=st.floats(-60.0, 80.0),
+        b=st.floats(-60.0, 80.0),
+    )
+    def test_positive_decreasing_round_trip(self, seed, power, a, b):
+        assume(abs(a - b) > 1e-6)
+        lo, hi = min(a, b), max(a, b)
+        dec = decompose(small_channels(seed=seed))
+        nv_lo, nv_hi = calibrate_noise(dec, power, lo), calibrate_noise(dec, power, hi)
+        assert 0.0 < nv_hi < nv_lo < np.inf
+        for target_db, nv in ((lo, nv_lo), (hi, nv_hi)):
+            want = 10.0 ** (target_db / 10.0)
+            assert abs(av_susinr(dec, power, nv) - want) <= 1e-12 * want
 
 
 class TestDumpFormat:

@@ -20,12 +20,10 @@ class TestParseSusinr:
         assert parse_susinr("12") == (12.0,)
 
     def test_bad_specs(self):
-        with pytest.raises(ValueError):
-            parse_susinr("0:32")
-        with pytest.raises(ValueError):
-            parse_susinr("32:0:4")
-        with pytest.raises(ValueError):
-            parse_susinr("0:32:-4")
+        # "0:200000:1" is over the level limit yet small enough to build
+        for spec in ("0:32", "32:0:4", "0:32:-4", "nan", "0:inf:4", "4,-inf", "0:200000:1"):
+            with pytest.raises(ValueError):
+                parse_susinr(spec)
 
 
 def run_args(tmp_path, extra):
@@ -104,6 +102,15 @@ class TestRunCommand:
         assert main(args) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [
+        "--susinr=4000", "--susinr=-4000", "--susinr=-inf", "--susinr=nan",
+        "--power=nan", "--power=inf", "--power=0", "--seed-base=-5",
+    ])
+    def test_bad_numeric_input_exits_2(self, tmp_path, capsys, flag):
+        args, _ = run_args(tmp_path, [flag])
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/nonexistent/x.json", "--quiet"]) == 2
 
@@ -130,7 +137,7 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(
             cli, "run_all",
-            lambda quick=False: [CheckResult("stub", False, "forced failure")],
+            lambda quick=False: [CheckResult("stub", False, (1.0,), "forced failure")],
         )
         assert main(["verify"]) == 1
         out = capsys.readouterr().out

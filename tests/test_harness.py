@@ -8,7 +8,7 @@ from precodesim.channel import decompose, generate_scenario
 from precodesim.exceptions import ConfigError, SelectionError
 from precodesim.harness import (
     CSV_HEADER,
-    METHOD_TOKENS,
+    METHODS,
     SweepConfig,
     emit_csv,
     emit_plotdata,
@@ -36,7 +36,7 @@ def tiny_sweep(**kw):
 class TestSweepConfig:
     def test_defaults(self):
         cfg = SweepConfig()
-        assert cfg.methods == METHOD_TOKENS
+        assert cfg.methods == tuple(METHODS)
         assert cfg.scenario == "varied"
         assert len(cfg.susinr_db) == 11
         assert cfg.susinr_db[-1] == 40.0
@@ -50,6 +50,11 @@ class TestSweepConfig:
             SweepConfig(methods=("mrt", "dirty"))
         with pytest.raises(ConfigError):
             SweepConfig(num_seeds=0)
+        with pytest.raises(ConfigError, match="seed_base"):
+            SweepConfig(seed_base=-5)
+        for power in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="power"):
+                SweepConfig(power=power)
 
     def test_scenario_config_seed(self):
         cfg = tiny_sweep()
