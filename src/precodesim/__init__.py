@@ -46,7 +46,6 @@ from .metrics import (
     av_susinr,
     effective_sinr,
     layer_sinr,
-    layer_sinr_conjugate,
     report,
     user_se,
 )

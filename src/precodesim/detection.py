@@ -13,9 +13,9 @@ import numpy as np
 from .channel import ChannelDecomposition, ChannelSet
 from .exceptions import DimensionError, check_positive
 from .precoding import Precoder
-from .numerics import solve_hpd
+from .numerics import factor_hpd, solve_factored
 
-__all__ = ["DetectionSet", "conjugate_detection", "mmse_detection"]
+__all__ = ["DetectionSet", "conjugate_detection", "mmse_block", "mmse_detection"]
 
 
 @dataclass(frozen=True)
@@ -47,15 +47,25 @@ def conjugate_detection(decomp: ChannelDecomposition) -> DetectionSet:
     return DetectionSet(blocks=blocks, kind="conjugate")
 
 
+def mmse_block(a: np.ndarray, noise_var: float):
+    """Push-through MMSE block ``G = inv(A^H A + noise_var I) @ A^H`` of
+    one user's effective matrix ``a`` (rx x L), the minimizer of
+    ``||G A - I||^2 + noise_var ||G||^2``, and the Cholesky factor of that
+    L x L system.  ``G`` equals ``A^H inv(A A^H + noise_var I)``, whose
+    rx x rx system is singular to working precision at low noise."""
+    m = a.conj().T @ a
+    idx = np.arange(m.shape[0])
+    m[idx, idx] += noise_var
+    factor = factor_hpd(m)
+    return solve_factored(factor, a.conj().T), factor
+
+
 def mmse_detection(
     channels: ChannelSet, precoder: Precoder, noise_var: float
 ) -> DetectionSet:
-    """Per-user linear MMSE receiver for the precoded own-user signal.
-
-    For user k with effective matrix ``A_k = H_k @ W_k`` (own layers
-    only), the block is ``A_k^H @ inv(A_k A_k^H + noise_var I)``, the
-    minimizer of ``||G A_k - I||^2 + noise_var ||G||^2``.
-    """
+    """Per-user linear MMSE receiver for the precoded own-user signal:
+    user k's block is :func:`mmse_block` of ``A_k = H_k @ W_k`` (own
+    layers only)."""
     check_positive("noise_var", noise_var)
     dims = channels.dims
     w = precoder.weights
@@ -63,11 +73,8 @@ def mmse_detection(
         raise DimensionError(
             f"precoder shape {w.shape} != ({dims.num_tx}, {dims.total_layers})"
         )
-    blocks = []
-    for k in range(dims.num_users):
-        a = channels.blocks[k] @ w[:, dims.layer_slice(k)]
-        m = a @ a.conj().T
-        idx = np.arange(m.shape[0])
-        m[idx, idx] += noise_var
-        blocks.append(solve_hpd(m, a).conj().T)
-    return DetectionSet(blocks=tuple(blocks), kind="mmse")
+    blocks = tuple(
+        mmse_block(channels.blocks[k] @ w[:, dims.layer_slice(k)], noise_var)[0]
+        for k in range(dims.num_users)
+    )
+    return DetectionSet(blocks=blocks, kind="mmse")

@@ -19,8 +19,8 @@ from .precoding import Precoder
 
 __all__ = [
     "MetricsReport",
+    "sinr_terms",
     "layer_sinr",
-    "layer_sinr_conjugate",
     "effective_sinr",
     "user_se",
     "av_susinr",
@@ -42,55 +42,44 @@ class MetricsReport:
     detection: str
 
 
+def sinr_terms(g: np.ndarray, eff: np.ndarray, own: slice, noise_var: float):
+    """``(coup, sig, den)`` of one user with detection rows ``g``, own
+    layer slice ``own`` and ``eff = H_k @ W``: ``coup = g @ eff``; row j's
+    power at layer ``own.start + j`` is the signal ``sig[j]``, at every
+    other layer (own ones included) interference, which ``den[j]`` sums
+    with the detected noise.  The layer SINRs are ``sig / den``."""
+    coup = g @ eff
+    mag = np.abs(coup) ** 2
+    j = np.arange(mag.shape[0])
+    sig = mag[j, own.start + j]
+    mag[j, own.start + j] = 0.0
+    den = mag.sum(axis=1) + noise_var * np.sum(np.abs(g) ** 2, axis=1)
+    return coup, sig, den
+
+
 def layer_sinr(
     channels: ChannelSet,
     precoder: Precoder,
     detection: DetectionSet,
     noise_var: float,
 ) -> np.ndarray:
-    """Per-layer SINR under the given detection blocks.
-
-    Layer l of user k sees signal through its own detection row and
-    interference from every other layer in the system, plus detection-
-    shaped noise.
-    """
+    """Per-layer SINR under the given detection blocks (see
+    :func:`sinr_terms`)."""
     check_positive("noise_var", noise_var)
     dims = channels.dims
     w = precoder.weights
     out = np.empty(dims.total_layers)
     for k in range(dims.num_users):
-        eff = channels.blocks[k] @ w
         g = detection.blocks[k]
         if g.shape != (dims.layers[k], dims.rx[k]):
             raise DimensionError(
                 f"detection block {k} shape {g.shape} != "
                 f"({dims.layers[k]}, {dims.rx[k]})"
             )
-        coup = g @ eff
-        noise = noise_var * np.sum(np.abs(g) ** 2, axis=1)
-        base = dims.layer_slice(k).start
-        for j in range(dims.layers[k]):
-            row = np.abs(coup[j]) ** 2
-            sig = row[base + j]
-            out[base + j] = sig / (row.sum() - sig + noise[j])
+        sl = dims.layer_slice(k)
+        _, sig, den = sinr_terms(g, channels.blocks[k] @ w, sl, noise_var)
+        out[sl] = sig / den
     return out
-
-
-def layer_sinr_conjugate(
-    decomp: ChannelDecomposition, precoder: Precoder, noise_var: float
-) -> np.ndarray:
-    """Closed-form per-layer SINR under channel-diagonalizing detection.
-
-    Uses only the layer rows, singular values and weights:
-    ``|t_ll|^2 / (sum_{i!=l} |t_li|^2 + noise_var / s_l^2)`` with
-    ``T = V @ W``.
-    """
-    check_positive("noise_var", noise_var)
-    t = decomp.v @ precoder.weights
-    mag = np.abs(t) ** 2
-    sig = np.diag(mag)
-    interf = mag.sum(axis=1) - sig
-    return sig / (interf + noise_var / decomp.s**2)
 
 
 def effective_sinr(sinrs: np.ndarray, dims) -> np.ndarray:
@@ -109,8 +98,10 @@ def effective_sinr(sinrs: np.ndarray, dims) -> np.ndarray:
 
 
 def user_se(eff: np.ndarray, dims) -> np.ndarray:
-    """Per-user spectral efficiency, layers times log2(1 + effective)."""
-    return np.asarray(dims.layers, dtype=float) * np.log2(1.0 + np.asarray(eff))
+    """Per-user spectral efficiency, layers times log2(1 + effective),
+    exact also where the effective SINR is below double precision's
+    epsilon."""
+    return np.asarray(dims.layers, dtype=float) * (np.log1p(eff) / np.log(2.0))
 
 
 def av_susinr(decomp: ChannelDecomposition, power: float, noise_var: float) -> float:

@@ -15,12 +15,12 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .channel import ChannelDecomposition, ChannelSet
-from .detection import mmse_detection
+from .detection import mmse_block, mmse_detection
 from .exceptions import ConfigError, NumericalError, PrecodesimError, check_positive
-from .metrics import report
+from .metrics import effective_sinr, report, sinr_terms
+from .numerics import solve_factored
 from .precoding import parametric_rzf
 
 __all__ = [
@@ -53,7 +53,6 @@ class OptConfig:
     backtrack: float = 0.5
     init_step: float = 1.0
     max_backtracks: int = 30
-    norm_mode: str = "per_antenna"
 
     def __post_init__(self):
         if self.max_iters < 1 or self.memory < 1 or self.max_backtracks < 0:
@@ -99,112 +98,59 @@ def objective(
     reg_vec,
     power: float,
     noise_var: float,
-    norm_mode: str = "per_antenna",
 ) -> float:
     """Sum spectral efficiency of the parametric ridge precoder under
     per-user MMSE detection.  This is the production evaluation path."""
-    pre = parametric_rzf(decomp, reg_vec, power, norm_mode)
+    pre = parametric_rzf(decomp, reg_vec, power)
     det = mmse_detection(channels, pre, noise_var)
     return report(channels, pre, det, noise_var).sum_se
 
 
-def _forward_pass(decomp, channels, u, power, noise_var, norm_mode):
-    """Objective value and analytic gradient with respect to ``u``
-    (elementwise log of the ridge diagonal).
+def _forward_pass(decomp, channels, reg, power, noise_var):
+    """Gradient of the objective at ridge diagonal ``reg`` with respect
+    to its elementwise log ``u``.
 
-    Forward-mode: every intermediate carries a stack of directional
-    tangents, one per parameter, pushed through the linear solves, the
-    power normalization and the SINR aggregation.
+    Forward mode: the weights, detection blocks and layer SINR terms come
+    from ``parametric_rzf``, ``mmse_block`` and ``sinr_terms``; this pass
+    only carries their directional derivatives, one per ``u_d``.
     """
     dims = decomp.dims
     lt = dims.total_layers
-    r = np.exp(u)
-    v = decomp.v
+    pre = parametric_rzf(decomp, reg, power)
+    w_raw, w = pre.raw, pre.weights
 
-    k_mat = v @ v.conj().T
-    idx = np.arange(lt)
-    k_mat[idx, idx] += r
-    try:
-        cho = cho_factor(k_mat, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"ridge system not positive definite: {exc}") from exc
-    y = cho_solve(cho, v, check_finite=False)
-    z = cho_solve(cho, np.eye(lt, dtype=complex), check_finite=False)
-    w_raw = y.conj().T
+    # w_raw = V^H inv(K), K = V V^H + diag(r), and r_d inv(K)[d, :] is
+    # (I - V w_raw)[d, :], so d w_raw / d u_d = -w_raw[:, d] (I - V w_raw)[d, :]
+    dw_raw = -w_raw.T[:, :, None] * (np.eye(lt) - decomp.v @ w_raw)[:, None, :]
+    # per-antenna gain sqrt(power / num_tx) / rho, rho the largest row norm
+    rows = np.linalg.norm(w_raw, axis=1)
+    top = int(np.argmax(rows))
+    drho_rel = (dw_raw[:, top, :] @ w_raw[top].conj()).real / rows[top] ** 2
+    dw = pre.gain * (dw_raw - drho_rel[:, None, None] * w_raw)
 
-    # d w_raw / d u_d = -r_d * conj(y[d,:]) outer conj(z[:,d])
-    dw = -np.einsum("d,dt,ld->dtl", r, y.conj(), z.conj())
-
-    if norm_mode == "per_antenna":
-        row_norms = np.linalg.norm(w_raw, axis=1)
-        t_star = int(np.argmax(row_norms))
-        rho = row_norms[t_star]
-        mu = np.sqrt(power / dims.num_tx) / rho
-        drho = np.einsum("l,dl->d", w_raw[t_star].conj(), dw[:, t_star, :]).real / rho
-        dmu = -np.sqrt(power / dims.num_tx) / rho**2 * drho
-    elif norm_mode == "total":
-        fro = np.linalg.norm(w_raw)
-        mu = np.sqrt(power) / fro
-        dfro = np.einsum("tl,dtl->d", w_raw.conj(), dw).real / fro
-        dmu = -np.sqrt(power) / fro**2 * dfro
-    else:
-        raise ConfigError(f"unknown normalization mode {norm_mode!r}")
-
-    w = mu * w_raw
-    dw_full = dmu[:, None, None] * w_raw[None] + mu * dw
-
-    total = 0.0
-    grad = np.zeros(lt)
-    for k in range(dims.num_users):
-        h = channels.blocks[k]
+    sig, den = np.empty(lt), np.empty(lt)
+    dsig, dden = np.empty((lt, lt)), np.empty((lt, lt))
+    for k, h in enumerate(channels.blocks):
         sl = dims.layer_slice(k)
-        base = sl.start
-        lk = dims.layers[k]
+        eff, deff = h @ w, h @ dw
+        a, da = eff[:, sl], deff[:, :, sl]
+        g, factor = mmse_block(a, noise_var)
+        # G = inv(M) A^H with M = A^H A + noise_var I: dG = inv(M) (dA^H - dM G)
+        dah = np.conj(da.transpose(0, 2, 1))
+        dm = dah @ a
+        dm += np.conj(dm.transpose(0, 2, 1))
+        dg = solve_factored(factor, np.eye(len(g))) @ (dah - dm @ g)
+        coup, sig[sl], den[sl] = sinr_terms(g, eff, sl, noise_var)
+        dmag = 2.0 * (coup.conj() * (dg @ eff + g @ deff)).real
+        j = np.arange(len(g))
+        dsig[:, sl] = dmag[:, j, sl.start + j]
+        dmag[:, j, sl.start + j] = 0.0
+        dden[:, sl] = dmag.sum(axis=2) + 2.0 * noise_var * (g.conj() * dg).real.sum(axis=2)
 
-        eff = h @ w
-        deff = np.einsum("rt,dtl->drl", h, dw_full)
-        a = eff[:, sl]
-        da = deff[:, :, sl]
-
-        m = a @ a.conj().T
-        ridx = np.arange(m.shape[0])
-        m[ridx, ridx] += noise_var
-        try:
-            cho_m = cho_factor(m, lower=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"detection system failed for user {k}: {exc}") from exc
-        q = cho_solve(cho_m, a, check_finite=False)
-        g = q.conj().T
-
-        dm = da @ a.conj().T + a[None] @ np.conj(np.transpose(da, (0, 2, 1)))
-        rhs = da - dm @ q[None]
-        dq = np.stack([cho_solve(cho_m, rhs[d], check_finite=False) for d in range(lt)])
-        dg = np.conj(np.transpose(dq, (0, 2, 1)))
-
-        coup = g @ eff
-        dcoup = dg @ eff[None] + g[None] @ deff
-        mag = np.abs(coup) ** 2
-        dmag = 2.0 * (coup.conj()[None] * dcoup).real
-        noise = noise_var * np.sum(np.abs(g) ** 2, axis=1)
-        dnoise = 2.0 * noise_var * np.einsum("ji,dji->dj", g.conj(), dg).real
-
-        sinr = np.empty(lk)
-        dsinr = np.empty((lt, lk))
-        for j in range(lk):
-            sig = mag[j, base + j]
-            denom = mag[j].sum() - sig + noise[j]
-            dsig = dmag[:, j, base + j]
-            ddenom = dmag[:, j, :].sum(axis=1) - dsig + dnoise[:, j]
-            sinr[j] = sig / denom
-            dsinr[:, j] = (dsig * denom - sig * ddenom) / denom**2
-        if np.any(sinr <= 0):
-            raise NumericalError("nonpositive layer SINR in forward pass")
-
-        geo = np.exp(np.mean(np.log(sinr)))
-        dgeo = geo * np.mean(dsinr / sinr[None, :], axis=1)
-        total += lk * np.log2(1.0 + geo)
-        grad += lk / ((1.0 + geo) * _LN2) * dgeo
-    return total, grad
+    eff_sinr = effective_sinr(sig / den, dims)
+    # SE_k = L_k log2(1 + geomean_k), d geomean_k = geomean_k mean_j d log sinr_j
+    dlog_sinr = dsig / sig - dden / den
+    return dlog_sinr @ np.repeat(eff_sinr / (1.0 + eff_sinr), dims.layers) / _LN2
 
 
 def gradient(
@@ -215,7 +161,6 @@ def gradient(
     noise_var: float,
     mode: str = "dual",
     fd_step: float = 1e-6,
-    norm_mode: str = "per_antenna",
 ) -> np.ndarray:
     """Gradient of the objective with respect to the elementwise log of
     ``reg_vec``.
@@ -227,20 +172,19 @@ def gradient(
     reg_vec = np.asarray(reg_vec, dtype=float)
     if np.any(reg_vec <= 0):
         raise ConfigError("gradient needs strictly positive reg entries")
-    u = np.log(reg_vec)
     if mode == "dual":
-        _, g = _forward_pass(decomp, channels, u, power, noise_var, norm_mode)
-        return g
+        return _forward_pass(decomp, channels, reg_vec, power, noise_var)
     if mode != "fd":
         raise ConfigError(f"unknown gradient mode {mode!r}")
+    u = np.log(reg_vec)
     g = np.empty(len(u))
     for i in range(len(u)):
         h = fd_step * max(1.0, abs(u[i]))
         up, dn = u.copy(), u.copy()
         up[i] += h
         dn[i] -= h
-        jp = objective(decomp, channels, np.exp(up), power, noise_var, norm_mode)
-        jm = objective(decomp, channels, np.exp(dn), power, noise_var, norm_mode)
+        jp = objective(decomp, channels, np.exp(up), power, noise_var)
+        jm = objective(decomp, channels, np.exp(dn), power, noise_var)
         g[i] = (jp - jm) / (2.0 * h)
     return g
 
@@ -277,14 +221,12 @@ def optimize(
     ``converged=False`` and a reason string.  Fully deterministic.
     """
 
-    def value_at(u_try):
+    def value_at(reg):
         # trial points may overflow exp or produce degenerate systems;
         # both just mean "reject this step"
         with np.errstate(all="ignore"):
             try:
-                val = objective(
-                    decomp, channels, np.exp(u_try), power, noise_var, config.norm_mode
-                )
+                val = objective(decomp, channels, reg, power, noise_var)
             except (PrecodesimError, np.linalg.LinAlgError, FloatingPointError):
                 return None
         return val if np.isfinite(val) else None
@@ -293,25 +235,24 @@ def optimize(
         alpha = config.init_step
         for _ in range(config.max_backtracks + 1):
             cand = u_base + alpha * direction
-            val = value_at(cand)
+            with np.errstate(over="ignore"):
+                reg_try = np.exp(cand)
+            val = value_at(reg_try)
             if val is not None and -val <= -j_base + config.armijo_c1 * alpha * slope:
-                return cand, val, alpha
+                return cand, reg_try, val, alpha
             alpha *= config.backtrack
         return None
 
-    def grad_at(u_cur):
-        # works in log space directly so that accepted points whose
-        # ridge entries underflow to zero stay differentiable
-        return _forward_pass(
-            decomp, channels, u_cur, power, noise_var, config.norm_mode
-        )[1]
-
-    u = np.log(default_start(decomp, power, noise_var))
-    j_cur = value_at(u)
+    # the search steps in u = log(reg) but evaluates at reg itself, so
+    # the start (and a search that never moves) is exactly the arzf ridge,
+    # and accepted ridge entries that underflow to zero stay differentiable
+    reg = default_start(decomp, power, noise_var)
+    u = np.log(reg)
+    j_cur = value_at(reg)
     if j_cur is None:
         raise NumericalError("objective undefined at the starting ridge")
     j_start = j_cur
-    g = grad_at(u)
+    g = _forward_pass(decomp, channels, reg, power, noise_var)
     gnorm = float(np.abs(g).max())
     traj = [(0, j_cur, gnorm, 0.0)]
     pairs = deque(maxlen=config.memory)
@@ -346,9 +287,9 @@ def optimize(
         if found is None:
             reason = "line search failed to find an acceptable step"
             break
-        u_new, j_new, alpha = found
+        u_new, reg_new, j_new, alpha = found
 
-        g_new = grad_at(u_new)
+        g_new = _forward_pass(decomp, channels, reg_new, power, noise_var)
         s = u_new - u
         yv = (-g_new) - (-g)
         sy = float(s @ yv)
@@ -356,8 +297,8 @@ def optimize(
             pairs.append((s, yv, 1.0 / sy))
 
         delta_j = abs(j_new - j_cur)
-        delta_r = float(np.abs(np.exp(u_new) - np.exp(u)).max())
-        u, j_cur, g = u_new, j_new, g_new
+        delta_r = float(np.abs(reg_new - reg).max())
+        u, reg, j_cur, g = u_new, reg_new, j_new, g_new
         gnorm = float(np.abs(g).max())
         accepted += 1
         traj.append((accepted, j_cur, gnorm, alpha))
@@ -371,10 +312,9 @@ def optimize(
             converged = True
             reason = "gradient norm below tolerance"
 
-    reg = np.exp(u)
     return OptResult(
         reg_vec=reg,
-        precoder=parametric_rzf(decomp, reg, power, config.norm_mode),
+        precoder=parametric_rzf(decomp, reg, power),
         objective=j_cur,
         start_objective=j_start,
         iterations=accepted,

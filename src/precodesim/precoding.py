@@ -5,10 +5,9 @@ weight matrix together with the scalar gain that scales it to the power
 budget.  Raw matrices are what the algebraic identities speak about;
 ``weights`` (gain times raw) is what a transmitter would apply.
 
-Two normalization modes exist: ``"total"`` spends the full budget
-``power`` summed over antennas, ``"per_antenna"`` caps every antenna at
-``power / num_tx`` with the most-loaded antenna hitting the cap.  Both
-use a single scalar gain, so layer directions never change.
+Normalization is per antenna: one scalar gain caps every antenna at
+``power / num_tx``, with the most-loaded antenna hitting the cap, so
+layer directions never change.
 """
 
 from dataclasses import dataclass, replace
@@ -52,14 +51,11 @@ class Precoder:
         Scalar applied to ``raw`` to meet the power budget.
     method : str
         Label of the constructing method.
-    norm_mode : str
-        ``"total"`` or ``"per_antenna"``.
     """
 
     raw: np.ndarray
     gain: float
     method: str
-    norm_mode: str
 
     @property
     def weights(self) -> np.ndarray:
@@ -67,28 +63,19 @@ class Precoder:
         return self.gain * self.raw
 
 
-def normalize(raw: np.ndarray, power: float, mode: str = "per_antenna") -> float:
-    """Scalar gain that fits ``raw`` to the power budget.
-
-    ``"total"`` makes the Frobenius norm of the scaled matrix equal
-    ``sqrt(power)``; ``"per_antenna"`` makes the largest row norm equal
-    ``sqrt(power / num_tx)``.
-    """
+def normalize(raw: np.ndarray, power: float) -> float:
+    """Scalar gain that makes the largest row norm of ``raw`` equal
+    ``sqrt(power / num_tx)``."""
     check_positive("power", power)
-    if mode == "total":
-        denom = np.linalg.norm(raw)
-    elif mode == "per_antenna":
-        denom = np.linalg.norm(raw, axis=1).max() * np.sqrt(raw.shape[0])
-    else:
-        raise ConfigError(f"unknown normalization mode {mode!r}")
+    denom = np.linalg.norm(raw, axis=1).max() * np.sqrt(raw.shape[0])
     if denom == 0:
         raise ZeroMatrixError("cannot normalize an all-zero precoder")
     return np.sqrt(power) / denom
 
 
-def _scaled(raw: np.ndarray, power: float, norm_mode: str, method: str) -> Precoder:
+def _scaled(raw: np.ndarray, power: float, method: str) -> Precoder:
     """``raw`` with the gain that fits it to the power budget."""
-    return Precoder(raw=raw, gain=normalize(raw, power, norm_mode), method=method, norm_mode=norm_mode)
+    return Precoder(raw=raw, gain=normalize(raw, power), method=method)
 
 
 def _ridge_solve(basis: np.ndarray, reg_diag) -> np.ndarray:
@@ -115,18 +102,13 @@ def _basis(decomp: ChannelDecomposition, which: str) -> np.ndarray:
     raise ConfigError(f"unknown basis {which!r}, expected one of {BASES}")
 
 
-def mrt(decomp: ChannelDecomposition, power: float, norm_mode: str = "per_antenna") -> Precoder:
+def mrt(decomp: ChannelDecomposition, power: float) -> Precoder:
     """Matched transmission: raw weights are the conjugated layer rows."""
     raw = decomp.v.conj().T
-    return _scaled(raw, power, norm_mode, "mrt")
+    return _scaled(raw, power, "mrt")
 
 
-def zf(
-    decomp: ChannelDecomposition,
-    power: float,
-    basis: str = "v",
-    norm_mode: str = "per_antenna",
-) -> Precoder:
+def zf(decomp: ChannelDecomposition, power: float, basis: str = "v") -> Precoder:
     """Zero-forcing pseudoinverse of the chosen basis.
 
     ``basis="v"`` inverts the layer rows directly; ``basis="f"``
@@ -135,7 +117,7 @@ def zf(
     dependent.
     """
     raw = _ridge_solve(_basis(decomp, basis), None)
-    return _scaled(raw, power, norm_mode, f"zf_{basis}")
+    return _scaled(raw, power, f"zf_{basis}")
 
 
 def rzf(
@@ -144,7 +126,6 @@ def rzf(
     noise_var: float,
     basis: str = "v",
     reg=None,
-    norm_mode: str = "per_antenna",
 ) -> Precoder:
     """Ridge-regularized zero forcing on the chosen basis.
 
@@ -159,29 +140,19 @@ def rzf(
         raise ConfigError(f"reg must be finite and >= 0, got {reg}")
     b = _basis(decomp, basis)
     raw = _ridge_solve(b, None if reg == 0 else np.full(len(b), float(reg)))
-    return _scaled(raw, power, norm_mode, f"rzf_{basis}")
+    return _scaled(raw, power, f"rzf_{basis}")
 
 
-def wrzf(
-    decomp: ChannelDecomposition,
-    power: float,
-    noise_var: float,
-    norm_mode: str = "per_antenna",
-) -> Precoder:
+def wrzf(decomp: ChannelDecomposition, power: float, noise_var: float) -> Precoder:
     """Ridge on the layer rows sized by the total inverse channel gain,
     ``reg = noise_var / power * sum(1 / s^2)``."""
     check_positive("noise_var", noise_var)
     reg = noise_var / power * float(np.sum(decomp.s**-2.0))
-    p = rzf(decomp, power, noise_var, basis="v", reg=reg, norm_mode=norm_mode)
+    p = rzf(decomp, power, noise_var, basis="v", reg=reg)
     return replace(p, method="wrzf")
 
 
-def parametric_rzf(
-    decomp: ChannelDecomposition,
-    reg_vec,
-    power: float,
-    norm_mode: str = "per_antenna",
-) -> Precoder:
+def parametric_rzf(decomp: ChannelDecomposition, reg_vec, power: float) -> Precoder:
     """Per-layer diagonal ridge on the layer rows.
 
     ``raw = V^H @ inv(V V^H + diag(reg_vec))`` with elementwise
@@ -194,20 +165,15 @@ def parametric_rzf(
     if np.any(reg_vec < 0) or not np.all(np.isfinite(reg_vec)):
         raise ConfigError("reg_vec entries must be finite and >= 0")
     raw = _ridge_solve(decomp.v, reg_vec)
-    return _scaled(raw, power, norm_mode, "parametric_rzf")
+    return _scaled(raw, power, "parametric_rzf")
 
 
-def arzf(
-    decomp: ChannelDecomposition,
-    power: float,
-    noise_var: float,
-    norm_mode: str = "per_antenna",
-) -> Precoder:
+def arzf(decomp: ChannelDecomposition, power: float, noise_var: float) -> Precoder:
     """Gain-adapted ridge: each layer's ridge entry is
     ``total_layers * noise_var / power`` divided by that layer's squared
     singular value, so weak layers are regularized harder."""
     check_positive("noise_var", noise_var)
     lam = decomp.dims.total_layers * noise_var / power
     reg_vec = lam / decomp.s**2
-    p = parametric_rzf(decomp, reg_vec, power, norm_mode)
+    p = parametric_rzf(decomp, reg_vec, power)
     return replace(p, method="arzf")

@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 
 import pytest
 
@@ -110,6 +112,17 @@ class TestRunCommand:
         args, _ = run_args(tmp_path, [flag])
         assert main(args) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_levels_beyond_200_db_run(self, tmp_path):
+        # the MMSE system is L x L, so it stays solvable at 1e-100 noise
+        out = tmp_path / "high.csv"
+        assert main(["run", "--susinr=200,300,1000", "--seeds", "2", "--methods",
+                     "mrt,arzf,opt", "--quiet", "--out", str(out)]) == 0
+        rows = {(r["susinr_db"], r["method"]): r for r in csv.DictReader(out.open())}
+        assert len(rows) == 9
+        assert all(math.isfinite(float(r["avg_sum_se"])) for r in rows.values())
+        for level in ("200", "300", "1000"):
+            assert float(rows[(level, "opt")]["avg_sum_se"]) >= float(rows[(level, "arzf")]["avg_sum_se"])
 
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/nonexistent/x.json", "--quiet"]) == 2

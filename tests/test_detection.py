@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from precodesim.channel import ChannelSet, SystemDims, decompose
 from precodesim.detection import DetectionSet, conjugate_detection, mmse_detection
 from precodesim.exceptions import ConfigError
+from precodesim.metrics import layer_sinr
 from precodesim.numerics import complex_gaussian, complex_normal
 from precodesim.precoding import arzf, rzf
 
@@ -70,11 +73,36 @@ class TestMmse:
             assert self.det.blocks[k].shape == (2, 4)
         assert self.det.kind == "mmse"
 
-    def test_matches_inverse_oracle(self):
-        for k in range(2):
-            a = self.effective(k)
-            oracle = a.conj().T @ np.linalg.inv(a @ a.conj().T + self.nv * np.eye(4))
-            assert np.linalg.norm(self.det.blocks[k] - oracle) < 1e-10
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        layers=st.lists(st.integers(1, 2), min_size=2, max_size=4),
+        log_noise=st.floats(-3.0, 3.0),
+        theta=st.floats(0.0, 2 * np.pi),
+    )
+    def test_matches_inverse_oracle(self, seed, layers, log_noise, theta):
+        # push-through block against A^H inv(A A^H + nv I), and layer
+        # SINRs unchanged when one user's channel turns by a unit phase
+        rng = np.random.default_rng(seed)
+        rx = tuple(l + int(rng.integers(1, 4)) for l in layers)
+        dims = SystemDims(num_tx=int(rng.integers(max(sum(layers), 8), 17)), rx=rx, layers=layers)
+        blocks = [complex_normal(rng, (r, dims.num_tx), 1.0) for r in rx]
+        ch = ChannelSet(dims=dims, blocks=tuple(blocks))
+        pre = arzf(decompose(ch), 1.0, 0.1)
+        a = ch.blocks[0] @ pre.weights[:, dims.layer_slice(0)]
+        nv = 10.0**log_noise * np.linalg.norm(a, 2) ** 2
+        got = mmse_detection(ch, pre, nv)
+        for k in range(dims.num_users):
+            a = ch.blocks[k] @ pre.weights[:, dims.layer_slice(k)]
+            oracle = a.conj().T @ np.linalg.inv(a @ a.conj().T + nv * np.eye(rx[k]))
+            assert np.linalg.norm(got.blocks[k] - oracle) <= 1e-10 * np.linalg.norm(oracle)
+        k = int(rng.integers(dims.num_users))
+        blocks[k] = np.exp(1j * theta) * blocks[k]
+        rot = ChannelSet(dims=dims, blocks=tuple(blocks))
+        pre_rot = arzf(decompose(rot), 1.0, 0.1)
+        sinr = layer_sinr(ch, pre, got, nv)
+        sinr_rot = layer_sinr(rot, pre_rot, mmse_detection(rot, pre_rot, nv), nv)
+        assert np.allclose(sinr_rot, sinr, rtol=1e-10, atol=0.0)
 
     def test_normal_equations(self):
         # stationarity of ||G A - I||^2 + nv ||G||^2 in G
@@ -102,14 +130,17 @@ class TestMmse:
                 assert f(g + 1e-3 * d / np.linalg.norm(d)) >= f0
 
     def test_low_noise_inverts(self):
-        ch = make_channels(seed=9, rx=(2, 2), layers=(2, 2), num_tx=10)
-        dec = decompose(ch)
-        pre = rzf(dec, 1.0, 1e-9)
-        det = mmse_detection(ch, pre, 1e-9)
-        for k in range(2):
-            sl = ch.dims.layer_slice(k)
-            a = ch.blocks[k] @ pre.weights[:, sl]
-            assert np.linalg.norm(det.blocks[k] @ a - np.eye(2)) < 1e-6
+        # 1e-20 is below working precision for the rx x rx form (rx 4 > 2 layers)
+        for ch, build, nv in (
+            (make_channels(seed=9, rx=(2, 2), layers=(2, 2), num_tx=10), rzf, 1e-9),
+            (make_channels(seed=9), arzf, 1e-20),
+        ):
+            pre = build(decompose(ch), 1.0, nv)
+            det = mmse_detection(ch, pre, nv)
+            for k in range(2):
+                sl = ch.dims.layer_slice(k)
+                a = ch.blocks[k] @ pre.weights[:, sl]
+                assert np.linalg.norm(det.blocks[k] @ a - np.eye(2)) < 1e-6
 
     def test_high_noise_matches_scaled_adjoint(self):
         nv = 1e9

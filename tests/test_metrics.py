@@ -15,7 +15,6 @@ from precodesim.metrics import (
     av_susinr,
     effective_sinr,
     layer_sinr,
-    layer_sinr_conjugate,
     report,
     user_se,
 )
@@ -64,12 +63,16 @@ class TestLayerSinr:
             assert np.allclose(fast, slow, rtol=1e-12)
 
     def test_conjugate_closed_form_equivalence(self):
+        # channel-diagonalizing detection reduces the SINR to the layer
+        # rows: |t_ll|^2 / (sum_{i!=l} |t_li|^2 + nv / s_l^2), T = V W
         ch = make_channels(seed=2)
         dec = decompose(ch)
         nv = 0.15
         for pre in (mrt(dec, 1.0), arzf(dec, 1.0, nv), rzf(dec, 1.0, nv)):
             generic = layer_sinr(ch, pre, conjugate_detection(dec), nv)
-            closed = layer_sinr_conjugate(dec, pre, nv)
+            mag = np.abs(dec.v @ pre.weights) ** 2
+            sig = np.diag(mag)
+            closed = sig / (mag.sum(axis=1) - sig + nv / dec.s**2)
             assert np.allclose(generic, closed, rtol=1e-10)
 
     def test_scale_invariance(self):
@@ -107,6 +110,9 @@ class TestAggregation:
         dims = SystemDims(num_tx=8, rx=(2, 3), layers=(2, 3))
         se = user_se(np.array([3.0, 7.0]), dims)
         assert np.allclose(se, [2 * np.log2(4.0), 3 * np.log2(8.0)])
+        # log2(1 + x) ~ x / ln 2 far below double precision's epsilon
+        tiny = user_se(np.array([1e-30]), SystemDims(num_tx=2, rx=(1,), layers=(1,)))
+        assert tiny[0] == pytest.approx(1.4426950408889634e-30, rel=1e-12)
 
     def test_report_consistency(self):
         ch = make_channels(seed=5)

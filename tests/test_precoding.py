@@ -46,33 +46,29 @@ def inv_ridge_oracle(basis, reg_diag):
 
 
 class TestNormalize:
-    def test_total(self):
-        raw = complex_gaussian(0, 6, 4, 1.0)
-        mu = normalize(raw, power=9.0, mode="total")
-        assert abs(np.linalg.norm(mu * raw) - 3.0) < 1e-12
-
     def test_per_antenna(self):
         raw = complex_gaussian(1, 6, 4, 1.0)
-        mu = normalize(raw, power=12.0, mode="per_antenna")
+        mu = normalize(raw, power=12.0)
         rows = np.linalg.norm(mu * raw, axis=1)
         assert abs(rows.max() - np.sqrt(12.0 / 6)) < 1e-12
         assert np.all(rows <= np.sqrt(12.0 / 6) + 1e-12)
 
     def test_per_antenna_total_within_budget(self):
         raw = complex_gaussian(2, 6, 4, 1.0)
-        mu = normalize(raw, power=5.0, mode="per_antenna")
+        mu = normalize(raw, power=5.0)
         assert np.linalg.norm(mu * raw) ** 2 <= 5.0 + 1e-12
 
     def test_zero_matrix(self):
         with pytest.raises(ZeroMatrixError):
-            normalize(np.zeros((3, 2)), 1.0, "total")
+            normalize(np.zeros((3, 2)), 1.0)
 
     def test_bad_mode_and_power(self):
+        # per-antenna is the only normalization; no mode can be chosen
         raw = np.ones((2, 2))
+        with pytest.raises(TypeError):
+            normalize(raw, 1.0, "per_antenna")
         with pytest.raises(ConfigError):
-            normalize(raw, 1.0, "rows")
-        with pytest.raises(ConfigError):
-            normalize(raw, 0.0, "total")
+            normalize(raw, 0.0)
 
 
 class TestMrtZf:
@@ -112,7 +108,7 @@ class TestMrtZf:
 
     def test_weights_are_gain_times_raw(self):
         dec = sample_decomp()
-        p = zf(dec, power=2.0, norm_mode="total")
+        p = zf(dec, power=2.0)
         assert np.array_equal(p.weights, p.gain * p.raw)
         assert isinstance(p, Precoder)
 
@@ -189,8 +185,8 @@ class TestArzf:
     def test_equals_weighted_basis_ridge_times_s(self):
         dec = sample_decomp(seed=6)
         power, nv = 3.0, 0.2
-        a = arzf(dec, power, nv, norm_mode="total")
-        f_ridge = rzf(dec, power, nv, basis="f", norm_mode="total")
+        a = arzf(dec, power, nv)
+        f_ridge = rzf(dec, power, nv, basis="f")
         assert np.linalg.norm(a.raw - f_ridge.raw * dec.s[None, :]) < 1e-10
 
     def test_is_parametric_with_scaled_inverse_gains(self):
