@@ -10,6 +10,7 @@ singular values descending inside each user.
 import json
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -145,6 +146,21 @@ class ChannelSet:
     def stacked(self) -> np.ndarray:
         """All user blocks stacked into one (total_rx, num_tx) matrix."""
         return np.vstack(self.blocks)
+
+    @cached_property
+    def groups(self) -> tuple:
+        """``(users, h, own)`` per distinct ``(rx_k, layers_k)``, in order of
+        first appearance: ``h[i]`` is the block of user ``users[i]`` and
+        ``own[i]`` the indices of its layers."""
+        dims, by_shape = self.dims, {}
+        for k in range(dims.num_users):
+            by_shape.setdefault((dims.rx[k], dims.layers[k]), []).append(k)
+        layer = np.arange(dims.total_layers)
+        return tuple(
+            (tuple(u), np.stack([self.blocks[k] for k in u]),
+             np.array([layer[dims.layer_slice(k)] for k in u]))
+            for u in by_shape.values()
+        )
 
 
 @dataclass(frozen=True)

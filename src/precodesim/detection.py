@@ -3,7 +3,8 @@
 Each user applies its own detection block to its own antennas; the
 package never forms a joint receiver across users.  Two constructions
 are provided: a channel-diagonalizing one built from the decomposition
-alone, and the per-user linear MMSE receiver for a given precoder.
+alone, and the per-user linear MMSE receiver for a given precoder,
+computed for all users of one shape at once.
 """
 
 from dataclasses import dataclass
@@ -11,11 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelDecomposition, ChannelSet
-from .exceptions import DimensionError, check_positive
+from .exceptions import DimensionError, NotHpdError, check_positive
 from .precoding import Precoder
-from .numerics import factor_hpd, solve_factored
 
-__all__ = ["DetectionSet", "conjugate_detection", "mmse_block", "mmse_detection"]
+__all__ = ["DetectionSet", "conjugate_detection", "mmse_stack", "mmse_detection"]
 
 
 @dataclass(frozen=True)
@@ -47,25 +47,30 @@ def conjugate_detection(decomp: ChannelDecomposition) -> DetectionSet:
     return DetectionSet(blocks=blocks, kind="conjugate")
 
 
-def mmse_block(a: np.ndarray, noise_var: float):
-    """Push-through MMSE block ``G = inv(A^H A + noise_var I) @ A^H`` of
-    one user's effective matrix ``a`` (rx x L), the minimizer of
-    ``||G A - I||^2 + noise_var ||G||^2``, and the Cholesky factor of that
-    L x L system.  ``G`` equals ``A^H inv(A A^H + noise_var I)``, whose
-    rx x rx system is singular to working precision at low noise."""
-    m = a.conj().T @ a
-    idx = np.arange(m.shape[0])
-    m[idx, idx] += noise_var
-    factor = factor_hpd(m)
-    return solve_factored(factor, a.conj().T), factor
+def mmse_stack(h: np.ndarray, w: np.ndarray, own: np.ndarray, noise_var: float):
+    """MMSE blocks of one :attr:`ChannelSet.groups` stack: ``eff = h @ w``,
+    ``ah = A^H`` for the own-layer columns ``A = eff[i][:, own[i]]``,
+    ``m = A^H A + noise_var I`` and ``g = inv(m) A^H``, the minimizer of
+    ``||G A - I||^2 + noise_var ||G||^2``.  This L x L form equals
+    ``A^H inv(A A^H + noise_var I)``, whose rx x rx system is singular to
+    working precision at low noise.  A non-HPD ``m`` raises NotHpdError."""
+    eff = h @ w
+    ah = eff[np.arange(len(own))[:, None], :, own].conj()
+    m = ah @ np.conj(ah.transpose(0, 2, 1))
+    m.reshape(len(m), -1)[:, :: m.shape[1] + 1] += noise_var  # the diagonals
+    try:  # the factor only tests definiteness: numpy has no batched triangular solve
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as exc:
+        raise NotHpdError(f"MMSE system is not positive definite: {exc}") from exc
+    return eff, ah, m, np.linalg.solve(m, ah)
 
 
 def mmse_detection(
     channels: ChannelSet, precoder: Precoder, noise_var: float
 ) -> DetectionSet:
     """Per-user linear MMSE receiver for the precoded own-user signal:
-    user k's block is :func:`mmse_block` of ``A_k = H_k @ W_k`` (own
-    layers only)."""
+    user k's block is the :func:`mmse_stack` block of ``A_k = H_k @ W_k``
+    (own layers only)."""
     check_positive("noise_var", noise_var)
     dims = channels.dims
     w = precoder.weights
@@ -73,8 +78,7 @@ def mmse_detection(
         raise DimensionError(
             f"precoder shape {w.shape} != ({dims.num_tx}, {dims.total_layers})"
         )
-    blocks = tuple(
-        mmse_block(channels.blocks[k] @ w[:, dims.layer_slice(k)], noise_var)[0]
-        for k in range(dims.num_users)
-    )
-    return DetectionSet(blocks=blocks, kind="mmse")
+    blocks = {}
+    for users, h, own in channels.groups:
+        blocks.update(zip(users, mmse_stack(h, w, own, noise_var)[3]))
+    return DetectionSet(blocks=[blocks[k] for k in range(dims.num_users)], kind="mmse")

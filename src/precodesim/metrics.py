@@ -42,43 +42,42 @@ class MetricsReport:
     detection: str
 
 
-def sinr_terms(g: np.ndarray, eff: np.ndarray, own: slice, noise_var: float):
-    """``(coup, sig, den)`` of one user with detection rows ``g``, own
-    layer slice ``own`` and ``eff = H_k @ W``: ``coup = g @ eff``; row j's
-    power at layer ``own.start + j`` is the signal ``sig[j]``, at every
-    other layer (own ones included) interference, which ``den[j]`` sums
-    with the detected noise.  The layer SINRs are ``sig / den``."""
+def sinr_terms(g: np.ndarray, eff: np.ndarray, own: np.ndarray, noise_var: float):
+    """``(coup, sig, den)`` of a :attr:`ChannelSet.groups` stack with
+    detection blocks ``g`` and ``eff = h @ W``: ``coup = g @ eff``; row j's
+    power at layer ``own[:, j]`` is the signal ``sig[:, j]``, at every other
+    layer (own ones included) interference, which ``den[:, j]`` sums with
+    the detected noise.  The layer SINRs are ``sig / den``; a ``sig`` or
+    ``den`` that is not positive (underflow, NaN) raises ZeroSinrError."""
     coup = g @ eff
     mag = np.abs(coup) ** 2
-    j = np.arange(mag.shape[0])
-    sig = mag[j, own.start + j]
-    mag[j, own.start + j] = 0.0
-    den = mag.sum(axis=1) + noise_var * np.sum(np.abs(g) ** 2, axis=1)
+    at = (np.arange(len(own))[:, None], np.arange(own.shape[1]), own)
+    sig = mag[at]
+    mag[at] = 0.0
+    den = mag.sum(axis=2) + noise_var * (np.abs(g) ** 2).sum(axis=2)
+    if not np.minimum(sig, den).min() > 0:
+        raise ZeroSinrError("a layer's signal or interference-plus-noise power is not positive")
     return coup, sig, den
 
 
 def layer_sinr(
-    channels: ChannelSet,
-    precoder: Precoder,
-    detection: DetectionSet,
-    noise_var: float,
+    channels: ChannelSet, precoder: Precoder, detection: DetectionSet, noise_var: float
 ) -> np.ndarray:
     """Per-layer SINR under the given detection blocks (see
     :func:`sinr_terms`)."""
     check_positive("noise_var", noise_var)
     dims = channels.dims
-    w = precoder.weights
-    out = np.empty(dims.total_layers)
-    for k in range(dims.num_users):
-        g = detection.blocks[k]
+    for k, g in enumerate(detection.blocks):
         if g.shape != (dims.layers[k], dims.rx[k]):
             raise DimensionError(
-                f"detection block {k} shape {g.shape} != "
-                f"({dims.layers[k]}, {dims.rx[k]})"
+                f"detection block {k} shape {g.shape} != ({dims.layers[k]}, {dims.rx[k]})"
             )
-        sl = dims.layer_slice(k)
-        _, sig, den = sinr_terms(g, channels.blocks[k] @ w, sl, noise_var)
-        out[sl] = sig / den
+    w = precoder.weights
+    out = np.empty(dims.total_layers)
+    for users, h, own in channels.groups:
+        g = np.stack([detection.blocks[k] for k in users])
+        _, sig, den = sinr_terms(g, h @ w, own, noise_var)
+        out[own] = sig / den
     return out
 
 
@@ -87,14 +86,10 @@ def effective_sinr(sinrs: np.ndarray, dims) -> np.ndarray:
     sinrs = np.asarray(sinrs, dtype=float)
     if sinrs.shape != (dims.total_layers,):
         raise DimensionError(f"sinr shape {sinrs.shape} != ({dims.total_layers},)")
-    if np.any(sinrs <= 0):
+    if not np.all(sinrs > 0):
         raise ZeroSinrError("nonpositive SINR cannot enter a geometric mean")
-    return np.array(
-        [
-            np.exp(np.mean(np.log(sinrs[dims.layer_slice(k)])))
-            for k in range(dims.num_users)
-        ]
-    )
+    layers = np.asarray(dims.layers)
+    return np.exp(np.add.reduceat(np.log(sinrs), layers.cumsum() - layers) / layers)
 
 
 def user_se(eff: np.ndarray, dims) -> np.ndarray:

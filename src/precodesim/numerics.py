@@ -2,14 +2,14 @@
 
 Matrices are plain 2-D ``numpy.ndarray`` of ``complex128`` in row-major
 order.  The entry points are :func:`reduced_svd`, the Hermitian positive
-definite solves and :func:`complex_gaussian`; everything here is a pure
-function of its inputs.
+definite solve :func:`solve_hpd` and :func:`complex_gaussian`; everything
+here is a pure function of its inputs.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import zposv
 
 from .exceptions import DimensionError, NotHpdError, NumericalError
 
@@ -19,8 +19,6 @@ __all__ = [
     "as_complex_matrix",
     "reduced_svd",
     "solve_hpd",
-    "factor_hpd",
-    "solve_factored",
     "complex_gaussian",
     "complex_normal",
 ]
@@ -121,21 +119,10 @@ def solve_hpd(a, b) -> np.ndarray:
         raise DimensionError(f"a must be square, got {a.shape}")
     if b.shape[0] != a.shape[0]:
         raise DimensionError(f"a {a.shape} and b {b.shape} do not conform")
-    return solve_factored(factor_hpd(a), b)
-
-
-def factor_hpd(a):
-    """Cholesky factor of an unvalidated Hermitian positive definite ``a``
-    for :func:`solve_factored`; a non-positive pivot raises NotHpdError."""
-    try:
-        return cho_factor(a, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NotHpdError(f"matrix is not positive definite: {exc}") from exc
-
-
-def solve_factored(factor, b) -> np.ndarray:
-    """Solve ``a @ x = b`` (``b`` 1-D or 2-D) given ``factor_hpd(a)``."""
-    return cho_solve(factor, b, check_finite=False)
+    x, info = zposv(a, b, lower=True)[1:]
+    if info > 0:
+        raise NotHpdError(f"matrix is not positive definite (leading minor {info})")
+    return x
 
 
 def complex_normal(rng: np.random.Generator, shape, variance: float = 1.0) -> np.ndarray:

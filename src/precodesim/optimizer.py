@@ -3,12 +3,14 @@ efficiency.
 
 The variable is the diagonal of the ridge in the parametric precoder.
 Search runs in elementwise log space, which keeps the ridge positive
-without constraints.  Function values always come from the production
-evaluation path (precoder build, per-user MMSE detection, metric
-report), so the objective at the starting point is bit-identical to
-the plain gain-adapted ridge.  The search follows a hand-rolled
-forward-mode gradient through that same computation; central
-differences (``gradient(mode="fd")``) are kept as its test oracle.
+without constraints.  Function values come from the production
+evaluation kernel (precoder build, then :func:`mmse_stack` and
+:func:`sinr_terms` per shape group of users, as in
+:func:`mmse_detection` and :func:`report`), so the objective at the
+starting point is bit-identical to the plain gain-adapted ridge.  The
+search follows the reverse-mode (adjoint) gradient of that same
+computation; its oracle, central differences of the objective, lives
+in :mod:`verification`.
 """
 
 from collections import deque
@@ -17,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelDecomposition, ChannelSet
-from .detection import mmse_block, mmse_detection
+from .detection import mmse_stack
 from .exceptions import ConfigError, NumericalError, PrecodesimError, check_positive
-from .metrics import effective_sinr, report, sinr_terms
-from .numerics import solve_factored
+from .metrics import effective_sinr, sinr_terms, user_se
 from .precoding import parametric_rzf
 
 __all__ = [
@@ -92,101 +93,86 @@ def default_start(decomp: ChannelDecomposition, power: float, noise_var: float) 
     return lam / decomp.s**2
 
 
+def _evaluate(decomp, channels, reg, power, noise_var):
+    """The precoder at ridge diagonal ``reg``, its layer SINRs and the
+    kernel stages of each user shape group."""
+    pre = parametric_rzf(decomp, reg, power)
+    w = pre.weights
+    sinrs = np.empty(decomp.dims.total_layers)
+    stages = []
+    for _, h, own in channels.groups:
+        eff, ah, m, g = mmse_stack(h, w, own, noise_var)
+        coup, sig, den = sinr_terms(g, eff, own, noise_var)
+        sinrs[own] = sig / den
+        stages.append((h, own, eff, ah, m, g, coup, sig, den))
+    return pre, sinrs, stages
+
+
 def objective(
-    decomp: ChannelDecomposition,
-    channels: ChannelSet,
-    reg_vec,
-    power: float,
-    noise_var: float,
+    decomp: ChannelDecomposition, channels: ChannelSet, reg_vec, power: float, noise_var: float
 ) -> float:
     """Sum spectral efficiency of the parametric ridge precoder under
-    per-user MMSE detection.  This is the production evaluation path."""
-    pre = parametric_rzf(decomp, reg_vec, power)
-    det = mmse_detection(channels, pre, noise_var)
-    return report(channels, pre, det, noise_var).sum_se
+    per-user MMSE detection, bit-identical to :func:`report`'s
+    ``sum_se`` for that precoder and its :func:`mmse_detection`."""
+    dims = decomp.dims
+    sinrs = _evaluate(decomp, channels, reg_vec, power, noise_var)[1]
+    return float(user_se(effective_sinr(sinrs, dims), dims).sum())
 
 
-def _forward_pass(decomp, channels, reg, power, noise_var):
-    """Gradient of the objective at ridge diagonal ``reg`` with respect
-    to its elementwise log ``u``.
-
-    Forward mode: the weights, detection blocks and layer SINR terms come
-    from ``parametric_rzf``, ``mmse_block`` and ``sinr_terms``; this pass
-    only carries their directional derivatives, one per ``u_d``.
-    """
+def _adjoint(decomp, channels, reg, power, noise_var):
+    """Gradient of the objective at ridge diagonal ``reg`` with respect to
+    its elementwise log ``u``, in reverse mode.  ``x_bar`` is the adjoint
+    of ``x``, ``dJ = Re sum(conj(x_bar) * dx)``: ``y = a @ b`` sends
+    ``y_bar @ b^H`` to ``a`` and ``a^H @ y_bar`` to ``b``, and ``|z|^2``
+    sends ``2 z`` times its own adjoint to ``z``."""
     dims = decomp.dims
     lt = dims.total_layers
-    pre = parametric_rzf(decomp, reg, power)
-    w_raw, w = pre.raw, pre.weights
+    pre, sinrs, stages = _evaluate(decomp, channels, reg, power, noise_var)
+    # SE_k = L_k log2(1 + geomean_k) and d geomean_k = geomean_k mean_j d log sinr_j
+    geo = effective_sinr(sinrs, dims)
+    dlog_sinr = np.repeat(geo / (1.0 + geo), dims.layers) / _LN2
 
-    # w_raw = V^H inv(K), K = V V^H + diag(r), and r_d inv(K)[d, :] is
-    # (I - V w_raw)[d, :], so d w_raw / d u_d = -w_raw[:, d] (I - V w_raw)[d, :]
-    dw_raw = -w_raw.T[:, :, None] * (np.eye(lt) - decomp.v @ w_raw)[:, None, :]
-    # per-antenna gain sqrt(power / num_tx) / rho, rho the largest row norm
-    rows = np.linalg.norm(w_raw, axis=1)
-    top = int(np.argmax(rows))
-    drho_rel = (dw_raw[:, top, :] @ w_raw[top].conj()).real / rows[top] ** 2
-    dw = pre.gain * (dw_raw - drho_rel[:, None, None] * w_raw)
+    w_bar = np.zeros_like(pre.raw)
+    for h, own, eff, ah, m, g, coup, sig, den in stages:
+        at = (np.arange(len(own))[:, None], np.arange(own.shape[1]), own)
+        sig_bar, den_bar = dlog_sinr[own] / sig, -dlog_sinr[own] / den
+        coup_bar = np.repeat(den_bar[:, :, None], lt, axis=2)
+        coup_bar[at] = sig_bar
+        coup_bar = 2.0 * coup_bar * coup
+        gh = np.conj(g.transpose(0, 2, 1))
+        g_bar = coup_bar @ np.conj(eff.transpose(0, 2, 1))
+        g_bar += 2.0 * noise_var * den_bar[:, :, None] * g
+        eff_bar = gh @ coup_bar
+        # g = inv(m) ah and m = ah ah^H + noise_var I
+        ah_bar = np.linalg.solve(m, g_bar)
+        m_bar = -ah_bar @ gh
+        ah_bar += (m_bar + np.conj(m_bar.transpose(0, 2, 1))) @ ah
+        eff_bar[at[0], :, own] += ah_bar.conj()
+        w_bar += np.conj(h.reshape(-1, h.shape[2]).T) @ eff_bar.reshape(-1, lt)
 
-    sig, den = np.empty(lt), np.empty(lt)
-    dsig, dden = np.empty((lt, lt)), np.empty((lt, lt))
-    for k, h in enumerate(channels.blocks):
-        sl = dims.layer_slice(k)
-        eff, deff = h @ w, h @ dw
-        a, da = eff[:, sl], deff[:, :, sl]
-        g, factor = mmse_block(a, noise_var)
-        # G = inv(M) A^H with M = A^H A + noise_var I: dG = inv(M) (dA^H - dM G)
-        dah = np.conj(da.transpose(0, 2, 1))
-        dm = dah @ a
-        dm += np.conj(dm.transpose(0, 2, 1))
-        dg = solve_factored(factor, np.eye(len(g))) @ (dah - dm @ g)
-        coup, sig[sl], den[sl] = sinr_terms(g, eff, sl, noise_var)
-        dmag = 2.0 * (coup.conj() * (dg @ eff + g @ deff)).real
-        j = np.arange(len(g))
-        dsig[:, sl] = dmag[:, j, sl.start + j]
-        dmag[:, j, sl.start + j] = 0.0
-        dden[:, sl] = dmag.sum(axis=2) + 2.0 * noise_var * (g.conj() * dg).real.sum(axis=2)
-
-    eff_sinr = effective_sinr(sig / den, dims)
-    # SE_k = L_k log2(1 + geomean_k), d geomean_k = geomean_k mean_j d log sinr_j
-    dlog_sinr = dsig / sig - dden / den
-    return dlog_sinr @ np.repeat(eff_sinr / (1.0 + eff_sinr), dims.layers) / _LN2
+    # w = gain raw with gain = sqrt(power / num_tx) / rho, rho the largest
+    # row norm of raw
+    w_raw = pre.raw
+    top = int(np.argmax(np.linalg.norm(w_raw, axis=1)))
+    gain_bar = float(np.sum(w_bar.conj() * w_raw).real)
+    raw_bar = pre.gain * w_bar
+    raw_bar[top] -= gain_bar * pre.gain / np.sum(np.abs(w_raw[top]) ** 2) * w_raw[top]
+    # raw = V^H inv(K), K = V V^H + diag(r), so d raw = -raw diag(dr) inv(K),
+    # and r_d inv(K)[d, :] is (I - V raw)[d, :]
+    resid = np.eye(lt) - decomp.v @ w_raw
+    return -np.sum(resid * (w_raw.T @ raw_bar.conj()), axis=1).real
 
 
 def gradient(
-    decomp: ChannelDecomposition,
-    channels: ChannelSet,
-    reg_vec,
-    power: float,
-    noise_var: float,
-    mode: str = "dual",
-    fd_step: float = 1e-6,
+    decomp: ChannelDecomposition, channels: ChannelSet, reg_vec, power: float, noise_var: float
 ) -> np.ndarray:
     """Gradient of the objective with respect to the elementwise log of
-    ``reg_vec``.
-
-    ``mode="dual"`` runs the analytic forward pass; ``mode="fd"`` takes
-    central differences of the production objective with a relative
-    step of ``fd_step`` per coordinate.
-    """
+    ``reg_vec``, by reverse-mode differentiation of the objective's own
+    evaluation chain, at about the cost of one more objective."""
     reg_vec = np.asarray(reg_vec, dtype=float)
     if np.any(reg_vec <= 0):
         raise ConfigError("gradient needs strictly positive reg entries")
-    if mode == "dual":
-        return _forward_pass(decomp, channels, reg_vec, power, noise_var)
-    if mode != "fd":
-        raise ConfigError(f"unknown gradient mode {mode!r}")
-    u = np.log(reg_vec)
-    g = np.empty(len(u))
-    for i in range(len(u)):
-        h = fd_step * max(1.0, abs(u[i]))
-        up, dn = u.copy(), u.copy()
-        up[i] += h
-        dn[i] -= h
-        jp = objective(decomp, channels, np.exp(up), power, noise_var)
-        jm = objective(decomp, channels, np.exp(dn), power, noise_var)
-        g[i] = (jp - jm) / (2.0 * h)
-    return g
+    return _adjoint(decomp, channels, reg_vec, power, noise_var)
 
 
 def _two_loop(grad_phi, pairs):
@@ -252,7 +238,7 @@ def optimize(
     if j_cur is None:
         raise NumericalError("objective undefined at the starting ridge")
     j_start = j_cur
-    g = _forward_pass(decomp, channels, reg, power, noise_var)
+    g = _adjoint(decomp, channels, reg, power, noise_var)
     gnorm = float(np.abs(g).max())
     traj = [(0, j_cur, gnorm, 0.0)]
     pairs = deque(maxlen=config.memory)
@@ -289,7 +275,7 @@ def optimize(
             break
         u_new, reg_new, j_new, alpha = found
 
-        g_new = _forward_pass(decomp, channels, reg_new, power, noise_var)
+        g_new = _adjoint(decomp, channels, reg_new, power, noise_var)
         s = u_new - u
         yv = (-g_new) - (-g)
         sy = float(s @ yv)

@@ -124,6 +124,16 @@ class TestRunCommand:
         for level in ("200", "300", "1000"):
             assert float(rows[(level, "opt")]["avg_sum_se"]) >= float(rows[(level, "arzf")]["avg_sum_se"])
 
+    def test_underflowing_layer_sinr_exits_2(self, tmp_path, capsys):
+        # at -2000 dB the detected signal and interference underflow to 0,
+        # which must fail the seed instead of writing a 0/0 row
+        out = tmp_path / "low.csv"
+        assert main(["run", "--susinr=-2000", "--seeds", "2", "--methods", "mrt",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "ZeroSinrError" in err
+        assert not out.exists() or "nan" not in out.read_text()
+
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/nonexistent/x.json", "--quiet"]) == 2
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from precodesim.channel import ChannelSet, SystemDims, calibrate_noise, decompose
 from precodesim.detection import mmse_detection
@@ -16,6 +18,7 @@ from precodesim.optimizer import (
     optimize,
 )
 from precodesim.precoding import arzf, parametric_rzf
+from precodesim.verification import central_differences
 
 
 def make_pair(seed=0, rx=(4, 4), layers=(2, 2), num_tx=12):
@@ -42,13 +45,13 @@ class TestObjective:
 
 
 class TestGradient:
-    def test_dual_matches_central_differences(self):
+    def test_adjoint_matches_central_differences(self):
         for seed in range(5):
             ch, dec = make_pair(seed=10 + seed)
             rng = np.random.default_rng(seed)
             r = default_start(dec, POWER, NV) * np.exp(rng.uniform(-1, 1, 4))
-            gd = gradient(dec, ch, r, POWER, NV, mode="dual")
-            gf = gradient(dec, ch, r, POWER, NV, mode="fd")
+            gd = gradient(dec, ch, r, POWER, NV)
+            gf = central_differences(dec, ch, r, POWER, NV)
             denom = max(np.abs(gf).max(), 1e-8)
             assert np.abs(gd - gf).max() / denom < 1e-4
 
@@ -58,7 +61,7 @@ class TestGradient:
         ch, dec = make_pair(seed=20, rx=(3,), layers=(1,), num_tx=6)
         for scale in (0.1, 1.0, 10.0):
             r = default_start(dec, POWER, NV) * scale
-            g = gradient(dec, ch, r, POWER, NV, mode="dual")
+            g = gradient(dec, ch, r, POWER, NV)
             assert np.abs(g).max() < 1e-10
         j1 = objective(dec, ch, default_start(dec, POWER, NV), POWER, NV)
         j2 = objective(dec, ch, default_start(dec, POWER, NV) * 10, POWER, NV)
@@ -71,8 +74,8 @@ class TestGradient:
         dec_sw = decompose(ch_sw)
         r = default_start(dec, POWER, NV)
         r_sw = np.concatenate([r[2:], r[:2]])
-        g = gradient(dec, ch, r, POWER, NV, mode="dual")
-        g_sw = gradient(dec_sw, ch_sw, r_sw, POWER, NV, mode="dual")
+        g = gradient(dec, ch, r, POWER, NV)
+        g_sw = gradient(dec_sw, ch_sw, r_sw, POWER, NV)
         assert np.allclose(np.concatenate([g[2:], g[:2]]), g_sw, atol=1e-10)
 
     def test_positive_reg_required(self):
@@ -80,10 +83,44 @@ class TestGradient:
         with pytest.raises(ConfigError):
             gradient(dec, ch, np.zeros(4), POWER, NV)
 
-    def test_unknown_mode(self):
-        ch, dec = make_pair()
-        with pytest.raises(ConfigError):
-            gradient(dec, ch, default_start(dec, POWER, NV), POWER, NV, mode="exact")
+
+class TestMixedShapes:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shapes=st.lists(st.tuples(st.integers(1, 2), st.integers(1, 3)), min_size=2, max_size=4),
+        log_noise=st.floats(-2.0, 2.0),
+    )
+    def test_kernel_objective_and_gradient(self, seed, shapes, log_noise):
+        # users fall into two or more (rx, layers) groups of the stacked kernel
+        layers = tuple(l for l, _ in shapes)
+        rx = tuple(l + extra for l, extra in shapes)
+        assume(len(set(zip(rx, layers))) >= 2)
+        rng = np.random.default_rng(seed)
+        dims = SystemDims(num_tx=int(rng.integers(max(sum(layers), 8), 17)), rx=rx, layers=layers)
+        ch = ChannelSet(dims=dims, blocks=tuple(complex_normal(rng, (r, dims.num_tx), 1.0) for r in rx))
+        dec = decompose(ch)
+        nv = 10.0**log_noise
+        r = default_start(dec, POWER, nv) * np.exp(rng.uniform(-1, 1, dims.total_layers))
+        pre = parametric_rzf(dec, r, POWER)
+        rep = report(ch, pre, mmse_detection(ch, pre, nv), nv)
+
+        w = pre.weights
+        for k in range(dims.num_users):
+            own = np.arange(dims.total_layers)[dims.layer_slice(k)]
+            a = ch.blocks[k] @ w[:, own]
+            g = a.conj().T @ np.linalg.inv(a @ a.conj().T + nv * np.eye(rx[k]))
+            mag = np.abs(g @ ch.blocks[k] @ w) ** 2
+            sig = mag[np.arange(len(own)), own]
+            den = mag.sum(axis=1) - sig + nv * np.sum(np.abs(g) ** 2, axis=1)
+            assert np.allclose(rep.layer_sinr[own], sig / den, rtol=1e-10, atol=0.0)
+
+        assert objective(dec, ch, r, POWER, nv) == rep.sum_se
+        top = np.sort(np.linalg.norm(pre.raw, axis=1))[::-1]
+        assume(top[0] - top[1] >= 1e-6 * top[0])
+        gd = gradient(dec, ch, r, POWER, nv)
+        gf = central_differences(dec, ch, r, POWER, nv)
+        assert np.abs(gd - gf).max() <= 1e-4 * max(np.abs(gf).max(), 1e-8)
 
 
 class TestOptimize:
