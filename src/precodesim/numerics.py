@@ -2,8 +2,8 @@
 
 Matrices are plain 2-D ``numpy.ndarray`` of ``complex128`` in row-major
 order.  The entry points are :func:`reduced_svd`, the Hermitian positive
-definite solve :func:`solve_hpd` and :func:`complex_gaussian`; everything
-here is a pure function of its inputs.
+definite solve :func:`solve_hpd` (unchecked: :func:`cholesky_solve`) and
+:func:`complex_gaussian`; everything here is a pure function of its inputs.
 """
 
 from dataclasses import dataclass
@@ -19,6 +19,7 @@ __all__ = [
     "as_complex_matrix",
     "reduced_svd",
     "solve_hpd",
+    "cholesky_solve",
     "complex_gaussian",
     "complex_normal",
 ]
@@ -119,6 +120,12 @@ def solve_hpd(a, b) -> np.ndarray:
         raise DimensionError(f"a must be square, got {a.shape}")
     if b.shape[0] != a.shape[0]:
         raise DimensionError(f"a {a.shape} and b {b.shape} do not conform")
+    return cholesky_solve(a, b)
+
+
+def cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`solve_hpd` without its checks, for ``complex128`` arrays
+    the caller built itself, square, conforming and finite."""
     x, info = zposv(a, b, lower=True)[1:]
     if info > 0:
         raise NotHpdError(f"matrix is not positive definite (leading minor {info})")

@@ -40,15 +40,16 @@ _LN2 = np.log(2.0)
 class OptConfig:
     """Knobs for :func:`optimize`.
 
-    Stopping: gradient infinity norm at or below ``grad_tol``, or both
-    the objective change and the ridge change falling to ``obj_tol`` /
-    ``step_tol``, or ``max_iters`` accepted steps.
+    Stopping, in this order: gradient infinity norm at or below
+    ``grad_tol``; the objective gaining at most ``progress_tol * |J|``
+    over the last ``window`` accepted steps (how the search ends at the
+    max-row kink, where the gradient stays large); ``max_iters`` steps.
     """
 
     max_iters: int = 100
     grad_tol: float = 1e-5
-    obj_tol: float = 1e-9
-    step_tol: float = 1e-9
+    window: int = 5
+    progress_tol: float = 1e-5
     memory: int = 10
     armijo_c1: float = 1e-4
     backtrack: float = 0.5
@@ -56,9 +57,9 @@ class OptConfig:
     max_backtracks: int = 30
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.memory < 1 or self.max_backtracks < 0:
-            raise ConfigError("max_iters, memory must be >= 1; max_backtracks >= 0")
-        for name in ("grad_tol", "obj_tol", "step_tol", "init_step"):
+        if min(self.max_iters, self.memory, self.window) < 1 or self.max_backtracks < 0:
+            raise ConfigError("max_iters, memory, window must be >= 1; max_backtracks >= 0")
+        for name in ("grad_tol", "progress_tol", "init_step"):
             check_positive(name, getattr(self, name))
         if not 0 < self.backtrack < 1:
             raise ConfigError("backtrack must be in (0, 1)")
@@ -71,9 +72,11 @@ class OptResult:
     """Outcome of one search.
 
     ``trajectory`` rows are ``(iteration, objective, grad_norm, step)``
-    with row 0 describing the starting point.  ``converged`` is False
-    when the iteration limit was hit or the line search gave up; the
-    returned point is still the best one seen.
+    with row 0 describing the starting point.  ``converged`` means the
+    gradient test fired; otherwise ``reason`` is ``"progress stalled"``
+    (plus ``" at a max-row kink"`` if the most-loaded antenna changed in
+    the window), ``"iteration limit reached"`` or a line-search failure,
+    and the returned point is still the best one seen.
     """
 
     reg_vec: np.ndarray
@@ -94,18 +97,21 @@ def default_start(decomp: ChannelDecomposition, power: float, noise_var: float) 
 
 
 def _evaluate(decomp, channels, reg, power, noise_var):
-    """The precoder at ridge diagonal ``reg``, its layer SINRs and the
+    """Sum spectral efficiency at ridge diagonal ``reg``, with what its
+    gradient reuses: the precoder, each user's effective SINR and the
     kernel stages of each user shape group."""
+    dims = decomp.dims
     pre = parametric_rzf(decomp, reg, power)
     w = pre.weights
-    sinrs = np.empty(decomp.dims.total_layers)
+    sinrs = np.empty(dims.total_layers)
     stages = []
     for _, h, own in channels.groups:
         eff, ah, m, g = mmse_stack(h, w, own, noise_var)
         coup, sig, den = sinr_terms(g, eff, own, noise_var)
         sinrs[own] = sig / den
         stages.append((h, own, eff, ah, m, g, coup, sig, den))
-    return pre, sinrs, stages
+    geo = effective_sinr(sinrs, dims)
+    return float(user_se(geo, dims).sum()), pre, geo, stages
 
 
 def objective(
@@ -114,22 +120,20 @@ def objective(
     """Sum spectral efficiency of the parametric ridge precoder under
     per-user MMSE detection, bit-identical to :func:`report`'s
     ``sum_se`` for that precoder and its :func:`mmse_detection`."""
-    dims = decomp.dims
-    sinrs = _evaluate(decomp, channels, reg_vec, power, noise_var)[1]
-    return float(user_se(effective_sinr(sinrs, dims), dims).sum())
+    return _evaluate(decomp, channels, reg_vec, power, noise_var)[0]
 
 
-def _adjoint(decomp, channels, reg, power, noise_var):
-    """Gradient of the objective at ridge diagonal ``reg`` with respect to
-    its elementwise log ``u``, in reverse mode.  ``x_bar`` is the adjoint
-    of ``x``, ``dJ = Re sum(conj(x_bar) * dx)``: ``y = a @ b`` sends
+def _adjoint(decomp, noise_var, evaluation):
+    """Gradient of the objective with respect to the elementwise log
+    ``u`` of the ridge diagonal, in reverse mode from the ``_evaluate``
+    result at that ridge, and the most-loaded antenna.  ``x_bar`` is the
+    adjoint of ``x``, ``dJ = Re sum(conj(x_bar) * dx)``: ``y = a @ b`` sends
     ``y_bar @ b^H`` to ``a`` and ``a^H @ y_bar`` to ``b``, and ``|z|^2``
     sends ``2 z`` times its own adjoint to ``z``."""
     dims = decomp.dims
     lt = dims.total_layers
-    pre, sinrs, stages = _evaluate(decomp, channels, reg, power, noise_var)
+    _, pre, geo, stages = evaluation
     # SE_k = L_k log2(1 + geomean_k) and d geomean_k = geomean_k mean_j d log sinr_j
-    geo = effective_sinr(sinrs, dims)
     dlog_sinr = np.repeat(geo / (1.0 + geo), dims.layers) / _LN2
 
     w_bar = np.zeros_like(pre.raw)
@@ -160,7 +164,7 @@ def _adjoint(decomp, channels, reg, power, noise_var):
     # raw = V^H inv(K), K = V V^H + diag(r), so d raw = -raw diag(dr) inv(K),
     # and r_d inv(K)[d, :] is (I - V raw)[d, :]
     resid = np.eye(lt) - decomp.v @ w_raw
-    return -np.sum(resid * (w_raw.T @ raw_bar.conj()), axis=1).real
+    return -np.sum(resid * (w_raw.T @ raw_bar.conj()), axis=1).real, top
 
 
 def gradient(
@@ -172,7 +176,7 @@ def gradient(
     reg_vec = np.asarray(reg_vec, dtype=float)
     if np.any(reg_vec <= 0):
         raise ConfigError("gradient needs strictly positive reg entries")
-    return _adjoint(decomp, channels, reg_vec, power, noise_var)
+    return _adjoint(decomp, noise_var, _evaluate(decomp, channels, reg_vec, power, noise_var))[0]
 
 
 def _two_loop(grad_phi, pairs):
@@ -202,20 +206,22 @@ def optimize(
     """Maximize sum spectral efficiency over the ridge diagonal.
 
     Limited-memory quasi-Newton ascent in log space from the
-    gain-adapted starting ridge, with backtracking line search.  Never
-    raises on search stagnation: the best iterate seen is returned with
+    gain-adapted starting ridge, with backtracking line search.  Each
+    accepted ridge is evaluated once: its gradient and the returned
+    precoder reuse the line search's evaluation.  Never raises on
+    search stagnation: the best iterate seen is returned with
     ``converged=False`` and a reason string.  Fully deterministic.
     """
 
-    def value_at(reg):
+    def evaluate(reg):
         # trial points may overflow exp or produce degenerate systems;
         # both just mean "reject this step"
         with np.errstate(all="ignore"):
             try:
-                val = objective(decomp, channels, reg, power, noise_var)
+                ev = _evaluate(decomp, channels, reg, power, noise_var)
             except (PrecodesimError, np.linalg.LinAlgError, FloatingPointError):
                 return None
-        return val if np.isfinite(val) else None
+        return ev if np.isfinite(ev[0]) else None
 
     def search(u_base, j_base, direction, slope):
         alpha = config.init_step
@@ -223,9 +229,9 @@ def optimize(
             cand = u_base + alpha * direction
             with np.errstate(over="ignore"):
                 reg_try = np.exp(cand)
-            val = value_at(reg_try)
-            if val is not None and -val <= -j_base + config.armijo_c1 * alpha * slope:
-                return cand, reg_try, val, alpha
+            ev = evaluate(reg_try)
+            if ev is not None and -ev[0] <= -j_base + config.armijo_c1 * alpha * slope:
+                return cand, reg_try, ev, alpha
             alpha *= config.backtrack
         return None
 
@@ -234,73 +240,58 @@ def optimize(
     # and accepted ridge entries that underflow to zero stay differentiable
     reg = default_start(decomp, power, noise_var)
     u = np.log(reg)
-    j_cur = value_at(reg)
-    if j_cur is None:
+    ev = evaluate(reg)
+    if ev is None:
         raise NumericalError("objective undefined at the starting ridge")
-    j_start = j_cur
-    g = _adjoint(decomp, channels, reg, power, noise_var)
+    j_cur = j_start = ev[0]
+    g, top = _adjoint(decomp, noise_var, ev)
     gnorm = float(np.abs(g).max())
     traj = [(0, j_cur, gnorm, 0.0)]
     pairs = deque(maxlen=config.memory)
+    # objective and most-loaded antenna of the last window + 1 iterates
+    recent = deque([(j_cur, top)], maxlen=config.window + 1)
     converged = False
-    reason = "iteration limit reached"
     accepted = 0
 
-    for _ in range(config.max_iters):
+    while True:
         if gnorm <= config.grad_tol:
-            converged = True
-            reason = "gradient norm below tolerance"
+            converged, reason = True, "gradient norm below tolerance"
             break
-        g_phi = -g
-        if pairs:
-            p = _two_loop(g_phi, list(pairs))
-        else:
-            p = -g_phi
-        slope = float(g_phi @ p)
-        if slope >= 0:
-            pairs.clear()
-            p = -g_phi
-            slope = float(g_phi @ p)
-
-        found = search(u, j_cur, p, slope)
+        if len(recent) > config.window and j_cur - recent[0][0] <= config.progress_tol * abs(j_cur):
+            kink = len({row for _, row in recent}) > 1
+            reason = "progress stalled at a max-row kink" if kink else "progress stalled"
+            break
+        if accepted == config.max_iters:
+            reason = "iteration limit reached"
+            break
+        p = _two_loop(-g, list(pairs)) if pairs else g
+        found = search(u, j_cur, p, float(-g @ p)) if float(g @ p) > 0 else None
         if found is None and pairs:
-            # curvature memory can point across a normalization kink;
-            # drop it and retry along the raw gradient
+            # curvature memory can point downhill or across a normalization
+            # kink; drop it and retry along the raw gradient
             pairs.clear()
-            p = g
-            slope = float(g_phi @ p)
-            found = search(u, j_cur, p, slope)
+            found = search(u, j_cur, g, float(-g @ g))
         if found is None:
             reason = "line search failed to find an acceptable step"
             break
-        u_new, reg_new, j_new, alpha = found
+        u_new, reg, ev, alpha = found
 
-        g_new = _adjoint(decomp, channels, reg_new, power, noise_var)
+        g_new, top = _adjoint(decomp, noise_var, ev)
         s = u_new - u
         yv = (-g_new) - (-g)
         sy = float(s @ yv)
         if sy > 1e-12:
             pairs.append((s, yv, 1.0 / sy))
 
-        delta_j = abs(j_new - j_cur)
-        delta_r = float(np.abs(reg_new - reg).max())
-        u, reg, j_cur, g = u_new, reg_new, j_new, g_new
+        u, j_cur, g = u_new, ev[0], g_new
         gnorm = float(np.abs(g).max())
         accepted += 1
         traj.append((accepted, j_cur, gnorm, alpha))
-        if delta_j <= config.obj_tol and delta_r <= config.step_tol:
-            converged = True
-            reason = "objective and ridge change below tolerance"
-            break
-    else:
-        # loop exhausted; if the gradient is now small, call it converged
-        if gnorm <= config.grad_tol:
-            converged = True
-            reason = "gradient norm below tolerance"
+        recent.append((j_cur, top))
 
     return OptResult(
         reg_vec=reg,
-        precoder=parametric_rzf(decomp, reg, power),
+        precoder=ev[1],
         objective=j_cur,
         start_objective=j_start,
         iterations=accepted,

@@ -23,7 +23,7 @@ from .exceptions import (
     ZeroMatrixError,
     check_positive,
 )
-from .numerics import solve_hpd
+from .numerics import cholesky_solve
 
 __all__ = [
     "Precoder",
@@ -79,14 +79,14 @@ def _scaled(raw: np.ndarray, power: float, method: str) -> Precoder:
 
 
 def _ridge_solve(basis: np.ndarray, reg_diag) -> np.ndarray:
-    """``basis^H @ inv(basis basis^H + diag(reg_diag))`` via one
-    Hermitian solve.  ``reg_diag=None`` means no ridge at all."""
+    """``basis^H @ inv(basis basis^H + diag(reg_diag))`` via one unchecked
+    Hermitian solve (both come validated); ``reg_diag=None``: no ridge."""
     gram = basis @ basis.conj().T
     if reg_diag is not None:
         idx = np.arange(gram.shape[0])
         gram[idx, idx] += reg_diag
     try:
-        x = solve_hpd(gram, basis)
+        x = cholesky_solve(gram, basis)
     except NotHpdError as exc:
         raise SingularGramError(
             "precoding basis has numerically dependent rows"

@@ -185,6 +185,33 @@ class TestOptimize:
         assert res.start_objective == reps["arzf"].sum_se
         assert reps["opt"].sum_se >= reps["arzf"].sum_se
 
+    @pytest.mark.parametrize("seed, kink", [(0, False), (1, True)])
+    def test_window_stop(self, seed, kink):
+        ch, dec = make_pair(seed=seed)
+        cfg = OptConfig()
+        res = optimize(dec, ch, POWER, NV, cfg)
+        assert res.converged is False
+        assert res.reason == "progress stalled" + (" at a max-row kink" if kink else "")
+        objs = [row[1] for row in res.trajectory]
+        assert res.iterations > cfg.window
+        assert objs[-1] - objs[-1 - cfg.window] <= cfg.progress_tol * abs(objs[-1])
+        # the iterates of the window, replayed through the iteration cap:
+        # the kink clause means their most-loaded antenna changed
+        tops = set()
+        for k in range(res.iterations - cfg.window, res.iterations + 1):
+            part = optimize(dec, ch, POWER, NV, OptConfig(max_iters=k))
+            assert part.trajectory == res.trajectory[: k + 1]
+            tops.add(int(np.argmax(np.linalg.norm(part.precoder.raw, axis=1))))
+        assert (len(tops) > 1) == kink
+
+    def test_grad_norm_is_gradient_at_result(self):
+        # the search reuses the accepted trial's evaluation for its gradient
+        for seed in (0, 1, 10):
+            ch, dec = make_pair(seed=seed)
+            res = optimize(dec, ch, POWER, NV)
+            assert res.grad_norm == np.abs(gradient(dec, ch, res.reg_vec, POWER, NV)).max()
+            assert res.objective == objective(dec, ch, res.reg_vec, POWER, NV)
+
     def test_iteration_limit_reported(self):
         ch, dec = make_pair(seed=14)
         res = optimize(dec, ch, POWER, NV, OptConfig(max_iters=1, grad_tol=1e-14))
@@ -211,3 +238,9 @@ class TestConfigAndCsv:
             OptConfig(backtrack=1.0)
         with pytest.raises(ConfigError):
             OptConfig(grad_tol=0.0)
+        for window in (0, -1):
+            with pytest.raises(ConfigError):
+                OptConfig(window=window)
+        for tol in (0.0, -1e-5, np.inf, np.nan):
+            with pytest.raises(ConfigError):
+                OptConfig(progress_tol=tol)
