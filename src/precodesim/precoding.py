@@ -23,7 +23,7 @@ from .exceptions import (
     ZeroMatrixError,
     check_positive,
 )
-from .numerics import cholesky_solve
+from .numerics import cholesky_solve, solve_hpd
 
 __all__ = [
     "Precoder",
@@ -78,15 +78,15 @@ def _scaled(raw: np.ndarray, power: float, method: str) -> Precoder:
     return Precoder(raw=raw, gain=normalize(raw, power), method=method)
 
 
-def _ridge_solve(basis: np.ndarray, reg_diag) -> np.ndarray:
-    """``basis^H @ inv(basis basis^H + diag(reg_diag))`` via one unchecked
-    Hermitian solve (both come validated); ``reg_diag=None``: no ridge."""
+def _ridge_solve(basis: np.ndarray, reg_diag, solve=solve_hpd) -> np.ndarray:
+    """``basis^H @ inv(basis basis^H + diag(reg_diag))`` via ``solve``,
+    unchecked only where the gram is sure to be finite; ``None``: no ridge."""
     gram = basis @ basis.conj().T
     if reg_diag is not None:
         idx = np.arange(gram.shape[0])
         gram[idx, idx] += reg_diag
     try:
-        x = cholesky_solve(gram, basis)
+        x = solve(gram, basis)
     except NotHpdError as exc:
         raise SingularGramError(
             "precoding basis has numerically dependent rows"
@@ -164,7 +164,7 @@ def parametric_rzf(decomp: ChannelDecomposition, reg_vec, power: float) -> Preco
         raise DimensionError(f"reg_vec shape {reg_vec.shape} != ({lt},)")
     if np.any(reg_vec < 0) or not np.all(np.isfinite(reg_vec)):
         raise ConfigError("reg_vec entries must be finite and >= 0")
-    raw = _ridge_solve(decomp.v, reg_vec)
+    raw = _ridge_solve(decomp.v, reg_vec, cholesky_solve)
     return _scaled(raw, power, "parametric_rzf")
 
 

@@ -10,6 +10,8 @@ from precodesim.metrics import report
 from precodesim.harness import evaluate_point
 from precodesim.numerics import complex_gaussian, complex_normal
 from precodesim.optimizer import (
+    _PROGRESS_TOL,
+    _WINDOW,
     OptConfig,
     OptResult,
     default_start,
@@ -188,17 +190,16 @@ class TestOptimize:
     @pytest.mark.parametrize("seed, kink", [(0, False), (1, True)])
     def test_window_stop(self, seed, kink):
         ch, dec = make_pair(seed=seed)
-        cfg = OptConfig()
-        res = optimize(dec, ch, POWER, NV, cfg)
+        res = optimize(dec, ch, POWER, NV)
         assert res.converged is False
         assert res.reason == "progress stalled" + (" at a max-row kink" if kink else "")
         objs = [row[1] for row in res.trajectory]
-        assert res.iterations > cfg.window
-        assert objs[-1] - objs[-1 - cfg.window] <= cfg.progress_tol * abs(objs[-1])
+        assert res.iterations > _WINDOW
+        assert objs[-1] - objs[-1 - _WINDOW] <= _PROGRESS_TOL * abs(objs[-1])
         # the iterates of the window, replayed through the iteration cap:
         # the kink clause means their most-loaded antenna changed
         tops = set()
-        for k in range(res.iterations - cfg.window, res.iterations + 1):
+        for k in range(res.iterations - _WINDOW, res.iterations + 1):
             part = optimize(dec, ch, POWER, NV, OptConfig(max_iters=k))
             assert part.trajectory == res.trajectory[: k + 1]
             tops.add(int(np.argmax(np.linalg.norm(part.precoder.raw, axis=1))))
@@ -238,9 +239,3 @@ class TestConfigAndCsv:
             OptConfig(backtrack=1.0)
         with pytest.raises(ConfigError):
             OptConfig(grad_tol=0.0)
-        for window in (0, -1):
-            with pytest.raises(ConfigError):
-                OptConfig(window=window)
-        for tol in (0.0, -1e-5, np.inf, np.nan):
-            with pytest.raises(ConfigError):
-                OptConfig(progress_tol=tol)

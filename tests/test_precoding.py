@@ -12,6 +12,7 @@ from precodesim.channel import (
 from precodesim.exceptions import (
     ConfigError,
     DimensionError,
+    NumericalError,
     SingularGramError,
     ZeroMatrixError,
 )
@@ -105,6 +106,21 @@ class TestMrtZf:
         )
         with pytest.raises(SingularGramError):
             zf(dec, 1.0)
+
+    def test_zf_f_overflowing_gram(self):
+        # an infinite s, or one whose square overflows, leaves the gram of
+        # the weighted basis non-finite; the checked solve must raise
+        # instead of returning NaN weights
+        v = complex_gaussian(5, 2, 8, 1.0)
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        u = np.eye(2, dtype=complex)
+        for s0 in (np.inf, 1e200):
+            dec = ChannelDecomposition.from_blocks([u], [[s0, 1.0]], [v])
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NumericalError):
+                    zf(dec, 1.0, basis="f")
+                with pytest.raises(NumericalError):
+                    rzf(dec, 1.0, 1.0, basis="f")
 
     def test_weights_are_gain_times_raw(self):
         dec = sample_decomp()
