@@ -14,8 +14,6 @@ from .channel import (
     calibrate_noise,
     decompose,
     generate_scenario,
-    load_channels,
-    save_channels,
 )
 from .detection import DetectionSet, conjugate_detection, mmse_detection
 from .exceptions import (

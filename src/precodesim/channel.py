@@ -7,8 +7,6 @@ carved out of ``H_k`` by a reduced SVD.  Layers are ordered user-major,
 singular values descending inside each user.
 """
 
-import json
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,7 +22,6 @@ from .exceptions import (
 from .numerics import (
     RANK_TOLERANCE,
     as_complex_matrix,
-    complex_normal,
     reduced_svd,
 )
 
@@ -36,8 +33,6 @@ __all__ = [
     "decompose",
     "generate_scenario",
     "calibrate_noise",
-    "save_channels",
-    "load_channels",
 ]
 
 # Path power profile of the synthetic generator: the leading
@@ -64,9 +59,6 @@ DOMINANT_PATHS = 2
 # the correlation cap vacuous.
 SHARED_PATH_WEIGHT = 0.55
 SCATTER_SPREAD_BINS = 2
-
-_DUMP_MAGIC = b"PRECHAN1"
-
 
 @dataclass(frozen=True)
 class SystemDims:
@@ -295,8 +287,13 @@ class ScenarioConfig:
         if self.path_loss not in ("equal", "varied"):
             raise ConfigError(f"unknown path_loss mode {self.path_loss!r}")
         lo, hi = self.path_loss_range_db
-        if lo > hi:
-            raise ConfigError("path_loss_range_db must be (lo, hi) with lo <= hi")
+        # hi - lo is not finite if either end is not, or if the spread
+        # overflows, which numpy's uniform draw would refuse
+        if not (lo <= hi and np.isfinite(hi - lo)):
+            raise ConfigError(
+                "path_loss_range_db must be finite (lo, hi) with lo <= hi, "
+                f"got {self.path_loss_range_db}"
+            )
         if self.max_retries < 1:
             raise ConfigError("max_retries must be >= 1")
         if self.seed < 0:
@@ -351,32 +348,51 @@ def _scatter_environment(num_tx: int, num_paths: int):
     return centers, surroundings
 
 
-def _draw_candidate(rng, config: ScenarioConfig, environment) -> np.ndarray:
-    """One multi-path channel block, unit Frobenius norm.
+def _complex(z) -> np.ndarray:
+    """Unit-variance complex normals from real draws laid out the way
+    :func:`numerics.complex_normal` consumes its stream: real parts, then
+    imaginary parts."""
+    half = len(z) // 2
+    return np.sqrt(0.5) * (z[:half] + 1j * z[half:])
 
-    Receive and transmit path directions are orthonormal frames, so the
-    block's singular values equal the path amplitude profile exactly.
-    Each transmit direction mixes the cluster's central beam with a
-    random unit vector from the beams around it; the shared central
-    part couples users together, the local part makes each user's view
-    of the cluster its own.  Unit Frobenius norm keeps squared singular
-    values at O(1), so the scalar ridge built from the calibrated noise
-    level lands between the matching and inverting regimes across the
-    usual SINR grid instead of swamping the unit-scale layer-row Gram.
+
+def _mixed_direction(z, basis, center) -> np.ndarray:
+    """One path's transmit direction before orthonormalization: the
+    cluster's central beam mixed with a random unit vector from the
+    beams around it."""
+    v = basis @ _complex(z)
+    return (
+        np.sqrt(1.0 - SHARED_PATH_WEIGHT) * (v / np.linalg.norm(v))
+        + np.sqrt(SHARED_PATH_WEIGHT) * center
+    )
+
+
+def _candidate_block(z_rx, z_paths, config: ScenarioConfig, environment) -> np.ndarray:
+    """One multi-path channel block ``a diag(sqrt(p)) b^H``, unit
+    Frobenius norm.
+
+    ``a`` and ``b`` are the orthonormal receive and transmit path
+    frames, so the block's singular values equal the path amplitude
+    profile exactly.  ``b`` orthonormalizes the mixed directions, whose
+    shared central part couples users together while the local part
+    makes each user's view of a cluster its own.  Unit Frobenius norm
+    keeps squared singular values at O(1), so the scalar ridge built
+    from the calibrated noise level lands between the matching and
+    inverting regimes across the usual SINR grid instead of swamping
+    the unit-scale layer-row Gram.
     """
     centers, surroundings = environment
-    powers = _path_powers(config.num_paths)
-    a, _ = np.linalg.qr(complex_normal(rng, (config.rx_per_user, config.num_paths), 1.0))
-    own = np.empty((config.num_tx, config.num_paths), dtype=complex)
-    for i, basis in enumerate(surroundings):
-        v = basis @ complex_normal(rng, (basis.shape[1],), 1.0)
-        own[:, i] = v / np.linalg.norm(v)
-    mixed = (
-        np.sqrt(1.0 - SHARED_PATH_WEIGHT) * own
-        + np.sqrt(SHARED_PATH_WEIGHT) * centers
+    shape = (config.rx_per_user, config.num_paths)
+    a, _ = np.linalg.qr(_complex(z_rx).reshape(shape))
+    mixed = np.stack(
+        [
+            _mixed_direction(z, basis, centers[:, i])
+            for i, (z, basis) in enumerate(zip(z_paths, surroundings))
+        ],
+        axis=1,
     )
     b, _ = np.linalg.qr(mixed)
-    return (a * np.sqrt(powers)) @ b.conj().T
+    return (a * np.sqrt(_path_powers(config.num_paths))) @ b.conj().T
 
 
 def generate_scenario(config: ScenarioConfig) -> ChannelSet:
@@ -394,18 +410,28 @@ def generate_scenario(config: ScenarioConfig) -> ChannelSet:
     ``config.seed``.
     """
     environment = _scatter_environment(config.num_tx, config.num_paths)
+    centers, surroundings = environment
+    rx_draws = 2 * config.rx_per_user * config.num_paths
+    path_draws = 2 * surroundings[0].shape[1]
     for attempt in range(config.max_retries):
         rng = np.random.default_rng(config.seed + attempt)
         chosen = []
         directions = []
         for _ in range(config.candidate_pool):
-            h = _draw_candidate(rng, config, environment)
-            d = reduced_svd(h, keep=1).v[0]
+            z = rng.standard_normal(rx_draws + path_draws * config.num_paths)
+            z_paths = z[rx_draws:].reshape(config.num_paths, path_draws)
+            first = _mixed_direction(z_paths[0], surroundings[0], centers[:, 0])
+            # Orthonormal path frames and strictly decreasing path powers
+            # make b[:, 0], path 0's normalized mixed direction, the
+            # block's dominant right singular vector up to phase, and
+            # the correlation test ignores phase: no QR or SVD is needed
+            # to screen, only to build the blocks that are kept.
+            d = np.conj(first) / np.linalg.norm(first)
             if all(
                 abs(d @ other.conj()) ** 2 <= config.corr_threshold
                 for other in directions
             ):
-                chosen.append(h)
+                chosen.append(_candidate_block(z[:rx_draws], z_paths, config, environment))
                 directions.append(d)
                 if len(chosen) == config.num_users:
                     break
@@ -443,43 +469,3 @@ def calibrate_noise(decomp: ChannelDecomposition, power: float, target_susinr_db
         noise_var = power / target * np.exp(np.mean(log_terms))
     check_positive(f"noise variance for target {target_susinr_db} dB", noise_var)
     return noise_var
-
-
-def save_channels(path, channels: ChannelSet) -> None:
-    """Write a channel set to a self-describing binary dump."""
-    header = json.dumps(
-        {
-            "num_tx": channels.dims.num_tx,
-            "rx": list(channels.dims.rx),
-            "layers": list(channels.dims.layers),
-        }
-    ).encode()
-    with open(path, "wb") as f:
-        f.write(_DUMP_MAGIC)
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
-        for b in channels.blocks:
-            f.write(np.ascontiguousarray(b, dtype=np.complex128).tobytes())
-
-
-def load_channels(path) -> ChannelSet:
-    """Read a channel set written by :func:`save_channels`."""
-    with open(path, "rb") as f:
-        magic = f.read(len(_DUMP_MAGIC))
-        if magic != _DUMP_MAGIC:
-            raise ValueError(f"bad magic {magic!r}, not a channel dump")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        meta = json.loads(f.read(hlen).decode())
-        dims = SystemDims(
-            num_tx=meta["num_tx"], rx=tuple(meta["rx"]), layers=tuple(meta["layers"])
-        )
-        blocks = []
-        for k in range(dims.num_users):
-            count = dims.rx[k] * dims.num_tx
-            raw = f.read(count * 16)
-            if len(raw) != count * 16:
-                raise ValueError("truncated channel dump")
-            blocks.append(
-                np.frombuffer(raw, dtype=np.complex128).reshape(dims.rx[k], dims.num_tx)
-            )
-    return ChannelSet(dims=dims, blocks=tuple(blocks))

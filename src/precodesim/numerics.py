@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import zposv
 
-from .exceptions import DimensionError, NotHpdError, NumericalError
+from .exceptions import DimensionError, NotHpdError, NumericalError, check_positive
 
 __all__ = [
     "RANK_TOLERANCE",
@@ -138,8 +138,7 @@ def complex_normal(rng: np.random.Generator, shape, variance: float = 1.0) -> np
     Per-entry variance is ``variance`` (real and imaginary parts carry
     ``variance / 2`` each).
     """
-    if variance <= 0:
-        raise ValueError(f"variance must be positive, got {variance}")
+    check_positive("variance", variance)
     scale = np.sqrt(variance / 2.0)
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,15 +7,16 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from precodesim.channel import (
+    SHARED_PATH_WEIGHT,
     ChannelDecomposition,
     ChannelSet,
     ScenarioConfig,
     SystemDims,
+    _path_powers,
+    _scatter_environment,
     calibrate_noise,
     decompose,
     generate_scenario,
-    load_channels,
-    save_channels,
 )
 from precodesim.exceptions import (
     ConfigError,
@@ -22,7 +25,7 @@ from precodesim.exceptions import (
     SelectionError,
 )
 from precodesim.metrics import av_susinr
-from precodesim.numerics import complex_gaussian, reduced_svd
+from precodesim.numerics import complex_gaussian, complex_normal, reduced_svd
 
 
 def small_channels(seed=0, rx=(4, 3), layers=(2, 1), num_tx=8):
@@ -195,8 +198,6 @@ class TestScenario:
 
     def test_singular_values_follow_path_profile(self):
         # orthonormal path frames make the singular value profile exact
-        from precodesim.channel import _path_powers
-
         cfg = quick_config()
         ch = generate_scenario(cfg)
         want = np.sqrt(_path_powers(cfg.num_paths))[: cfg.layers_per_user]
@@ -243,6 +244,117 @@ class TestScenario:
             quick_config(corr_threshold=0.0)
         with pytest.raises(ConfigError, match="seed"):
             quick_config(seed=-5)
+        nan, inf = float("nan"), float("inf")
+        for bad in ((5.0, 1.0), (nan, 10.0), (-10.0, nan), (-10.0, inf),
+                    (-inf, 10.0), (-inf, inf), (-1e308, 1e308)):
+            with pytest.raises(ConfigError, match="path_loss_range_db"):
+                quick_config(path_loss="varied", path_loss_range_db=bad)
+
+
+def svd_screened_selection(config):
+    """Reference selection: every candidate drawn with
+    ``complex_normal``, built in full and screened by the dominant right
+    singular vector of its SVD.  Returns the kept blocks before any path
+    loss and the generator that drew them, or ``None`` when every pool
+    fails."""
+    centers, surroundings = _scatter_environment(config.num_tx, config.num_paths)
+    powers = _path_powers(config.num_paths)
+    for attempt in range(config.max_retries):
+        rng = np.random.default_rng(config.seed + attempt)
+        chosen, directions = [], []
+        for _ in range(config.candidate_pool):
+            a, _ = np.linalg.qr(complex_normal(rng, (config.rx_per_user, config.num_paths), 1.0))
+            own = np.empty((config.num_tx, config.num_paths), dtype=complex)
+            for i, basis in enumerate(surroundings):
+                v = basis @ complex_normal(rng, (basis.shape[1],), 1.0)
+                own[:, i] = v / np.linalg.norm(v)
+            mixed = (
+                np.sqrt(1.0 - SHARED_PATH_WEIGHT) * own
+                + np.sqrt(SHARED_PATH_WEIGHT) * centers
+            )
+            b, _ = np.linalg.qr(mixed)
+            h = (a * np.sqrt(powers)) @ b.conj().T
+            d = reduced_svd(h, keep=1).v[0]
+            if all(abs(d @ o.conj()) ** 2 <= config.corr_threshold for o in directions):
+                chosen.append(h)
+                directions.append(d)
+                if len(chosen) == config.num_users:
+                    return chosen, rng
+    return None
+
+
+def with_path_loss(chosen, rng, config):
+    if config.path_loss == "equal":
+        return chosen
+    lo, hi = config.path_loss_range_db
+    scales = 10.0 ** (rng.uniform(lo, hi, size=config.num_users) / 20.0)
+    return [h * c for h, c in zip(chosen, scales)]
+
+
+def assert_same_bits(channels, want):
+    assert len(channels.blocks) == len(want)
+    for got, w in zip(channels.blocks, want):
+        assert got.shape == w.shape and got.tobytes() == w.tobytes()
+
+
+def assert_both_families_match(make_config):
+    """Both path-loss families of ``make_config(path_loss=...)`` keep the
+    reference's blocks; the selection is shared, so draw it once."""
+    chosen, rng = svd_screened_selection(make_config(path_loss="equal"))
+    assert_same_bits(generate_scenario(make_config(path_loss="equal")), chosen)
+    varied = make_config(path_loss="varied")
+    assert_same_bits(generate_scenario(varied), with_path_loss(chosen, rng, varied))
+
+
+@st.composite
+def small_scenarios(draw):
+    paths = draw(st.integers(1, 6))
+    layers = draw(st.integers(1, paths))
+    users = draw(st.integers(1, 4))
+    return ScenarioConfig(
+        num_tx=draw(st.integers(max(paths, users * layers), 24)),
+        num_users=users,
+        rx_per_user=draw(st.integers(paths, 8)),
+        layers_per_user=layers,
+        num_paths=paths,
+        candidate_pool=draw(st.integers(users, 12)),
+        corr_threshold=draw(st.floats(0.05, 1.0)),
+        path_loss=draw(st.sampled_from(["equal", "varied"])),
+        seed=draw(st.integers(0, 2**40)),
+        max_retries=3,
+    )
+
+
+class TestScreening:
+    """``generate_scenario`` screens candidates by their first mixed
+    transmit direction instead of an SVD; it must keep exactly the
+    blocks the SVD screening kept, bit for bit, in both families."""
+
+    @pytest.mark.parametrize("first", [0, 100])
+    def test_default_scale_matches_svd_screening(self, first):
+        for seed in range(first, first + 100):
+            assert_both_families_match(partial(ScenarioConfig, seed=seed))
+
+    def test_quick_config_matches_svd_screening(self):
+        for seed in range(50):
+            assert_both_families_match(partial(quick_config, seed=seed))
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=small_scenarios())
+    def test_small_configs_match_svd_screening(self, cfg):
+        ref = svd_screened_selection(cfg)
+        if ref is None:
+            with pytest.raises(SelectionError):
+                generate_scenario(cfg)
+        else:
+            assert_same_bits(generate_scenario(cfg), with_path_loss(*ref, cfg))
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_path_powers_strictly_decreasing(self, n):
+        # the screening's precondition: a strict gap between the first
+        # two singular values makes the dominant direction unique
+        p = _path_powers(n)
+        assert p.shape == (n,) and np.all(p > 0) and np.all(np.diff(p) < 0)
 
 
 class TestCalibrateNoise:
@@ -292,29 +404,3 @@ class TestCalibrateNoise:
         for target_db, nv in ((lo, nv_lo), (hi, nv_hi)):
             want = 10.0 ** (target_db / 10.0)
             assert abs(av_susinr(dec, power, nv) - want) <= 1e-12 * want
-
-
-class TestDumpFormat:
-    def test_round_trip(self, tmp_path):
-        ch = small_channels(seed=8, rx=(4, 3), layers=(2, 1))
-        p = tmp_path / "chan.bin"
-        save_channels(p, ch)
-        back = load_channels(p)
-        assert back.dims == ch.dims
-        for a, b in zip(back.blocks, ch.blocks):
-            assert np.array_equal(a, b)
-
-    def test_magic_checked(self, tmp_path):
-        p = tmp_path / "bogus.bin"
-        p.write_bytes(b"NOTCHAN0" + b"\x00" * 32)
-        with pytest.raises(ValueError):
-            load_channels(p)
-
-    def test_truncation_detected(self, tmp_path):
-        ch = small_channels(seed=8)
-        p = tmp_path / "chan.bin"
-        save_channels(p, ch)
-        data = p.read_bytes()
-        p.write_bytes(data[:-16])
-        with pytest.raises(ValueError):
-            load_channels(p)

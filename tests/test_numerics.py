@@ -146,8 +146,11 @@ class TestComplexGaussian:
         assert abs(np.mean(z**2)) < 0.02
 
     def test_bad_variance(self):
-        with pytest.raises(ValueError):
-            complex_gaussian(1, 2, 2, 0.0)
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                complex_gaussian(1, 2, 2, bad)
+            with pytest.raises(ValueError):
+                complex_normal(np.random.default_rng(0), (2,), bad)
 
     def test_streaming_variant_consistent(self):
         rng = np.random.default_rng(55)
