@@ -43,6 +43,7 @@ from .metrics import (
     MetricsReport,
     av_susinr,
     effective_sinr,
+    evaluate,
     layer_sinr,
     report,
     user_se,
@@ -55,6 +56,7 @@ from .optimizer import (
     gradient,
     objective,
     optimize,
+    optimize_many,
 )
 from .precoding import Precoder, arzf, mrt, normalize, parametric_rzf, rzf, wrzf, zf
 from .verification import CheckResult, run_all

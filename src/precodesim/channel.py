@@ -60,6 +60,14 @@ DOMINANT_PATHS = 2
 SHARED_PATH_WEIGHT = 0.55
 SCATTER_SPREAD_BINS = 2
 
+# Largest per-user path loss magnitude, in dB.  The power gain
+# 10 ** (dB / 10) of a user's channel stays a normal double up to about
+# 3080 dB; past it the squared channel entries of the MMSE system over-
+# or underflow (at 7000 dB the amplitude gain itself overflows, and at
+# -7000 dB it underflows to zero channel blocks).
+MAX_PATH_LOSS_DB = 3000.0
+
+
 @dataclass(frozen=True)
 class SystemDims:
     """Array sizes of one downlink system.
@@ -288,11 +296,12 @@ class ScenarioConfig:
             raise ConfigError(f"unknown path_loss mode {self.path_loss!r}")
         lo, hi = self.path_loss_range_db
         # hi - lo is not finite if either end is not, or if the spread
-        # overflows, which numpy's uniform draw would refuse
-        if not (lo <= hi and np.isfinite(hi - lo)):
+        # overflows, which numpy's uniform draw would refuse; past
+        # MAX_PATH_LOSS_DB the squared gain leaves the normal float range
+        if not (lo <= hi and np.isfinite(hi - lo) and max(-lo, hi) <= MAX_PATH_LOSS_DB):
             raise ConfigError(
                 "path_loss_range_db must be finite (lo, hi) with lo <= hi, "
-                f"got {self.path_loss_range_db}"
+                f"each within +-{MAX_PATH_LOSS_DB:g} dB, got {self.path_loss_range_db}"
             )
         if self.max_retries < 1:
             raise ConfigError("max_retries must be >= 1")

@@ -47,17 +47,22 @@ def conjugate_detection(decomp: ChannelDecomposition) -> DetectionSet:
     return DetectionSet(blocks=blocks, kind="conjugate")
 
 
-def mmse_stack(h: np.ndarray, w: np.ndarray, own: np.ndarray, noise_var: float):
-    """MMSE blocks of one :attr:`ChannelSet.groups` stack: ``eff = h @ w``,
-    ``ah = A^H`` for the own-layer columns ``A = eff[i][:, own[i]]``,
-    ``m = A^H A + noise_var I`` and ``g = inv(m) A^H``, the minimizer of
-    ``||G A - I||^2 + noise_var ||G||^2``.  This L x L form equals
-    ``A^H inv(A A^H + noise_var I)``, whose rx x rx system is singular to
-    working precision at low noise.  A non-HPD ``m`` raises NotHpdError."""
-    eff = h @ w
-    ah = eff[np.arange(len(own))[:, None], :, own].conj()
-    m = ah @ np.conj(ah.transpose(0, 2, 1))
-    m.reshape(len(m), -1)[:, :: m.shape[1] + 1] += noise_var  # the diagonals
+def mmse_stack(h: np.ndarray, w: np.ndarray, own: np.ndarray, noise_var):
+    """MMSE blocks of a batch of :attr:`ChannelSet.groups` stacks, batch
+    axis first: ``h[b]`` is one stack of user blocks, ``w[b]`` its weights
+    and ``noise_var`` a scalar or one value per ``b``.  Returns
+    ``eff = h @ w``, ``ah = A^H`` for the own-layer columns
+    ``A = eff[b, i][:, own[i]]``, ``m = A^H A + noise_var I`` and
+    ``g = inv(m) A^H``, the minimizer of ``||G A - I||^2 + noise_var ||G||^2``.
+    This L x L form equals ``A^H inv(A A^H + noise_var I)``, whose rx x rx
+    system is singular to working precision at low noise.  Every matrix is
+    its own BLAS or LAPACK call, so batch members do not change each other's
+    bits.  A non-HPD ``m`` anywhere in the batch raises NotHpdError."""
+    eff = h @ w[:, None]
+    nb, n = eff.shape[:2]
+    ah = eff.swapaxes(-1, -2)[np.arange(nb)[:, None, None], np.arange(n)[:, None], own].conj()
+    m = ah @ np.conj(ah.swapaxes(-1, -2))
+    m.reshape(nb, n, -1)[..., :: m.shape[-1] + 1] += np.reshape(noise_var, (-1, 1, 1))
     try:  # the factor only tests definiteness: numpy has no batched triangular solve
         np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
@@ -80,5 +85,5 @@ def mmse_detection(
         )
     blocks = {}
     for users, h, own in channels.groups:
-        blocks.update(zip(users, mmse_stack(h, w, own, noise_var)[3]))
+        blocks.update(zip(users, mmse_stack(h[None], w[None], own, noise_var)[3][0]))
     return DetectionSet(blocks=[blocks[k] for k in range(dims.num_users)], kind="mmse")

@@ -19,10 +19,9 @@ from .channel import (
     decompose,
     generate_scenario,
 )
-from .detection import mmse_detection
 from .exceptions import ConfigError, PrecodesimError, SelectionError, check_positive
-from .metrics import report
-from .optimizer import OptConfig, optimize
+from .metrics import evaluate
+from .optimizer import OptConfig, optimize, optimize_many
 from .precoding import arzf, mrt, rzf, wrzf, zf
 
 __all__ = [
@@ -129,51 +128,98 @@ def evaluate_point(channels, decomp, power, susinr_db, methods, opt_config=None)
     """All requested methods on one realization at one SINR level.
 
     Calibrates the noise variance for this realization, builds each
-    precoder, runs per-user MMSE detection and returns a dict mapping
-    method token to its metric report.
+    precoder and scores it under per-user MMSE detection; returns a dict
+    mapping method token to its metric report.
     """
-    opt_config = opt_config or OptConfig()
     noise_var = calibrate_noise(decomp, power, susinr_db)
+    return _reports(channels, decomp, power, noise_var, methods, opt_config or OptConfig())
+
+
+def _reports(channels, decomp, power, noise_var, methods, opt_config):
     out = {}
     for token in methods:
         if token not in METHODS:
             raise ConfigError(f"unknown method token {token!r}")
         pre = METHODS[token](decomp, channels, power, noise_var, opt_config)
-        det = mmse_detection(channels, pre, noise_var)
-        out[token] = report(channels, pre, det, noise_var)
+        out[token] = evaluate(channels, pre, noise_var)
     return out
+
+
+def _failure(exc):
+    return f"{type(exc).__name__}: {exc}"
 
 
 def run_sweep(config: SweepConfig, progress=None) -> SweepResult:
     """Full multi-seed sweep.
 
-    A seed whose realization cannot be generated or evaluated is
-    recorded in ``failures`` and dropped from aggregation; the per-row
-    ``seeds`` count reflects only successful realizations.  Raises
+    Each seed's closed-form methods are evaluated as its channels are
+    drawn.  The searched ridge (``opt``) of every (seed, level) is queued
+    and all searches run in one :func:`optimize_many`, whose results are
+    each the one a search gets alone.  A seed whose realization cannot be
+    generated or evaluated, or whose search fails, is recorded in
+    ``failures`` and dropped from aggregation; the per-row ``seeds`` count
+    reflects only successful realizations.  ``progress(done, total)`` is
+    called as each seed finishes, after its last search.  Raises
     :class:`SelectionError` if every seed fails.  A :class:`ConfigError`
     faults the configuration, not one realization, and ends the sweep.
     """
-    per_seed = []
-    failures = []
+    closed = tuple(m for m in config.methods if m != "opt")
+    per_seed, failures, queue = {}, {}, []
+    finished = 0
+
+    def seed_done():
+        nonlocal finished
+        finished += 1
+        if progress is not None:
+            progress(finished, config.num_seeds)
+
     for i in range(config.num_seeds):
         seed = config.seed_base + i
         try:
             channels = generate_scenario(config.scenario_config(seed))
             decomp = decompose(channels)
-            vals = {}
+            vals, points = {}, []
             for su in config.susinr_db:
-                reps = evaluate_point(
-                    channels, decomp, config.power, su, config.methods, config.opt
-                )
+                noise_var = calibrate_noise(decomp, config.power, su)
+                reps = _reports(channels, decomp, config.power, noise_var, closed, config.opt)
                 for m, rep in reps.items():
                     vals[(su, m)] = (rep.sum_se, rep.min_se)
-            per_seed.append(vals)
+                points.append((i, su, decomp, channels, noise_var))
+            per_seed[i] = vals
         except ConfigError:
             raise
         except PrecodesimError as exc:
-            failures.append((seed, f"{type(exc).__name__}: {exc}"))
-        if progress is not None:
-            progress(i + 1, config.num_seeds)
+            failures[i] = (seed, _failure(exc))
+        if "opt" in config.methods and i in per_seed:
+            queue.extend(points)
+        else:
+            seed_done()
+
+    left = dict.fromkeys((q[0] for q in queue), len(config.susinr_db))
+
+    def search_done(q, _):
+        left[queue[q][0]] -= 1
+        if not left[queue[q][0]]:
+            seed_done()
+
+    problems = [(dc, ch, config.power, nv) for _, _, dc, ch, nv in queue]
+    results = optimize_many(problems, config.opt, done=search_done)
+    for (i, su, _, channels, noise_var), res in zip(queue, results):
+        if i not in per_seed:
+            continue
+        try:
+            if isinstance(res, PrecodesimError):
+                raise res
+            rep = evaluate(channels, res.precoder, noise_var)
+            per_seed[i][(su, "opt")] = (rep.sum_se, rep.min_se)
+        except ConfigError:
+            raise
+        except PrecodesimError as exc:
+            failures[i] = (config.seed_base + i, _failure(exc))
+            del per_seed[i]
+
+    per_seed = list(per_seed.values())
+    failures = [failures[i] for i in sorted(failures)]
     n = len(per_seed)
     if n == 0:
         raise SelectionError(

@@ -13,18 +13,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelDecomposition, ChannelSet
-from .detection import DetectionSet
+from .detection import DetectionSet, mmse_stack
 from .exceptions import DimensionError, ZeroSinrError, check_positive
 from .precoding import Precoder
 
 __all__ = [
     "MetricsReport",
     "sinr_terms",
+    "require_positive",
+    "mmse_sinr_stack",
     "layer_sinr",
     "effective_sinr",
     "user_se",
     "av_susinr",
     "report",
+    "evaluate",
 ]
 
 
@@ -42,22 +45,51 @@ class MetricsReport:
     detection: str
 
 
-def sinr_terms(g: np.ndarray, eff: np.ndarray, own: np.ndarray, noise_var: float):
-    """``(coup, sig, den)`` of a :attr:`ChannelSet.groups` stack with
-    detection blocks ``g`` and ``eff = h @ W``: ``coup = g @ eff``; row j's
-    power at layer ``own[:, j]`` is the signal ``sig[:, j]``, at every other
-    layer (own ones included) interference, which ``den[:, j]`` sums with
-    the detected noise.  The layer SINRs are ``sig / den``; a ``sig`` or
-    ``den`` that is not positive (underflow, NaN) raises ZeroSinrError."""
+def sinr_terms(g: np.ndarray, eff: np.ndarray, own: np.ndarray, noise_var):
+    """``(coup, sig, den, ok)`` of a batch of :attr:`ChannelSet.groups`
+    stacks (batch axis first, as in :func:`mmse_stack`) with detection
+    blocks ``g`` and ``eff = h @ W``: ``coup = g @ eff``; row j's power at
+    layer ``own[:, j]`` is the signal ``sig[..., j]``, at every other layer
+    (own ones included) interference, which ``den[..., j]`` sums with the
+    detected noise.  The layer SINRs are ``sig / den``.  ``ok[b]`` is False
+    where a ``sig`` or ``den`` of member b is not positive (underflow, NaN);
+    that member's terms are then set to 1, so the division stays defined,
+    and :func:`require_positive` turns it into ZeroSinrError."""
     coup = g @ eff
     mag = np.abs(coup) ** 2
-    at = (np.arange(len(own))[:, None], np.arange(own.shape[1]), own)
+    nb, n, nl = g.shape[:3]
+    at = (np.arange(nb)[:, None, None], np.arange(n)[:, None], np.arange(nl), own)
     sig = mag[at]
     mag[at] = 0.0
-    den = mag.sum(axis=2) + noise_var * (np.abs(g) ** 2).sum(axis=2)
-    if not np.minimum(sig, den).min() > 0:
+    den = mag.sum(axis=-1) + np.reshape(noise_var, (-1, 1, 1)) * (np.abs(g) ** 2).sum(axis=-1)
+    ok = (np.minimum(sig, den) > 0).reshape(nb, -1).all(axis=-1)
+    if not ok.all():
+        sig[~ok] = den[~ok] = 1.0
+    return coup, sig, den, ok
+
+
+def require_positive(ok) -> None:
+    """Raise ZeroSinrError unless every ``ok`` of :func:`sinr_terms` holds."""
+    if not np.all(ok):
         raise ZeroSinrError("a layer's signal or interference-plus-noise power is not positive")
-    return coup, sig, den
+
+
+def mmse_sinr_stack(groups, w: np.ndarray, noise_var):
+    """Layer SINRs ``(B, total_layers)`` under per-user MMSE detection of
+    a batch of weights ``w`` (batch axis first), the stages
+    ``(eff, ah, m, g, coup, sig, den)`` of each ``(h, own)`` of ``groups``,
+    ``h[b]`` being the :attr:`ChannelSet.groups` stack of batch member b,
+    and the :func:`sinr_terms` ``ok`` of each member over all groups."""
+    sinrs = np.empty((len(w), w.shape[-1]))
+    ok = np.ones(len(w), dtype=bool)
+    stages = []
+    for h, own in groups:
+        eff, ah, m, g = mmse_stack(h, w, own, noise_var)
+        coup, sig, den, ok_group = sinr_terms(g, eff, own, noise_var)
+        ok &= ok_group
+        sinrs[:, own] = sig / den
+        stages.append((eff, ah, m, g, coup, sig, den))
+    return sinrs, stages, ok
 
 
 def layer_sinr(
@@ -76,20 +108,21 @@ def layer_sinr(
     out = np.empty(dims.total_layers)
     for users, h, own in channels.groups:
         g = np.stack([detection.blocks[k] for k in users])
-        _, sig, den = sinr_terms(g, h @ w, own, noise_var)
-        out[own] = sig / den
+        _, sig, den, ok = sinr_terms(g[None], (h @ w)[None], own, noise_var)
+        require_positive(ok)
+        out[own] = sig[0] / den[0]
     return out
 
 
 def effective_sinr(sinrs: np.ndarray, dims) -> np.ndarray:
-    """Geometric mean of each user's layer SINRs."""
+    """Geometric mean of each user's layer SINRs, over the last axis."""
     sinrs = np.asarray(sinrs, dtype=float)
-    if sinrs.shape != (dims.total_layers,):
-        raise DimensionError(f"sinr shape {sinrs.shape} != ({dims.total_layers},)")
+    if sinrs.shape[-1:] != (dims.total_layers,):
+        raise DimensionError(f"sinr shape {sinrs.shape} != (..., {dims.total_layers})")
     if not np.all(sinrs > 0):
         raise ZeroSinrError("nonpositive SINR cannot enter a geometric mean")
     layers = np.asarray(dims.layers)
-    return np.exp(np.add.reduceat(np.log(sinrs), layers.cumsum() - layers) / layers)
+    return np.exp(np.add.reduceat(np.log(sinrs), layers.cumsum() - layers, axis=-1) / layers)
 
 
 def user_se(eff: np.ndarray, dims) -> np.ndarray:
@@ -122,8 +155,25 @@ def report(
     noise_var: float,
 ) -> MetricsReport:
     """Evaluate all metrics for one configuration."""
-    dims = channels.dims
     sinrs = layer_sinr(channels, precoder, detection, noise_var)
+    return _summary(sinrs, channels.dims, detection.kind)
+
+
+def evaluate(channels: ChannelSet, precoder: Precoder, noise_var: float) -> MetricsReport:
+    """All metrics of ``precoder`` under per-user MMSE detection from one
+    :func:`mmse_stack` pass, bitwise equal to :func:`report` with
+    :func:`mmse_detection`."""
+    check_positive("noise_var", noise_var)
+    dims, w = channels.dims, precoder.weights
+    if w.shape != (dims.num_tx, dims.total_layers):
+        raise DimensionError(f"precoder shape {w.shape} != ({dims.num_tx}, {dims.total_layers})")
+    groups = [(h[None], own) for _, h, own in channels.groups]
+    sinrs, _, ok = mmse_sinr_stack(groups, w[None], noise_var)
+    require_positive(ok)
+    return _summary(sinrs[0], dims, "mmse")
+
+
+def _summary(sinrs, dims, detection: str) -> MetricsReport:
     eff = effective_sinr(sinrs, dims)
     se = user_se(eff, dims)
     return MetricsReport(
@@ -133,5 +183,5 @@ def report(
         sum_se=float(se.sum()),
         min_se=float(se.min()),
         avg_se=float(se.sum() / dims.num_users),
-        detection=detection.kind,
+        detection=detection,
     )

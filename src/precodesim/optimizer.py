@@ -4,25 +4,39 @@ efficiency.
 The variable is the diagonal of the ridge in the parametric precoder.
 Search runs in elementwise log space, which keeps the ridge positive
 without constraints.  Function values come from the production
-evaluation kernel (precoder build, then :func:`mmse_stack` and
-:func:`sinr_terms` per shape group of users, as in
-:func:`mmse_detection` and :func:`report`), so the objective at the
-starting point is bit-identical to the plain gain-adapted ridge.  The
-search follows the reverse-mode (adjoint) gradient of that same
-computation; its oracle, central differences of the objective, lives
-in :mod:`verification`.
+evaluation kernel (ridge build, then :func:`mmse_stack` and
+:func:`sinr_terms` per shape group of users, as in :func:`evaluate`),
+so the objective at the starting point is bit-identical to the plain
+gain-adapted ridge.  The search follows the reverse-mode (adjoint)
+gradient of that same computation; its oracle, central differences of
+the objective, lives in :mod:`verification`.
+
+The kernel has a leading batch axis.  :func:`optimize_many` runs many
+searches in lockstep: each round, every running search's pending trial
+ridge goes through one batched evaluation and every accepted trial
+through one batched adjoint.  Each matrix of a batch is its own BLAS or
+LAPACK call and every reduction runs over a contiguous trailing axis, so
+a search's bits do not depend on its batch companions, and
+:func:`optimize` is a batch of one.
 """
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
 from .channel import ChannelDecomposition, ChannelSet
-from .detection import mmse_stack
-from .exceptions import ConfigError, NumericalError, PrecodesimError, check_positive
-from .metrics import effective_sinr, sinr_terms, user_se
-from .precoding import parametric_rzf
+from .exceptions import (
+    ConfigError,
+    DimensionError,
+    NumericalError,
+    PrecodesimError,
+    check_positive,
+)
+from .metrics import effective_sinr, mmse_sinr_stack, require_positive, user_se
+from .precoding import Precoder, check_reg, gram_stack, ridge_stack
 
 __all__ = [
     "OptConfig",
@@ -31,6 +45,7 @@ __all__ = [
     "objective",
     "gradient",
     "optimize",
+    "optimize_many",
 ]
 
 _LN2 = np.log(2.0)
@@ -38,6 +53,11 @@ _LN2 = np.log(2.0)
 # halving chains: on 18 traced opt_search searches, steps of more than 10
 # halvings took 48% of the evaluations for 0.03% of the gain.
 _WINDOW, _PROGRESS_TOL = 5, 1e-5
+# Searches per lockstep round.  Each round gathers every member's channel
+# stack (64 KB at the default scale); on the default 440-search sweep (2
+# vCPUs) 16, 32, 64 and 128 took 11-13, 11.7, 11.0 and 10.3 s at 83, 85,
+# 92 and 104 MB peak RSS.
+_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -97,22 +117,141 @@ def default_start(decomp: ChannelDecomposition, power: float, noise_var: float) 
     return lam / decomp.s**2
 
 
-def _evaluate(decomp, channels, reg, power, noise_var):
-    """Sum spectral efficiency at ridge diagonal ``reg``, with what its
-    gradient reuses: the precoder, each user's effective SINR and the
-    kernel stages of each user shape group."""
-    dims = decomp.dims
-    pre = parametric_rzf(decomp, reg, power)
-    w = pre.weights
-    sinrs = np.empty(dims.total_layers)
-    stages = []
-    for _, h, own in channels.groups:
-        eff, ah, m, g = mmse_stack(h, w, own, noise_var)
-        coup, sig, den = sinr_terms(g, eff, own, noise_var)
-        sinrs[own] = sig / den
-        stages.append((h, own, eff, ah, m, g, coup, sig, den))
-    geo = effective_sinr(sinrs, dims)
-    return float(user_se(geo, dims).sum()), pre, geo, stages
+@dataclass(frozen=True)
+class _Evaluation:
+    """Kernel results for the ridges ``reg[b]`` of problems ``idx[b]``: sum
+    SE ``j`` (NaN where ``ok`` is False), the :func:`sinr_terms` ``ok``, raw
+    weights and gains, each user's effective SINR ``geo`` and the stages of
+    each user shape group, all batch axis first."""
+
+    idx: np.ndarray
+    j: np.ndarray
+    ok: np.ndarray
+    raw: np.ndarray
+    gain: np.ndarray
+    geo: np.ndarray
+    stages: list
+
+    def take(self, sel):
+        """The members at positions ``sel``."""
+        if sel == list(range(len(self.idx))):
+            return self
+        pick = lambda a: a[sel]
+        return _Evaluation(
+            self.idx[sel], self.j[sel], self.ok[sel], self.raw[sel], self.gain[sel], self.geo[sel],
+            [tuple(map(pick, st)) for st in self.stages],
+        )
+
+
+class _Problems:
+    """Per-search constants of one :func:`optimize_many` call, computed
+    once and stacked: the layer rows ``v`` and their gram ``V V^H`` and the
+    channel stacks of each user shape group, once per distinct
+    (decomposition, channels) pair; ``sqrt(power)``, the noise variance and
+    the starting ridge once per search."""
+
+    def __init__(self, problems):
+        scenes, scene = {}, []
+        for decomp, channels, power, noise_var in problems:
+            check_positive("power", power)
+            check_positive("noise_var", noise_var)
+            if decomp.dims != channels.dims or decomp.dims != problems[0][0].dims:
+                raise DimensionError("every problem needs the dims of the first")
+            key = (id(decomp), id(channels))
+            scene.append(scenes.setdefault(key, (len(scenes), decomp, channels))[0])
+        _, decomps, channel_sets = zip(*scenes.values())
+        self.dims = decomps[0].dims
+        self.scene = np.array(scene)
+        self.v = np.stack([d.v for d in decomps])
+        self.gram = gram_stack(self.v)
+        self.groups = [
+            (np.stack([ch.groups[gi][1] for ch in channel_sets]), own)
+            for gi, (_, _, own) in enumerate(channel_sets[0].groups)
+        ]
+        self.sqrt_power = np.sqrt([p[2] for p in problems])
+        self.noise_var = np.array([p[3] for p in problems])
+        self.start = [default_start(d, p, nv) for d, _, p, nv in problems]
+
+    @cached_property
+    def h_adjoint(self):
+        """``conj(h)^T`` of each group's stacked users, ``(tx, users * rx)``."""
+        return [np.conj(h.reshape(len(h), -1, h.shape[-1]).swapaxes(1, 2)) for h, _ in self.groups]
+
+    def evaluate(self, idx, reg) -> _Evaluation:
+        """The kernel at ridges ``reg[b]`` of problems ``idx[b]``.  A member
+        whose SINR terms are not positive reads ``ok`` False; one whose
+        build or MMSE system fails, or whose SINR underflows to 0, makes
+        the whole batch raise."""
+        at = self.scene[idx]
+        raw, gain = ridge_stack(self.gram[at], self.v[at], reg, self.sqrt_power[idx])
+        w = gain[:, None, None] * raw
+        groups = [(h[at], own) for h, own in self.groups]
+        sinrs, stages, ok = mmse_sinr_stack(groups, w, self.noise_var[idx])
+        geo = effective_sinr(sinrs, self.dims)
+        j = np.where(ok, user_se(geo, self.dims).sum(axis=-1), np.nan)
+        return _Evaluation(idx, j, ok, raw, gain, geo, stages)
+
+    def adjoint(self, ev: _Evaluation):
+        """Gradient of each member's objective with respect to the
+        elementwise log ``u`` of its ridge diagonal, in reverse mode from
+        its evaluation, and its most-loaded antenna.  ``x_bar`` is the
+        adjoint of ``x``, ``dJ = Re sum(conj(x_bar) * dx)``: ``y = a @ b``
+        sends ``y_bar @ b^H`` to ``a`` and ``a^H @ y_bar`` to ``b``, and
+        ``|z|^2`` sends ``2 z`` times its own adjoint to ``z``."""
+        dims = self.dims
+        lt = dims.total_layers
+        nb = len(ev.idx)
+        rows = np.arange(nb)
+        bi = rows[:, None, None]
+        nv = self.noise_var[ev.idx][:, None, None, None]
+        # SE_k = L_k log2(1 + geomean_k) and d geomean_k = geomean_k mean_j d log sinr_j
+        dlog_sinr = np.repeat(ev.geo / (1.0 + ev.geo), dims.layers, axis=-1) / _LN2
+
+        w_bar = np.zeros_like(ev.raw)
+        for hh, (_, own), stage in zip(self.h_adjoint, self.groups, ev.stages):
+            eff, ah, m, g, coup, sig, den = stage
+            users = np.arange(len(own))[:, None]
+            at = (bi, users, np.arange(own.shape[1]), own)
+            d = dlog_sinr[:, own]
+            sig_bar, den_bar = d / sig, -d / den
+            coup_bar = np.repeat(den_bar[..., None], lt, axis=-1)
+            coup_bar[at] = sig_bar
+            coup_bar = 2.0 * coup_bar * coup
+            gh = np.conj(g.swapaxes(-1, -2))
+            g_bar = coup_bar @ np.conj(eff.swapaxes(-1, -2))
+            g_bar += 2.0 * nv * den_bar[..., None] * g
+            eff_bar = gh @ coup_bar
+            # g = inv(m) ah and m = ah ah^H + noise_var I
+            ah_bar = np.linalg.solve(m, g_bar)
+            m_bar = -ah_bar @ gh
+            ah_bar += (m_bar + np.conj(m_bar.swapaxes(-1, -2))) @ ah
+            eff_bar[bi, users, :, own] += ah_bar.conj()
+            w_bar += hh[self.scene[ev.idx]] @ eff_bar.reshape(nb, -1, lt)
+
+        # w = gain raw with gain = sqrt(power / num_tx) / rho, rho the largest
+        # row norm of raw
+        w_raw, gain = ev.raw, ev.gain
+        top = np.argmax(np.linalg.norm(w_raw, axis=-1), axis=-1)
+        gain_bar = (w_bar.conj() * w_raw).reshape(nb, -1).sum(axis=-1).real
+        raw_bar = gain[:, None, None] * w_bar
+        top_row = w_raw[rows, top]
+        raw_bar[rows, top] -= (
+            gain_bar * gain / np.sum(np.abs(top_row) ** 2, axis=-1)
+        )[:, None] * top_row
+        # raw = V^H inv(K), K = V V^H + diag(r), so d raw = -raw diag(dr) inv(K),
+        # and r_d inv(K)[d, :] is (I - V raw)[d, :]
+        resid = np.eye(lt) - self.v[self.scene[ev.idx]] @ w_raw
+        prod = w_raw.swapaxes(-1, -2) @ raw_bar.conj()
+        return -np.sum(resid * prod, axis=-1).real, top
+
+
+def _one(decomp, channels, reg_vec, power, noise_var):
+    """A batch of one problem and its evaluation at the checked ridge."""
+    problems = _Problems([(decomp, channels, power, noise_var)])
+    reg = check_reg(reg_vec, decomp.dims.total_layers)
+    ev = problems.evaluate(np.zeros(1, dtype=int), reg[None])
+    require_positive(ev.ok)
+    return problems, ev
 
 
 def objective(
@@ -121,51 +260,7 @@ def objective(
     """Sum spectral efficiency of the parametric ridge precoder under
     per-user MMSE detection, bit-identical to :func:`report`'s
     ``sum_se`` for that precoder and its :func:`mmse_detection`."""
-    return _evaluate(decomp, channels, reg_vec, power, noise_var)[0]
-
-
-def _adjoint(decomp, noise_var, evaluation):
-    """Gradient of the objective with respect to the elementwise log
-    ``u`` of the ridge diagonal, in reverse mode from the ``_evaluate``
-    result at that ridge, and the most-loaded antenna.  ``x_bar`` is the
-    adjoint of ``x``, ``dJ = Re sum(conj(x_bar) * dx)``: ``y = a @ b`` sends
-    ``y_bar @ b^H`` to ``a`` and ``a^H @ y_bar`` to ``b``, and ``|z|^2``
-    sends ``2 z`` times its own adjoint to ``z``."""
-    dims = decomp.dims
-    lt = dims.total_layers
-    _, pre, geo, stages = evaluation
-    # SE_k = L_k log2(1 + geomean_k) and d geomean_k = geomean_k mean_j d log sinr_j
-    dlog_sinr = np.repeat(geo / (1.0 + geo), dims.layers) / _LN2
-
-    w_bar = np.zeros_like(pre.raw)
-    for h, own, eff, ah, m, g, coup, sig, den in stages:
-        at = (np.arange(len(own))[:, None], np.arange(own.shape[1]), own)
-        sig_bar, den_bar = dlog_sinr[own] / sig, -dlog_sinr[own] / den
-        coup_bar = np.repeat(den_bar[:, :, None], lt, axis=2)
-        coup_bar[at] = sig_bar
-        coup_bar = 2.0 * coup_bar * coup
-        gh = np.conj(g.transpose(0, 2, 1))
-        g_bar = coup_bar @ np.conj(eff.transpose(0, 2, 1))
-        g_bar += 2.0 * noise_var * den_bar[:, :, None] * g
-        eff_bar = gh @ coup_bar
-        # g = inv(m) ah and m = ah ah^H + noise_var I
-        ah_bar = np.linalg.solve(m, g_bar)
-        m_bar = -ah_bar @ gh
-        ah_bar += (m_bar + np.conj(m_bar.transpose(0, 2, 1))) @ ah
-        eff_bar[at[0], :, own] += ah_bar.conj()
-        w_bar += np.conj(h.reshape(-1, h.shape[2]).T) @ eff_bar.reshape(-1, lt)
-
-    # w = gain raw with gain = sqrt(power / num_tx) / rho, rho the largest
-    # row norm of raw
-    w_raw = pre.raw
-    top = int(np.argmax(np.linalg.norm(w_raw, axis=1)))
-    gain_bar = float(np.sum(w_bar.conj() * w_raw).real)
-    raw_bar = pre.gain * w_bar
-    raw_bar[top] -= gain_bar * pre.gain / np.sum(np.abs(w_raw[top]) ** 2) * w_raw[top]
-    # raw = V^H inv(K), K = V V^H + diag(r), so d raw = -raw diag(dr) inv(K),
-    # and r_d inv(K)[d, :] is (I - V raw)[d, :]
-    resid = np.eye(lt) - decomp.v @ w_raw
-    return -np.sum(resid * (w_raw.T @ raw_bar.conj()), axis=1).real, top
+    return float(_one(decomp, channels, reg_vec, power, noise_var)[1].j[0])
 
 
 def gradient(
@@ -174,10 +269,10 @@ def gradient(
     """Gradient of the objective with respect to the elementwise log of
     ``reg_vec``, by reverse-mode differentiation of the objective's own
     evaluation chain, at about the cost of one more objective."""
-    reg_vec = np.asarray(reg_vec, dtype=float)
-    if np.any(reg_vec <= 0):
+    if np.any(np.asarray(reg_vec, dtype=float) <= 0):
         raise ConfigError("gradient needs strictly positive reg entries")
-    return _adjoint(decomp, noise_var, _evaluate(decomp, channels, reg_vec, power, noise_var))[0]
+    problems, ev = _one(decomp, channels, reg_vec, power, noise_var)
+    return problems.adjoint(ev)[0][0]
 
 
 def _two_loop(grad_phi, pairs):
@@ -197,32 +292,20 @@ def _two_loop(grad_phi, pairs):
     return -q
 
 
-def optimize(
-    decomp: ChannelDecomposition,
-    channels: ChannelSet,
-    power: float,
-    noise_var: float,
-    config: OptConfig = OptConfig(),
-) -> OptResult:
-    """Maximize sum spectral efficiency over the ridge diagonal.
+# what a search asks of the driver
+_EVAL, _GRAD = "evaluate", "adjoint"
 
-    Limited-memory quasi-Newton ascent in log space from the
-    gain-adapted starting ridge, with backtracking line search.  Each
-    accepted ridge is evaluated once: its gradient and the returned
-    precoder reuse the line search's evaluation.  Never raises on
-    search stagnation: the best iterate seen is returned with
-    ``converged=False`` and a reason string.  Fully deterministic.
-    """
 
-    def evaluate(reg):
-        # trial points may overflow exp or produce degenerate systems;
-        # both just mean "reject this step"
-        with np.errstate(all="ignore"):
-            try:
-                ev = _evaluate(decomp, channels, reg, power, noise_var)
-            except (PrecodesimError, np.linalg.LinAlgError, FloatingPointError):
-                return None
-        return ev if np.isfinite(ev[0]) else None
+def _search(reg, config):
+    """One search as a coroutine.  It yields ``(_EVAL, ridge)`` and is sent
+    ``(objective, handle)``, or ``None`` for a ridge that cannot be
+    evaluated; for an accepted ridge it yields ``(_GRAD, handle)`` in the
+    same round and is sent its gradient, most-loaded antenna and precoder.
+    It returns the :class:`OptResult`."""
+
+    def evaluated(reg):
+        # a ridge that overflowed exp is rejected without a kernel call
+        return (yield _EVAL, reg) if np.all(np.isfinite(reg)) else None
 
     def search(u_base, j_base, direction, slope):
         alpha = config.init_step
@@ -230,7 +313,7 @@ def optimize(
             cand = u_base + alpha * direction
             with np.errstate(over="ignore"):
                 reg_try = np.exp(cand)
-            ev = evaluate(reg_try)
+            ev = yield from evaluated(reg_try)
             if ev is not None and -ev[0] <= -j_base + config.armijo_c1 * alpha * slope:
                 return cand, reg_try, ev, alpha
             alpha *= config.backtrack
@@ -239,13 +322,12 @@ def optimize(
     # the search steps in u = log(reg) but evaluates at reg itself, so
     # the start (and a search that never moves) is exactly the arzf ridge,
     # and accepted ridge entries that underflow to zero stay differentiable
-    reg = default_start(decomp, power, noise_var)
     u = np.log(reg)
-    ev = evaluate(reg)
+    ev = yield from evaluated(reg)
     if ev is None:
         raise NumericalError("objective undefined at the starting ridge")
     j_cur = j_start = ev[0]
-    g, top = _adjoint(decomp, noise_var, ev)
+    g, top, pre = yield _GRAD, ev[1]
     gnorm = float(np.abs(g).max())
     traj = [(0, j_cur, gnorm, 0.0)]
     pairs = deque(maxlen=config.memory)
@@ -266,18 +348,18 @@ def optimize(
             reason = "iteration limit reached"
             break
         p = _two_loop(-g, list(pairs)) if pairs else g
-        found = search(u, j_cur, p, float(-g @ p)) if float(g @ p) > 0 else None
+        found = (yield from search(u, j_cur, p, float(-g @ p))) if float(g @ p) > 0 else None
         if found is None and pairs:
             # curvature memory can point downhill or across a normalization
             # kink; drop it and retry along the raw gradient
             pairs.clear()
-            found = search(u, j_cur, g, float(-g @ g))
+            found = yield from search(u, j_cur, g, float(-g @ g))
         if found is None:
             reason = "line search failed to find an acceptable step"
             break
         u_new, reg, ev, alpha = found
 
-        g_new, top = _adjoint(decomp, noise_var, ev)
+        g_new, top, pre = yield _GRAD, ev[1]
         s = u_new - u
         yv = (-g_new) - (-g)
         sy = float(s @ yv)
@@ -292,7 +374,7 @@ def optimize(
 
     return OptResult(
         reg_vec=reg,
-        precoder=ev[1],
+        precoder=pre,
         objective=j_cur,
         start_objective=j_start,
         iterations=accepted,
@@ -301,3 +383,132 @@ def optimize(
         grad_norm=gnorm,
         trajectory=tuple(traj),
     )
+
+
+def _evaluate_parts(problems, idx, regs):
+    """``(evaluation, position)`` per trial ridge, or None where the kernel
+    raises.  One member's failure fails a stacked LAPACK call for the whole
+    batch, so a failing batch is split in halves until each failing member
+    stands alone; batch independence gives the others the same bits."""
+    try:
+        ev = problems.evaluate(idx, regs)
+    except (PrecodesimError, np.linalg.LinAlgError):
+        ev = None  # recurse outside the handler, which holds the failed batch's frames
+    if ev is not None:
+        return [(ev, pos) for pos in range(len(idx))]
+    if len(idx) == 1:
+        return [None]
+    half = len(idx) // 2
+    return (_evaluate_parts(problems, idx[:half], regs[:half])
+            + _evaluate_parts(problems, idx[half:], regs[half:]))
+
+
+def _evaluate_trials(problems, idx, regs):
+    """``(objective, k)`` per trial ridge ``k``, or None where the kernel
+    fails or is not finite there, and the ``(evaluation, position)`` of
+    each trial ``k`` for :func:`_adjoints`.  Trial points may produce
+    degenerate systems; that just means "reject this step"."""
+    out, where = [None] * len(idx), {}
+    with np.errstate(all="ignore"):
+        parts = _evaluate_parts(problems, np.array(idx), np.stack(regs))
+    for k, part in enumerate(parts):
+        if part is not None and np.isfinite(part[0].j[part[1]]):
+            out[k], where[k] = (float(part[0].j[part[1]]), k), part
+    return out, where
+
+
+def _adjoints(problems, handles):
+    """``(gradient, most-loaded antenna, precoder)`` per evaluated
+    ``(evaluation, position)`` handle, one batched adjoint per evaluation."""
+    out = [None] * len(handles)
+    by_eval = {}
+    for k, (ev, pos) in enumerate(handles):
+        _, ks, sel = by_eval.setdefault(id(ev), (ev, [], []))
+        ks.append(k)
+        sel.append(pos)
+    for ev, ks, sel in by_eval.values():
+        sub = ev.take(sel)
+        g, top = problems.adjoint(sub)
+        for b, k in enumerate(ks):
+            pre = Precoder(raw=sub.raw[b].copy(), gain=sub.gain[b], method="parametric_rzf")
+            out[k] = (g[b], int(top[b]), pre)
+    return out
+
+
+def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
+    """:func:`optimize` for each ``(decomp, channels, power, noise_var)`` of
+    ``problems``, run in lockstep.
+
+    Every search keeps its own quasi-Newton state, rules and stopping
+    reasons.  Each round, the pending trial ridges of all running searches
+    go through one batched evaluation, and the accepted ones through one
+    batched adjoint; a finished search drops out.  Each result is bitwise
+    the one the search gets alone.  The list holds one :class:`OptResult`
+    per problem, in order, or the :class:`PrecodesimError` its search
+    raised; ``done(i, result)``, if given, is called as search ``i`` ends.
+    Inputs are validated once, here: a power or noise variance that is not
+    positive and finite raises ConfigError, and problems whose dims differ
+    raise DimensionError.
+    """
+    problems = list(problems)
+    if not problems:
+        return []
+    stack = _Problems(problems)
+    searches = [_search(r, config) for r in stack.start]
+    results = [None] * len(searches)
+    pending = {}
+    unstarted = iter(range(len(searches)))
+
+    def advance(i, answer):
+        try:
+            pending[i] = searches[i].send(answer)
+            return
+        except StopIteration as stop:
+            results[i] = stop.value
+        except PrecodesimError as exc:
+            results[i] = exc
+        pending.pop(i, None)
+        if done is not None:
+            done(i, results[i])
+
+    def top_up():
+        # at most _BATCH searches run at once, which bounds the kernel's
+        # working set; a finished search makes room for the next
+        for i in islice(unstarted, _BATCH - len(pending)):
+            advance(i, None)
+
+    top_up()
+    while pending:
+        # every pending request is a trial ridge here
+        idx = sorted(pending)
+        answers, where = _evaluate_trials(stack, idx, [pending[i][1] for i in idx])
+        for i, ans in zip(idx, answers):
+            advance(i, ans)
+        idx = [i for i in idx if i in pending and pending[i][0] == _GRAD]
+        for i, ans in zip(idx, _adjoints(stack, [where[pending[i][1]] for i in idx])):
+            advance(i, ans)
+        top_up()
+    return results
+
+
+def optimize(
+    decomp: ChannelDecomposition,
+    channels: ChannelSet,
+    power: float,
+    noise_var: float,
+    config: OptConfig = OptConfig(),
+) -> OptResult:
+    """Maximize sum spectral efficiency over the ridge diagonal.
+
+    Limited-memory quasi-Newton ascent in log space from the
+    gain-adapted starting ridge, with backtracking line search.  Each
+    accepted ridge is evaluated once: its gradient and the returned
+    precoder reuse the line search's evaluation.  Never raises on
+    search stagnation: the best iterate seen is returned with
+    ``converged=False`` and a reason string.  Fully deterministic; the
+    batch of one of :func:`optimize_many`.
+    """
+    res = optimize_many([(decomp, channels, power, noise_var)], config)[0]
+    if isinstance(res, PrecodesimError):
+        raise res
+    return res

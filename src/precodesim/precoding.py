@@ -78,15 +78,15 @@ def _scaled(raw: np.ndarray, power: float, method: str) -> Precoder:
     return Precoder(raw=raw, gain=normalize(raw, power), method=method)
 
 
-def _ridge_solve(basis: np.ndarray, reg_diag, solve=solve_hpd) -> np.ndarray:
-    """``basis^H @ inv(basis basis^H + diag(reg_diag))`` via ``solve``,
-    unchecked only where the gram is sure to be finite; ``None``: no ridge."""
+def _ridge_solve(basis: np.ndarray, reg_diag) -> np.ndarray:
+    """``basis^H @ inv(basis basis^H + diag(reg_diag))``, checked, since
+    the gram of an ``f`` basis can overflow; ``None``: no ridge."""
     gram = basis @ basis.conj().T
     if reg_diag is not None:
         idx = np.arange(gram.shape[0])
         gram[idx, idx] += reg_diag
     try:
-        x = solve(gram, basis)
+        x = solve_hpd(gram, basis)
     except NotHpdError as exc:
         raise SingularGramError(
             "precoding basis has numerically dependent rows"
@@ -152,20 +152,57 @@ def wrzf(decomp: ChannelDecomposition, power: float, noise_var: float) -> Precod
     return replace(p, method="wrzf")
 
 
+def check_reg(reg_vec, total_layers: int) -> np.ndarray:
+    """``reg_vec`` as a float array of ``total_layers`` finite entries
+    ``>= 0``, else DimensionError or ConfigError."""
+    reg_vec = np.asarray(reg_vec, dtype=float)
+    if reg_vec.shape != (total_layers,):
+        raise DimensionError(f"reg_vec shape {reg_vec.shape} != ({total_layers},)")
+    if np.any(reg_vec < 0) or not np.all(np.isfinite(reg_vec)):
+        raise ConfigError("reg_vec entries must be finite and >= 0")
+    return reg_vec
+
+
+def gram_stack(v: np.ndarray) -> np.ndarray:
+    """``v[b] @ v[b]^H`` for a stack ``v`` of layer rows."""
+    return v @ np.conj(v.swapaxes(-1, -2))
+
+
+def ridge_stack(gram: np.ndarray, v: np.ndarray, reg: np.ndarray, sqrt_power: np.ndarray):
+    """Raw weights ``v[b]^H inv(gram[b] + diag(reg[b]))`` of a stack of
+    per-layer ridges, with ``gram`` from :func:`gram_stack`, and the gains
+    that fit each to its power budget (``sqrt_power[b]`` squared) as
+    :func:`normalize` does.  The inputs are trusted: finite, ``reg >= 0``
+    and ``sqrt_power > 0``.  Each ridge is its own LAPACK solve, so one
+    matrix's result does not depend on the others in the stack."""
+    lt, num_tx = v.shape[-2:]
+    k = gram.copy()
+    idx = np.arange(lt)
+    k[:, idx, idx] += reg
+    raw = np.empty((len(v), num_tx, lt), dtype=complex)
+    for b in range(len(v)):
+        try:
+            raw[b] = cholesky_solve(k[b], v[b]).conj().T
+        except NotHpdError as exc:
+            raise SingularGramError("precoding basis has numerically dependent rows") from exc
+    denom = np.linalg.norm(raw, axis=-1).max(axis=-1) * np.sqrt(num_tx)
+    if np.any(denom == 0):
+        raise ZeroMatrixError("cannot normalize an all-zero precoder")
+    return raw, sqrt_power / denom
+
+
 def parametric_rzf(decomp: ChannelDecomposition, reg_vec, power: float) -> Precoder:
     """Per-layer diagonal ridge on the layer rows.
 
     ``raw = V^H @ inv(V V^H + diag(reg_vec))`` with elementwise
-    nonnegative ``reg_vec`` of length ``total_layers``.
+    nonnegative ``reg_vec`` of length ``total_layers``; the searched
+    ridge builds stacks of these with :func:`ridge_stack`.
     """
-    reg_vec = np.asarray(reg_vec, dtype=float)
-    lt = decomp.dims.total_layers
-    if reg_vec.shape != (lt,):
-        raise DimensionError(f"reg_vec shape {reg_vec.shape} != ({lt},)")
-    if np.any(reg_vec < 0) or not np.all(np.isfinite(reg_vec)):
-        raise ConfigError("reg_vec entries must be finite and >= 0")
-    raw = _ridge_solve(decomp.v, reg_vec, cholesky_solve)
-    return _scaled(raw, power, "parametric_rzf")
+    reg_vec = check_reg(reg_vec, decomp.dims.total_layers)
+    check_positive("power", power)
+    v = decomp.v[None]
+    raw, gain = ridge_stack(gram_stack(v), v, reg_vec[None], np.sqrt([power]))
+    return Precoder(raw=raw[0], gain=gain[0], method="parametric_rzf")
 
 
 def arzf(decomp: ChannelDecomposition, power: float, noise_var: float) -> Precoder:

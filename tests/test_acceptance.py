@@ -16,8 +16,10 @@ import time
 import numpy as np
 import pytest
 
-from precodesim.channel import ScenarioConfig, decompose, generate_scenario
+from precodesim.channel import ScenarioConfig, calibrate_noise, decompose, generate_scenario
 from precodesim.harness import evaluate_point
+from precodesim.metrics import evaluate
+from precodesim.optimizer import optimize_many
 from precodesim.verification import (
     check_asymptotics,
     check_gradient,
@@ -47,17 +49,29 @@ def varied_cases():
     return out
 
 
+def _reports(cases, levels, methods):
+    """Reports per (seed, level, method): closed forms point by point, and
+    every ``opt`` search of the set in one lockstep ``optimize_many``."""
+    reps, problems = {}, []
+    for seed, (cs, dc) in enumerate(cases):
+        for su in levels:
+            closed = [m for m in methods if m != "opt"]
+            for m, rep in evaluate_point(cs, dc, POWER, su, closed).items():
+                reps[(seed, su, m)] = rep
+            if "opt" in methods:
+                problems.append((dc, cs, POWER, calibrate_noise(dc, POWER, su)))
+    keys = [(seed, su) for seed in range(len(cases)) for su in levels]
+    for (seed, su), (_, cs, _, nv), res in zip(keys, problems, optimize_many(problems)):
+        reps[(seed, su, "opt")] = evaluate(cs, res.precoder, nv)
+    return reps
+
+
 @pytest.fixture(scope="module")
 def varied_sweep(varied_cases):
     """sum-SE and min-SE per (seed, grid level, method), varied path loss."""
-    methods = ("mrt", "zf_v", "rzf_v", "wrzf", "arzf", "opt")
-    sums, mins = {}, {}
-    for seed, (cs, dc) in enumerate(varied_cases):
-        for su in GRID:
-            reps = evaluate_point(cs, dc, POWER, su, methods)
-            for m in methods:
-                sums[(seed, su, m)] = reps[m].sum_se
-                mins[(seed, su, m)] = reps[m].min_se
+    reps = _reports(varied_cases, GRID, ("mrt", "zf_v", "rzf_v", "wrzf", "arzf", "opt"))
+    sums = {key: rep.sum_se for key, rep in reps.items()}
+    mins = {key: rep.min_se for key, rep in reps.items()}
     return sums, mins
 
 
@@ -123,13 +137,11 @@ def test_06_searched_ridge_improves(capsys, varied_cases):
     and strictly improves on at least 80% of seeds, within a 10 minute
     budget."""
     start = time.monotonic()
-    diffs = []
-    for cs, dc in varied_cases:
-        for su in (8.0, 20.0, 32.0):
-            reps = evaluate_point(cs, dc, POWER, su, ("arzf", "opt"))
-            diffs.append(reps["opt"].sum_se - reps["arzf"].sum_se)
+    levels = (8.0, 20.0, 32.0)
+    reps = _reports(varied_cases, levels, ("arzf", "opt"))
     elapsed = time.monotonic() - start
-    diffs = np.array(diffs)
+    diffs = np.array([reps[(seed, su, "opt")].sum_se - reps[(seed, su, "arzf")].sum_se
+                      for seed in range(len(varied_cases)) for su in levels])
     strict = float(np.mean(diffs > 0.0))
     ok = bool(np.all(diffs >= 0.0) and strict >= 0.8 and elapsed <= 600.0)
     _report(capsys, 6, "searched ridge improves",

@@ -245,8 +245,11 @@ class TestScenario:
         with pytest.raises(ConfigError, match="seed"):
             quick_config(seed=-5)
         nan, inf = float("nan"), float("inf")
+        # (7000, 7000) overflows the amplitude gain, (-7000, -7000)
+        # underflows it to all-zero blocks
         for bad in ((5.0, 1.0), (nan, 10.0), (-10.0, nan), (-10.0, inf),
-                    (-inf, 10.0), (-inf, inf), (-1e308, 1e308)):
+                    (-inf, 10.0), (-inf, inf), (-1e308, 1e308), (7000.0, 7000.0),
+                    (-7000.0, -7000.0), (-3000.5, 0.0), (0.0, 3000.5)):
             with pytest.raises(ConfigError, match="path_loss_range_db"):
                 quick_config(path_loss="varied", path_loss_range_db=bad)
 

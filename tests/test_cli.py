@@ -1,10 +1,12 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 from precodesim.cli import main, parse_susinr
+from precodesim.harness import SweepConfig
 from precodesim.verification import run_all
 
 
@@ -112,6 +114,17 @@ class TestRunCommand:
         args, _ = run_args(tmp_path, [flag])
         assert main(args) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("db", [7000.0, -7000.0])
+    def test_path_loss_beyond_float_range_exits_2(self, tmp_path, capsys, monkeypatch, db):
+        real = SweepConfig.scenario_config
+        monkeypatch.setattr(SweepConfig, "scenario_config", lambda self, seed: replace(
+            real(self, seed), path_loss_range_db=(db, db)))
+        args, out = run_args(tmp_path, ["--scenario", "varied"])
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "path_loss_range_db" in err
+        assert not out.exists()
 
     def test_levels_beyond_200_db_run(self, tmp_path):
         # the MMSE system is L x L, so it stays solvable at 1e-100 noise

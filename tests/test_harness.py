@@ -4,18 +4,23 @@ import numpy as np
 import pytest
 
 import precodesim.harness as harness
-from precodesim.channel import decompose, generate_scenario
+import precodesim.optimizer as optimizer
+from precodesim.channel import calibrate_noise, decompose, generate_scenario
+from precodesim.detection import mmse_detection
 from precodesim.exceptions import ConfigError, SelectionError
 from precodesim.harness import (
     CSV_HEADER,
     METHODS,
     SweepConfig,
+    SweepResult,
+    SweepRow,
     emit_csv,
     emit_plotdata,
     evaluate_point,
     format_csv,
     run_sweep,
 )
+from precodesim.metrics import report
 
 
 def tiny_sweep(**kw):
@@ -74,6 +79,23 @@ class TestEvaluatePoint:
         for rep in reps.values():
             assert rep.sum_se > 0
             assert rep.detection == "mmse"
+
+    def test_reports_equal_detection_then_report(self):
+        # one MMSE pass per method gives report(mmse_detection(...)) bit for bit
+        cfg = tiny_sweep(num_tx=64, num_users=4, rx_per_user=16)
+        for seed in (0, 1):
+            ch = generate_scenario(cfg.scenario_config(seed))
+            dec = decompose(ch)
+            for su in (0.0, 20.0, 40.0):
+                nv = calibrate_noise(dec, 1.0, su)
+                reps = evaluate_point(ch, dec, 1.0, su, tuple(METHODS))
+                for token, rep in reps.items():
+                    pre = METHODS[token](dec, ch, 1.0, nv, optimizer.OptConfig())
+                    ref = report(ch, pre, mmse_detection(ch, pre, nv), nv)
+                    for name in ("layer_sinr", "eff_sinr", "user_se"):
+                        assert getattr(rep, name).tobytes() == getattr(ref, name).tobytes()
+                    assert (rep.sum_se, rep.min_se, rep.avg_se, rep.detection) == (
+                        ref.sum_se, ref.min_se, ref.avg_se, ref.detection)
 
     def test_opt_at_least_adapted_ridge(self):
         cfg = tiny_sweep()
@@ -139,6 +161,57 @@ class TestRunSweep:
         seen = []
         run_sweep(tiny_sweep(num_seeds=2), progress=lambda d, t: seen.append((d, t)))
         assert seen == [(1, 2), (2, 2)]
+
+    def test_progress_callback_with_search(self):
+        # a seed counts as done when its last search ends
+        seen = []
+        run_sweep(tiny_sweep(num_seeds=2, methods=("arzf", "opt")),
+                  progress=lambda d, t: seen.append((d, t)))
+        assert seen == [(1, 2), (2, 2)]
+
+    def test_searched_sweep_equals_point_loop(self):
+        # all searches of the sweep run in one batch; each must score as it
+        # does alone, so the CSV equals one built from evaluate_point calls
+        cfg = tiny_sweep(num_seeds=3, methods=("mrt", "opt", "arzf"), susinr_db=(0.0, 12.0, 30.0))
+        points = []
+        for seed in range(3):
+            ch = generate_scenario(cfg.scenario_config(seed))
+            dec = decompose(ch)
+            points.append({su: evaluate_point(ch, dec, 1.0, su, cfg.methods)
+                           for su in cfg.susinr_db})
+        rows = []
+        for su in cfg.susinr_db:
+            for m in cfg.methods:
+                sums = np.array([p[su][m].sum_se for p in points])
+                mins = np.array([p[su][m].min_se for p in points])
+                rows.append(SweepRow(cfg.scenario, su, m, float(sums.mean()),
+                                     float(sums.std(ddof=1)), float(mins.mean()),
+                                     float(mins.std(ddof=1)), 3))
+        expected = format_csv(SweepResult(rows=tuple(rows), failures=(), config=cfg))
+        assert format_csv(run_sweep(cfg)) == expected
+
+    def test_failed_search_recorded_and_dropped(self, monkeypatch):
+        # seed 1's first search starts from a ridge the kernel cannot evaluate
+        real = optimizer.default_start
+        calls = {"n": 0}
+
+        def start(decomp, power, noise_var):
+            calls["n"] += 1
+            r = real(decomp, power, noise_var)
+            return r * np.inf if calls["n"] == 3 else r
+
+        monkeypatch.setattr(optimizer, "default_start", start)
+        seen = []
+        res = run_sweep(tiny_sweep(methods=("arzf", "opt")), progress=lambda d, t: seen.append(d))
+        assert res.failures == ((1, "NumericalError: objective undefined at the starting ridge"),)
+        assert all(row.seeds == 2 for row in res.rows)
+        assert seen == [1, 2, 3]
+        clean = run_sweep(tiny_sweep(methods=("arzf", "opt"), num_seeds=1))
+        other = run_sweep(tiny_sweep(methods=("arzf", "opt"), num_seeds=1, seed_base=2))
+        for row in res.rows:
+            pair = [clean.row(row.susinr_db, row.method).avg_sum_se,
+                    other.row(row.susinr_db, row.method).avg_sum_se]
+            assert row.avg_sum_se == np.mean(pair)
 
 
 class TestEmit:

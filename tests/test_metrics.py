@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,11 @@ from precodesim.channel import (
     generate_scenario,
 )
 from precodesim.detection import conjugate_detection, mmse_detection
-from precodesim.exceptions import ConfigError, ZeroSinrError
+from precodesim.exceptions import ConfigError, DimensionError, ZeroSinrError
 from precodesim.metrics import (
     av_susinr,
     effective_sinr,
+    evaluate,
     layer_sinr,
     report,
     user_se,
@@ -127,6 +130,17 @@ class TestAggregation:
         assert abs(rep.avg_se - rep.sum_se / 2) < 1e-12
         eff = effective_sinr(rep.layer_sinr, ch.dims)
         assert np.allclose(eff, rep.eff_sinr)
+
+    def test_evaluate_validates_input(self):
+        ch = make_channels(seed=5)
+        pre = arzf(decompose(ch), 2.0, 0.3)
+        ref = report(ch, pre, mmse_detection(ch, pre, 0.3), 0.3)
+        assert evaluate(ch, pre, 0.3).sum_se == ref.sum_se
+        for nv in (0.0, float("nan")):
+            with pytest.raises(ConfigError):
+                evaluate(ch, pre, nv)
+        with pytest.raises(DimensionError):
+            evaluate(ch, replace(pre, raw=pre.raw[:, :3]), 0.3)
 
 
 class TestAvSusinr:

@@ -3,9 +3,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from precodesim.channel import ChannelSet, SystemDims, calibrate_noise, decompose
+import precodesim.optimizer as optimizer
+from precodesim.channel import (
+    ChannelSet,
+    ScenarioConfig,
+    SystemDims,
+    calibrate_noise,
+    decompose,
+    generate_scenario,
+)
 from precodesim.detection import mmse_detection
-from precodesim.exceptions import ConfigError
+from precodesim.exceptions import ConfigError, DimensionError, NotHpdError, NumericalError
 from precodesim.metrics import report
 from precodesim.harness import evaluate_point
 from precodesim.numerics import complex_gaussian, complex_normal
@@ -18,6 +26,7 @@ from precodesim.optimizer import (
     gradient,
     objective,
     optimize,
+    optimize_many,
 )
 from precodesim.precoding import arzf, parametric_rzf
 from precodesim.verification import central_differences
@@ -229,6 +238,117 @@ class TestOptimize:
             report(ch, res.precoder, mmse_detection(ch, res.precoder, NV), NV).sum_se
             - res.objective
         ) < 1e-12
+
+
+def same_search(a, b):
+    return (a.reg_vec.tobytes() == b.reg_vec.tobytes() and a.trajectory == b.trajectory
+            and a.reason == b.reason and a.precoder.raw.tobytes() == b.precoder.raw.tobytes()
+            and a.precoder.gain == b.precoder.gain and a.objective == b.objective)
+
+
+def sweep_problems(seeds, family, levels=tuple(range(0, 41, 4))):
+    out = []
+    for seed in seeds:
+        ch = generate_scenario(ScenarioConfig(seed=seed, path_loss=family))
+        dc = decompose(ch)
+        out += [(dc, ch, 1.0, calibrate_noise(dc, 1.0, su)) for su in levels]
+    return out
+
+
+class TestOptimizeMany:
+    @pytest.mark.parametrize("family", ["varied", "equal"])
+    def test_batch_equals_single_searches(self, family):
+        # 2 seeds x 11 levels at the default scale: the batch thins out as
+        # searches finish at different rounds
+        problems = sweep_problems((0, 1), family)
+        many = optimize_many(problems)
+        assert len({r.iterations for r in many}) > 1
+        for p, res in zip(problems, many):
+            assert same_search(res, optimize(*p))
+
+    def test_batch_window_is_invisible(self, monkeypatch):
+        # a window smaller than the batch starts searches as others finish
+        problems = sweep_problems((2,), "varied", (0.0, 20.0, 40.0, 10.0))
+        full = optimize_many(problems)
+        real, sizes = optimizer._evaluate_trials, []
+
+        def trials(stack, idx, regs):
+            sizes.append(len(idx))
+            return real(stack, idx, regs)
+
+        monkeypatch.setattr(optimizer, "_evaluate_trials", trials)
+        monkeypatch.setattr(optimizer, "_BATCH", 2)
+        done = []
+        small = optimize_many(problems, done=lambda i, res: done.append((i, res)))
+        assert max(sizes) == 2 and sizes.count(2) > len(sizes) // 2
+        assert sorted(i for i, _ in done) == [0, 1, 2, 3]
+        assert all(res is small[i] for i, res in done)
+        assert all(same_search(a, b) for a, b in zip(full, small))
+
+    @pytest.mark.parametrize("kind", ["linalg", "not_hpd", "non_finite"])
+    def test_failing_member_changes_no_other(self, monkeypatch, kind):
+        # member 1's far trial ridges fail; a stacked LAPACK failure takes the
+        # whole batch down, so the batch must retry its members apart
+        problems = sweep_problems((3,), "varied", (0.0, 20.0, 40.0))
+        clean = [optimize(*p) for p in problems]
+        target, real = problems[1][3], optimizer._Problems.evaluate
+        hits = []
+
+        def evaluate(self, idx, reg):
+            bad = [pos for pos, i in enumerate(idx)
+                   if self.noise_var[i] == target and np.any(reg[pos] > 1.5 * self.start[i])]
+            if bad and kind != "non_finite":
+                hits.append(len(idx))
+                raise (np.linalg.LinAlgError if kind == "linalg" else NotHpdError)("synthetic")
+            ev = real(self, idx, reg)
+            for pos in bad:
+                hits.append(len(idx))
+                ev.j[pos] = np.nan
+            return ev
+
+        monkeypatch.setattr(optimizer._Problems, "evaluate", evaluate)
+        many = optimize_many(problems)
+        assert max(hits) > 1  # it failed inside a batch
+        assert same_search(many[0], clean[0]) and same_search(many[2], clean[2])
+        assert same_search(many[1], optimize(*problems[1]))
+        assert not same_search(many[1], clean[1])
+
+    def test_failed_start_is_returned(self):
+        problems = sweep_problems((4,), "varied", (0.0, 20.0))
+        # a level where every layer SINR underflows: no ridge can be evaluated
+        dc, ch = problems[0][:2]
+        problems.insert(1, (dc, ch, 1.0, calibrate_noise(dc, 1.0, -2000.0)))
+        many = optimize_many(problems)
+        assert isinstance(many[1], NumericalError)
+        with pytest.raises(NumericalError, match="starting ridge"):
+            optimize(*problems[1])
+        assert same_search(many[0], optimize(*problems[0]))
+        assert same_search(many[2], optimize(*problems[2]))
+
+    @pytest.mark.parametrize("seed", [64, 148])
+    def test_search_without_progress_is_arzf_in_a_batch(self, seed):
+        rng = np.random.default_rng(seed)
+        dims = SystemDims(num_tx=8, rx=(3, 3), layers=(1, 1))
+        ch = ChannelSet(dims=dims, blocks=tuple(complex_normal(rng, (3, 8), 1.0) for _ in range(2)))
+        dec = decompose(ch)
+        nv = calibrate_noise(dec, 1.0, 0.0)
+        others = [(dec, ch, 1.0, calibrate_noise(dec, 1.0, su)) for su in (10.0, 30.0)]
+        cfg = OptConfig(max_iters=1, grad_tol=1e3)
+        res = optimize_many([others[0], (dec, ch, 1.0, nv), others[1]], cfg)[1]
+        assert np.array_equal(res.reg_vec, default_start(dec, 1.0, nv))
+        assert res.objective == evaluate_point(ch, dec, 1.0, 0.0, ("arzf",))["arzf"].sum_se
+
+    def test_boundary_validation(self):
+        ch, dec = make_pair(seed=1)
+        other_ch, other_dec = make_pair(seed=2, rx=(4,), layers=(2,))
+        assert optimize_many([]) == []
+        for power, nv in ((0.0, NV), (POWER, float("nan")), (float("inf"), NV)):
+            with pytest.raises(ConfigError):
+                optimize_many([(dec, ch, POWER, NV), (dec, ch, power, nv)])
+        with pytest.raises(DimensionError):
+            optimize_many([(dec, ch, POWER, NV), (other_dec, other_ch, POWER, NV)])
+        with pytest.raises(DimensionError):
+            optimize(dec, other_ch, POWER, NV)
 
 
 class TestConfigAndCsv:
