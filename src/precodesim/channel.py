@@ -67,6 +67,13 @@ SCATTER_SPREAD_BINS = 2
 # -7000 dB it underflows to zero channel blocks).
 MAX_PATH_LOSS_DB = 3000.0
 
+# Lowest target average single-user SINR, in dB.  The squared layer SINRs
+# leave the normal float range near -1540 dB: below it the sum SE of every
+# closed form drifts from its linear low-SINR trend by 1e-13 to 1e-9
+# relative, and from about -1600 dB detected powers underflow to zero
+# (seeds 0-39 of both scenario families).
+MIN_SUSINR_DB = -1500.0
+
 
 @dataclass(frozen=True)
 class SystemDims:
@@ -465,10 +472,16 @@ def calibrate_noise(decomp: ChannelDecomposition, power: float, target_susinr_db
     The single-user SINR of user k is
     ``(power / (layers_k * noise_var)) * geomean(s_k^2)`` and the
     average is the geometric mean over users; this solves that relation
-    for ``noise_var`` given the target in dB; a result that over- or
-    underflows raises :class:`ConfigError`.
+    for ``noise_var`` given the target in dB.  A target below
+    :data:`MIN_SUSINR_DB`, or a result that over- or underflows, raises
+    :class:`ConfigError`.
     """
     check_positive("power", power)
+    if not target_susinr_db >= MIN_SUSINR_DB:
+        raise ConfigError(
+            f"target SINR {target_susinr_db:g} dB is below the lowest supported "
+            f"level, {MIN_SUSINR_DB:g} dB"
+        )
     log_terms = []
     for k in range(decomp.dims.num_users):
         s_k = decomp.s_block(k)

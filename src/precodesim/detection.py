@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelDecomposition, ChannelSet
-from .exceptions import DimensionError, NotHpdError, check_positive
+from .exceptions import DimensionError, check_positive
+from .numerics import hpd_inverse
 from .precoding import Precoder
 
 __all__ = ["DetectionSet", "conjugate_detection", "mmse_stack", "mmse_detection"]
@@ -52,8 +53,9 @@ def mmse_stack(h: np.ndarray, w: np.ndarray, own: np.ndarray, noise_var):
     axis first: ``h[b]`` is one stack of user blocks, ``w[b]`` its weights
     and ``noise_var`` a scalar or one value per ``b``.  Returns
     ``eff = h @ w``, ``ah = A^H`` for the own-layer columns
-    ``A = eff[b, i][:, own[i]]``, ``m = A^H A + noise_var I`` and
-    ``g = inv(m) A^H``, the minimizer of ``||G A - I||^2 + noise_var ||G||^2``.
+    ``A = eff[b, i][:, own[i]]``, the inverse ``m_inv`` of
+    ``m = A^H A + noise_var I`` and ``g = m_inv A^H``, the minimizer of
+    ``||G A - I||^2 + noise_var ||G||^2``.
     This L x L form equals ``A^H inv(A A^H + noise_var I)``, whose rx x rx
     system is singular to working precision at low noise.  Every matrix is
     its own BLAS or LAPACK call, so batch members do not change each other's
@@ -63,11 +65,8 @@ def mmse_stack(h: np.ndarray, w: np.ndarray, own: np.ndarray, noise_var):
     ah = eff.swapaxes(-1, -2)[np.arange(nb)[:, None, None], np.arange(n)[:, None], own].conj()
     m = ah @ np.conj(ah.swapaxes(-1, -2))
     m.reshape(nb, n, -1)[..., :: m.shape[-1] + 1] += np.reshape(noise_var, (-1, 1, 1))
-    try:  # the factor only tests definiteness: numpy has no batched triangular solve
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise NotHpdError(f"MMSE system is not positive definite: {exc}") from exc
-    return eff, ah, m, np.linalg.solve(m, ah)
+    m_inv = hpd_inverse(m)
+    return eff, ah, m_inv, m_inv @ ah
 
 
 def mmse_detection(

@@ -77,18 +77,18 @@ def require_positive(ok) -> None:
 def mmse_sinr_stack(groups, w: np.ndarray, noise_var):
     """Layer SINRs ``(B, total_layers)`` under per-user MMSE detection of
     a batch of weights ``w`` (batch axis first), the stages
-    ``(eff, ah, m, g, coup, sig, den)`` of each ``(h, own)`` of ``groups``,
+    ``(eff, ah, m_inv, g, coup, sig, den)`` of each ``(h, own)`` of ``groups``,
     ``h[b]`` being the :attr:`ChannelSet.groups` stack of batch member b,
     and the :func:`sinr_terms` ``ok`` of each member over all groups."""
     sinrs = np.empty((len(w), w.shape[-1]))
     ok = np.ones(len(w), dtype=bool)
     stages = []
     for h, own in groups:
-        eff, ah, m, g = mmse_stack(h, w, own, noise_var)
+        eff, ah, m_inv, g = mmse_stack(h, w, own, noise_var)
         coup, sig, den, ok_group = sinr_terms(g, eff, own, noise_var)
         ok &= ok_group
         sinrs[:, own] = sig / den
-        stages.append((eff, ah, m, g, coup, sig, den))
+        stages.append((eff, ah, m_inv, g, coup, sig, den))
     return sinrs, stages, ok
 
 

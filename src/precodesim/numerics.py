@@ -1,15 +1,22 @@
 """Dense complex linear-algebra kernel shared by all other modules.
 
-Matrices are plain 2-D ``numpy.ndarray`` of ``complex128`` in row-major
-order.  The entry points are :func:`reduced_svd`, the Hermitian positive
-definite solve :func:`solve_hpd` (unchecked: :func:`cholesky_solve`) and
-:func:`complex_gaussian`; everything here is a pure function of its inputs.
+Matrices are ``numpy.ndarray`` of ``complex128``, 2-D or stacked along
+leading batch axes.  The entry points are :func:`reduced_svd`, the Hermitian
+positive definite solve :func:`solve_hpd`, the stacked inverse it rests on,
+:func:`hpd_inverse`, and :func:`complex_normal`; everything here is a pure
+function of its inputs.
+
+Every Hermitian positive definite system of the package (the ridges of all
+precoders, the MMSE blocks and :func:`solve_hpd`) goes through
+:func:`hpd_inverse`: a Cholesky factorization tests definiteness, then the
+inverse is formed and matrix products apply it.  Both are numpy calls that
+loop over a stack one matrix at a time, so there is one solve path, one BLAS
+library and no per-matrix Python loop.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zposv
 
 from .exceptions import DimensionError, NotHpdError, NumericalError, check_positive
 
@@ -19,8 +26,7 @@ __all__ = [
     "as_complex_matrix",
     "reduced_svd",
     "solve_hpd",
-    "cholesky_solve",
-    "complex_gaussian",
+    "hpd_inverse",
     "complex_normal",
 ]
 
@@ -111,7 +117,7 @@ def reduced_svd(m, keep: int) -> SvdResult:
 def solve_hpd(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` for Hermitian positive definite ``a``.
 
-    Uses a Cholesky factorization; a non-positive pivot raises
+    ``a`` must be finite and HPD: a failed definiteness test raises
     :class:`NotHpdError` rather than returning garbage.
     """
     a = as_complex_matrix(a, "a")
@@ -120,16 +126,21 @@ def solve_hpd(a, b) -> np.ndarray:
         raise DimensionError(f"a must be square, got {a.shape}")
     if b.shape[0] != a.shape[0]:
         raise DimensionError(f"a {a.shape} and b {b.shape} do not conform")
-    return cholesky_solve(a, b)
+    return hpd_inverse(a) @ b
 
 
-def cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`solve_hpd` without its checks, for ``complex128`` arrays
-    the caller built itself, square, conforming and finite."""
-    x, info = zposv(a, b, lower=True)[1:]
-    if info > 0:
-        raise NotHpdError(f"matrix is not positive definite (leading minor {info})")
-    return x
+def hpd_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse of each matrix of a stack ``a`` (shape ``(..., n, n)``) of
+    finite Hermitian matrices, unchecked otherwise; raises NotHpdError
+    unless every one is positive definite.  The Cholesky factor only tests
+    definiteness (numpy has no stacked triangular solve); the inverse comes
+    from LU.  Each matrix is its own LAPACK call, so a member's bits do not
+    depend on the rest of the stack."""
+    try:
+        np.linalg.cholesky(a)
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotHpdError(f"matrix is not positive definite: {exc}") from exc
 
 
 def complex_normal(rng: np.random.Generator, shape, variance: float = 1.0) -> np.ndarray:
@@ -141,12 +152,3 @@ def complex_normal(rng: np.random.Generator, shape, variance: float = 1.0) -> np
     check_positive("variance", variance)
     scale = np.sqrt(variance / 2.0)
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-
-def complex_gaussian(rng_seed: int, rows: int, cols: int, variance: float) -> np.ndarray:
-    """Seeded i.i.d. circularly symmetric complex Gaussian matrix.
-
-    Deterministic for a given seed; per-entry variance is ``variance``.
-    """
-    rng = np.random.default_rng(rng_seed)
-    return complex_normal(rng, (rows, cols), variance)

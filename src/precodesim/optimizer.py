@@ -145,8 +145,8 @@ class _Evaluation:
 
 class _Problems:
     """Per-search constants of one :func:`optimize_many` call, computed
-    once and stacked: the layer rows ``v`` and their gram ``V V^H`` and the
-    channel stacks of each user shape group, once per distinct
+    once and stacked: the layer rows ``v``, ``V^H``, the gram ``V V^H`` and
+    the channel stacks of each user shape group, once per distinct
     (decomposition, channels) pair; ``sqrt(power)``, the noise variance and
     the starting ridge once per search."""
 
@@ -163,6 +163,7 @@ class _Problems:
         self.dims = decomps[0].dims
         self.scene = np.array(scene)
         self.v = np.stack([d.v for d in decomps])
+        self.vh = np.conj(self.v.swapaxes(1, 2))
         self.gram = gram_stack(self.v)
         self.groups = [
             (np.stack([ch.groups[gi][1] for ch in channel_sets]), own)
@@ -183,7 +184,7 @@ class _Problems:
         build or MMSE system fails, or whose SINR underflows to 0, makes
         the whole batch raise."""
         at = self.scene[idx]
-        raw, gain = ridge_stack(self.gram[at], self.v[at], reg, self.sqrt_power[idx])
+        raw, gain = ridge_stack(self.gram[at], self.vh[at], reg, self.sqrt_power[idx])
         w = gain[:, None, None] * raw
         groups = [(h[at], own) for h, own in self.groups]
         sinrs, stages, ok = mmse_sinr_stack(groups, w, self.noise_var[idx])
@@ -209,7 +210,7 @@ class _Problems:
 
         w_bar = np.zeros_like(ev.raw)
         for hh, (_, own), stage in zip(self.h_adjoint, self.groups, ev.stages):
-            eff, ah, m, g, coup, sig, den = stage
+            eff, ah, m_inv, g, coup, sig, den = stage
             users = np.arange(len(own))[:, None]
             at = (bi, users, np.arange(own.shape[1]), own)
             d = dlog_sinr[:, own]
@@ -221,8 +222,8 @@ class _Problems:
             g_bar = coup_bar @ np.conj(eff.swapaxes(-1, -2))
             g_bar += 2.0 * nv * den_bar[..., None] * g
             eff_bar = gh @ coup_bar
-            # g = inv(m) ah and m = ah ah^H + noise_var I
-            ah_bar = np.linalg.solve(m, g_bar)
+            # g = m_inv ah with m_inv = inv(ah ah^H + noise_var I), Hermitian
+            ah_bar = m_inv @ g_bar
             m_bar = -ah_bar @ gh
             ah_bar += (m_bar + np.conj(m_bar.swapaxes(-1, -2))) @ ah
             eff_bar[bi, users, :, own] += ah_bar.conj()

@@ -19,11 +19,12 @@ from .exceptions import (
     ConfigError,
     DimensionError,
     NotHpdError,
+    NumericalError,
     SingularGramError,
     ZeroMatrixError,
     check_positive,
 )
-from .numerics import cholesky_solve, solve_hpd
+from .numerics import hpd_inverse
 
 __all__ = [
     "Precoder",
@@ -78,20 +79,26 @@ def _scaled(raw: np.ndarray, power: float, method: str) -> Precoder:
     return Precoder(raw=raw, gain=normalize(raw, power), method=method)
 
 
+def _ridge_inverse(gram: np.ndarray) -> np.ndarray:
+    """:func:`hpd_inverse` of a ridged gram (stack), whose failure means
+    dependent basis rows."""
+    try:
+        return hpd_inverse(gram)
+    except NotHpdError as exc:
+        raise SingularGramError("precoding basis has numerically dependent rows") from exc
+
+
 def _ridge_solve(basis: np.ndarray, reg_diag) -> np.ndarray:
-    """``basis^H @ inv(basis basis^H + diag(reg_diag))``, checked, since
-    the gram of an ``f`` basis can overflow; ``None``: no ridge."""
+    """``basis^H @ inv(basis basis^H + diag(reg_diag))``; ``None``: no
+    ridge.  The gram of an ``f`` basis can overflow, and a finite gram
+    implies a finite basis, so only the gram is checked."""
     gram = basis @ basis.conj().T
     if reg_diag is not None:
         idx = np.arange(gram.shape[0])
         gram[idx, idx] += reg_diag
-    try:
-        x = solve_hpd(gram, basis)
-    except NotHpdError as exc:
-        raise SingularGramError(
-            "precoding basis has numerically dependent rows"
-        ) from exc
-    return x.conj().T
+    if not np.isfinite(gram).all():
+        raise NumericalError("gram of the precoding basis contains non-finite entries")
+    return basis.conj().T @ _ridge_inverse(gram)
 
 
 def _basis(decomp: ChannelDecomposition, which: str) -> np.ndarray:
@@ -168,24 +175,19 @@ def gram_stack(v: np.ndarray) -> np.ndarray:
     return v @ np.conj(v.swapaxes(-1, -2))
 
 
-def ridge_stack(gram: np.ndarray, v: np.ndarray, reg: np.ndarray, sqrt_power: np.ndarray):
-    """Raw weights ``v[b]^H inv(gram[b] + diag(reg[b]))`` of a stack of
-    per-layer ridges, with ``gram`` from :func:`gram_stack`, and the gains
-    that fit each to its power budget (``sqrt_power[b]`` squared) as
-    :func:`normalize` does.  The inputs are trusted: finite, ``reg >= 0``
-    and ``sqrt_power > 0``.  Each ridge is its own LAPACK solve, so one
-    matrix's result does not depend on the others in the stack."""
-    lt, num_tx = v.shape[-2:]
+def ridge_stack(gram: np.ndarray, vh: np.ndarray, reg: np.ndarray, sqrt_power: np.ndarray):
+    """Raw weights ``vh[b] inv(gram[b] + diag(reg[b]))`` of a stack of
+    per-layer ridges, with ``gram`` from :func:`gram_stack` of the layer
+    rows ``v`` and ``vh = v^H``, and the gains that fit each to its power
+    budget (``sqrt_power[b]`` squared) as :func:`normalize` does.  The
+    inputs are trusted: finite, ``reg >= 0`` and ``sqrt_power > 0``.  Each
+    matrix is its own LAPACK or BLAS call, so one member's result does not
+    depend on the others in the stack."""
     k = gram.copy()
-    idx = np.arange(lt)
+    idx = np.arange(k.shape[-1])
     k[:, idx, idx] += reg
-    raw = np.empty((len(v), num_tx, lt), dtype=complex)
-    for b in range(len(v)):
-        try:
-            raw[b] = cholesky_solve(k[b], v[b]).conj().T
-        except NotHpdError as exc:
-            raise SingularGramError("precoding basis has numerically dependent rows") from exc
-    denom = np.linalg.norm(raw, axis=-1).max(axis=-1) * np.sqrt(num_tx)
+    raw = vh @ _ridge_inverse(k)
+    denom = np.linalg.norm(raw, axis=-1).max(axis=-1) * np.sqrt(vh.shape[-2])
     if np.any(denom == 0):
         raise ZeroMatrixError("cannot normalize an all-zero precoder")
     return raw, sqrt_power / denom
@@ -201,7 +203,7 @@ def parametric_rzf(decomp: ChannelDecomposition, reg_vec, power: float) -> Preco
     reg_vec = check_reg(reg_vec, decomp.dims.total_layers)
     check_positive("power", power)
     v = decomp.v[None]
-    raw, gain = ridge_stack(gram_stack(v), v, reg_vec[None], np.sqrt([power]))
+    raw, gain = ridge_stack(gram_stack(v), np.conj(v.swapaxes(1, 2)), reg_vec[None], np.sqrt([power]))
     return Precoder(raw=raw[0], gain=gain[0], method="parametric_rzf")
 
 

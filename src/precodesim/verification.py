@@ -9,7 +9,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .channel import ChannelDecomposition, ChannelSet, SystemDims, decompose
 from .detection import conjugate_detection
@@ -161,7 +160,10 @@ def check_noise_shaping(seed=404, draws=100_000, tol=0.03, time_limit=10.0):
     start = time.monotonic()
     rng = np.random.default_rng(seed)
     ch, dec = _instance(rng, TWO_USERS)
-    g = block_diag(*conjugate_detection(dec).blocks)
+    g = np.zeros((ch.dims.total_layers, ch.dims.total_rx), dtype=complex)
+    cols = np.cumsum((0,) + ch.dims.rx)
+    for k, b in enumerate(conjugate_detection(dec).blocks):
+        g[ch.dims.layer_slice(k), cols[k]:cols[k + 1]] = b
     nv = 0.7
     z = complex_normal(rng, (draws, ch.dims.total_rx), nv) @ g.T
     emp = z.T @ z.conj() / draws

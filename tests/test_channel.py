@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from precodesim.channel import (
+    MIN_SUSINR_DB,
     SHARED_PATH_WEIGHT,
     ChannelDecomposition,
     ChannelSet,
@@ -25,7 +26,8 @@ from precodesim.exceptions import (
     SelectionError,
 )
 from precodesim.metrics import av_susinr
-from precodesim.numerics import complex_gaussian, complex_normal, reduced_svd
+from precodesim.numerics import complex_normal, reduced_svd
+from helpers import complex_gaussian
 
 
 def small_channels(seed=0, rx=(4, 3), layers=(2, 1), num_tx=8):
@@ -390,6 +392,11 @@ class TestCalibrateNoise:
         for target_db in (4000.0, -4000.0, float("-inf"), float("nan")):
             with pytest.raises(ConfigError):
                 calibrate_noise(dec, 1.0, target_db)
+        # below the lowest level, whose squared SINRs stay normal floats
+        for target_db in (-1500.5, -1700.0):
+            with pytest.raises(ConfigError, match=f"{target_db:g} dB"):
+                calibrate_noise(dec, 1.0, target_db)
+        assert calibrate_noise(dec, 1.0, MIN_SUSINR_DB) > 0
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -1,13 +1,30 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import precodesim
+from precodesim.channel import MIN_SUSINR_DB
 from precodesim.cli import main, parse_susinr
-from precodesim.harness import SweepConfig
+from precodesim.harness import METHODS, SweepConfig
 from precodesim.verification import run_all
+
+SRC = str(Path(precodesim.__file__).resolve().parent.parent)
+
+
+def run_child(args, **env):
+    """``python <args>`` in a fresh interpreter that imports this source
+    tree, with ``env`` added to the environment."""
+    child_env = dict(os.environ, **env)
+    child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=child_env, capture_output=True,
+                          text=True, timeout=300)
 
 
 class TestParseSusinr:
@@ -108,6 +125,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("flag", [
         "--susinr=4000", "--susinr=-4000", "--susinr=-inf", "--susinr=nan",
+        "--susinr=-1700", "--susinr=-3000",
         "--power=nan", "--power=inf", "--power=0", "--seed-base=-5",
     ])
     def test_bad_numeric_input_exits_2(self, tmp_path, capsys, flag):
@@ -137,15 +155,42 @@ class TestRunCommand:
         for level in ("200", "300", "1000"):
             assert float(rows[(level, "opt")]["avg_sum_se"]) >= float(rows[(level, "arzf")]["avg_sum_se"])
 
-    def test_underflowing_layer_sinr_exits_2(self, tmp_path, capsys):
-        # at -2000 dB the detected signal and interference underflow to 0,
-        # which must fail the seed instead of writing a 0/0 row
+    def test_underflowing_layer_sinr_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a 6000 dB path-loss spread underflows the weak users' detected
+        # signal and interference to 0 at the lowest level, which must fail
+        # the seed instead of writing a 0/0 row
+        real = SweepConfig.scenario_config
+        monkeypatch.setattr(SweepConfig, "scenario_config", lambda self, seed: replace(
+            real(self, seed), path_loss_range_db=(-3000.0, 3000.0)))
         out = tmp_path / "low.csv"
-        assert main(["run", "--susinr=-2000", "--seeds", "2", "--methods", "mrt",
-                     "--out", str(out)]) == 2
+        assert main(["run", "--scenario", "varied", "--susinr", f"{MIN_SUSINR_DB:g}",
+                     "--seeds", "2", "--methods", "mrt", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "ZeroSinrError" in err
         assert not out.exists() or "nan" not in out.read_text()
+
+    def test_lowest_level_runs_without_warnings(self, tmp_path):
+        out = tmp_path / "lowest.csv"
+        proc = run_child(["-W", "error::RuntimeWarning", "-m", "precodesim", "run",
+                          "--susinr", f"{MIN_SUSINR_DB:g}", "--seeds", "2", "--quiet",
+                          "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        rows = list(csv.DictReader(out.open()))
+        assert [r["method"] for r in rows] == list(METHODS)
+        for r in rows:
+            assert r["seeds"] == "2"
+            assert 0.0 < float(r["avg_min_se"]) <= float(r["avg_sum_se"]) < math.inf
+
+    def test_csv_independent_of_blas_threads(self):
+        args = ["-m", "precodesim", "run", "--methods", "arzf,opt", "--susinr", "0,20,40",
+                "--seeds", "2", "--quiet"]
+        outs = []
+        for threads in ("1", "2"):
+            proc = run_child(args, OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0].count("\n") == 7
+        assert outs[0] == outs[1]
 
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/nonexistent/x.json", "--quiet"]) == 2
@@ -158,6 +203,13 @@ class TestRunCommand:
         ]) == 0
         err = capsys.readouterr().err
         assert "seed 1/2" in err and "seed 2/2" in err
+
+
+class TestRuntimeDependencies:
+    def test_cli_import_loads_no_scipy(self):
+        proc = run_child(["-c", "import sys, precodesim.cli; "
+                                "assert 'scipy' not in sys.modules, sorted(sys.modules)"])
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestVerifyCommand:

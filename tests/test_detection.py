@@ -7,7 +7,8 @@ from precodesim.channel import ChannelSet, SystemDims, decompose
 from precodesim.detection import DetectionSet, conjugate_detection, mmse_detection
 from precodesim.exceptions import ConfigError
 from precodesim.metrics import layer_sinr
-from precodesim.numerics import complex_gaussian, complex_normal
+from precodesim.numerics import complex_normal
+from helpers import complex_gaussian
 from precodesim.precoding import arzf, rzf
 
 

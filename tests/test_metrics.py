@@ -21,7 +21,7 @@ from precodesim.metrics import (
     report,
     user_se,
 )
-from precodesim.numerics import complex_gaussian
+from helpers import complex_gaussian
 from precodesim.precoding import arzf, mrt, rzf
 
 

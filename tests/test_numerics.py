@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from precodesim.exceptions import DimensionError, NotHpdError, NumericalError
 from precodesim.numerics import (
     SvdResult,
     as_complex_matrix,
-    complex_gaussian,
     complex_normal,
+    hpd_inverse,
     reduced_svd,
     solve_hpd,
 )
+from helpers import complex_gaussian
 
 
 def gram_eig_rank_k(m, keep):
@@ -124,6 +127,53 @@ class TestSolveHpd:
             solve_hpd(np.eye(3), np.eye(2))
         with pytest.raises(DimensionError):
             solve_hpd(np.ones((2, 3)), np.ones((2, 1)))
+
+
+def hpd_stack(rng, nb, n, cond):
+    """``nb`` Hermitian positive definite ``n x n`` matrices with
+    eigenvalues spread geometrically over ``cond`` and random scale."""
+    q, _ = np.linalg.qr(complex_normal(rng, (nb, n, n)))
+    eig = np.geomspace(1.0, cond, n) * 10.0 ** rng.uniform(-3, 3, (nb, 1))
+    a = (q * eig[:, None, :]) @ np.conj(q.swapaxes(-1, -2))
+    return (a + np.conj(a.swapaxes(-1, -2))) / 2
+
+
+class TestHpdInverse:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 64),
+           st.floats(0.0, 8.0), st.integers(0, 2**32 - 1))
+    def test_stack_matches_solve_oracle(self, nb, n, k, log_cond, seed):
+        rng = np.random.default_rng(seed)
+        a = hpd_stack(rng, nb, n, 10.0**log_cond)
+        b = complex_normal(rng, (nb, n, k))
+        x = hpd_inverse(a) @ b
+        want = np.linalg.solve(a, b)
+        rel = np.linalg.norm(x - want, axis=(-2, -1)) / np.linalg.norm(want, axis=(-2, -1))
+        assert rel.max() <= 1e-10
+
+    def test_member_alone_equals_member_in_stack(self):
+        rng = np.random.default_rng(7)
+        a = hpd_stack(rng, 6, 8, 1e4)
+        b = complex_normal(rng, (6, 64, 8))
+        inv = hpd_inverse(a)
+        for i in range(len(a)):
+            alone = hpd_inverse(a[i])
+            assert np.array_equal(inv[i], alone)
+            assert np.array_equal(hpd_inverse(a[i:i + 1])[0], alone)
+            assert np.array_equal((b @ inv)[i], b[i] @ alone)
+
+    @pytest.mark.parametrize("bad", [
+        np.diag([1.0, -1.0]),                  # indefinite
+        np.array([[1.0, 1.0], [1.0, 1.0]]),    # singular
+        np.zeros((2, 2)),
+    ])
+    def test_member_not_hpd_raises(self, bad):
+        a = hpd_stack(np.random.default_rng(3), 5, 2, 10.0)
+        a[2] = bad
+        with pytest.raises(NotHpdError):
+            hpd_inverse(a)
+        with pytest.raises(NotHpdError):
+            hpd_inverse(a[2])
 
 
 class TestComplexGaussian:

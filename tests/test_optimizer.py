@@ -16,7 +16,8 @@ from precodesim.detection import mmse_detection
 from precodesim.exceptions import ConfigError, DimensionError, NotHpdError, NumericalError
 from precodesim.metrics import report
 from precodesim.harness import evaluate_point
-from precodesim.numerics import complex_gaussian, complex_normal
+from precodesim.numerics import complex_normal
+from helpers import complex_gaussian
 from precodesim.optimizer import (
     _PROGRESS_TOL,
     _WINDOW,
@@ -315,9 +316,10 @@ class TestOptimizeMany:
 
     def test_failed_start_is_returned(self):
         problems = sweep_problems((4,), "varied", (0.0, 20.0))
-        # a level where every layer SINR underflows: no ridge can be evaluated
+        # the noise of a -2000 dB level, below the lowest one calibrate_noise
+        # accepts: every layer SINR underflows and no ridge can be evaluated
         dc, ch = problems[0][:2]
-        problems.insert(1, (dc, ch, 1.0, calibrate_noise(dc, 1.0, -2000.0)))
+        problems.insert(1, (dc, ch, 1.0, calibrate_noise(dc, 1.0, -1500.0) * 1e50))
         many = optimize_many(problems)
         assert isinstance(many[1], NumericalError)
         with pytest.raises(NumericalError, match="starting ridge"):

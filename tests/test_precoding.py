@@ -16,7 +16,7 @@ from precodesim.exceptions import (
     SingularGramError,
     ZeroMatrixError,
 )
-from precodesim.numerics import complex_gaussian
+from helpers import complex_gaussian
 from precodesim.precoding import (
     Precoder,
     arzf,
