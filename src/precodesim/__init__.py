@@ -48,7 +48,7 @@ from .metrics import (
     report,
     user_se,
 )
-from .numerics import SvdResult, reduced_svd, solve_hpd
+from .numerics import SvdResult, reduced_svd
 from .optimizer import (
     OptConfig,
     OptResult,

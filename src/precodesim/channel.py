@@ -149,11 +149,6 @@ class ChannelSet:
             if b.shape != want:
                 raise DimensionError(f"blocks[{k}] shape {b.shape} != {want}")
 
-    @property
-    def stacked(self) -> np.ndarray:
-        """All user blocks stacked into one (total_rx, num_tx) matrix."""
-        return np.vstack(self.blocks)
-
     @cached_property
     def groups(self) -> tuple:
         """``(users, h, own)`` per distinct ``(rx_k, layers_k)``, in order of
@@ -224,19 +219,6 @@ class ChannelDecomposition:
 
     def s_block(self, k: int) -> np.ndarray:
         return self.s[self.dims.layer_slice(k)]
-
-    def v_block(self, k: int) -> np.ndarray:
-        return self.v[self.dims.layer_slice(k)]
-
-    @property
-    def c_matrix(self) -> np.ndarray:
-        """Cross-user correlation matrix ``V V^H - I``.
-
-        Zero diagonal blocks within each user; off-diagonal blocks
-        measure leakage between users' layer subspaces.
-        """
-        lt = self.dims.total_layers
-        return self.v @ self.v.conj().T - np.eye(lt)
 
 
 def decompose(channels: ChannelSet) -> ChannelDecomposition:

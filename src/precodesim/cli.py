@@ -11,6 +11,7 @@ arguments or a runtime failure.
 import argparse
 import json
 import math
+import reprlib
 import sys
 
 from .exceptions import PrecodesimError
@@ -26,43 +27,68 @@ from .verification import run_all
 
 __all__ = ["main", "parse_susinr"]
 
-# Most levels a ``start:stop:step`` grid may span, checked before it is built.
+# Most levels a SINR grid may hold; a ``start:stop:step`` range is also
+# checked against it before it is built.
 MAX_SUSINR_LEVELS = 1000
 
-_RUN_DEFAULTS = {
-    "scenario": "varied",
-    "susinr": "0:40:4",
-    "seeds": 40,
-    "seed_base": 0,
-    "power": 1.0,
-    "methods": ",".join(METHODS),
-    "skip_opt": False,
-    "out": None,
-    "plotdata": None,
-}
+
+def _expect(value, *types):
+    """``value`` if its type is one of ``types``; a bool is no number."""
+    if type(value) not in types:
+        names = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"expected {names}, got {type(value).__name__}")
+    return value
 
 
-def parse_susinr(text):
-    """Grid text: ``start:stop:step`` (stop inclusive), a comma list,
-    or a single value, all in dB, every part finite."""
-    text = str(text).strip()
-    range_form = ":" in text
-    parts = text.split(":") if range_form else [p for p in text.split(",") if p.strip()]
-    values = tuple(float(p) for p in parts)
+def parse_susinr(spec):
+    """SINR grid in dB from grid text, ``start:stop:step`` (stop
+    inclusive), a comma list or a single value, or from a list of numbers.
+    Every level is finite and there are at most ``MAX_SUSINR_LEVELS``."""
+    if type(spec) is list:
+        values = tuple(float(_expect(v, int, float)) for v in spec)
+    else:
+        text = _expect(spec, str).strip()
+        range_form = ":" in text
+        parts = text.split(":") if range_form else [p for p in text.split(",") if p.strip()]
+        values = tuple(float(p) for p in parts)
+        if range_form:
+            if len(values) != 3:
+                raise ValueError(f"expected start:stop:step, got {text!r}")
+            start, stop, step = values
+            if not (step > 0 and stop >= start):
+                raise ValueError(f"bad grid text {text!r}")
+            steps = (stop - start) / step
+            if not steps + 1 <= MAX_SUSINR_LEVELS:
+                raise ValueError(f"grid text {text!r} spans more than {MAX_SUSINR_LEVELS} levels")
+            grid = (start + i * step for i in range(int(round(steps)) + 1))
+            values = tuple(g for g in grid if g <= stop + 1e-9)
+    if len(values) > MAX_SUSINR_LEVELS:
+        raise ValueError(f"grid has {len(values)} levels, more than {MAX_SUSINR_LEVELS}")
     if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"grid text {text!r} has a non-finite part")
-    if not range_form:
-        return values
-    if len(values) != 3:
-        raise ValueError(f"expected start:stop:step, got {text!r}")
-    start, stop, step = values
-    if step <= 0 or stop < start:
-        raise ValueError(f"bad grid text {text!r}")
-    steps = (stop - start) / step
-    if steps + 1 > MAX_SUSINR_LEVELS:
-        raise ValueError(f"grid text {text!r} spans more than {MAX_SUSINR_LEVELS} levels")
-    grid = tuple(start + i * step for i in range(int(round(steps)) + 1))
-    return tuple(g for g in grid if g <= stop + 1e-9)
+        raise ValueError("grid has a non-finite level")
+    return values
+
+
+def _method_list(value):
+    """Method tokens from comma text or a list."""
+    parts = _expect(value, str, list)
+    if isinstance(parts, str):
+        parts = parts.split(",")
+    return tuple(t for t in (_expect(p, str).strip() for p in parts) if t)
+
+
+# key -> (default, conversion of the flag's text or the config file's value)
+_RUN_OPTIONS = {
+    "scenario": ("varied", lambda v: _expect(v, str)),
+    "susinr": ("0:40:4", parse_susinr),
+    "seeds": (40, lambda v: int(_expect(v, int, str))),
+    "seed_base": (0, lambda v: int(_expect(v, int, str))),
+    "power": (1.0, lambda v: float(_expect(v, int, float, str))),
+    "methods": (",".join(METHODS), _method_list),
+    "skip_opt": (False, lambda v: _expect(v, bool)),
+    "out": (None, lambda v: _expect(v, str, type(None))),
+    "plotdata": (None, lambda v: _expect(v, str, type(None))),
+}
 
 
 def _build_parser():
@@ -73,11 +99,11 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run a sweep and emit CSV")
-    run_p.add_argument("--scenario", choices=("equal", "varied"))
+    run_p.add_argument("--scenario", help="equal or varied path loss")
     run_p.add_argument("--susinr", help="grid: start:stop:step or comma list, dB")
-    run_p.add_argument("--seeds", type=int, help="number of channel realizations")
-    run_p.add_argument("--seed-base", type=int, dest="seed_base")
-    run_p.add_argument("--power", type=float, help="transmit power budget")
+    run_p.add_argument("--seeds", help="number of channel realizations")
+    run_p.add_argument("--seed-base", dest="seed_base")
+    run_p.add_argument("--power", help="transmit power budget")
     run_p.add_argument("--methods", help=f"comma list from {','.join(METHODS)}")
     run_p.add_argument("--skip-opt", action="store_true", default=None, dest="skip_opt",
                        help="drop the searched-ridge method from the run")
@@ -92,42 +118,41 @@ def _build_parser():
 
 
 def _resolve_run_options(args):
-    options = dict(_RUN_DEFAULTS)
+    """Each run option from its flag, else the config file, else its
+    default, through the key's one conversion; a value that does not
+    convert raises ValueError naming the key."""
+    raw = {key: default for key, (default, _) in _RUN_OPTIONS.items()}
     if args.config:
         with open(args.config) as f:
             loaded = json.load(f)
-        unknown = set(loaded) - set(_RUN_DEFAULTS)
+        if not isinstance(loaded, dict):
+            raise ValueError("config file must hold a JSON object")
+        unknown = set(loaded) - set(raw)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        options.update(loaded)
-    for key in _RUN_DEFAULTS:
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            options[key] = cli_val
-    methods = options["methods"]
-    if isinstance(methods, str):
-        methods = tuple(m.strip() for m in methods.split(",") if m.strip())
-    else:
-        methods = tuple(methods)
+        raw.update(loaded)
+    options = {}
+    for key, (_, convert) in _RUN_OPTIONS.items():
+        value = getattr(args, key)
+        value = raw[key] if value is None else value
+        try:
+            options[key] = convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad {key} {reprlib.repr(value)}: {exc}") from None
     if options["skip_opt"]:
-        methods = tuple(m for m in methods if m != "opt")
-    susinr = options["susinr"]
-    if isinstance(susinr, str):
-        susinr = parse_susinr(susinr)
-    else:
-        susinr = tuple(float(x) for x in susinr)
-    return options, methods, susinr
+        options["methods"] = tuple(m for m in options["methods"] if m != "opt")
+    return options
 
 
 def _cmd_run(args):
-    options, methods, susinr = _resolve_run_options(args)
+    options = _resolve_run_options(args)
     config = SweepConfig(
         scenario=options["scenario"],
-        susinr_db=susinr,
-        num_seeds=int(options["seeds"]),
-        seed_base=int(options["seed_base"]),
-        power=float(options["power"]),
-        methods=methods,
+        susinr_db=options["susinr"],
+        num_seeds=options["seeds"],
+        seed_base=options["seed_base"],
+        power=options["power"],
+        methods=options["methods"],
     )
 
     progress = None

@@ -1,15 +1,14 @@
 """Dense complex linear-algebra kernel shared by all other modules.
 
 Matrices are ``numpy.ndarray`` of ``complex128``, 2-D or stacked along
-leading batch axes.  The entry points are :func:`reduced_svd`, the Hermitian
-positive definite solve :func:`solve_hpd`, the stacked inverse it rests on,
-:func:`hpd_inverse`, and :func:`complex_normal`; everything here is a pure
-function of its inputs.
+leading batch axes.  The entry points are :func:`reduced_svd`, the stacked
+Hermitian positive definite inverse :func:`hpd_inverse` and
+:func:`complex_normal`; everything here is a pure function of its inputs.
 
 Every Hermitian positive definite system of the package (the ridges of all
-precoders, the MMSE blocks and :func:`solve_hpd`) goes through
-:func:`hpd_inverse`: a Cholesky factorization tests definiteness, then the
-inverse is formed and matrix products apply it.  Both are numpy calls that
+precoders and the MMSE blocks) goes through :func:`hpd_inverse`: a Cholesky
+factorization tests definiteness, then the inverse is formed and matrix
+products apply it.  Both are numpy calls that
 loop over a stack one matrix at a time, so there is one solve path, one BLAS
 library and no per-matrix Python loop.
 """
@@ -25,7 +24,6 @@ __all__ = [
     "SvdResult",
     "as_complex_matrix",
     "reduced_svd",
-    "solve_hpd",
     "hpd_inverse",
     "complex_normal",
 ]
@@ -63,10 +61,6 @@ class SvdResult:
     u: np.ndarray
     s: np.ndarray
     v: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        """Return ``u^H @ diag(s) @ v`` (thin reconstruction)."""
-        return self.u.conj().T @ (self.s[:, None] * self.v)
 
 
 def reduced_svd(m, keep: int) -> SvdResult:
@@ -112,21 +106,6 @@ def reduced_svd(m, keep: int) -> SvdResult:
         v[i] *= np.conj(phase)
         u[:, i] *= phase
     return SvdResult(u=u.conj().T, s=s, v=v)
-
-
-def solve_hpd(a, b) -> np.ndarray:
-    """Solve ``a @ x = b`` for Hermitian positive definite ``a``.
-
-    ``a`` must be finite and HPD: a failed definiteness test raises
-    :class:`NotHpdError` rather than returning garbage.
-    """
-    a = as_complex_matrix(a, "a")
-    b = as_complex_matrix(b, "b")
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"a must be square, got {a.shape}")
-    if b.shape[0] != a.shape[0]:
-        raise DimensionError(f"a {a.shape} and b {b.shape} do not conform")
-    return hpd_inverse(a) @ b
 
 
 def hpd_inverse(a: np.ndarray) -> np.ndarray:

@@ -17,7 +17,9 @@ ridge goes through one batched evaluation and every accepted trial
 through one batched adjoint.  Each matrix of a batch is its own BLAS or
 LAPACK call and every reduction runs over a contiguous trailing axis, so
 a search's bits do not depend on its batch companions, and
-:func:`optimize` is a batch of one.
+:func:`optimize` is a batch of one.  A member whose kernel raises fails
+the whole stacked call, so such a round evaluates each member alone once
+and the survivors together again.
 """
 
 from collections import deque
@@ -293,20 +295,12 @@ def _two_loop(grad_phi, pairs):
     return -q
 
 
-# what a search asks of the driver
-_EVAL, _GRAD = "evaluate", "adjoint"
-
-
 def _search(reg, config):
-    """One search as a coroutine.  It yields ``(_EVAL, ridge)`` and is sent
-    ``(objective, handle)``, or ``None`` for a ridge that cannot be
-    evaluated; for an accepted ridge it yields ``(_GRAD, handle)`` in the
-    same round and is sent its gradient, most-loaded antenna and precoder.
-    It returns the :class:`OptResult`."""
-
-    def evaluated(reg):
-        # a ridge that overflowed exp is rejected without a kernel call
-        return (yield _EVAL, reg) if np.all(np.isfinite(reg)) else None
+    """One search as a coroutine.  It yields ``(ridge, bound)`` and is sent
+    ``None`` if the trial is rejected, or ``(objective, gradient,
+    most-loaded antenna, precoder)`` if it is accepted: its objective ``j``
+    is finite and ``-j <= bound``.  The start's bound is ``inf``.  It
+    returns the :class:`OptResult`."""
 
     def search(u_base, j_base, direction, slope):
         alpha = config.init_step
@@ -314,9 +308,9 @@ def _search(reg, config):
             cand = u_base + alpha * direction
             with np.errstate(over="ignore"):
                 reg_try = np.exp(cand)
-            ev = yield from evaluated(reg_try)
-            if ev is not None and -ev[0] <= -j_base + config.armijo_c1 * alpha * slope:
-                return cand, reg_try, ev, alpha
+            got = yield reg_try, -j_base + config.armijo_c1 * alpha * slope
+            if got is not None:
+                return cand, reg_try, got, alpha
             alpha *= config.backtrack
         return None
 
@@ -324,11 +318,11 @@ def _search(reg, config):
     # the start (and a search that never moves) is exactly the arzf ridge,
     # and accepted ridge entries that underflow to zero stay differentiable
     u = np.log(reg)
-    ev = yield from evaluated(reg)
-    if ev is None:
+    got = yield reg, np.inf
+    if got is None:
         raise NumericalError("objective undefined at the starting ridge")
-    j_cur = j_start = ev[0]
-    g, top, pre = yield _GRAD, ev[1]
+    j_cur, g, top, pre = got
+    j_start = j_cur
     gnorm = float(np.abs(g).max())
     traj = [(0, j_cur, gnorm, 0.0)]
     pairs = deque(maxlen=config.memory)
@@ -358,16 +352,15 @@ def _search(reg, config):
         if found is None:
             reason = "line search failed to find an acceptable step"
             break
-        u_new, reg, ev, alpha = found
+        u_new, reg, (j_cur, g_new, top, pre), alpha = found
 
-        g_new, top, pre = yield _GRAD, ev[1]
         s = u_new - u
         yv = (-g_new) - (-g)
         sy = float(s @ yv)
         if sy > 1e-12:
             pairs.append((s, yv, 1.0 / sy))
 
-        u, j_cur, g = u_new, ev[0], g_new
+        u, g = u_new, g_new
         gnorm = float(np.abs(g).max())
         accepted += 1
         traj.append((accepted, j_cur, gnorm, alpha))
@@ -386,54 +379,41 @@ def _search(reg, config):
     )
 
 
-def _evaluate_parts(problems, idx, regs):
-    """``(evaluation, position)`` per trial ridge, or None where the kernel
-    raises.  One member's failure fails a stacked LAPACK call for the whole
-    batch, so a failing batch is split in halves until each failing member
-    stands alone; batch independence gives the others the same bits."""
+def _try_evaluate(problems, idx, regs):
+    """:meth:`_Problems.evaluate`, or None where the kernel raises."""
     try:
-        ev = problems.evaluate(idx, regs)
+        return problems.evaluate(idx, regs)
     except (PrecodesimError, np.linalg.LinAlgError):
-        ev = None  # recurse outside the handler, which holds the failed batch's frames
-    if ev is not None:
-        return [(ev, pos) for pos in range(len(idx))]
-    if len(idx) == 1:
-        return [None]
-    half = len(idx) // 2
-    return (_evaluate_parts(problems, idx[:half], regs[:half])
-            + _evaluate_parts(problems, idx[half:], regs[half:]))
+        return None
 
 
-def _evaluate_trials(problems, idx, regs):
-    """``(objective, k)`` per trial ridge ``k``, or None where the kernel
-    fails or is not finite there, and the ``(evaluation, position)`` of
-    each trial ``k`` for :func:`_adjoints`.  Trial points may produce
-    degenerate systems; that just means "reject this step"."""
-    out, where = [None] * len(idx), {}
+def _round(problems, idx, requests):
+    """The answer to each search ``idx[k]``'s request ``(ridge, bound)``:
+    one batched evaluation of every trial ridge, then one batched adjoint
+    of the accepted ones.  Trial points may produce degenerate systems;
+    that just means "reject this step".  One member's failure fails a
+    stacked LAPACK call for the whole batch, so a failing batch has each
+    member evaluated alone and the survivors evaluated again together;
+    batch independence gives them the same bits."""
+    idx = np.array(idx)
+    regs = np.stack([reg for reg, _ in requests])
+    keep = list(range(len(idx)))
     with np.errstate(all="ignore"):
-        parts = _evaluate_parts(problems, np.array(idx), np.stack(regs))
-    for k, part in enumerate(parts):
-        if part is not None and np.isfinite(part[0].j[part[1]]):
-            out[k], where[k] = (float(part[0].j[part[1]]), k), part
-    return out, where
-
-
-def _adjoints(problems, handles):
-    """``(gradient, most-loaded antenna, precoder)`` per evaluated
-    ``(evaluation, position)`` handle, one batched adjoint per evaluation."""
-    out = [None] * len(handles)
-    by_eval = {}
-    for k, (ev, pos) in enumerate(handles):
-        _, ks, sel = by_eval.setdefault(id(ev), (ev, [], []))
-        ks.append(k)
-        sel.append(pos)
-    for ev, ks, sel in by_eval.values():
+        ev = _try_evaluate(problems, idx, regs)
+        if ev is None:
+            keep = [k for k in keep if _try_evaluate(problems, idx[[k]], regs[[k]]) is not None]
+            ev = problems.evaluate(idx[keep], regs[keep]) if keep else None
+    answers = [None] * len(idx)
+    if ev is None:
+        return answers
+    sel = [b for b, k in enumerate(keep) if np.isfinite(ev.j[b]) and -ev.j[b] <= requests[k][1]]
+    if sel:
         sub = ev.take(sel)
         g, top = problems.adjoint(sub)
-        for b, k in enumerate(ks):
+        for b, pos in enumerate(sel):
             pre = Precoder(raw=sub.raw[b].copy(), gain=sub.gain[b], method="parametric_rzf")
-            out[k] = (g[b], int(top[b]), pre)
-    return out
+            answers[keep[pos]] = (float(sub.j[b]), g[b], int(top[b]), pre)
+    return answers
 
 
 def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
@@ -457,12 +437,16 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
     stack = _Problems(problems)
     searches = [_search(r, config) for r in stack.start]
     results = [None] * len(searches)
-    pending = {}
+    pending, answers = {}, {}
     unstarted = iter(range(len(searches)))
 
     def advance(i, answer):
         try:
-            pending[i] = searches[i].send(answer)
+            request = searches[i].send(answer)
+            while not np.all(np.isfinite(request[0])):
+                # a ridge that overflowed exp is rejected without a kernel call
+                request = searches[i].send(None)
+            pending[i] = request
             return
         except StopIteration as stop:
             results[i] = stop.value
@@ -472,24 +456,17 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
         if done is not None:
             done(i, results[i])
 
-    def top_up():
+    while True:
+        for i, answer in answers.items():
+            advance(i, answer)
         # at most _BATCH searches run at once, which bounds the kernel's
         # working set; a finished search makes room for the next
         for i in islice(unstarted, _BATCH - len(pending)):
             advance(i, None)
-
-    top_up()
-    while pending:
-        # every pending request is a trial ridge here
+        if not pending:
+            return results
         idx = sorted(pending)
-        answers, where = _evaluate_trials(stack, idx, [pending[i][1] for i in idx])
-        for i, ans in zip(idx, answers):
-            advance(i, ans)
-        idx = [i for i in idx if i in pending and pending[i][0] == _GRAD]
-        for i, ans in zip(idx, _adjoints(stack, [where[pending[i][1]] for i in idx])):
-            advance(i, ans)
-        top_up()
-    return results
+        answers = dict(zip(idx, _round(stack, idx, [pending[i] for i in idx])))
 
 
 def optimize(

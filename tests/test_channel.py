@@ -60,13 +60,6 @@ class TestSystemDims:
 
 
 class TestChannelSet:
-    def test_stacked(self):
-        ch = small_channels()
-        st = ch.stacked
-        assert st.shape == (7, 8)
-        assert np.array_equal(st[:4], ch.blocks[0])
-        assert np.array_equal(st[4:], ch.blocks[1])
-
     def test_shape_mismatch(self):
         dims = SystemDims(num_tx=8, rx=(4,), layers=(2,))
         with pytest.raises(DimensionError):
@@ -79,7 +72,7 @@ class TestDecompose:
         dec = decompose(ch)
         for k, h in enumerate(ch.blocks):
             u = dec.u_blocks[k]
-            recon = u.conj().T @ (dec.s_block(k)[:, None] * dec.v_block(k))
+            recon = u.conj().T @ (dec.s_block(k)[:, None] * dec.v[dec.dims.layer_slice(k)])
             assert np.linalg.norm(recon - h) < 1e-10 * np.linalg.norm(h)
 
     def test_truncation_energy(self):
@@ -88,7 +81,8 @@ class TestDecompose:
         ch = small_channels(seed=5, rx=(5,), layers=(2,), num_tx=6)
         dec = decompose(ch)
         h = ch.blocks[0]
-        recon = dec.u_blocks[0].conj().T @ (dec.s_block(0)[:, None] * dec.v_block(0))
+        v0 = dec.v[dec.dims.layer_slice(0)]
+        recon = dec.u_blocks[0].conj().T @ (dec.s_block(0)[:, None] * v0)
         eig = np.sort(np.linalg.eigvalsh(h.conj().T @ h))[::-1]
         dropped = eig[2:].sum()
         assert abs(np.linalg.norm(h - recon) ** 2 - dropped) < 1e-9
@@ -106,19 +100,10 @@ class TestDecompose:
         ch = small_channels(rx=(4, 3), layers=(2, 2))
         dec = decompose(ch)
         for k in range(2):
-            vk = dec.v_block(k)
+            vk = dec.v[dec.dims.layer_slice(k)]
             uk = dec.u_blocks[k]
             assert np.allclose(vk @ vk.conj().T, np.eye(len(vk)), atol=1e-12)
             assert np.allclose(uk @ uk.conj().T, np.eye(len(uk)), atol=1e-12)
-
-    def test_c_matrix(self):
-        ch = small_channels(rx=(4, 3), layers=(2, 2))
-        dec = decompose(ch)
-        c = dec.c_matrix
-        assert np.allclose(c, c.conj().T, atol=1e-12)
-        for k in range(2):
-            sl = dec.dims.layer_slice(k)
-            assert np.allclose(c[sl, sl], 0.0, atol=1e-12)
 
     def test_rank_deficiency(self):
         a = complex_gaussian(1, 4, 1, 1.0)
@@ -134,7 +119,7 @@ class TestDecompose:
         rebuilt = ChannelDecomposition.from_blocks(
             dec.u_blocks,
             [dec.s_block(k) for k in range(2)],
-            [dec.v_block(k) for k in range(2)],
+            [dec.v[dec.dims.layer_slice(k)] for k in range(2)],
         )
         assert rebuilt.dims == dec.dims
         assert np.array_equal(rebuilt.v, dec.v)

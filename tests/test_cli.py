@@ -11,7 +11,7 @@ import pytest
 
 import precodesim
 from precodesim.channel import MIN_SUSINR_DB
-from precodesim.cli import main, parse_susinr
+from precodesim.cli import MAX_SUSINR_LEVELS, main, parse_susinr
 from precodesim.harness import METHODS, SweepConfig
 from precodesim.verification import run_all
 
@@ -36,15 +36,20 @@ class TestParseSusinr:
 
     def test_list(self):
         assert parse_susinr("0,8, 16") == (0.0, 8.0, 16.0)
+        assert parse_susinr([0, 8.5]) == (0.0, 8.5)
 
     def test_single(self):
         assert parse_susinr("12") == (12.0,)
 
     def test_bad_specs(self):
-        # "0:200000:1" is over the level limit yet small enough to build
-        for spec in ("0:32", "32:0:4", "0:32:-4", "nan", "0:inf:4", "4,-inf", "0:200000:1"):
-            with pytest.raises(ValueError):
+        # "0:200000:1" is over the level limit yet small enough to build;
+        # comma text and a JSON list meet the same limit
+        too_many = ["0"] * (MAX_SUSINR_LEVELS + 1)
+        for spec in ("0:32", "32:0:4", "0:32:-4", "nan", "0:inf:4", "4,-inf", "0:200000:1",
+                     ",".join(too_many), [0] * len(too_many), [float("nan")], ["8"], [True], 5):
+            with pytest.raises((TypeError, ValueError)):
                 parse_susinr(spec)
+        assert len(parse_susinr(",".join(too_many[1:]))) == MAX_SUSINR_LEVELS
 
 
 def run_args(tmp_path, extra):
@@ -116,6 +121,17 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--quiet"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("methods", 5), ("susinr", 5), pytest.param("susinr", [float("nan")], id="susinr-[nan]"),
+        ("seeds", 2.7), ("seeds", True), ("skip_opt", "false"), ("out", 7),
+    ])
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"susinr": "8", "seeds": 1, "methods": ["mrt"], key: value}))
+        assert main(["run", "--config", str(cfg), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+
     def test_bad_method_exits_2(self, tmp_path, capsys):
         args, _ = run_args(tmp_path, [])
         idx = args.index("mrt,arzf")
@@ -126,7 +142,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("flag", [
         "--susinr=4000", "--susinr=-4000", "--susinr=-inf", "--susinr=nan",
         "--susinr=-1700", "--susinr=-3000",
-        "--power=nan", "--power=inf", "--power=0", "--seed-base=-5",
+        "--power=nan", "--power=inf", "--power=0", "--seed-base=-5", "--seeds=2.7",
     ])
     def test_bad_numeric_input_exits_2(self, tmp_path, capsys, flag):
         args, _ = run_args(tmp_path, [flag])

@@ -26,7 +26,7 @@ class TestConjugate:
         dec = decompose(ch)
         det = conjugate_detection(dec)
         for k in range(2):
-            resid = det.blocks[k] @ ch.blocks[k] - dec.v_block(k)
+            resid = det.blocks[k] @ ch.blocks[k] - dec.v[dec.dims.layer_slice(k)]
             assert np.linalg.norm(resid) < 1e-10
 
     def test_noise_shaping_algebraic(self):

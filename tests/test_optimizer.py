@@ -271,13 +271,13 @@ class TestOptimizeMany:
         # a window smaller than the batch starts searches as others finish
         problems = sweep_problems((2,), "varied", (0.0, 20.0, 40.0, 10.0))
         full = optimize_many(problems)
-        real, sizes = optimizer._evaluate_trials, []
+        real, sizes = optimizer._round, []
 
-        def trials(stack, idx, regs):
+        def round_(stack, idx, requests):
             sizes.append(len(idx))
-            return real(stack, idx, regs)
+            return real(stack, idx, requests)
 
-        monkeypatch.setattr(optimizer, "_evaluate_trials", trials)
+        monkeypatch.setattr(optimizer, "_round", round_)
         monkeypatch.setattr(optimizer, "_BATCH", 2)
         done = []
         small = optimize_many(problems, done=lambda i, res: done.append((i, res)))
@@ -288,31 +288,53 @@ class TestOptimizeMany:
 
     @pytest.mark.parametrize("kind", ["linalg", "not_hpd", "non_finite"])
     def test_failing_member_changes_no_other(self, monkeypatch, kind):
-        # member 1's far trial ridges fail; a stacked LAPACK failure takes the
-        # whole batch down, so the batch must retry its members apart
+        # far trial ridges of the failing members fail; a stacked LAPACK
+        # failure takes the whole batch down, so the batch must evaluate its
+        # members apart and the survivors together again
         problems = sweep_problems((3,), "varied", (0.0, 20.0, 40.0))
         clean = [optimize(*p) for p in problems]
-        target, real = problems[1][3], optimizer._Problems.evaluate
-        hits = []
+        real_eval, real_adj, real_round = (
+            optimizer._Problems.evaluate, optimizer._Problems.adjoint, optimizer._round)
+        failing, hits, adjoints = set(), [], []
 
         def evaluate(self, idx, reg):
             bad = [pos for pos, i in enumerate(idx)
-                   if self.noise_var[i] == target and np.any(reg[pos] > 1.5 * self.start[i])]
+                   if self.noise_var[i] in failing and np.any(reg[pos] > 1.5 * self.start[i])]
+            if bad:
+                hits.append((len(idx), len(bad)))
             if bad and kind != "non_finite":
-                hits.append(len(idx))
                 raise (np.linalg.LinAlgError if kind == "linalg" else NotHpdError)("synthetic")
-            ev = real(self, idx, reg)
-            for pos in bad:
-                hits.append(len(idx))
-                ev.j[pos] = np.nan
+            ev = real_eval(self, idx, reg)
+            ev.j[bad] = np.nan
             return ev
 
+        def adjoint(self, ev):
+            adjoints[-1] += 1
+            return real_adj(self, ev)
+
+        def round_(stack, idx, requests):
+            adjoints.append(0)
+            return real_round(stack, idx, requests)
+
         monkeypatch.setattr(optimizer._Problems, "evaluate", evaluate)
+        monkeypatch.setattr(optimizer._Problems, "adjoint", adjoint)
+        monkeypatch.setattr(optimizer, "_round", round_)
+
+        failing.add(problems[1][3])
         many = optimize_many(problems)
-        assert max(hits) > 1  # it failed inside a batch
+        assert max(n for n, _ in hits) > 1  # it failed inside a batch
         assert same_search(many[0], clean[0]) and same_search(many[2], clean[2])
         assert same_search(many[1], optimize(*problems[1]))
         assert not same_search(many[1], clean[1])
+
+        # every member of some round fails
+        failing.update(p[3] for p in problems)
+        hits.clear()
+        many = optimize_many(problems)
+        assert (len(problems), len(problems)) in hits
+        for p, res in zip(problems, many):
+            assert same_search(res, optimize(*p))
+        assert max(adjoints) == 1  # one adjoint per round, however it split
 
     def test_failed_start_is_returned(self):
         problems = sweep_problems((4,), "varied", (0.0, 20.0))
