@@ -15,6 +15,7 @@ import numpy as np
 from .exceptions import (
     ConfigError,
     DimensionError,
+    NumericalError,
     RankDeficiencyError,
     SelectionError,
     check_positive,
@@ -194,6 +195,8 @@ class ChannelDecomposition:
             want = (self.dims.layers[k], self.dims.rx[k])
             if u.shape != want:
                 raise DimensionError(f"u_blocks[{k}] shape {u.shape} != {want}")
+        if not np.all(np.isfinite(self.s)):
+            raise NumericalError("stacked singular values must be finite")
         if np.any(self.s <= 0):
             raise RankDeficiencyError("all stacked singular values must be positive")
 

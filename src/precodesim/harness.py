@@ -20,9 +20,9 @@ from .channel import (
     generate_scenario,
 )
 from .exceptions import ConfigError, PrecodesimError, SelectionError, check_positive
-from .metrics import evaluate
+from .metrics import evaluate, evaluate_many
 from .optimizer import OptConfig, optimize, optimize_many
-from .precoding import arzf, mrt, rzf, wrzf, zf
+from .precoding import CLOSED_FORMS, closed_forms
 
 __all__ = [
     "METHODS",
@@ -39,18 +39,9 @@ __all__ = [
 CSV_HEADER = "scenario,susinr_db,method,avg_sum_se,se_std,avg_min_se,min_se_std,seeds,detection"
 
 
-# Method token -> builder(decomp, channels, power, noise_var, opt_config),
-# in the default sweep's order.
-METHODS = {
-    "mrt": lambda dc, ch, p, nv, oc: mrt(dc, p),
-    "zf_v": lambda dc, ch, p, nv, oc: zf(dc, p, basis="v"),
-    "zf_f": lambda dc, ch, p, nv, oc: zf(dc, p, basis="f"),
-    "rzf_v": lambda dc, ch, p, nv, oc: rzf(dc, p, nv, basis="v"),
-    "rzf_f": lambda dc, ch, p, nv, oc: rzf(dc, p, nv, basis="f"),
-    "wrzf": lambda dc, ch, p, nv, oc: wrzf(dc, p, nv),
-    "arzf": lambda dc, ch, p, nv, oc: arzf(dc, p, nv),
-    "opt": lambda dc, ch, p, nv, oc: optimize(dc, ch, p, nv, oc).precoder,
-}
+# Method tokens in the default sweep's order: the closed forms, then the
+# searched ridge.
+METHODS = (*CLOSED_FORMS, "opt")
 
 
 @dataclass(frozen=True)
@@ -76,6 +67,14 @@ class SweepConfig:
         object.__setattr__(self, "methods", tuple(self.methods))
         if not self.susinr_db:
             raise ConfigError("susinr_db grid must be nonempty")
+        for name in ("susinr_db", "methods"):
+            value = getattr(self, name)
+            if len(set(value)) < len(value):
+                raise ConfigError(f"{name} repeats an entry: {value}")
+        for name in ("num_seeds", "seed_base"):
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.num_seeds < 1:
             raise ConfigError("num_seeds must be >= 1")
         if self.seed_base < 0:
@@ -132,17 +131,12 @@ def evaluate_point(channels, decomp, power, susinr_db, methods, opt_config=None)
     mapping method token to its metric report.
     """
     noise_var = calibrate_noise(decomp, power, susinr_db)
-    return _reports(channels, decomp, power, noise_var, methods, opt_config or OptConfig())
-
-
-def _reports(channels, decomp, power, noise_var, methods, opt_config):
-    out = {}
-    for token in methods:
-        if token not in METHODS:
-            raise ConfigError(f"unknown method token {token!r}")
-        pre = METHODS[token](decomp, channels, power, noise_var, opt_config)
-        out[token] = evaluate(channels, pre, noise_var)
-    return out
+    closed = [m for m in methods if m != "opt"]
+    pre = dict(zip(closed, closed_forms(decomp, closed, power, noise_var)))
+    if "opt" in methods:
+        res = optimize(decomp, channels, power, noise_var, opt_config or OptConfig())
+        pre["opt"] = res.precoder
+    return dict(zip(methods, evaluate_many(channels, [pre[m] for m in methods], noise_var)))
 
 
 def _failure(exc):
@@ -181,8 +175,8 @@ def run_sweep(config: SweepConfig, progress=None) -> SweepResult:
             vals, points = {}, []
             for su in config.susinr_db:
                 noise_var = calibrate_noise(decomp, config.power, su)
-                reps = _reports(channels, decomp, config.power, noise_var, closed, config.opt)
-                for m, rep in reps.items():
+                pre = closed_forms(decomp, closed, config.power, noise_var)
+                for m, rep in zip(closed, evaluate_many(channels, pre, noise_var)):
                     vals[(su, m)] = (rep.sum_se, rep.min_se)
                 points.append((i, su, decomp, channels, noise_var))
             per_seed[i] = vals

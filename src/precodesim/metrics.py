@@ -28,6 +28,7 @@ __all__ = [
     "av_susinr",
     "report",
     "evaluate",
+    "evaluate_many",
 ]
 
 
@@ -163,14 +164,24 @@ def evaluate(channels: ChannelSet, precoder: Precoder, noise_var: float) -> Metr
     """All metrics of ``precoder`` under per-user MMSE detection from one
     :func:`mmse_stack` pass, bitwise equal to :func:`report` with
     :func:`mmse_detection`."""
+    return evaluate_many(channels, (precoder,), noise_var)[0]
+
+
+def evaluate_many(channels: ChannelSet, precoders, noise_var: float) -> list:
+    """:func:`evaluate` of each of ``precoders`` from one batched
+    :func:`mmse_sinr_stack` call, each bitwise as alone; any layer SINR
+    that is not positive raises ZeroSinrError."""
     check_positive("noise_var", noise_var)
-    dims, w = channels.dims, precoder.weights
-    if w.shape != (dims.num_tx, dims.total_layers):
-        raise DimensionError(f"precoder shape {w.shape} != ({dims.num_tx}, {dims.total_layers})")
+    if not precoders:
+        return []
+    dims = channels.dims
+    w = np.stack([p.weights for p in precoders])
+    if w.shape[1:] != (dims.num_tx, dims.total_layers):
+        raise DimensionError(f"precoder shape {w.shape[1:]} != ({dims.num_tx}, {dims.total_layers})")
     groups = [(h[None], own) for _, h, own in channels.groups]
-    sinrs, _, ok = mmse_sinr_stack(groups, w[None], noise_var)
+    sinrs, _, ok = mmse_sinr_stack(groups, w, noise_var)
     require_positive(ok)
-    return _summary(sinrs[0], dims, "mmse")
+    return [_summary(s, dims, "mmse") for s in sinrs]
 
 
 def _summary(sinrs, dims, detection: str) -> MetricsReport:

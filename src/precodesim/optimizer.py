@@ -38,7 +38,7 @@ from .exceptions import (
     check_positive,
 )
 from .metrics import effective_sinr, mmse_sinr_stack, require_positive, user_se
-from .precoding import Precoder, check_reg, gram_stack, ridge_stack
+from .precoding import RIDGES, Precoder, check_reg, gram_stack, ridge_stack
 
 __all__ = [
     "OptConfig",
@@ -115,8 +115,7 @@ class OptResult:
 
 def default_start(decomp: ChannelDecomposition, power: float, noise_var: float) -> np.ndarray:
     """Gain-adapted ridge diagonal, the canonical starting point."""
-    lam = decomp.dims.total_layers * noise_var / power
-    return lam / decomp.s**2
+    return RIDGES["arzf"](decomp, power, noise_var)[0]
 
 
 @dataclass(frozen=True)
@@ -149,7 +148,7 @@ class _Problems:
     """Per-search constants of one :func:`optimize_many` call, computed
     once and stacked: the layer rows ``v``, ``V^H``, the gram ``V V^H`` and
     the channel stacks of each user shape group, once per distinct
-    (decomposition, channels) pair; ``sqrt(power)``, the noise variance and
+    (decomposition, channels) pair; the power, the noise variance and
     the starting ridge once per search."""
 
     def __init__(self, problems):
@@ -171,7 +170,7 @@ class _Problems:
             (np.stack([ch.groups[gi][1] for ch in channel_sets]), own)
             for gi, (_, _, own) in enumerate(channel_sets[0].groups)
         ]
-        self.sqrt_power = np.sqrt([p[2] for p in problems])
+        self.power = np.array([p[2] for p in problems])
         self.noise_var = np.array([p[3] for p in problems])
         self.start = [default_start(d, p, nv) for d, _, p, nv in problems]
 
@@ -186,7 +185,7 @@ class _Problems:
         build or MMSE system fails, or whose SINR underflows to 0, makes
         the whole batch raise."""
         at = self.scene[idx]
-        raw, gain = ridge_stack(self.gram[at], self.vh[at], reg, self.sqrt_power[idx])
+        raw, gain = ridge_stack(self.gram[at], self.vh[at], reg, 1.0, self.power[idx])
         w = gain[:, None, None] * raw
         groups = [(h[at], own) for h, own in self.groups]
         sinrs, stages, ok = mmse_sinr_stack(groups, w, self.noise_var[idx])

@@ -5,12 +5,17 @@ weight matrix together with the scalar gain that scales it to the power
 budget.  Raw matrices are what the algebraic identities speak about;
 ``weights`` (gain times raw) is what a transmitter would apply.
 
+Matched transmission is ``V^H``, and every ridge closed form is the one
+formula ``raw = V^H inv(V V^H + diag(r)) diag(c)`` on the layer rows ``V``,
+with the ridge ``r`` and column scale ``c`` of its token in :data:`RIDGES`.
+Any set of closed forms at one point is built as one stack.
+
 Normalization is per antenna: one scalar gain caps every antenna at
 ``power / num_tx``, with the most-loaded antenna hitting the cap, so
 layer directions never change.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,25 +24,28 @@ from .exceptions import (
     ConfigError,
     DimensionError,
     NotHpdError,
-    NumericalError,
     SingularGramError,
     ZeroMatrixError,
     check_positive,
 )
 from .numerics import hpd_inverse
 
-__all__ = [
-    "Precoder",
-    "normalize",
-    "mrt",
-    "zf",
-    "rzf",
-    "wrzf",
-    "arzf",
-    "parametric_rzf",
-]
+__all__ = ["Precoder", "RIDGES", "CLOSED_FORMS", "normalize", "closed_forms", "mrt", "zf", "rzf",
+           "wrzf", "arzf", "parametric_rzf"]
 
-BASES = ("v", "f")
+# Ridge token -> (ridge r, column scale c) of decomposition d at power p and
+# noise variance nv.  An f-basis form F^H inv(F F^H + lam I), F = diag(s) V,
+# is the v-basis ridge lam / s^2 with columns scaled by 1 / s, so rzf_f's
+# ridge is arzf's.
+RIDGES = {
+    "zf_v": lambda d, p, nv: (0.0, 1.0),
+    "zf_f": lambda d, p, nv: (0.0, 1.0 / d.s),
+    "rzf_v": lambda d, p, nv: (d.dims.total_layers * nv / p, 1.0),
+    "rzf_f": lambda d, p, nv: (RIDGES["arzf"](d, p, nv)[0], 1.0 / d.s),
+    "wrzf": lambda d, p, nv: (nv / p * float(np.sum(d.s**-2.0)), 1.0),
+    "arzf": lambda d, p, nv: (d.dims.total_layers * nv / p / d.s**2, 1.0),
+}
+CLOSED_FORMS = ("mrt", *RIDGES)
 
 
 @dataclass(frozen=True)
@@ -64,99 +72,21 @@ class Precoder:
         return self.gain * self.raw
 
 
-def normalize(raw: np.ndarray, power: float) -> float:
+def normalize(raw: np.ndarray, power):
     """Scalar gain that makes the largest row norm of ``raw`` equal
-    ``sqrt(power / num_tx)``."""
-    check_positive("power", power)
-    denom = np.linalg.norm(raw, axis=1).max() * np.sqrt(raw.shape[0])
-    if denom == 0:
+    ``sqrt(power / num_tx)``, one per matrix of a stack ``raw``; ``power`` is
+    one number, or one per matrix trusted to be positive and finite."""
+    if not isinstance(power, np.ndarray):
+        check_positive("power", power)
+    denom = np.linalg.norm(raw, axis=-1).max(axis=-1) * np.sqrt(raw.shape[-2])
+    if (denom == 0).any():
         raise ZeroMatrixError("cannot normalize an all-zero precoder")
     return np.sqrt(power) / denom
 
 
-def _scaled(raw: np.ndarray, power: float, method: str) -> Precoder:
-    """``raw`` with the gain that fits it to the power budget."""
-    return Precoder(raw=raw, gain=normalize(raw, power), method=method)
-
-
-def _ridge_inverse(gram: np.ndarray) -> np.ndarray:
-    """:func:`hpd_inverse` of a ridged gram (stack), whose failure means
-    dependent basis rows."""
-    try:
-        return hpd_inverse(gram)
-    except NotHpdError as exc:
-        raise SingularGramError("precoding basis has numerically dependent rows") from exc
-
-
-def _ridge_solve(basis: np.ndarray, reg_diag) -> np.ndarray:
-    """``basis^H @ inv(basis basis^H + diag(reg_diag))``; ``None``: no
-    ridge.  The gram of an ``f`` basis can overflow, and a finite gram
-    implies a finite basis, so only the gram is checked."""
-    gram = basis @ basis.conj().T
-    if reg_diag is not None:
-        idx = np.arange(gram.shape[0])
-        gram[idx, idx] += reg_diag
-    if not np.isfinite(gram).all():
-        raise NumericalError("gram of the precoding basis contains non-finite entries")
-    return basis.conj().T @ _ridge_inverse(gram)
-
-
-def _basis(decomp: ChannelDecomposition, which: str) -> np.ndarray:
-    if which == "v":
-        return decomp.v
-    if which == "f":
-        return decomp.s[:, None] * decomp.v
-    raise ConfigError(f"unknown basis {which!r}, expected one of {BASES}")
-
-
-def mrt(decomp: ChannelDecomposition, power: float) -> Precoder:
-    """Matched transmission: raw weights are the conjugated layer rows."""
-    raw = decomp.v.conj().T
-    return _scaled(raw, power, "mrt")
-
-
-def zf(decomp: ChannelDecomposition, power: float, basis: str = "v") -> Precoder:
-    """Zero-forcing pseudoinverse of the chosen basis.
-
-    ``basis="v"`` inverts the layer rows directly; ``basis="f"``
-    inverts the singular-value-weighted rows.  Raises
-    :class:`SingularGramError` when the basis rows are numerically
-    dependent.
-    """
-    raw = _ridge_solve(_basis(decomp, basis), None)
-    return _scaled(raw, power, f"zf_{basis}")
-
-
-def rzf(
-    decomp: ChannelDecomposition,
-    power: float,
-    noise_var: float,
-    basis: str = "v",
-    reg=None,
-) -> Precoder:
-    """Ridge-regularized zero forcing on the chosen basis.
-
-    The default ridge is ``total_layers * noise_var / power``.  An
-    explicit ``reg=0`` reproduces :func:`zf` exactly (the ridge term is
-    skipped, not added as a zero).
-    """
-    if reg is None:
-        check_positive("noise_var", noise_var)
-        reg = decomp.dims.total_layers * noise_var / power
-    if reg < 0 or not np.isfinite(reg):
-        raise ConfigError(f"reg must be finite and >= 0, got {reg}")
-    b = _basis(decomp, basis)
-    raw = _ridge_solve(b, None if reg == 0 else np.full(len(b), float(reg)))
-    return _scaled(raw, power, f"rzf_{basis}")
-
-
-def wrzf(decomp: ChannelDecomposition, power: float, noise_var: float) -> Precoder:
-    """Ridge on the layer rows sized by the total inverse channel gain,
-    ``reg = noise_var / power * sum(1 / s^2)``."""
-    check_positive("noise_var", noise_var)
-    reg = noise_var / power * float(np.sum(decomp.s**-2.0))
-    p = rzf(decomp, power, noise_var, basis="v", reg=reg)
-    return replace(p, method="wrzf")
+def _check_nonnegative(name: str, a: np.ndarray) -> None:
+    if not (np.isfinite(a).all() and (a >= 0).all()):
+        raise ConfigError(f"{name} entries must be finite and >= 0")
 
 
 def check_reg(reg_vec, total_layers: int) -> np.ndarray:
@@ -165,8 +95,7 @@ def check_reg(reg_vec, total_layers: int) -> np.ndarray:
     reg_vec = np.asarray(reg_vec, dtype=float)
     if reg_vec.shape != (total_layers,):
         raise DimensionError(f"reg_vec shape {reg_vec.shape} != ({total_layers},)")
-    if np.any(reg_vec < 0) or not np.all(np.isfinite(reg_vec)):
-        raise ConfigError("reg_vec entries must be finite and >= 0")
+    _check_nonnegative("reg_vec", reg_vec)
     return reg_vec
 
 
@@ -175,22 +104,84 @@ def gram_stack(v: np.ndarray) -> np.ndarray:
     return v @ np.conj(v.swapaxes(-1, -2))
 
 
-def ridge_stack(gram: np.ndarray, vh: np.ndarray, reg: np.ndarray, sqrt_power: np.ndarray):
-    """Raw weights ``vh[b] inv(gram[b] + diag(reg[b]))`` of a stack of
-    per-layer ridges, with ``gram`` from :func:`gram_stack` of the layer
-    rows ``v`` and ``vh = v^H``, and the gains that fit each to its power
-    budget (``sqrt_power[b]`` squared) as :func:`normalize` does.  The
-    inputs are trusted: finite, ``reg >= 0`` and ``sqrt_power > 0``.  Each
-    matrix is its own LAPACK or BLAS call, so one member's result does not
-    depend on the others in the stack."""
+def ridge_stack(gram: np.ndarray, vh: np.ndarray, reg: np.ndarray, scale, power):
+    """Raw weights ``vh[b] inv(gram[b] + diag(reg[b])) diag(scale[b])`` of a
+    stack of per-layer ridges ``reg`` (shape ``(B, layers)``), with ``gram``
+    from :func:`gram_stack` of the layer rows ``v`` and with ``vh = v^H``
+    and ``scale`` broadcast against the stack, and their :func:`normalize`
+    gains at ``power``.  The inputs are trusted: finite, ``reg >= 0``,
+    ``scale >= 0`` and ``power > 0``.  Each matrix is its own LAPACK or BLAS
+    call, so members do not change each other's bits.  Dependent rows under
+    a zero ridge raise SingularGramError."""
     k = gram.copy()
     idx = np.arange(k.shape[-1])
     k[:, idx, idx] += reg
-    raw = vh @ _ridge_inverse(k)
-    denom = np.linalg.norm(raw, axis=-1).max(axis=-1) * np.sqrt(vh.shape[-2])
-    if np.any(denom == 0):
-        raise ZeroMatrixError("cannot normalize an all-zero precoder")
-    return raw, sqrt_power / denom
+    try:
+        raw = vh @ hpd_inverse(k)
+    except NotHpdError as exc:
+        raise SingularGramError("precoding basis has numerically dependent rows") from exc
+    raw *= scale
+    return raw, normalize(raw, power)
+
+
+def closed_forms(decomp: ChannelDecomposition, tokens, power: float, noise_var=None) -> tuple:
+    """The closed forms ``tokens`` (of :data:`CLOSED_FORMS`) at one point, in
+    token order.  The ridge forms are one stack: one gram ``V V^H`` and one
+    :func:`ridge_stack`, whose ridges and column scales are checked to be
+    finite and ``>= 0`` (else ConfigError).  ``noise_var`` may be None if
+    only ``mrt``, ``zf_v`` and ``zf_f`` are asked for."""
+    check_positive("power", power)
+    if noise_var is not None:
+        check_positive("noise_var", noise_var)
+    unknown = [t for t in tokens if t not in CLOSED_FORMS]
+    if unknown:
+        raise ConfigError(f"unknown closed forms {unknown}, valid: {CLOSED_FORMS}")
+    vh = decomp.v.conj().T
+    out = {}
+    if "mrt" in tokens:
+        out["mrt"] = Precoder(raw=vh, gain=normalize(vh, power), method="mrt")
+    ridged = [t for t in tokens if t != "mrt"]
+    if ridged:
+        rc = np.empty((len(ridged), 2, decomp.dims.total_layers))
+        for b, token in enumerate(ridged):
+            rc[b, 0], rc[b, 1] = RIDGES[token](decomp, power, noise_var)
+        _check_nonnegative("ridge and column scale", rc)
+        gram = gram_stack(decomp.v[None]).repeat(len(ridged), axis=0)
+        raw, gain = ridge_stack(gram, vh, rc[:, 0], rc[:, 1, None], power)
+        out.update((t, Precoder(raw=raw[b], gain=gain[b], method=t)) for b, t in enumerate(ridged))
+    return tuple(out[t] for t in tokens)
+
+
+def mrt(decomp: ChannelDecomposition, power: float) -> Precoder:
+    """Matched transmission: raw weights are the conjugated layer rows."""
+    return closed_forms(decomp, ("mrt",), power)[0]
+
+
+def zf(decomp: ChannelDecomposition, power: float, basis: str = "v") -> Precoder:
+    """Zero-forcing pseudoinverse of the layer rows (``basis="v"``) or of
+    the singular-value-weighted rows (``basis="f"``).  Raises
+    :class:`SingularGramError` when the layer rows are numerically
+    dependent."""
+    return closed_forms(decomp, (f"zf_{basis}",), power)[0]
+
+
+def rzf(decomp: ChannelDecomposition, power: float, noise_var: float, basis: str = "v") -> Precoder:
+    """Ridge-regularized zero forcing on the chosen basis, with the ridge
+    ``total_layers * noise_var / power``."""
+    return closed_forms(decomp, (f"rzf_{basis}",), power, noise_var)[0]
+
+
+def wrzf(decomp: ChannelDecomposition, power: float, noise_var: float) -> Precoder:
+    """Ridge on the layer rows sized by the total inverse channel gain,
+    ``noise_var / power * sum(1 / s^2)``."""
+    return closed_forms(decomp, ("wrzf",), power, noise_var)[0]
+
+
+def arzf(decomp: ChannelDecomposition, power: float, noise_var: float) -> Precoder:
+    """Gain-adapted ridge: each layer's ridge entry is
+    ``total_layers * noise_var / power`` divided by that layer's squared
+    singular value, so weak layers are regularized harder."""
+    return closed_forms(decomp, ("arzf",), power, noise_var)[0]
 
 
 def parametric_rzf(decomp: ChannelDecomposition, reg_vec, power: float) -> Precoder:
@@ -203,16 +194,5 @@ def parametric_rzf(decomp: ChannelDecomposition, reg_vec, power: float) -> Preco
     reg_vec = check_reg(reg_vec, decomp.dims.total_layers)
     check_positive("power", power)
     v = decomp.v[None]
-    raw, gain = ridge_stack(gram_stack(v), np.conj(v.swapaxes(1, 2)), reg_vec[None], np.sqrt([power]))
+    raw, gain = ridge_stack(gram_stack(v), np.conj(v.swapaxes(1, 2)), reg_vec[None], 1.0, power)
     return Precoder(raw=raw[0], gain=gain[0], method="parametric_rzf")
-
-
-def arzf(decomp: ChannelDecomposition, power: float, noise_var: float) -> Precoder:
-    """Gain-adapted ridge: each layer's ridge entry is
-    ``total_layers * noise_var / power`` divided by that layer's squared
-    singular value, so weak layers are regularized harder."""
-    check_positive("noise_var", noise_var)
-    lam = decomp.dims.total_layers * noise_var / power
-    reg_vec = lam / decomp.s**2
-    p = parametric_rzf(decomp, reg_vec, power)
-    return replace(p, method="arzf")

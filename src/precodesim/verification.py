@@ -63,8 +63,9 @@ def _equal_gain_decomposition(rng):
 
 def check_identities(seed=101, instances=100, tol=1e-10):
     """Basis-change identities of both pseudoinverses and of the adapted
-    ridge, the conjugate-detection reduction to the layer rows, and the
-    equal-gain collapse, each as a relative residual on raw weights."""
+    ridge (against the explicit f-basis ridge ``F^H inv(F F^H + lam I)``,
+    ``F = S V``), the conjugate-detection reduction to the layer rows, and
+    the equal-gain collapse, each as a relative residual on raw weights."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(instances):
@@ -73,9 +74,11 @@ def check_identities(seed=101, instances=100, tol=1e-10):
         nv = 0.2 + rng.uniform(0.0, 1.5)
         g = conjugate_detection(dec)
         eq = _equal_gain_decomposition(rng)
+        f = dec.s[:, None] * dec.v
+        f_ridge = lambda lam: f.conj().T @ np.linalg.inv(f @ f.conj().T + lam * np.eye(len(f)))
         pairs = (
-            (zf(dec, power, basis="v").raw, zf(dec, power, basis="f").raw * dec.s),
-            (arzf(dec, power, nv).raw, rzf(dec, power, nv, basis="f").raw * dec.s),
+            (zf(dec, power, basis="v").raw, f_ridge(0.0) * dec.s),
+            (arzf(dec, power, nv).raw, f_ridge(dec.dims.total_layers * nv / power) * dec.s),
             (dec.v, np.vstack([gb @ hb for gb, hb in zip(g.blocks, ch.blocks)])),
             (arzf(eq, power, nv).raw, wrzf(eq, power, nv).raw),
         )

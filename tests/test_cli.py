@@ -123,7 +123,9 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("key, value", [
         ("methods", 5), ("susinr", 5), pytest.param("susinr", [float("nan")], id="susinr-[nan]"),
-        ("seeds", 2.7), ("seeds", True), ("skip_opt", "false"), ("out", 7),
+        ("seeds", 2.7), ("seeds", True), ("skip_opt", "false"), ("out", 7), ("seed_base", 0.5),
+        pytest.param("methods", ["arzf", "arzf"], id="methods-repeated"),
+        pytest.param("susinr", [0, 0.0], id="susinr-repeated"),
     ])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "cfg.json"
@@ -143,6 +145,7 @@ class TestRunCommand:
         "--susinr=4000", "--susinr=-4000", "--susinr=-inf", "--susinr=nan",
         "--susinr=-1700", "--susinr=-3000",
         "--power=nan", "--power=inf", "--power=0", "--seed-base=-5", "--seeds=2.7",
+        "--seed-base=0.5", "--susinr=0,0", "--methods=arzf,mrt,arzf",
     ])
     def test_bad_numeric_input_exits_2(self, tmp_path, capsys, flag):
         args, _ = run_args(tmp_path, [flag])

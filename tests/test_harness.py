@@ -21,6 +21,8 @@ from precodesim.harness import (
     run_sweep,
 )
 from precodesim.metrics import report
+from precodesim.precoding import CLOSED_FORMS
+from helpers import BUILDERS
 
 
 def tiny_sweep(**kw):
@@ -57,6 +59,12 @@ class TestSweepConfig:
             SweepConfig(num_seeds=0)
         with pytest.raises(ConfigError, match="seed_base"):
             SweepConfig(seed_base=-5)
+        for kw in ({"num_seeds": 2.5}, {"num_seeds": True}, {"seed_base": 0.5},
+                   {"seed_base": False}, {"methods": ("arzf", "arzf")},
+                   {"susinr_db": (0.0, 0.0)}, {"susinr_db": (0, 0.0)}):
+            with pytest.raises(ConfigError, match=next(iter(kw))):
+                SweepConfig(**kw)
+        assert SweepConfig(num_seeds=np.int64(2), seed_base=np.int32(3)).num_seeds == 2
         for power in (0.0, float("nan"), float("inf")):
             with pytest.raises(ConfigError, match="power"):
                 SweepConfig(power=power)
@@ -81,16 +89,21 @@ class TestEvaluatePoint:
             assert rep.detection == "mmse"
 
     def test_reports_equal_detection_then_report(self):
-        # one MMSE pass per method gives report(mmse_detection(...)) bit for bit
+        # the stacked build and batched MMSE pass of a point give each
+        # method's public build and report(mmse_detection(...)) bit for bit
         cfg = tiny_sweep(num_tx=64, num_users=4, rx_per_user=16)
         for seed in (0, 1):
             ch = generate_scenario(cfg.scenario_config(seed))
             dec = decompose(ch)
             for su in (0.0, 20.0, 40.0):
                 nv = calibrate_noise(dec, 1.0, su)
-                reps = evaluate_point(ch, dec, 1.0, su, tuple(METHODS))
+                reps = evaluate_point(ch, dec, 1.0, su, METHODS)
+                assert tuple(reps) == METHODS
                 for token, rep in reps.items():
-                    pre = METHODS[token](dec, ch, 1.0, nv, optimizer.OptConfig())
+                    if token == "opt":
+                        pre = optimizer.optimize(dec, ch, 1.0, nv).precoder
+                    else:
+                        pre = BUILDERS[token](dec, 1.0, nv)
                     ref = report(ch, pre, mmse_detection(ch, pre, nv), nv)
                     for name in ("layer_sinr", "eff_sinr", "user_se"):
                         assert getattr(rep, name).tobytes() == getattr(ref, name).tobytes()
@@ -187,6 +200,33 @@ class TestRunSweep:
                 rows.append(SweepRow(cfg.scenario, su, m, float(sums.mean()),
                                      float(sums.std(ddof=1)), float(mins.mean()),
                                      float(mins.std(ddof=1)), 3))
+        expected = format_csv(SweepResult(rows=tuple(rows), failures=(), config=cfg))
+        assert format_csv(run_sweep(cfg)) == expected
+
+    @pytest.mark.parametrize("scenario", ["varied", "equal"])
+    def test_closed_forms_equal_public_build_then_report(self, scenario):
+        # the sweep builds and scores a point's closed forms as one stack; its
+        # CSV is the one rebuilt method by method through the public builders
+        # and report(mmse_detection(...))
+        cfg = SweepConfig(scenario=scenario, susinr_db=(0.0, 20.0, 40.0), num_seeds=2,
+                          methods=CLOSED_FORMS)
+        vals = []
+        for seed in range(2):
+            ch = generate_scenario(cfg.scenario_config(seed))
+            dec = decompose(ch)
+            for su in cfg.susinr_db:
+                nv = calibrate_noise(dec, 1.0, su)
+                for m in cfg.methods:
+                    pre = BUILDERS[m](dec, 1.0, nv)
+                    rep = report(ch, pre, mmse_detection(ch, pre, nv), nv)
+                    vals.append(((su, m), (rep.sum_se, rep.min_se)))
+        rows = []
+        for su in cfg.susinr_db:
+            for m in cfg.methods:
+                sums = np.array([v[0] for k, v in vals if k == (su, m)])
+                mins = np.array([v[1] for k, v in vals if k == (su, m)])
+                rows.append(SweepRow(scenario, su, m, float(sums.mean()), float(sums.std(ddof=1)),
+                                     float(mins.mean()), float(mins.std(ddof=1)), 2))
         expected = format_csv(SweepResult(rows=tuple(rows), failures=(), config=cfg))
         assert format_csv(run_sweep(cfg)) == expected
 

@@ -16,10 +16,12 @@ from precodesim.exceptions import (
     SingularGramError,
     ZeroMatrixError,
 )
-from helpers import complex_gaussian
+from helpers import BUILDERS, complex_gaussian
 from precodesim.precoding import (
+    CLOSED_FORMS,
     Precoder,
     arzf,
+    closed_forms,
     mrt,
     normalize,
     parametric_rzf,
@@ -38,8 +40,8 @@ def sample_decomp(seed=0, rx=(4, 4), layers=(2, 2), num_tx=12):
 
 
 def inv_ridge_oracle(basis, reg_diag):
-    """Same quantity as the production path, but through an explicit
-    matrix inverse instead of a Cholesky solve."""
+    """``basis^H inv(basis basis^H + diag(reg_diag))`` through an explicit
+    matrix inverse; with ``basis = S V`` this is the f-basis ridge."""
     gram = basis @ basis.conj().T
     if reg_diag is not None:
         gram = gram + np.diag(reg_diag)
@@ -91,11 +93,13 @@ class TestMrtZf:
 
     def test_zf_basis_link(self):
         # pseudoinverse of the weighted basis, rescaled by the singular
-        # values, is the pseudoinverse of the plain basis
+        # values, is the pseudoinverse of the plain basis; zf_f is built
+        # from the plain one, so the weighted side is the explicit oracle
         dec = sample_decomp(seed=3)
-        wf = zf(dec, 1.0, basis="f").raw
+        wf = inv_ridge_oracle(dec.s[:, None] * dec.v, None)
         wv = zf(dec, 1.0, basis="v").raw
         assert np.linalg.norm(wf * dec.s[None, :] - wv) < 1e-10
+        assert np.linalg.norm(zf(dec, 1.0, basis="f").raw - wf) < 1e-10
 
     def test_zf_singular(self):
         v_shared = complex_gaussian(5, 1, 8, 1.0)
@@ -108,19 +112,24 @@ class TestMrtZf:
             zf(dec, 1.0)
 
     def test_zf_f_overflowing_gram(self):
-        # an infinite s, or one whose square overflows, leaves the gram of
-        # the weighted basis non-finite; the checked solve must raise
-        # instead of returning NaN weights
+        # an infinite s is rejected with the decomposition; an s whose
+        # square overflows builds no gram of the weighted rows, so the f
+        # forms are the finite, column-scaled v ridge
         v = complex_gaussian(5, 2, 8, 1.0)
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         u = np.eye(2, dtype=complex)
-        for s0 in (np.inf, 1e200):
-            dec = ChannelDecomposition.from_blocks([u], [[s0, 1.0]], [v])
-            with np.errstate(over="ignore", invalid="ignore"):
-                with pytest.raises(NumericalError):
-                    zf(dec, 1.0, basis="f")
-                with pytest.raises(NumericalError):
-                    rzf(dec, 1.0, 1.0, basis="f")
+        for bad in (np.inf, np.nan):
+            with pytest.raises(NumericalError):
+                ChannelDecomposition.from_blocks([u], [[bad, 1.0]], [v])
+        dec = ChannelDecomposition.from_blocks([u], [[1e200, 1.0]], [v])
+        with np.errstate(over="ignore"):
+            pairs = (
+                (zf(dec, 1.0, basis="f"), zf(dec, 1.0, basis="v").raw),
+                (rzf(dec, 1.0, 1.0, basis="f"), parametric_rzf(dec, 2.0 / dec.s**2, 1.0).raw),
+            )
+        for f_form, v_ridge in pairs:
+            assert np.all(np.isfinite(f_form.weights))
+            assert np.array_equal(f_form.raw, v_ridge * (1.0 / dec.s))
 
     def test_weights_are_gain_times_raw(self):
         dec = sample_decomp()
@@ -142,13 +151,7 @@ class TestRzf:
     def test_default_reg_value(self):
         dec = sample_decomp()
         a = rzf(dec, power=2.0, noise_var=0.3)
-        b = rzf(dec, power=2.0, noise_var=0.3, reg=4 * 0.3 / 2.0)
-        assert np.array_equal(a.raw, b.raw)
-
-    def test_reg_zero_collapses_to_zf(self):
-        dec = sample_decomp(seed=2)
-        a = rzf(dec, power=1.0, noise_var=1.0, reg=0.0)
-        b = zf(dec, power=1.0)
+        b = parametric_rzf(dec, np.full(4, 4 * 0.3 / 2.0), 2.0)
         assert np.array_equal(a.raw, b.raw)
         assert a.gain == b.gain
 
@@ -159,14 +162,15 @@ class TestRzf:
         lam = 0.7
         for basis in ("v", "f"):
             b = dec.v if basis == "v" else dec.s[:, None] * dec.v
-            w = rzf(dec, 1.0, 1.0, basis=basis, reg=lam).raw
+            # the ridge of rzf is total_layers * noise_var / power = lam
+            w = rzf(dec, 1.0, lam / 4, basis=basis).raw
             resid = b.conj().T @ (b @ w - np.eye(4)) + lam * w
             assert np.linalg.norm(resid) < 1e-9
 
     def test_local_minimality(self):
         dec = sample_decomp(seed=13)
         lam = 0.4
-        w = rzf(dec, 1.0, 1.0, reg=lam).raw
+        w = parametric_rzf(dec, np.full(4, lam), 1.0).raw
         b = dec.v
 
         def j(m):
@@ -181,9 +185,12 @@ class TestRzf:
     def test_negative_reg_rejected(self):
         dec = sample_decomp()
         with pytest.raises(ConfigError):
-            rzf(dec, 1.0, 1.0, reg=-0.1)
+            parametric_rzf(dec, np.full(4, -0.1), 1.0)
         with pytest.raises(ConfigError):
             rzf(dec, 1.0, noise_var=0.0)
+        # a ridge that overflows is caught once per stack
+        with pytest.raises(ConfigError):
+            rzf(dec, 1e-300, noise_var=1e300)
 
 
 class TestWrzf:
@@ -192,7 +199,7 @@ class TestWrzf:
         power, nv = 2.0, 0.5
         lam = nv / power * np.sum(dec.s**-2.0)
         a = wrzf(dec, power, nv)
-        b = rzf(dec, power, nv, basis="v", reg=lam)
+        b = parametric_rzf(dec, np.full(4, lam), power)
         assert np.array_equal(a.raw, b.raw)
         assert a.method == "wrzf"
 
@@ -202,8 +209,8 @@ class TestArzf:
         dec = sample_decomp(seed=6)
         power, nv = 3.0, 0.2
         a = arzf(dec, power, nv)
-        f_ridge = rzf(dec, power, nv, basis="f")
-        assert np.linalg.norm(a.raw - f_ridge.raw * dec.s[None, :]) < 1e-10
+        f_ridge = inv_ridge_oracle(dec.s[:, None] * dec.v, np.full(4, 4 * nv / power))
+        assert np.linalg.norm(a.raw - f_ridge * dec.s[None, :]) < 1e-10
 
     def test_is_parametric_with_scaled_inverse_gains(self):
         dec = sample_decomp(seed=6)
@@ -248,6 +255,37 @@ class TestArzf:
 
 def unit(m):
     return m / np.linalg.norm(m)
+
+
+class TestClosedForms:
+    def test_table_covers_builders(self):
+        assert CLOSED_FORMS == tuple(BUILDERS)
+
+    def test_stack_member_equals_single_build(self):
+        # one stack per point; each member is bitwise its one-token build
+        dec = sample_decomp(seed=19)
+        tokens = ("arzf", "mrt", "zf_f", "wrzf", "rzf_v", "zf_v", "rzf_f")
+        for pre, token in zip(closed_forms(dec, tokens, 2.0, 0.3), tokens):
+            one = BUILDERS[token](dec, 2.0, 0.3)
+            assert pre.method == one.method == token
+            assert pre.raw.tobytes() == one.raw.tobytes()
+            assert pre.gain == one.gain
+
+    def test_f_forms_are_column_scaled_v_ridges(self):
+        dec = sample_decomp(seed=20)
+        zf_v, zf_f, rzf_f, arzf_ = closed_forms(dec, ("zf_v", "zf_f", "rzf_f", "arzf"), 1.0, 0.5)
+        assert np.array_equal(zf_f.raw, zf_v.raw * (1.0 / dec.s))
+        assert np.array_equal(rzf_f.raw, arzf_.raw * (1.0 / dec.s))
+
+    def test_validation(self):
+        dec = sample_decomp()
+        with pytest.raises(ConfigError, match="zf_x"):
+            closed_forms(dec, ("mrt", "zf_x"), 1.0, 0.3)
+        with pytest.raises(ConfigError, match="noise_var"):
+            closed_forms(dec, ("arzf",), 1.0, float("nan"))
+        with pytest.raises(ConfigError, match="power"):
+            closed_forms(dec, ("mrt",), 0.0)
+        assert closed_forms(dec, (), 1.0) == ()
 
 
 class TestParametric:
