@@ -35,13 +35,11 @@ from .harness import (
     SweepRow,
     emit_csv,
     emit_plotdata,
-    evaluate_point,
     format_csv,
     run_sweep,
 )
 from .metrics import (
     MetricsReport,
-    av_susinr,
     effective_sinr,
     evaluate,
     layer_sinr,

@@ -18,6 +18,7 @@ from .exceptions import (
     NumericalError,
     RankDeficiencyError,
     SelectionError,
+    check_integer,
     check_positive,
 )
 from .numerics import (
@@ -267,6 +268,9 @@ class ScenarioConfig:
     max_retries: int = 100
 
     def __post_init__(self):
+        for name in ("num_tx", "num_users", "rx_per_user", "layers_per_user", "num_paths",
+                     "candidate_pool", "max_retries", "seed"):
+            check_integer(name, getattr(self, name))
         if self.num_users < 1:
             raise ConfigError("num_users must be >= 1")
         if self.candidate_pool < self.num_users:

@@ -1,7 +1,10 @@
-"""Exception types raised across the package, and the one validator for
-positive, finite inputs such as power and noise variance."""
+"""Exception types raised across the package, and the validators for
+positive, finite inputs such as power and noise variance and for integer
+sizes and seeds."""
 
 import math
+
+import numpy as np
 
 
 class PrecodesimError(Exception):
@@ -48,3 +51,10 @@ def check_positive(name: str, value) -> None:
     """Raise :class:`ConfigError` unless ``value`` is positive and finite."""
     if not (value > 0 and math.isfinite(value)):
         raise ConfigError(f"{name} must be positive and finite, got {value}")
+
+
+def check_integer(name: str, value) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is an integer and not a
+    bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")

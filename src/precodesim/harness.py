@@ -19,9 +19,9 @@ from .channel import (
     decompose,
     generate_scenario,
 )
-from .exceptions import ConfigError, PrecodesimError, SelectionError, check_positive
+from .exceptions import ConfigError, PrecodesimError, SelectionError, check_integer, check_positive
 from .metrics import evaluate, evaluate_many
-from .optimizer import OptConfig, optimize, optimize_many
+from .optimizer import OptConfig, optimize_many
 from .precoding import CLOSED_FORMS, closed_forms
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "SweepConfig",
     "SweepRow",
     "SweepResult",
-    "evaluate_point",
     "run_sweep",
     "format_csv",
     "emit_csv",
@@ -72,9 +71,7 @@ class SweepConfig:
             if len(set(value)) < len(value):
                 raise ConfigError(f"{name} repeats an entry: {value}")
         for name in ("num_seeds", "seed_base"):
-            value = getattr(self, name)
-            if type(value) is bool or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            check_integer(name, getattr(self, name))
         if self.num_seeds < 1:
             raise ConfigError("num_seeds must be >= 1")
         if self.seed_base < 0:
@@ -121,22 +118,6 @@ class SweepResult:
             if r.susinr_db == susinr_db and r.method == method:
                 return r
         raise KeyError(f"no row for ({susinr_db}, {method})")
-
-
-def evaluate_point(channels, decomp, power, susinr_db, methods, opt_config=None):
-    """All requested methods on one realization at one SINR level.
-
-    Calibrates the noise variance for this realization, builds each
-    precoder and scores it under per-user MMSE detection; returns a dict
-    mapping method token to its metric report.
-    """
-    noise_var = calibrate_noise(decomp, power, susinr_db)
-    closed = [m for m in methods if m != "opt"]
-    pre = dict(zip(closed, closed_forms(decomp, closed, power, noise_var)))
-    if "opt" in methods:
-        res = optimize(decomp, channels, power, noise_var, opt_config or OptConfig())
-        pre["opt"] = res.precoder
-    return dict(zip(methods, evaluate_many(channels, [pre[m] for m in methods], noise_var)))
 
 
 def _failure(exc):

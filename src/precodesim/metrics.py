@@ -1,6 +1,5 @@
 """Link-quality metrics: per-layer SINR, per-user effective SINR and
-spectral efficiency, and the single-user SINR scale used to place
-noise levels.
+spectral efficiency.
 
 Layer SINRs treat everything outside the layer's own coupling as
 interference, including leakage from the same user's other layers.
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelDecomposition, ChannelSet
+from .channel import ChannelSet
 from .detection import DetectionSet, mmse_stack
 from .exceptions import DimensionError, ZeroSinrError, check_positive
 from .precoding import Precoder
@@ -25,7 +24,6 @@ __all__ = [
     "layer_sinr",
     "effective_sinr",
     "user_se",
-    "av_susinr",
     "report",
     "evaluate",
     "evaluate_many",
@@ -131,22 +129,6 @@ def user_se(eff: np.ndarray, dims) -> np.ndarray:
     exact also where the effective SINR is below double precision's
     epsilon."""
     return np.asarray(dims.layers, dtype=float) * (np.log1p(eff) / np.log(2.0))
-
-
-def av_susinr(decomp: ChannelDecomposition, power: float, noise_var: float) -> float:
-    """Geometric mean over users of the single-user SINR
-    ``power / (layers_k * noise_var) * geomean(s_k^2)``, in linear
-    scale."""
-    check_positive("power", power)
-    check_positive("noise_var", noise_var)
-    logs = []
-    for k in range(decomp.dims.num_users):
-        s_k = decomp.s_block(k)
-        logs.append(
-            np.log(power / (decomp.dims.layers[k] * noise_var))
-            + 2.0 * np.mean(np.log(s_k))
-        )
-    return float(np.exp(np.mean(logs)))
 
 
 def report(

@@ -105,23 +105,24 @@ def gram_stack(v: np.ndarray) -> np.ndarray:
 
 
 def ridge_stack(gram: np.ndarray, vh: np.ndarray, reg: np.ndarray, scale, power):
-    """Raw weights ``vh[b] inv(gram[b] + diag(reg[b])) diag(scale[b])`` of a
-    stack of per-layer ridges ``reg`` (shape ``(B, layers)``), with ``gram``
-    from :func:`gram_stack` of the layer rows ``v`` and with ``vh = v^H``
-    and ``scale`` broadcast against the stack, and their :func:`normalize`
-    gains at ``power``.  The inputs are trusted: finite, ``reg >= 0``,
-    ``scale >= 0`` and ``power > 0``.  Each matrix is its own LAPACK or BLAS
-    call, so members do not change each other's bits.  Dependent rows under
-    a zero ridge raise SingularGramError."""
+    """Raw weights ``vh[b] X[b] diag(scale[b])`` with ``X[b] = inv(gram[b] +
+    diag(reg[b]))``, of a stack of per-layer ridges ``reg`` (shape
+    ``(B, layers)``), with ``gram`` from :func:`gram_stack` of the layer rows
+    ``v`` and with ``vh = v^H`` and ``scale`` broadcast against the stack,
+    their :func:`normalize` gains at ``power``, and ``X``.  The inputs are
+    trusted: finite, ``reg >= 0``, ``scale >= 0`` and ``power > 0``.  Each
+    matrix is its own LAPACK or BLAS call, so members do not change each
+    other's bits.  Dependent rows under a zero ridge raise SingularGramError."""
     k = gram.copy()
     idx = np.arange(k.shape[-1])
     k[:, idx, idx] += reg
     try:
-        raw = vh @ hpd_inverse(k)
+        x = hpd_inverse(k)
     except NotHpdError as exc:
         raise SingularGramError("precoding basis has numerically dependent rows") from exc
+    raw = vh @ x
     raw *= scale
-    return raw, normalize(raw, power)
+    return raw, normalize(raw, power), x
 
 
 def closed_forms(decomp: ChannelDecomposition, tokens, power: float, noise_var=None) -> tuple:
@@ -147,7 +148,7 @@ def closed_forms(decomp: ChannelDecomposition, tokens, power: float, noise_var=N
             rc[b, 0], rc[b, 1] = RIDGES[token](decomp, power, noise_var)
         _check_nonnegative("ridge and column scale", rc)
         gram = gram_stack(decomp.v[None]).repeat(len(ridged), axis=0)
-        raw, gain = ridge_stack(gram, vh, rc[:, 0], rc[:, 1, None], power)
+        raw, gain, _ = ridge_stack(gram, vh, rc[:, 0], rc[:, 1, None], power)
         out.update((t, Precoder(raw=raw[b], gain=gain[b], method=t)) for b, t in enumerate(ridged))
     return tuple(out[t] for t in tokens)
 
@@ -194,5 +195,5 @@ def parametric_rzf(decomp: ChannelDecomposition, reg_vec, power: float) -> Preco
     reg_vec = check_reg(reg_vec, decomp.dims.total_layers)
     check_positive("power", power)
     v = decomp.v[None]
-    raw, gain = ridge_stack(gram_stack(v), np.conj(v.swapaxes(1, 2)), reg_vec[None], 1.0, power)
+    raw, gain, _ = ridge_stack(gram_stack(v), np.conj(v.swapaxes(1, 2)), reg_vec[None], 1.0, power)
     return Precoder(raw=raw[0], gain=gain[0], method="parametric_rzf")

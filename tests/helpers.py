@@ -1,10 +1,14 @@
-"""Seeded draws and the public closed-form builders, shared by the test
-modules."""
+"""Seeded draws, the public closed-form builders and the per-point
+oracles, shared by the test modules."""
 
 import numpy as np
 
+from precodesim.channel import calibrate_noise
+from precodesim.exceptions import check_positive
+from precodesim.metrics import evaluate_many
 from precodesim.numerics import complex_normal
-from precodesim.precoding import arzf, mrt, rzf, wrzf, zf
+from precodesim.optimizer import OptConfig, optimize
+from precodesim.precoding import arzf, closed_forms, mrt, rzf, wrzf, zf
 
 # Closed-form token -> its public builder(decomp, power, noise_var), one
 # call per precoder.
@@ -26,3 +30,35 @@ def complex_gaussian(rng_seed: int, rows: int, cols: int, variance: float) -> np
     """
     rng = np.random.default_rng(rng_seed)
     return complex_normal(rng, (rows, cols), variance)
+
+
+def evaluate_point(channels, decomp, power, susinr_db, methods, opt_config=None):
+    """All requested methods on one realization at one SINR level.
+
+    Calibrates the noise variance for this realization, builds each
+    precoder and scores it under per-user MMSE detection; returns a dict
+    mapping method token to its metric report.
+    """
+    noise_var = calibrate_noise(decomp, power, susinr_db)
+    closed = [m for m in methods if m != "opt"]
+    pre = dict(zip(closed, closed_forms(decomp, closed, power, noise_var)))
+    if "opt" in methods:
+        res = optimize(decomp, channels, power, noise_var, opt_config or OptConfig())
+        pre["opt"] = res.precoder
+    return dict(zip(methods, evaluate_many(channels, [pre[m] for m in methods], noise_var)))
+
+
+def av_susinr(decomp, power: float, noise_var: float) -> float:
+    """Geometric mean over users of the single-user SINR
+    ``power / (layers_k * noise_var) * geomean(s_k^2)``, in linear
+    scale: the relation :func:`calibrate_noise` solves."""
+    check_positive("power", power)
+    check_positive("noise_var", noise_var)
+    logs = []
+    for k in range(decomp.dims.num_users):
+        s_k = decomp.s_block(k)
+        logs.append(
+            np.log(power / (decomp.dims.layers[k] * noise_var))
+            + 2.0 * np.mean(np.log(s_k))
+        )
+    return float(np.exp(np.mean(logs)))

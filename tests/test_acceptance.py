@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from precodesim.channel import ScenarioConfig, calibrate_noise, decompose, generate_scenario
-from precodesim.harness import evaluate_point
 from precodesim.metrics import evaluate
 from precodesim.optimizer import optimize_many
 from precodesim.verification import (
@@ -27,6 +26,7 @@ from precodesim.verification import (
     check_noise_shaping,
     check_stationarity,
 )
+from helpers import evaluate_point
 
 GRID = tuple(float(x) for x in range(0, 41, 4))
 MARGIN_GRID = tuple(su for su in GRID if su <= 24.0)

@@ -25,9 +25,8 @@ from precodesim.exceptions import (
     RankDeficiencyError,
     SelectionError,
 )
-from precodesim.metrics import av_susinr
 from precodesim.numerics import complex_normal, reduced_svd
-from helpers import complex_gaussian
+from helpers import av_susinr, complex_gaussian
 
 
 def small_channels(seed=0, rx=(4, 3), layers=(2, 1), num_tx=8):
@@ -239,6 +238,17 @@ class TestScenario:
                     (-7000.0, -7000.0), (-3000.5, 0.0), (0.0, 3000.5)):
             with pytest.raises(ConfigError, match="path_loss_range_db"):
                 quick_config(path_loss="varied", path_loss_range_db=bad)
+
+    @pytest.mark.parametrize("field, value", [
+        ("num_tx", 64.5), ("num_users", True), ("rx_per_user", "16"), ("layers_per_user", 2.0),
+        ("num_paths", 6.0), ("candidate_pool", 64.0), ("max_retries", 1.5), ("seed", False),
+        ("seed", np.float64(3.0)),
+    ])
+    def test_sizes_must_be_integers(self, field, value):
+        # each used to fail deep inside (DimensionError, TypeError) or run
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            ScenarioConfig(**{field: value})
+        assert ScenarioConfig(**{field: np.int64(getattr(ScenarioConfig(), field))})
 
 
 def svd_screened_selection(config):

@@ -16,13 +16,12 @@ from precodesim.harness import (
     SweepRow,
     emit_csv,
     emit_plotdata,
-    evaluate_point,
     format_csv,
     run_sweep,
 )
 from precodesim.metrics import report
 from precodesim.precoding import CLOSED_FORMS
-from helpers import BUILDERS
+from helpers import BUILDERS, evaluate_point
 
 
 def tiny_sweep(**kw):

@@ -14,14 +14,13 @@ from precodesim.channel import (
 from precodesim.detection import conjugate_detection, mmse_detection
 from precodesim.exceptions import ConfigError, DimensionError, ZeroSinrError
 from precodesim.metrics import (
-    av_susinr,
     effective_sinr,
     evaluate,
     layer_sinr,
     report,
     user_se,
 )
-from helpers import complex_gaussian
+from helpers import av_susinr, complex_gaussian
 from precodesim.precoding import arzf, mrt, rzf
 
 
