@@ -462,10 +462,12 @@ def calibrate_noise(decomp: ChannelDecomposition, power: float, target_susinr_db
     ``(power / (layers_k * noise_var)) * geomean(s_k^2)`` and the
     average is the geometric mean over users; this solves that relation
     for ``noise_var`` given the target in dB.  A target below
-    :data:`MIN_SUSINR_DB`, or a result that over- or underflows, raises
-    :class:`ConfigError`.
+    :data:`MIN_SUSINR_DB`, a NaN, or a result that over- or underflows,
+    raises :class:`ConfigError`.
     """
     check_positive("power", power)
+    if np.isnan(target_susinr_db):
+        raise ConfigError(f"target SINR {target_susinr_db} dB is not finite")
     if not target_susinr_db >= MIN_SUSINR_DB:
         raise ConfigError(
             f"target SINR {target_susinr_db:g} dB is below the lowest supported "

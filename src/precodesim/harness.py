@@ -66,6 +66,9 @@ class SweepConfig:
         object.__setattr__(self, "methods", tuple(self.methods))
         if not self.susinr_db:
             raise ConfigError("susinr_db grid must be nonempty")
+        for level in self.susinr_db:
+            if not np.isfinite(level):
+                raise ConfigError(f"susinr_db level {level} dB is not finite")
         for name in ("susinr_db", "methods"):
             value = getattr(self, name)
             if len(set(value)) < len(value):

@@ -15,26 +15,23 @@ is the reverse-mode (adjoint) one of that same computation; its oracle,
 central differences of the objective, lives in :mod:`verification`.
 
 The kernel has a leading batch axis.  :func:`optimize_many` runs many
-searches in lockstep.  Each line search hands over its whole
-backtracking ladder, and a round evaluates a stretch of every running
-search's ladder in one batch, then each search's first accepted trial in
-one batched adjoint.  Each matrix of a batch is its own BLAS or LAPACK
-call and every reduction runs over a contiguous trailing axis, so a
-trial's bits do not depend on its batch companions: a search takes the
-same steps however its ladders are cut, and :func:`optimize` is a batch
-of one.  A trial whose kernel raises fails the whole stacked call, so
-such a round evaluates each trial alone once and the survivors together
-again.
+searches in lockstep, one row of its state arrays each: a round evaluates
+a stretch of every running search's backtracking ladder in one batch,
+then updates the rows as masks, and one masked two-loop recursion gives
+every new direction.  Each matrix of a batch is its own BLAS or LAPACK
+call, each dot product one ``ddot`` per row, and every other reduction
+runs over a contiguous trailing axis, so a search's bits do not depend on
+its batch companions and :func:`optimize` is a batch of one.
 """
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
 from .channel import ChannelDecomposition, ChannelSet
-from .exceptions import ConfigError, DimensionError, NumericalError, PrecodesimError, check_positive
+from .exceptions import (
+    ConfigError, DimensionError, NumericalError, PrecodesimError, check_integer, check_positive)
 from .metrics import effective_sinr, mmse_sinr_stack, require_positive, user_se
 from .precoding import RIDGES, Precoder, check_reg, gram_stack, ridge_stack
 
@@ -46,10 +43,11 @@ _LN2 = np.log(2.0)
 # halving chains: on 18 traced opt_search searches, steps of more than 10
 # halvings took 48% of the evaluations for 0.03% of the gain.
 _WINDOW, _PROGRESS_TOL = 5, 1e-5
+_CONVERGED = "gradient norm below tolerance"
 # Searches running at once, and trial rows per round unless more searches
-# run.  On the default 440-search sweep (2 vCPUs) 16, 32, 64, 128 and 256
-# took 6.9, 5.5-6.1, 5.2-5.6, 4.3 and 5.2 s at 55, 57, 58, 63 and 71 MB
-# peak RSS; an opt_search process (6 searches) rarely fills 32 rows.
+# run.  On the default 440-search sweep (2 vCPUs) 32, 64 and 128 took
+# 3.5-4.0, 3.0 and 2.8 s at 56, 58 and 62 MB peak RSS; an opt_search
+# process (6 searches) rarely fills 32 rows.
 _BATCH = 64
 
 
@@ -71,6 +69,8 @@ class OptConfig:
     max_backtracks: int = 30
 
     def __post_init__(self):
+        for name in ("max_iters", "memory", "max_backtracks"):
+            check_integer(name, getattr(self, name))
         if min(self.max_iters, self.memory) < 1 or self.max_backtracks < 0:
             raise ConfigError("max_iters, memory must be >= 1; max_backtracks >= 0")
         for name in ("grad_tol", "init_step"):
@@ -109,8 +109,7 @@ def default_start(decomp: ChannelDecomposition, power: float, noise_var: float) 
     return RIDGES["arzf"](decomp, power, noise_var)[0]
 
 
-@dataclass(frozen=True)
-class _Evaluation:
+class _Evaluation(NamedTuple):
     """Kernel results for the ridges ``reg[b]`` of problems ``idx[b]``: sum
     SE ``j`` (NaN where ``ok`` is False), the :func:`sinr_terms` ``ok``, the
     layer weights ``x``, raw weights and gains, each user's effective SINR
@@ -128,11 +127,8 @@ class _Evaluation:
 
     def take(self, sel):
         """The members at positions ``sel``."""
-        pick = lambda a: a[sel]
-        return _Evaluation(
-            *map(pick, (self.idx, self.j, self.ok, self.reg, self.x, self.raw, self.gain, self.geo)),
-            [tuple(map(pick, st)) for st in self.stages],
-        )
+        return _Evaluation(*(a[sel] for a in self[:-1]),
+                           [tuple(a[sel] for a in st) for st in self.stages])
 
 
 class _Problems:
@@ -268,111 +264,23 @@ def gradient(
     return problems.adjoint(ev)[0][0]
 
 
-def _two_loop(grad_phi, pairs):
-    """Standard limited-memory inverse-Hessian application for the
-    minimization direction."""
-    q = grad_phi.copy()
-    alphas = []
-    for s, yv, rho in reversed(pairs):
-        a = rho * float(s @ q)
-        alphas.append(a)
-        q -= a * yv
-    s, yv, rho = pairs[-1]
-    q *= float(s @ yv) / float(yv @ yv)
-    for (s, yv, rho), a in zip(pairs, reversed(alphas)):
-        b = rho * float(yv @ q)
-        q += (a - b) * s
-    return -q
-
-
-def _search(reg, config):
-    """One search as a coroutine.  Each line search yields its ladder
-    ``(ridges, bounds)``, one row per step length in the order tried, and
-    is sent ``None`` if every trial is rejected, or ``(k, (objective,
-    gradient, most-loaded antenna, precoder))`` if trial ``k`` is the first
-    accepted: its objective ``j`` is finite and ``-j <= bounds[k]``.  The
-    start is a ladder of one with bound ``inf``.  It returns the
-    :class:`OptResult`."""
-
-    # the step lengths of every ladder, by repeated shrinking
-    alphas = [config.init_step]
-    for _ in range(config.max_backtracks):
-        alphas.append(alphas[-1] * config.backtrack)
-    alphas = np.array(alphas)
-
-    def search(u_base, j_base, direction, slope):
-        cands = u_base + alphas[:, None] * direction
-        with np.errstate(over="ignore"):
-            regs = np.exp(cands)
-        got = yield regs, -j_base + config.armijo_c1 * alphas * slope
-        if got is None:
-            return None
-        k, got = got
-        return cands[k], regs[k], got, float(alphas[k])
-
-    # the search steps in u = log(reg) but evaluates at reg itself, so
-    # the start (and a search that never moves) is exactly the arzf ridge,
-    # and accepted ridge entries that underflow to zero stay differentiable
-    u = np.log(reg)
-    got = yield reg[None], np.array([np.inf])
-    if got is None:
-        raise NumericalError("objective undefined at the starting ridge")
-    j_cur, g, top, pre = got[1]
-    j_start = j_cur
-    gnorm = float(np.abs(g).max())
-    traj = [(0, j_cur, gnorm, 0.0)]
-    pairs = deque(maxlen=config.memory)
-    # objective and most-loaded antenna of the last _WINDOW + 1 iterates
-    recent = deque([(j_cur, top)], maxlen=_WINDOW + 1)
-    converged = False
-    accepted = 0
-
-    while True:
-        if gnorm <= config.grad_tol:
-            converged, reason = True, "gradient norm below tolerance"
-            break
-        if len(recent) > _WINDOW and j_cur - recent[0][0] <= _PROGRESS_TOL * abs(j_cur):
-            kink = len({row for _, row in recent}) > 1
-            reason = "progress stalled at a max-row kink" if kink else "progress stalled"
-            break
-        if accepted == config.max_iters:
-            reason = "iteration limit reached"
-            break
-        p = _two_loop(-g, list(pairs)) if pairs else g
-        found = (yield from search(u, j_cur, p, float(-g @ p))) if float(g @ p) > 0 else None
-        if found is None and pairs:
-            # curvature memory can point downhill or across a normalization
-            # kink; drop it and retry along the raw gradient
-            pairs.clear()
-            found = yield from search(u, j_cur, g, float(-g @ g))
-        if found is None:
-            reason = "line search failed to find an acceptable step"
-            break
-        u_new, reg, (j_cur, g_new, top, pre), alpha = found
-
-        s = u_new - u
-        yv = (-g_new) - (-g)
-        sy = float(s @ yv)
-        if sy > 1e-12:
-            pairs.append((s, yv, 1.0 / sy))
-
-        u, g = u_new, g_new
-        gnorm = float(np.abs(g).max())
-        accepted += 1
-        traj.append((accepted, j_cur, gnorm, alpha))
-        recent.append((j_cur, top))
-
-    return OptResult(
-        reg_vec=reg,
-        precoder=pre,
-        objective=j_cur,
-        start_objective=j_start,
-        iterations=accepted,
-        converged=converged,
-        reason=reason,
-        grad_norm=gnorm,
-        trajectory=tuple(traj),
-    )
+def _directions(g, s, y, rho):
+    """The limited-memory quasi-Newton ascent direction ``H g`` of each row:
+    the two-loop recursion (Nocedal & Wright, *Numerical Optimization*, 2nd
+    ed., Alg. 7.4) over the row's curvature pairs ``s[b, i]``, ``y[b, i]``,
+    ``rho[b, i] = 1 / (s y)``, oldest first.  Padding pairs at the front are
+    zero with ``rho`` 0 and change nothing; each row's last pair, which
+    scales the initial inverse Hessian, is real."""
+    q, a = g.copy(), []
+    slots = list(zip(s.swapaxes(0, 1), y.swapaxes(0, 1), rho.T))
+    for s_i, y_i, rho_i in reversed(slots):
+        a.append(rho_i * np.vecdot(s_i, q))
+        q -= a[-1][:, None] * y_i
+    s_i, y_i, _ = slots[-1]
+    q *= (np.vecdot(s_i, y_i) / np.vecdot(y_i, y_i))[:, None]
+    for (s_i, y_i, rho_i), a_i in zip(slots, reversed(a)):
+        q += (a_i - rho_i * np.vecdot(y_i, q))[:, None] * s_i
+    return q
 
 
 def _try_evaluate(problems, idx, regs):
@@ -384,18 +292,17 @@ def _try_evaluate(problems, idx, regs):
 
 
 def _round(problems, idx, requests):
-    """The answer to each search ``idx[k]``'s request ``(ridges, bounds)``,
-    a stretch of its ladder: ``(t, (objective, gradient, most-loaded
-    antenna, precoder))`` for its first accepted trial ``t``, or None if
-    it accepted none.  One batched evaluation takes every trial ridge that
-    is finite (one that is not is rejected unevaluated), then one batched
-    adjoint the accepted ones.  Trial points may produce degenerate
-    systems; that just means "reject this step".  One trial's failure
-    fails a stacked LAPACK call for the whole batch, so a failing batch
-    has each trial evaluated alone and the survivors evaluated again
-    together; batch independence gives them the same bits."""
-    counts = [len(bounds) for _, bounds in requests]
-    first = np.cumsum(counts) - counts
+    """Evaluate ``requests[k] = (ridges, bounds)``, a stretch of search
+    ``idx[k]``'s ladder, and find each search's first accepted trial: its
+    objective ``j`` is finite and ``-j <= bound``.  Returns ``hit``, the
+    positions ``k`` that accepted a trial, the trial's position in its
+    stretch, and its evaluation, gradient and most-loaded antenna (``None``
+    if nothing was accepted).  A ridge that is not finite is rejected
+    unevaluated.  One trial's failure fails a stacked LAPACK call for the
+    whole batch, so a failing batch has each trial evaluated alone and the
+    survivors again together; batch independence gives them the same bits."""
+    counts = np.array([len(bounds) for _, bounds in requests])
+    first = counts.cumsum() - counts
     owner = np.repeat(np.arange(len(idx)), counts)
     rows = np.asarray(idx)[owner]
     regs = np.concatenate([ridges for ridges, _ in requests])
@@ -406,88 +313,169 @@ def _round(problems, idx, requests):
         if ev is None and len(keep) > 1:
             keep = [t for t in keep if _try_evaluate(problems, rows[[t]], regs[[t]]) is not None]
             ev = problems.evaluate(rows[keep], regs[keep]) if keep else None
-    answers = [None] * len(idx)
-    if ev is None:
-        return answers
-    keep = np.asarray(keep)
-    good = np.flatnonzero(np.isfinite(ev.j) & (-ev.j <= bounds[keep]))
-    # trials run in search order, then step order: the first good trial of
-    # each search is its answer
-    _, sel = np.unique(owner[keep[good]], return_index=True)
-    if len(sel):
-        sub = ev.take(good[sel])
-        g, top = problems.adjoint(sub)
-        for b, t in enumerate(keep[good[sel]]):
-            pre = Precoder(raw=sub.raw[b].copy(), gain=sub.gain[b], method="parametric_rzf")
-            answers[owner[t]] = (t - first[owner[t]], (float(sub.j[b]), g[b], int(top[b]), pre))
-    return answers
+    if ev is not None:
+        keep = np.asarray(keep)
+        good = np.flatnonzero(np.isfinite(ev.j) & (-ev.j <= bounds[keep]))
+        if len(good):
+            # trials run in search order, then step order: keep each search's first
+            who = owner[keep[good]]
+            good = good[np.concatenate([[True], who[1:] != who[:-1]])]
+            sub = ev if len(good) == len(ev.j) else ev.take(good)
+            t = keep[good]
+            hit = owner[t]
+            return hit, t - first[hit], sub, *problems.adjoint(sub)
+    return np.zeros(0, dtype=int), np.zeros(0, dtype=int), None, None, None
 
 
 def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
     """:func:`optimize` for each ``(decomp, channels, power, noise_var)`` of
-    ``problems``, run in lockstep.
+    ``problems``, run in lockstep, one row of the state arrays per search.
 
-    Every search keeps its own quasi-Newton state, rules and stopping
-    reasons.  At most ``_BATCH`` searches run at once, and a finished one
-    makes room for the next.  Each round evaluates a stretch of every
-    running search's ladder in one batch of at most ``max(_BATCH,
-    running searches)`` trials.  A stretch is one trial long in a line
-    search's first round, and its width doubles after each round that
-    rejects all of it; every search gets one trial, and the rest of the
-    budget widens the stretches in search order.  The first
-    accepted trials go through one batched adjoint.  Each result is
-    bitwise the one the search gets alone, one trial per round.  The list holds one :class:`OptResult`
-    per problem, in order, or the :class:`PrecodesimError` its search
-    raised; ``done(i, result)``, if given, is called as search ``i`` ends.
-    Inputs are validated once, here: a power or noise variance that is not
-    positive and finite raises ConfigError, and problems whose dims differ
-    raise DimensionError.
+    At most ``_BATCH`` searches run at once, and a finished one makes room
+    for the next.  Each round evaluates a stretch of every running search's
+    ladder in one batch of at most ``max(_BATCH, running searches)``
+    trials.  A stretch is one trial long in a line search's first round,
+    and its width doubles after each round that rejects all of it.  Each
+    result is bitwise the one the search gets alone, one trial per round.
+    The list holds one :class:`OptResult` per problem, in order, or the
+    :class:`PrecodesimError` its search raised; ``done(i, result)``, if
+    given, is called as search ``i`` ends.  Inputs are validated once,
+    here: a power or noise variance that is not positive and finite raises
+    ConfigError, and problems whose dims differ raise DimensionError.
     """
     problems = list(problems)
     if not problems:
         return []
     stack = _Problems(problems)
-    searches = [_search(r, config) for r in stack.start]
-    results = [None] * len(searches)
-    # running search -> [ridges, bounds, trials rejected, stretch width]
-    ladders, answers = {}, {}
-    unstarted = iter(range(len(searches)))
+    n, lt, m = len(problems), stack.dims.total_layers, config.memory
+    # the step lengths of every ladder, by repeated shrinking
+    alphas = np.cumprod([config.init_step] + [config.backtrack] * config.max_backtracks)
+    armijo = config.armijo_c1 * alphas
 
-    def advance(i, answer):
-        try:
-            ladders[i] = [*searches[i].send(answer), 0, 1]
-            return
-        except StopIteration as stop:
-            results[i] = stop.value
-        except PrecodesimError as exc:
-            results[i] = exc
-        ladders.pop(i, None)
-        if done is not None:
-            done(i, results[i])
+    # One row per search.  It steps in u = log(reg) but evaluates at reg
+    # itself, so the start (and a search that never moves) is exactly the
+    # arzf ridge, and accepted ridge entries that underflow to zero stay
+    # differentiable.  The start is a ladder of one, the last rung, with
+    # bound inf and step 0; accepted is -1 until it is taken.
+    reg = np.array(stack.start)
+    u = np.log(reg)
+    j, gnorm, slope, gain = (np.zeros(n) for _ in range(4))
+    g, p = np.zeros((n, lt)), np.zeros((n, lt))
+    raw = np.zeros((n, stack.dims.num_tx, lt), dtype=complex)
+    # curvature pairs, newest last, and how many are real
+    s_mem, y_mem, rho = np.zeros((n, m, lt)), np.zeros((n, m, lt)), np.zeros((n, m))
+    pairs = np.zeros(n, dtype=int)
+    # rungs of the current ladder tried so far, and the next stretch's width
+    tried, width, accepted = np.full(n, len(alphas) - 1), np.ones(n, dtype=int), np.full(n, -1)
+    # objective and most-loaded antenna of the last _WINDOW + 1 iterates, newest last
+    recent_j, recent_top = np.zeros((n, _WINDOW + 1)), np.zeros((n, _WINDOW + 1), dtype=int)
+    traj = [[] for _ in range(n)]
+    results, live, begun = [None] * n, np.zeros(n, dtype=bool), 0
 
     while True:
-        for i, answer in answers.items():
-            ladder = ladders[i]
-            if answer is not None:
-                advance(i, (ladder[2] + answer[0], answer[1]))
-                continue
-            ladder[2] += sent[i]
-            ladder[3] *= 2
-            if ladder[2] == len(ladder[1]):
-                advance(i, None)
-        for i in islice(unstarted, _BATCH - len(ladders)):
-            advance(i, None)
-        if not ladders:
+        free = _BATCH - np.count_nonzero(live)
+        live[begun:begun + free] = True
+        begun = min(n, begun + free)
+        run = np.flatnonzero(live)
+        if not len(run):
             return results
-        idx = sorted(ladders)
-        spare, sent, requests = max(_BATCH, len(idx)) - len(idx), {}, []
-        for i in idx:
-            ridges, bounds, tried, width = ladders[i]
-            sent[i] = min(width, len(bounds) - tried, spare + 1)
-            spare -= sent[i] - 1
-            stop = tried + sent[i]
-            requests.append((ridges[tried:stop], bounds[tried:stop]))
-        answers = dict(zip(idx, _round(stack, idx, requests)))
+        # every search gets one trial; the rest of the budget widens the
+        # stretches in search order
+        rung = tried[run]
+        want = np.minimum(width[run], len(alphas) - rung) - 1
+        spare = max(_BATCH, len(run)) - len(run) - (want.cumsum() - want)
+        sent = 1 + np.minimum(want, np.maximum(spare, 0))
+        end = sent.cumsum()
+        trial = np.repeat(run, sent)
+        step = np.arange(end[-1]) - np.repeat(end - sent - rung, sent)
+        with np.errstate(over="ignore"):
+            ridges = np.exp(u[trial] + alphas[step][:, None] * p[trial])
+        bounds = -j[trial] + armijo[step] * slope[trial]
+        fresh = accepted[run] < 0
+        if np.count_nonzero(fresh):
+            ridges[end[fresh] - 1], bounds[end[fresh] - 1] = reg[run[fresh]], np.inf
+        hit, at, sub, g_new, top = _round(stack, run, [
+            (ridges[a:b], bounds[a:b]) for a, b in zip((end - sent).tolist(), end.tolist())])
+
+        ended, failed = {}, []
+        if len(hit) < len(run):
+            rejected = np.ones(len(run), dtype=bool)
+            rejected[hit] = False
+            rej = run[rejected]
+            tried[rej] += sent[rejected]
+            width[rej] *= 2
+            failed = rej[tried[rej] == len(alphas)].tolist()
+
+        if len(hit):
+            acc, fresh = run[hit], fresh[hit]
+            k = tried[acc] + at
+            u_new = u[acc] + alphas[k][:, None] * p[acc]
+            s, y = u_new - u[acc], g[acc] - g_new
+            sy = np.vecdot(s, y)
+            # the start steps 0 from itself, so it adds no pair
+            new = sy > 1e-12
+            c = acc[new]
+            s_mem[c, :-1], y_mem[c, :-1], rho[c, :-1] = s_mem[c, 1:], y_mem[c, 1:], rho[c, 1:]
+            s_mem[c, -1], y_mem[c, -1], rho[c, -1] = s[new], y[new], 1.0 / sy[new]
+            pairs[c] += pairs[c] < m
+            gn, it = np.abs(g_new).max(axis=-1), accepted[acc] + 1
+            u[acc], g[acc], reg[acc], j[acc], raw[acc], gain[acc], gnorm[acc], accepted[acc] = (
+                u_new, g_new, sub.reg, sub.j, sub.raw, sub.gain, gn, it)
+            recent_j[acc, :-1], recent_top[acc, :-1] = recent_j[acc, 1:], recent_top[acc, 1:]
+            recent_j[acc, -1], recent_top[acc, -1] = sub.j, top
+            steps = np.where(fresh, 0.0, alphas[k]).tolist()
+            for i, row in zip(acc.tolist(), zip(it.tolist(), sub.j.tolist(), gn.tolist(), steps)):
+                traj[i].append(row)
+
+            conv, limit = gn <= config.grad_tol, it == config.max_iters
+            stall = (it >= _WINDOW) & (sub.j - recent_j[acc, 0] <= _PROGRESS_TOL * np.abs(sub.j))
+            stop = conv | stall | limit
+            for b in np.flatnonzero(stop).tolist():
+                i = int(acc[b])
+                # the kink: the most-loaded antenna changed in the window
+                kink = " at a max-row kink" if len(set(recent_top[i].tolist())) > 1 else ""
+                ended[i] = (_CONVERGED if conv[b] else "progress stalled" + kink if stall[b]
+                            else "iteration limit reached")
+            go = acc[~stop]
+            p[go] = g[go]
+            mem = go[pairs[go] > 0]
+            if len(mem):
+                # slots that are padding in every row change nothing
+                lo = m - pairs[mem].max()
+                p[mem] = _directions(g[mem], s_mem[mem, lo:], y_mem[mem, lo:], rho[mem, lo:])
+            gp = np.vecdot(g[go], p[go])
+            slope[go], tried[go], width[go] = -gp, 0, 1
+            failed += go[gp <= 0].tolist()
+
+        if failed:
+            for i in failed:
+                if accepted[i] < 0:
+                    ended[i] = NumericalError("objective undefined at the starting ridge")
+                elif not pairs[i]:
+                    ended[i] = "line search failed to find an acceptable step"
+            # curvature memory can point downhill or across a normalization
+            # kink; drop it and retry along the raw gradient
+            retry = [i for i in failed if i not in ended]
+            pairs[retry], s_mem[retry], y_mem[retry], rho[retry] = 0, 0.0, 0.0, 0.0
+            p[retry], slope[retry] = g[retry], -np.vecdot(g[retry], g[retry])
+            tried[retry], width[retry] = 0, 1
+
+        # rows of ended searches are never written again, so results hold views
+        for i in sorted(ended):
+            live[i] = False
+            results[i] = ended[i] if isinstance(ended[i], PrecodesimError) else OptResult(
+                reg_vec=reg[i],
+                precoder=Precoder(raw=raw[i], gain=gain[i], method="parametric_rzf"),
+                objective=float(j[i]),
+                start_objective=traj[i][0][1],
+                iterations=int(accepted[i]),
+                converged=ended[i] == _CONVERGED,
+                reason=ended[i],
+                grad_norm=float(gnorm[i]),
+                trajectory=tuple(traj[i]),
+            )
+            if done is not None:
+                done(i, results[i])
 
 
 def optimize(

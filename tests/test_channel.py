@@ -392,6 +392,8 @@ class TestCalibrateNoise:
             with pytest.raises(ConfigError, match=f"{target_db:g} dB"):
                 calibrate_noise(dec, 1.0, target_db)
         assert calibrate_noise(dec, 1.0, MIN_SUSINR_DB) > 0
+        with pytest.raises(ConfigError, match="target SINR nan dB is not finite"):
+            calibrate_noise(dec, 1.0, float("nan"))
 
     @settings(max_examples=100, deadline=None)
     @given(

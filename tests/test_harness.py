@@ -64,6 +64,10 @@ class TestSweepConfig:
             with pytest.raises(ConfigError, match=next(iter(kw))):
                 SweepConfig(**kw)
         assert SweepConfig(num_seeds=np.int64(2), seed_base=np.int32(3)).num_seeds == 2
+        # a non-finite level fails here, naming itself, not in calibrate_noise
+        for level in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match=f"susinr_db level {level} dB is not finite"):
+                SweepConfig(susinr_db=(0.0, float(level)))
         for power in (0.0, float("nan"), float("inf")):
             with pytest.raises(ConfigError, match="power"):
                 SweepConfig(power=power)

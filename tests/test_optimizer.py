@@ -16,7 +16,7 @@ from precodesim.detection import mmse_detection
 from precodesim.exceptions import ConfigError, DimensionError, NotHpdError, NumericalError
 from precodesim.metrics import evaluate, report
 from precodesim.numerics import complex_normal
-from helpers import complex_gaussian, evaluate_point
+from helpers import complex_gaussian, evaluate_point, two_loop
 from precodesim.optimizer import (
     _PROGRESS_TOL,
     _WINDOW,
@@ -275,6 +275,37 @@ class TestOptimize:
         ) < 1e-12
 
 
+class TestDirections:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), memory=st.integers(1, 10), lt=st.integers(1, 9))
+    def test_masked_two_loop_matches_oracle(self, seed, memory, lt):
+        # rows hold from 1 (row 0) to memory (row 4) real pairs behind zero
+        # padding; the pairs come from one SPD Hessian per row, so s y > 0
+        rng = np.random.default_rng(seed)
+        rows = 5
+        g = rng.normal(size=(rows, lt))
+        s, y = np.zeros((rows, memory, lt)), np.zeros((rows, memory, lt))
+        rho = np.zeros((rows, memory))
+        oracle = []
+        for b in range(rows):
+            a = rng.normal(size=(lt, lt))
+            hess = a @ a.T + 0.5 * np.eye(lt)
+            pairs = []
+            for i in range(memory - 1 - b * (memory - 1) // (rows - 1), memory):
+                s[b, i] = rng.normal(size=lt)
+                y[b, i] = hess @ s[b, i]
+                rho[b, i] = 1.0 / float(s[b, i] @ y[b, i])
+                pairs.append((s[b, i], y[b, i], rho[b, i]))
+            oracle.append(two_loop(-g[b], pairs))
+        p = optimizer._directions(g, s, y, rho)
+        oracle = np.array(oracle)
+        assert np.all(np.abs(p - oracle) <= 1e-12 * np.abs(oracle).max(axis=-1, keepdims=True))
+        # each row alone gives the bits it gets inside the batch
+        for b in range(rows):
+            alone = optimizer._directions(g[b:b + 1], s[b:b + 1], y[b:b + 1], rho[b:b + 1])
+            assert alone.tobytes() == p[b:b + 1].tobytes()
+
+
 def same_search(a, b):
     return (a.reg_vec.tobytes() == b.reg_vec.tobytes() and a.trajectory == b.trajectory
             and a.reason == b.reason and a.precoder.raw.tobytes() == b.precoder.raw.tobytes()
@@ -440,3 +471,10 @@ class TestConfigAndCsv:
             OptConfig(backtrack=1.0)
         with pytest.raises(ConfigError):
             OptConfig(grad_tol=0.0)
+        # a float iteration limit never equals the accepted count, and a
+        # bool memory would be taken as 1
+        for kw in ({"max_iters": 2.5}, {"max_iters": True}, {"memory": True},
+                   {"memory": 3.0}, {"max_backtracks": 1.5}, {"max_backtracks": False}):
+            with pytest.raises(ConfigError, match=next(iter(kw))):
+                OptConfig(**kw)
+        assert OptConfig(max_iters=np.int64(3), memory=np.int32(2)).max_iters == 3
