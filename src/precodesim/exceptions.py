@@ -1,8 +1,9 @@
 """Exception types raised across the package, and the validators for
-positive, finite inputs such as power and noise variance and for integer
-sizes and seeds."""
+real, positive, finite inputs such as power and noise variance and for
+integer sizes and seeds."""
 
 import math
+import sys
 
 import numpy as np
 
@@ -47,8 +48,18 @@ class ConfigError(PrecodesimError, ValueError):
     """Invalid configuration values."""
 
 
+def check_real(name: str, value) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is a real number in the
+    float range: a Python or numpy integer or float, and not a bool."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or isinstance(value, int) and abs(value) > sys.float_info.max):
+        raise ConfigError(f"{name} must be a real number in the float range, got {value!r}")
+
+
 def check_positive(name: str, value) -> None:
-    """Raise :class:`ConfigError` unless ``value`` is positive and finite."""
+    """Raise :class:`ConfigError` unless ``value`` is a real number that is
+    positive and finite."""
+    check_real(name, value)
     if not (value > 0 and math.isfinite(value)):
         raise ConfigError(f"{name} must be positive and finite, got {value}")
 

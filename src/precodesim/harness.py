@@ -13,27 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (
-    ScenarioConfig,
-    calibrate_noise,
-    decompose,
-    generate_scenario,
-)
-from .exceptions import ConfigError, PrecodesimError, SelectionError, check_integer, check_positive
+from .channel import ScenarioConfig, calibrate_noise, decompose, generate_scenario
+from .exceptions import (
+    ConfigError, PrecodesimError, SelectionError, check_integer, check_positive, check_real)
 from .metrics import evaluate, evaluate_many
 from .optimizer import OptConfig, optimize_many
 from .precoding import CLOSED_FORMS, closed_forms
 
-__all__ = [
-    "METHODS",
-    "SweepConfig",
-    "SweepRow",
-    "SweepResult",
-    "run_sweep",
-    "format_csv",
-    "emit_csv",
-    "emit_plotdata",
-]
+__all__ = ["METHODS", "SweepConfig", "SweepRow", "SweepResult", "run_sweep", "format_csv",
+           "emit_csv", "emit_plotdata"]
 
 CSV_HEADER = "scenario,susinr_db,method,avg_sum_se,se_std,avg_min_se,min_se_std,seeds,detection"
 
@@ -62,6 +50,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.scenario not in ("equal", "varied"):
             raise ConfigError(f"scenario must be 'equal' or 'varied', got {self.scenario!r}")
+        for level in self.susinr_db:
+            check_real("susinr_db level", level)
         object.__setattr__(self, "susinr_db", tuple(float(x) for x in self.susinr_db))
         object.__setattr__(self, "methods", tuple(self.methods))
         if not self.susinr_db:

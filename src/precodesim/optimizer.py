@@ -291,9 +291,10 @@ def _try_evaluate(problems, idx, regs):
         return None
 
 
-def _round(problems, idx, requests):
-    """Evaluate ``requests[k] = (ridges, bounds)``, a stretch of search
-    ``idx[k]``'s ladder, and find each search's first accepted trial: its
+def _round(problems, idx, regs, bounds, sent):
+    """Evaluate the trial ridges ``regs`` with Armijo bounds ``bounds``:
+    ``sent[k]`` consecutive rows, a stretch of search ``idx[k]``'s ladder,
+    for each ``k`` in order.  Find each search's first accepted trial: its
     objective ``j`` is finite and ``-j <= bound``.  Returns ``hit``, the
     positions ``k`` that accepted a trial, the trial's position in its
     stretch, and its evaluation, gradient and most-loaded antenna (``None``
@@ -301,12 +302,8 @@ def _round(problems, idx, requests):
     unevaluated.  One trial's failure fails a stacked LAPACK call for the
     whole batch, so a failing batch has each trial evaluated alone and the
     survivors again together; batch independence gives them the same bits."""
-    counts = np.array([len(bounds) for _, bounds in requests])
-    first = counts.cumsum() - counts
-    owner = np.repeat(np.arange(len(idx)), counts)
+    owner = np.repeat(np.arange(len(idx)), sent)
     rows = np.asarray(idx)[owner]
-    regs = np.concatenate([ridges for ridges, _ in requests])
-    bounds = np.concatenate([b for _, b in requests])
     keep = np.flatnonzero(np.isfinite(regs).all(axis=-1))
     with np.errstate(all="ignore"):
         ev = _try_evaluate(problems, rows[keep], regs[keep]) if len(keep) else None
@@ -323,7 +320,7 @@ def _round(problems, idx, requests):
             sub = ev if len(good) == len(ev.j) else ev.take(good)
             t = keep[good]
             hit = owner[t]
-            return hit, t - first[hit], sub, *problems.adjoint(sub)
+            return hit, t - (sent.cumsum() - sent)[hit], sub, *problems.adjoint(sub)
     return np.zeros(0, dtype=int), np.zeros(0, dtype=int), None, None, None
 
 
@@ -394,8 +391,7 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
         fresh = accepted[run] < 0
         if np.count_nonzero(fresh):
             ridges[end[fresh] - 1], bounds[end[fresh] - 1] = reg[run[fresh]], np.inf
-        hit, at, sub, g_new, top = _round(stack, run, [
-            (ridges[a:b], bounds[a:b]) for a, b in zip((end - sent).tolist(), end.tolist())])
+        hit, at, sub, g_new, top = _round(stack, run, ridges, bounds, sent)
 
         ended, failed = {}, []
         if len(hit) < len(run):

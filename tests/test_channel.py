@@ -1,3 +1,4 @@
+import time
 from functools import partial
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from precodesim.channel import (
+    CANDIDATE_CHUNK,
     MIN_SUSINR_DB,
     SHARED_PATH_WEIGHT,
     ChannelDecomposition,
@@ -348,6 +350,54 @@ class TestScreening:
                 generate_scenario(cfg)
         else:
             assert_same_bits(generate_scenario(cfg), with_path_loss(*ref, cfg))
+
+    @pytest.mark.parametrize("cap, users", [(0.05, 2), (0.1, 2), (0.2, 3), (0.2, 4)])
+    def test_pools_past_one_chunk_match_svd_screening(self, cap, users):
+        # 200 candidates are four chunks; low caps keep candidates deep in the pool
+        assert CANDIDATE_CHUNK < 200
+        for seed in range(6):
+            for family in ("equal", "varied"):
+                cfg = ScenarioConfig(seed=seed, num_users=users, corr_threshold=cap,
+                                     candidate_pool=200, max_retries=2, path_loss=family)
+                ref = svd_screened_selection(cfg)
+                if ref is None:
+                    with pytest.raises(SelectionError):
+                        generate_scenario(cfg)
+                else:
+                    assert_same_bits(generate_scenario(cfg), with_path_loss(*ref, cfg))
+
+    @pytest.mark.parametrize("seed, cap, users", [(3, 0.05, 2), (2, 0.2, 3), (0, 0.2, 4)])
+    def test_kept_past_the_first_chunk(self, seed, cap, users):
+        # one pool: the first chunk alone fails, so the last kept index is
+        # CANDIDATE_CHUNK or more
+        make = partial(ScenarioConfig, seed=seed, num_users=users, corr_threshold=cap,
+                       max_retries=1)
+        with pytest.raises(SelectionError):
+            generate_scenario(make(candidate_pool=CANDIDATE_CHUNK))
+        assert_both_families_match(partial(make, candidate_pool=200))
+
+    def test_varied_retry_after_failed_pool(self):
+        # seed 4's first pool fails, so its gains follow the second pool's draws
+        with pytest.raises(SelectionError):
+            generate_scenario(ScenarioConfig(seed=4, path_loss="varied", max_retries=1))
+        assert_both_families_match(partial(ScenarioConfig, seed=4, max_retries=2))
+
+    def test_huge_pool_stops_at_the_last_user(self):
+        # a cap of 1 keeps the first candidates; only one chunk is drawn
+        for family in ("equal", "varied"):
+            make = partial(ScenarioConfig, corr_threshold=1.0, path_loss=family, seed=7)
+            start = time.perf_counter()
+            huge = generate_scenario(make(candidate_pool=10**12))
+            assert time.perf_counter() - start < 5.0
+            assert_same_bits(huge, generate_scenario(make(candidate_pool=4)).blocks)
+
+    def test_landscape_is_cached_and_read_only(self):
+        centers, surroundings = _scatter_environment(64, 6)
+        assert _scatter_environment(64, 6)[0] is centers
+        assert surroundings.shape == (6, 64, 5)
+        for a in (centers, surroundings):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 0
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_path_powers_strictly_decreasing(self, n):

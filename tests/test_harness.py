@@ -5,7 +5,7 @@ import pytest
 
 import precodesim.harness as harness
 import precodesim.optimizer as optimizer
-from precodesim.channel import calibrate_noise, decompose, generate_scenario
+from precodesim.channel import ScenarioConfig, calibrate_noise, decompose, generate_scenario
 from precodesim.detection import mmse_detection
 from precodesim.exceptions import ConfigError, SelectionError
 from precodesim.harness import (
@@ -71,6 +71,36 @@ class TestSweepConfig:
         for power in (0.0, float("nan"), float("inf")):
             with pytest.raises(ConfigError, match="power"):
                 SweepConfig(power=power)
+
+    @pytest.mark.parametrize("make, field, value", [
+        (ScenarioConfig, "path_loss_range_db", (0, 1, 2)),
+        (ScenarioConfig, "path_loss_range_db", 5.0),
+        (ScenarioConfig, "path_loss_range_db", ("-10", 10.0)),
+        (ScenarioConfig, "path_loss_range_db", (-10.0, True)),
+        (ScenarioConfig, "corr_threshold", "0.3"),
+        (ScenarioConfig, "corr_threshold", True),
+        (ScenarioConfig, "corr_threshold", np.bool_(True)),
+        (SweepConfig, "power", True),
+        (SweepConfig, "power", "1"),
+        (SweepConfig, "power", 1j),
+        (SweepConfig, "susinr_db", ("a",)),
+        (SweepConfig, "susinr_db", (0.0, True)),
+        # integers past the float range
+        (ScenarioConfig, "path_loss_range_db", (0, 10**400)),
+        (SweepConfig, "power", 10**400),
+        (SweepConfig, "susinr_db", (0.0, -10**400)),
+    ])
+    def test_wrong_types_fail_at_the_boundary(self, make, field, value):
+        # each used to raise a bare TypeError, ValueError or OverflowError, or
+        # was accepted
+        with pytest.raises(ConfigError, match=field):
+            make(**{field: value})
+
+    def test_numpy_scalars_pass(self):
+        assert ScenarioConfig(corr_threshold=np.float32(0.5),
+                              path_loss_range_db=np.array([-3.0, 3.0])).corr_threshold == 0.5
+        cfg = SweepConfig(power=np.float64(2.0), susinr_db=(np.int64(0), np.float32(10.0)))
+        assert cfg.power == 2.0 and cfg.susinr_db == (0.0, 10.0)
 
     def test_scenario_config_seed(self):
         cfg = tiny_sweep()

@@ -338,9 +338,9 @@ class TestOptimizeMany:
         full = optimize_many(problems)
         real, sizes = optimizer._round, []
 
-        def round_(stack, idx, requests):
+        def round_(stack, idx, ridges, bounds, sent):
             sizes.append(len(idx))
-            return real(stack, idx, requests)
+            return real(stack, idx, ridges, bounds, sent)
 
         monkeypatch.setattr(optimizer, "_round", round_)
         monkeypatch.setattr(optimizer, "_BATCH", 2)
@@ -357,9 +357,11 @@ class TestOptimizeMany:
         problems = sweep_problems((3,), "varied", (0, 20, 40))
         real, rows = optimizer._round, []
 
-        def round_(stack, idx, requests):
-            rows.append(sum(len(bounds) for _, bounds in requests))
-            return real(stack, idx, requests)
+        def round_(stack, idx, ridges, bounds, sent):
+            # sent[k] trial rows for each request
+            assert len(sent) == len(idx) and sent.sum() == len(ridges) == len(bounds)
+            rows.append(int(sent.sum()))
+            return real(stack, idx, ridges, bounds, sent)
 
         monkeypatch.setattr(optimizer, "_round", round_)
         wide = optimize_many(problems)
@@ -397,9 +399,9 @@ class TestOptimizeMany:
             adjoints[-1] += 1
             return real_adj(self, ev)
 
-        def round_(stack, idx, requests):
+        def round_(stack, idx, ridges, bounds, sent):
             adjoints.append(0)
-            return real_round(stack, idx, requests)
+            return real_round(stack, idx, ridges, bounds, sent)
 
         monkeypatch.setattr(optimizer._Problems, "evaluate", evaluate)
         monkeypatch.setattr(optimizer._Problems, "adjoint", adjoint)
