@@ -7,55 +7,18 @@ and reports spectral-efficiency metrics over multi-seed sweeps.
 """
 
 from .channel import (
-    ChannelDecomposition,
-    ChannelSet,
-    ScenarioConfig,
-    SystemDims,
-    calibrate_noise,
-    decompose,
-    generate_scenario,
-)
+    ChannelDecomposition, ChannelSet, ScenarioConfig, SystemDims, calibrate_noise, decompose,
+    generate_scenario)
 from .detection import DetectionSet, conjugate_detection, mmse_detection
 from .exceptions import (
-    ConfigError,
-    DimensionError,
-    NotHpdError,
-    NumericalError,
-    PrecodesimError,
-    RankDeficiencyError,
-    SelectionError,
-    SingularGramError,
-    ZeroMatrixError,
-    ZeroSinrError,
-)
+    ConfigError, DimensionError, NotHpdError, NumericalError, PrecodesimError, RankDeficiencyError,
+    SelectionError, SingularGramError, ZeroMatrixError, ZeroSinrError)
 from .harness import (
-    METHODS,
-    SweepConfig,
-    SweepResult,
-    SweepRow,
-    emit_csv,
-    emit_plotdata,
-    format_csv,
-    run_sweep,
-)
-from .metrics import (
-    MetricsReport,
-    effective_sinr,
-    evaluate,
-    layer_sinr,
-    report,
-    user_se,
-)
+    METHODS, SweepConfig, SweepResult, SweepRow, emit_csv, emit_plotdata, format_csv, run_sweep)
+from .metrics import MetricsReport, effective_sinr, evaluate, layer_sinr, report, user_se
 from .numerics import SvdResult, reduced_svd
 from .optimizer import (
-    OptConfig,
-    OptResult,
-    default_start,
-    gradient,
-    objective,
-    optimize,
-    optimize_many,
-)
+    OptConfig, OptResult, default_start, gradient, objective, optimize, optimize_many)
 from .precoding import Precoder, arzf, mrt, normalize, parametric_rzf, rzf, wrzf, zf
 from .verification import CheckResult, run_all
 

@@ -9,6 +9,7 @@ singular values descending inside each user.
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -60,7 +61,8 @@ MAX_PATH_LOSS_DB = 3000.0
 MIN_SUSINR_DB = -1500.0
 
 # Largest number of scenario candidates drawn and screened at once, which
-# bounds the generator's memory whatever the candidate pool.
+# bounds the generator's memory whatever the candidate pool.  The first chunk
+# of a pool is half as long: a default pool needs about 28 candidates.
 CANDIDATE_CHUNK = 64
 
 
@@ -403,9 +405,9 @@ def generate_scenario(config: ScenarioConfig) -> ChannelSet:
     :class:`SelectionError` is raised.  Output is deterministic in
     ``config.seed``.
 
-    A pool is drawn in chunks of up to :data:`CANDIDATE_CHUNK` candidates,
-    one ``standard_normal`` call each (the stream of one call per
-    candidate).  A chunk is screened in masked greedy steps: its first
+    A pool is drawn in chunks of up to :data:`CANDIDATE_CHUNK` candidates
+    (half that for the first), one ``standard_normal`` call each (the
+    stream of one call per candidate).  A chunk is screened in masked greedy steps: its first
     allowed candidate is kept, and one product of the chunk with the kept
     direction strikes out every later candidate too correlated with it.
     The kept blocks are built as one stack.  Varied path loss redraws the
@@ -415,12 +417,13 @@ def generate_scenario(config: ScenarioConfig) -> ChannelSet:
     rx_draws = 2 * config.rx_per_user * config.num_paths
     path_draws = 2 * environment[1].shape[2]
     size, cap = rx_draws + path_draws * config.num_paths, config.corr_threshold
+    pool, first = config.candidate_pool, CANDIDATE_CHUNK // 2
     for attempt in range(config.max_retries):
         rng = np.random.default_rng(config.seed + attempt)
         kept, directions = [], np.zeros((0, config.num_tx), dtype=complex)
-        for start in range(0, config.candidate_pool, CANDIDATE_CHUNK):
+        for start in chain((0,), range(first, pool, CANDIDATE_CHUNK)):
             state = rng.bit_generator.state
-            z = rng.standard_normal((min(CANDIDATE_CHUNK, config.candidate_pool - start), size))
+            z = rng.standard_normal((min(CANDIDATE_CHUNK if start else first, pool - start), size))
             # Orthonormal path frames and strictly decreasing path powers
             # make b[:, 0], path 0's normalized mixed direction, the
             # block's dominant right singular vector up to phase, and
@@ -457,7 +460,7 @@ def generate_scenario(config: ScenarioConfig) -> ChannelSet:
     )
 
 
-def calibrate_noise(decomp: ChannelDecomposition, power: float, target_susinr_db: float) -> float:
+def calibrate_noise(decomp: ChannelDecomposition, power: float, target_susinr_db):
     """Noise variance that places the realization at a target average
     single-user SINR.
 
@@ -466,22 +469,24 @@ def calibrate_noise(decomp: ChannelDecomposition, power: float, target_susinr_db
     average is the geometric mean over users; this solves that relation
     for ``noise_var`` given the target in dB.  A target below
     :data:`MIN_SUSINR_DB`, a NaN, or a result that over- or underflows,
-    raises :class:`ConfigError`.
+    raises :class:`ConfigError`.  A tuple or list of targets gives the list
+    of their noise variances: the level-independent factor is computed
+    once, then each level is one scalar ``power / target * factor``, with
+    the bits of its own call.
     """
     check_positive("power", power)
-    if np.isnan(target_susinr_db):
-        raise ConfigError(f"target SINR {target_susinr_db} dB is not finite")
-    if not target_susinr_db >= MIN_SUSINR_DB:
-        raise ConfigError(
-            f"target SINR {target_susinr_db:g} dB is below the lowest supported "
-            f"level, {MIN_SUSINR_DB:g} dB"
-        )
-    log_terms = []
-    for k in range(decomp.dims.num_users):
-        s_k = decomp.s_block(k)
-        log_terms.append(2.0 * np.mean(np.log(s_k)) - np.log(decomp.dims.layers[k]))
+    many = isinstance(target_susinr_db, (tuple, list))
+    log_terms = [2.0 * np.mean(np.log(decomp.s_block(k))) - np.log(decomp.dims.layers[k])
+                 for k in range(decomp.dims.num_users)]
+    out = []
     with np.errstate(over="ignore", divide="ignore"):
-        target = np.float64(10.0) ** (target_susinr_db / 10.0)
-        noise_var = power / target * np.exp(np.mean(log_terms))
-    check_positive(f"noise variance for target {target_susinr_db} dB", noise_var)
-    return noise_var
+        factor = np.exp(np.mean(log_terms))
+        for level in target_susinr_db if many else [target_susinr_db]:
+            if np.isnan(level):
+                raise ConfigError(f"target SINR {level} dB is not finite")
+            if not level >= MIN_SUSINR_DB:
+                raise ConfigError(f"target SINR {level:g} dB is below the lowest supported "
+                                  f"level, {MIN_SUSINR_DB:g} dB")
+            out.append(power / np.float64(10.0) ** (level / 10.0) * factor)
+            check_positive(f"noise variance for target {level} dB", out[-1])
+    return out if many else out[0]

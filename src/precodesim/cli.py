@@ -15,14 +15,7 @@ import reprlib
 import sys
 
 from .exceptions import PrecodesimError
-from .harness import (
-    METHODS,
-    SweepConfig,
-    emit_csv,
-    emit_plotdata,
-    format_csv,
-    run_sweep,
-)
+from .harness import METHODS, SweepConfig, emit_csv, emit_plotdata, format_csv, run_sweep
 from .verification import run_all
 
 __all__ = ["main", "parse_susinr"]

@@ -69,9 +69,7 @@ def mmse_stack(h: np.ndarray, w: np.ndarray, own: np.ndarray, noise_var):
     return eff, ah, m_inv, m_inv @ ah
 
 
-def mmse_detection(
-    channels: ChannelSet, precoder: Precoder, noise_var: float
-) -> DetectionSet:
+def mmse_detection(channels: ChannelSet, precoder: Precoder, noise_var: float) -> DetectionSet:
     """Per-user linear MMSE receiver for the precoded own-user signal:
     user k's block is the :func:`mmse_stack` block of ``A_k = H_k @ W_k``
     (own layers only)."""

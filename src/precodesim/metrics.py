@@ -16,24 +16,16 @@ from .detection import DetectionSet, mmse_stack
 from .exceptions import DimensionError, ZeroSinrError, check_positive
 from .precoding import Precoder
 
-__all__ = [
-    "MetricsReport",
-    "sinr_terms",
-    "require_positive",
-    "mmse_sinr_stack",
-    "layer_sinr",
-    "effective_sinr",
-    "user_se",
-    "report",
-    "evaluate",
-    "evaluate_many",
-]
+__all__ = ["MetricsReport", "sinr_terms", "require_positive", "mmse_sinr_stack", "layer_sinr",
+           "effective_sinr", "user_se", "report", "evaluate", "evaluate_many"]
 
 
 @dataclass(frozen=True)
 class MetricsReport:
     """Evaluated link metrics for one (channel, precoder, detection)
-    triple.  ``avg_se`` is ``sum_se`` divided by the user count."""
+    triple, or for a stack of precoders with the batch axis first
+    (:func:`evaluate_many`).  ``avg_se`` is ``sum_se`` divided by the user
+    count."""
 
     layer_sinr: np.ndarray
     eff_sinr: np.ndarray
@@ -91,9 +83,8 @@ def mmse_sinr_stack(groups, w: np.ndarray, noise_var):
     return sinrs, stages, ok
 
 
-def layer_sinr(
-    channels: ChannelSet, precoder: Precoder, detection: DetectionSet, noise_var: float
-) -> np.ndarray:
+def layer_sinr(channels: ChannelSet, precoder: Precoder, detection: DetectionSet,
+               noise_var: float) -> np.ndarray:
     """Per-layer SINR under the given detection blocks (see
     :func:`sinr_terms`)."""
     check_positive("noise_var", noise_var)
@@ -131,50 +122,47 @@ def user_se(eff: np.ndarray, dims) -> np.ndarray:
     return np.asarray(dims.layers, dtype=float) * (np.log1p(eff) / np.log(2.0))
 
 
-def report(
-    channels: ChannelSet,
-    precoder: Precoder,
-    detection: DetectionSet,
-    noise_var: float,
-) -> MetricsReport:
+def report(channels: ChannelSet, precoder: Precoder, detection: DetectionSet,
+           noise_var: float) -> MetricsReport:
     """Evaluate all metrics for one configuration."""
-    sinrs = layer_sinr(channels, precoder, detection, noise_var)
-    return _summary(sinrs, channels.dims, detection.kind)
+    return _summary(layer_sinr(channels, precoder, detection, noise_var), channels.dims,
+                    detection.kind)
 
 
 def evaluate(channels: ChannelSet, precoder: Precoder, noise_var: float) -> MetricsReport:
     """All metrics of ``precoder`` under per-user MMSE detection from one
     :func:`mmse_stack` pass, bitwise equal to :func:`report` with
     :func:`mmse_detection`."""
-    return evaluate_many(channels, (precoder,), noise_var)[0]
+    return _summary(_mmse_sinrs(channels, precoder.weights[None], noise_var)[0], channels.dims)
 
 
-def evaluate_many(channels: ChannelSet, precoders, noise_var: float) -> list:
-    """:func:`evaluate` of each of ``precoders`` from one batched
-    :func:`mmse_sinr_stack` call, each bitwise as alone; any layer SINR
-    that is not positive raises ZeroSinrError."""
-    check_positive("noise_var", noise_var)
-    if not precoders:
-        return []
+def evaluate_many(channels: ChannelSet, weights: np.ndarray, noise_var) -> MetricsReport:
+    """:func:`evaluate` of each of a stack of weights ``(B, num_tx,
+    total_layers)``, member b under ``noise_var[b]`` (or all under one
+    ``noise_var``), from one batched :func:`mmse_sinr_stack` call and one
+    summary: every array of the report has the batch axis first, and each
+    member is bitwise as alone.  Any layer SINR that is not positive raises
+    ZeroSinrError."""
+    return _summary(_mmse_sinrs(channels, weights, noise_var), channels.dims)
+
+
+def _mmse_sinrs(channels: ChannelSet, w: np.ndarray, noise_var) -> np.ndarray:
+    for nv in dict.fromkeys(np.ravel(noise_var).tolist()):
+        check_positive("noise_var", nv)
     dims = channels.dims
-    w = np.stack([p.weights for p in precoders])
     if w.shape[1:] != (dims.num_tx, dims.total_layers):
         raise DimensionError(f"precoder shape {w.shape[1:]} != ({dims.num_tx}, {dims.total_layers})")
     groups = [(h[None], own) for _, h, own in channels.groups]
     sinrs, _, ok = mmse_sinr_stack(groups, w, noise_var)
     require_positive(ok)
-    return [_summary(s, dims, "mmse") for s in sinrs]
+    return sinrs
 
 
-def _summary(sinrs, dims, detection: str) -> MetricsReport:
+def _summary(sinrs, dims, detection: str = "mmse") -> MetricsReport:
+    """The report of layer SINRs ``sinrs``, batch axes first."""
     eff = effective_sinr(sinrs, dims)
     se = user_se(eff, dims)
-    return MetricsReport(
-        layer_sinr=sinrs,
-        eff_sinr=eff,
-        user_se=se,
-        sum_se=float(se.sum()),
-        min_se=float(se.min()),
-        avg_se=float(se.sum() / dims.num_users),
-        detection=detection,
-    )
+    total = se.sum(axis=-1)
+    return MetricsReport(layer_sinr=sinrs, eff_sinr=eff, user_se=se, sum_se=total,
+                         min_se=se.min(axis=-1), avg_se=total / dims.num_users,
+                         detection=detection)

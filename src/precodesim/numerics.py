@@ -19,14 +19,8 @@ import numpy as np
 
 from .exceptions import DimensionError, NotHpdError, NumericalError, check_positive
 
-__all__ = [
-    "RANK_TOLERANCE",
-    "SvdResult",
-    "as_complex_matrix",
-    "reduced_svd",
-    "hpd_inverse",
-    "complex_normal",
-]
+__all__ = ["RANK_TOLERANCE", "SvdResult", "as_complex_matrix", "reduced_svd", "hpd_inverse",
+           "complex_normal"]
 
 # Singular values below RANK_TOLERANCE * s_max are treated as rank
 # deficiency by callers that need to invert.

@@ -242,9 +242,8 @@ def _one(decomp, channels, reg_vec, power, noise_var):
     return problems, ev
 
 
-def objective(
-    decomp: ChannelDecomposition, channels: ChannelSet, reg_vec, power: float, noise_var: float
-) -> float:
+def objective(decomp: ChannelDecomposition, channels: ChannelSet, reg_vec, power: float,
+              noise_var: float) -> float:
     """Sum spectral efficiency of the parametric ridge precoder under
     per-user MMSE detection, from the search's layer-space kernel: it
     matches :func:`evaluate`'s ``sum_se`` of that precoder to rounding
@@ -252,9 +251,8 @@ def objective(
     return float(_one(decomp, channels, reg_vec, power, noise_var)[1].j[0])
 
 
-def gradient(
-    decomp: ChannelDecomposition, channels: ChannelSet, reg_vec, power: float, noise_var: float
-) -> np.ndarray:
+def gradient(decomp: ChannelDecomposition, channels: ChannelSet, reg_vec, power: float,
+             noise_var: float) -> np.ndarray:
     """Gradient of the objective with respect to the elementwise log of
     ``reg_vec``, by reverse-mode differentiation of the objective's own
     evaluation chain, at about the cost of one more objective."""
@@ -474,13 +472,8 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
                 done(i, results[i])
 
 
-def optimize(
-    decomp: ChannelDecomposition,
-    channels: ChannelSet,
-    power: float,
-    noise_var: float,
-    config: OptConfig = OptConfig(),
-) -> OptResult:
+def optimize(decomp: ChannelDecomposition, channels: ChannelSet, power: float, noise_var: float,
+             config: OptConfig = OptConfig()) -> OptResult:
     """Maximize sum spectral efficiency over the ridge diagonal.
 
     Limited-memory quasi-Newton ascent in log space from the

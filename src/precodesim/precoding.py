@@ -8,7 +8,7 @@ budget.  Raw matrices are what the algebraic identities speak about;
 Matched transmission is ``V^H``, and every ridge closed form is the one
 formula ``raw = V^H inv(V V^H + diag(r)) diag(c)`` on the layer rows ``V``,
 with the ridge ``r`` and column scale ``c`` of its token in :data:`RIDGES`.
-Any set of closed forms at one point is built as one stack.
+Any set of closed forms at any set of noise levels is built as one stack.
 
 Normalization is per antenna: one scalar gain caps every antenna at
 ``power / num_tx``, with the most-loaded antenna hitting the cap, so
@@ -21,17 +21,11 @@ import numpy as np
 
 from .channel import ChannelDecomposition
 from .exceptions import (
-    ConfigError,
-    DimensionError,
-    NotHpdError,
-    SingularGramError,
-    ZeroMatrixError,
-    check_positive,
-)
+    ConfigError, DimensionError, NotHpdError, SingularGramError, ZeroMatrixError, check_positive)
 from .numerics import hpd_inverse
 
-__all__ = ["Precoder", "RIDGES", "CLOSED_FORMS", "normalize", "closed_forms", "mrt", "zf", "rzf",
-           "wrzf", "arzf", "parametric_rzf"]
+__all__ = ["Precoder", "RIDGES", "CLOSED_FORMS", "NOISE_FREE", "normalize", "closed_stack",
+           "closed_forms", "mrt", "zf", "rzf", "wrzf", "arzf", "parametric_rzf"]
 
 # Ridge token -> (ridge r, column scale c) of decomposition d at power p and
 # noise variance nv.  An f-basis form F^H inv(F F^H + lam I), F = diag(s) V,
@@ -46,6 +40,8 @@ RIDGES = {
     "arzf": lambda d, p, nv: (d.dims.total_layers * nv / p / d.s**2, 1.0),
 }
 CLOSED_FORMS = ("mrt", *RIDGES)
+# The closed forms that do not depend on the noise level.
+NOISE_FREE = ("mrt", "zf_v", "zf_f")
 
 
 @dataclass(frozen=True)
@@ -125,32 +121,50 @@ def ridge_stack(gram: np.ndarray, vh: np.ndarray, reg: np.ndarray, scale, power)
     return raw, normalize(raw, power), x
 
 
-def closed_forms(decomp: ChannelDecomposition, tokens, power: float, noise_var=None) -> tuple:
-    """The closed forms ``tokens`` (of :data:`CLOSED_FORMS`) at one point, in
-    token order.  The ridge forms are one stack: one gram ``V V^H`` and one
-    :func:`ridge_stack`, whose ridges and column scales are checked to be
-    finite and ``>= 0`` (else ConfigError).  ``noise_var`` may be None if
-    only ``mrt``, ``zf_v`` and ``zf_f`` are asked for."""
+def closed_stack(decomp: ChannelDecomposition, tokens, power: float, noise_vars):
+    """Raw weights ``(levels, tokens, num_tx, total_layers)`` and gains
+    ``(levels, tokens)`` of the closed forms ``tokens`` (of
+    :data:`CLOSED_FORMS`) at each of the noise variances ``noise_vars``, in
+    order.  The ridge forms of every level are one stack: one gram ``V V^H``
+    and one :func:`ridge_stack`, whose ridges and column scales are checked to
+    be finite and ``>= 0`` (else ConfigError), so each member has the bits of
+    its one-level build.  ``noise_vars`` may be ``[None]`` if only
+    :data:`NOISE_FREE` forms are asked for."""
     check_positive("power", power)
-    if noise_var is not None:
-        check_positive("noise_var", noise_var)
+    for nv in noise_vars:
+        if nv is not None:
+            check_positive("noise_var", nv)
     unknown = [t for t in tokens if t not in CLOSED_FORMS]
     if unknown:
         raise ConfigError(f"unknown closed forms {unknown}, valid: {CLOSED_FORMS}")
-    vh = decomp.v.conj().T
-    out = {}
-    if "mrt" in tokens:
-        out["mrt"] = Precoder(raw=vh, gain=normalize(vh, power), method="mrt")
+    vh, levels = decomp.v.conj().T, len(noise_vars)
+    raw, gain = np.empty((levels, 0, *vh.shape), dtype=complex), np.empty((levels, 0))
     ridged = [t for t in tokens if t != "mrt"]
     if ridged:
-        rc = np.empty((len(ridged), 2, decomp.dims.total_layers))
-        for b, token in enumerate(ridged):
-            rc[b, 0], rc[b, 1] = RIDGES[token](decomp, power, noise_var)
+        # one level stays scalar, the cheap call of the one-token builders;
+        # elementwise, the ridges have the same bits either way
+        nv = noise_vars[0] if levels == 1 else np.reshape(noise_vars, (-1, 1))
+        rc = np.empty((levels, len(ridged), 2, decomp.dims.total_layers))
+        for b, t in enumerate(ridged):
+            rc[:, b, 0], rc[:, b, 1] = RIDGES[t](decomp, power, nv)
         _check_nonnegative("ridge and column scale", rc)
-        gram = gram_stack(decomp.v[None]).repeat(len(ridged), axis=0)
+        rc = rc.reshape(-1, *rc.shape[2:])
+        gram = gram_stack(decomp.v[None]).repeat(len(rc), axis=0)
         raw, gain, _ = ridge_stack(gram, vh, rc[:, 0], rc[:, 1, None], power)
-        out.update((t, Precoder(raw=raw[b], gain=gain[b], method=t)) for b, t in enumerate(ridged))
-    return tuple(out[t] for t in tokens)
+        raw, gain = raw.reshape(levels, -1, *vh.shape), gain.reshape(levels, -1)
+    if "mrt" in tokens:  # splice the matched rows in at mrt's place
+        at, (r, g), shape = tokens.index("mrt"), (raw, gain), (levels, len(tokens))
+        raw, gain = np.empty((*shape, *vh.shape), dtype=complex), np.empty(shape)
+        raw[:, :at], raw[:, at], raw[:, at + 1:] = r[:, :at], vh, r[:, at:]
+        gain[:, :at], gain[:, at], gain[:, at + 1:] = g[:, :at], normalize(vh, power), g[:, at:]
+    return raw, gain
+
+
+def closed_forms(decomp: ChannelDecomposition, tokens, power: float, noise_var=None) -> tuple:
+    """The closed forms ``tokens`` at one point, in token order: the
+    one-level :func:`closed_stack`."""
+    raw, gain = closed_stack(decomp, tokens, power, [noise_var])
+    return tuple(Precoder(raw=raw[0, b], gain=gain[0, b], method=t) for b, t in enumerate(tokens))
 
 
 def mrt(decomp: ChannelDecomposition, power: float) -> Precoder:

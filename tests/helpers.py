@@ -1,6 +1,8 @@
 """Seeded draws, the public closed-form builders and the per-point and
 per-search oracles, shared by the test modules."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from precodesim.channel import calibrate_noise
@@ -45,7 +47,14 @@ def evaluate_point(channels, decomp, power, susinr_db, methods, opt_config=None)
     if "opt" in methods:
         res = optimize(decomp, channels, power, noise_var, opt_config or OptConfig())
         pre["opt"] = res.precoder
-    return dict(zip(methods, evaluate_many(channels, [pre[m] for m in methods], noise_var)))
+    rep = evaluate_many(channels, np.stack([pre[m].weights for m in methods]), noise_var)
+    return {m: split(rep, b) for b, m in enumerate(methods)}
+
+
+def split(rep, b):
+    """Member ``b`` of a stacked :class:`MetricsReport`."""
+    return replace(rep, **{f: getattr(rep, f)[b] for f in (
+        "layer_sinr", "eff_sinr", "user_se", "sum_se", "min_se", "avg_se")})
 
 
 def av_susinr(decomp, power: float, noise_var: float) -> float:

@@ -445,6 +445,26 @@ class TestCalibrateNoise:
         with pytest.raises(ConfigError, match="target SINR nan dB is not finite"):
             calibrate_noise(dec, 1.0, float("nan"))
 
+    def test_grid_is_one_factor_bit_for_bit(self):
+        # a grid of targets computes the level-independent factor once; each
+        # level keeps the bits of its own call and of the formula written out
+        dec = decompose(generate_scenario(quick_config(path_loss="varied", seed=3)))
+        grid = (MIN_SUSINR_DB, -3.0, 0.0, 17.5, 40.0, 300.0)
+        logs = [2.0 * np.mean(np.log(dec.s_block(k))) - np.log(dec.dims.layers[k])
+                for k in range(dec.dims.num_users)]
+        want = [2.0 / np.float64(10.0) ** (db / 10.0) * np.exp(np.mean(logs)) for db in grid]
+        got = calibrate_noise(dec, 2.0, grid)
+        assert isinstance(got, list) and calibrate_noise(dec, 2.0, list(grid)) == got
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert np.array([calibrate_noise(dec, 2.0, db) for db in grid]).tobytes() == \
+            np.array(got).tobytes()
+        # every level keeps its own check and message
+        for bad, message in ((4000.0, "noise variance for target 4000.0 dB"),
+                             (-1700.0, "target SINR -1700 dB is below"),
+                             (float("nan"), "target SINR nan dB is not finite")):
+            with pytest.raises(ConfigError, match=message):
+                calibrate_noise(dec, 1.0, (0.0, bad, 20.0))
+
     @settings(max_examples=100, deadline=None)
     @given(
         seed=st.integers(0, 10_000),

@@ -163,6 +163,16 @@ class TestRunCommand:
         assert err.startswith("error:") and "path_loss_range_db" in err
         assert not out.exists()
 
+    def test_level_below_floor_fails_before_any_seed(self, tmp_path, capsys):
+        # the level floor is checked when the sweep is configured, so no seed
+        # is drawn, decomposed or reported
+        out = tmp_path / "floor.csv"
+        assert main(["run", "--susinr=-2000", "--seeds", "3", "--methods", "mrt",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "susinr_db level -2000 dB" in err
+        assert "seed " not in err and not out.exists()
+
     def test_levels_beyond_200_db_run(self, tmp_path):
         # the MMSE system is L x L, so it stays solvable at 1e-100 noise
         out = tmp_path / "high.csv"

@@ -1,13 +1,17 @@
 import json
+from dataclasses import replace
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import precodesim.harness as harness
+import precodesim.metrics as metrics
 import precodesim.optimizer as optimizer
-from precodesim.channel import ScenarioConfig, calibrate_noise, decompose, generate_scenario
+from precodesim.channel import (
+    MIN_SUSINR_DB, ScenarioConfig, calibrate_noise, decompose, generate_scenario)
 from precodesim.detection import mmse_detection
-from precodesim.exceptions import ConfigError, SelectionError
+from precodesim.exceptions import ConfigError, PrecodesimError, SelectionError
 from precodesim.harness import (
     CSV_HEADER,
     METHODS,
@@ -22,6 +26,43 @@ from precodesim.harness import (
 from precodesim.metrics import report
 from precodesim.precoding import CLOSED_FORMS
 from helpers import BUILDERS, evaluate_point
+
+
+def fail_scoring(monkeypatch, faults):
+    """Make the members that the harness scores under the noise variances
+    ``faults`` fail: ``"signal"`` clears their :func:`sinr_terms` ``ok``,
+    ``"zero"`` zeroes a layer SINR, so that ``require_positive`` or
+    ``effective_sinr`` raises its ZeroSinrError.  The search's kernel is
+    untouched."""
+    real = metrics.mmse_sinr_stack
+
+    def kernel(groups, w, noise_var):
+        sinrs, stages, ok = real(groups, w, noise_var)
+        noise = np.broadcast_to(np.ravel(noise_var), len(w))
+        for nv, kind in faults.items():
+            if kind == "signal":
+                ok = ok & (noise != nv)
+            else:
+                sinrs[noise == nv, 0] = 0.0
+        return sinrs, stages, ok
+
+    monkeypatch.setattr(metrics, "mmse_sinr_stack", kernel)
+
+
+def first_failures(cfg):
+    """Each seed's first failure in level order when every point is built
+    and scored alone, as ``(seed, message)``."""
+    out = []
+    for seed in range(cfg.seed_base, cfg.seed_base + cfg.num_seeds):
+        ch = generate_scenario(cfg.scenario_config(seed))
+        dec = decompose(ch)
+        for su in cfg.susinr_db:
+            try:
+                evaluate_point(ch, dec, cfg.power, su, cfg.methods)
+            except PrecodesimError as exc:
+                out.append((seed, f"{type(exc).__name__}: {exc}"))
+                break
+    return tuple(out)
 
 
 def tiny_sweep(**kw):
@@ -71,6 +112,12 @@ class TestSweepConfig:
         for power in (0.0, float("nan"), float("inf")):
             with pytest.raises(ConfigError, match="power"):
                 SweepConfig(power=power)
+        # a level below the floor fails here, naming itself, before any seed
+        # is drawn and decomposed
+        for grid in ((-2000.0,), (0.0, -1500.5)):
+            with pytest.raises(ConfigError, match=f"susinr_db level {grid[-1]:g} dB is below"):
+                SweepConfig(susinr_db=grid)
+        assert SweepConfig(susinr_db=(MIN_SUSINR_DB,)).susinr_db == (MIN_SUSINR_DB,)
 
     @pytest.mark.parametrize("make, field, value", [
         (ScenarioConfig, "path_loss_range_db", (0, 1, 2)),
@@ -236,13 +283,19 @@ class TestRunSweep:
         expected = format_csv(SweepResult(rows=tuple(rows), failures=(), config=cfg))
         assert format_csv(run_sweep(cfg)) == expected
 
-    @pytest.mark.parametrize("scenario", ["varied", "equal"])
-    def test_closed_forms_equal_public_build_then_report(self, scenario):
-        # the sweep builds and scores a point's closed forms as one stack; its
-        # CSV is the one rebuilt method by method through the public builders
-        # and report(mmse_detection(...))
-        cfg = SweepConfig(scenario=scenario, susinr_db=(0.0, 20.0, 40.0), num_seeds=2,
-                          methods=CLOSED_FORMS)
+    @pytest.mark.parametrize("scenario, grid", [
+        ("varied", (0.0, 20.0, 40.0)), ("equal", (0.0, 20.0, 40.0)),
+        ("varied", SweepConfig().susinr_db), ("equal", SweepConfig().susinr_db),
+    ], ids=["varied", "equal", "varied-11levels", "equal-11levels"])
+    def test_closed_forms_equal_public_build_then_report(self, scenario, grid):
+        # the sweep builds and scores a seed's closed forms as stacks of whole
+        # levels; its CSV is the one rebuilt method by method and level by
+        # level through the public builders and report(mmse_detection(...)).
+        # The 11-level grid crosses the stack bound and ends in a partly full
+        # stack.
+        if len(grid) > harness._LEVELS:
+            assert len(grid) % harness._LEVELS
+        cfg = SweepConfig(scenario=scenario, susinr_db=grid, num_seeds=2, methods=CLOSED_FORMS)
         vals = []
         for seed in range(2):
             ch = generate_scenario(cfg.scenario_config(seed))
@@ -262,6 +315,66 @@ class TestRunSweep:
                                      float(mins.mean()), float(mins.std(ddof=1)), 2))
         expected = format_csv(SweepResult(rows=tuple(rows), failures=(), config=cfg))
         assert format_csv(run_sweep(cfg)) == expected
+
+    def test_failing_level_inside_a_stack_fails_as_alone(self, monkeypatch):
+        # seed 1 fails at two levels of one stack: the first zeroes a layer
+        # SINR, the second clears a signal, whose check runs first in a
+        # stacked pass; the seed must record the first level's error, as
+        # when each point is built and scored alone
+        cfg = SweepConfig(num_seeds=3, methods=CLOSED_FORMS)
+        assert 5 // harness._LEVELS == 6 // harness._LEVELS
+        nv = calibrate_noise(decompose(generate_scenario(cfg.scenario_config(1))), 1.0,
+                             cfg.susinr_db)
+        fail_scoring(monkeypatch, {nv[5]: "zero", nv[6]: "signal"})
+        want = first_failures(cfg)
+        assert want == ((1, "ZeroSinrError: nonpositive SINR cannot enter a geometric mean"),)
+        res = run_sweep(cfg)
+        assert res.failures == want
+        clean = [run_sweep(replace(cfg, num_seeds=1, seed_base=s)) for s in (0, 2)]
+        for row in res.rows:
+            assert row.seeds == 2
+            assert row.avg_sum_se == np.mean([c.row(row.susinr_db, row.method).avg_sum_se
+                                              for c in clean])
+
+    @pytest.mark.parametrize("search_fails_at, message", [
+        (2, "ZeroSinrError: nonpositive SINR cannot enter a geometric mean"),
+        (0, "NumericalError: objective undefined at the starting ridge"),
+    ])
+    def test_searched_seed_records_first_failing_level(self, monkeypatch, search_fails_at,
+                                                        message):
+        # a seed's searched precoders are scored in one pass; seed 1 scores a
+        # zero SINR at level 1, a cleared signal at level 2 and one failed
+        # search, and records whichever comes first in level order
+        cfg = tiny_sweep(methods=("opt",), susinr_db=(0.0, 12.0, 24.0))
+        nv = calibrate_noise(decompose(generate_scenario(cfg.scenario_config(1))), 1.0,
+                             cfg.susinr_db)
+        fail_scoring(monkeypatch, {nv[1]: "zero", nv[2]: "signal"})
+        real = optimizer.default_start
+        monkeypatch.setattr(optimizer, "default_start", lambda d, p, v: real(d, p, v) * (
+            np.inf if v == nv[search_fails_at] else 1.0))
+        res = run_sweep(cfg)
+        assert res.failures == ((1, message),)
+        assert all(row.seeds == 2 for row in res.rows)
+
+    def test_closed_stacks_bound_peak_memory(self, monkeypatch):
+        # one seed's 7 closed forms at 11 levels: stacks of 4 levels peaked
+        # at 1.02 MB traced (numpy 2.4, default scale), about 0.2 MB per level
+        # of a stack, and one stack of all 11 levels at 2.45 MB
+        cfg = SweepConfig(num_seeds=1, methods=CLOSED_FORMS)
+        run_sweep(cfg)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                run_sweep(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        bound = 1.2e6
+        assert peak() < bound
+        monkeypatch.setattr(harness, "_LEVELS", len(cfg.susinr_db))
+        assert peak() > bound
 
     def test_failed_search_recorded_and_dropped(self, monkeypatch):
         # seed 1's first search starts from a ridge the kernel cannot evaluate

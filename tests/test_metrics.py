@@ -16,6 +16,7 @@ from precodesim.exceptions import ConfigError, DimensionError, ZeroSinrError
 from precodesim.metrics import (
     effective_sinr,
     evaluate,
+    evaluate_many,
     layer_sinr,
     report,
     user_se,
@@ -140,6 +141,26 @@ class TestAggregation:
                 evaluate(ch, pre, nv)
         with pytest.raises(DimensionError):
             evaluate(ch, replace(pre, raw=pre.raw[:, :3]), 0.3)
+
+    def test_evaluate_many_noise_per_member(self):
+        # one summary of the whole stack, member b under noise[b], each
+        # bitwise its evaluate alone
+        ch = make_channels(seed=6)
+        dec = decompose(ch)
+        noise = np.array([0.05, 0.3, 2.0, 0.3])
+        pres = [arzf(dec, 2.0, nv) for nv in noise[:2]] + [mrt(dec, 2.0), rzf(dec, 2.0, 0.7)]
+        rep = evaluate_many(ch, np.stack([p.weights for p in pres]), noise)
+        assert rep.sum_se.shape == rep.min_se.shape == rep.avg_se.shape == (4,)
+        assert rep.user_se.shape == (4, ch.dims.num_users) and rep.detection == "mmse"
+        for b, (pre, nv) in enumerate(zip(pres, noise)):
+            one = evaluate(ch, pre, nv)
+            for name in ("layer_sinr", "eff_sinr", "user_se", "sum_se", "min_se", "avg_se"):
+                assert np.asarray(getattr(rep, name)[b]).tobytes() == \
+                    np.asarray(getattr(one, name)).tobytes()
+        w = np.stack([p.weights for p in pres])
+        for bad in (np.array([0.3, np.nan, 0.3, 0.3]), np.array([0.3, 0.3, -1.0, 0.3])):
+            with pytest.raises(ConfigError, match="noise_var"):
+                evaluate_many(ch, w, bad)
 
 
 class TestAvSusinr:
