@@ -407,11 +407,12 @@ def generate_scenario(config: ScenarioConfig) -> ChannelSet:
 
     A pool is drawn in chunks of up to :data:`CANDIDATE_CHUNK` candidates
     (half that for the first), one ``standard_normal`` call each (the
-    stream of one call per candidate).  A chunk is screened in masked greedy steps: its first
-    allowed candidate is kept, and one product of the chunk with the kept
-    direction strikes out every later candidate too correlated with it.
-    The kept blocks are built as one stack.  Varied path loss redraws the
-    last chunk up to its last kept candidate before drawing the gains.
+    stream of one call per candidate).  A chunk is screened in masked
+    greedy steps: its first allowed candidate is kept, and one product of
+    the chunk with the kept direction strikes out every later candidate
+    too correlated with it.  The kept blocks are built as one stack.
+    Varied path loss redraws the last chunk up to its last kept candidate
+    before drawing the gains.
     """
     environment = _scatter_environment(config.num_tx, config.num_paths)
     rx_draws = 2 * config.rx_per_user * config.num_paths

@@ -1,6 +1,6 @@
 import json
-from dataclasses import replace
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
