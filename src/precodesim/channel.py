@@ -7,7 +7,7 @@ carved out of ``H_k`` by a reduced SVD.  Layers are ordered user-major,
 singular values descending inside each user.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
 
@@ -16,7 +16,7 @@ import numpy as np
 from .exceptions import (
     ConfigError, DimensionError, NumericalError, RankDeficiencyError, SelectionError,
     check_integer, check_positive, check_real)
-from .numerics import RANK_TOLERANCE, as_complex_matrix, reduced_svd
+from .numerics import RANK_TOLERANCE, align_phase, as_complex_matrix, reduced_svd
 
 __all__ = ["SystemDims", "ChannelSet", "ChannelDecomposition", "ScenarioConfig", "decompose",
            "generate_scenario", "calibrate_noise"]
@@ -123,10 +123,13 @@ class SystemDims:
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """Per-user channel blocks for one realization."""
+    """Per-user channel blocks for one realization.  On a set that
+    :func:`generate_scenario` built, ``paths`` is ``(a, amp, b)``, each block's
+    exact reduced SVD ``a[k] diag(amp[k]) b[k]^H``; any other carries None."""
 
     dims: SystemDims
     blocks: tuple
+    paths: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = tuple(as_complex_matrix(b, f"blocks[{k}]") for k, b in enumerate(self.blocks))
@@ -217,21 +220,26 @@ class ChannelDecomposition:
 def decompose(channels: ChannelSet) -> ChannelDecomposition:
     """Reduced per-user SVD of every channel block.
 
-    Raises :class:`RankDeficiencyError` if a block cannot support its
-    configured number of layers.
+    A generated set's SVD is read off its path factors (``channels.paths``)
+    with the phase convention of :func:`numerics.reduced_svd`; any other
+    set runs one SVD per block.  Raises :class:`RankDeficiencyError` if a
+    block cannot support its configured number of layers.
     """
-    u_blocks, s_blocks, v_blocks = [], [], []
-    for k, h in enumerate(channels.blocks):
-        keep = channels.dims.layers[k]
-        r = reduced_svd(h, keep)
-        if r.s[-1] <= RANK_TOLERANCE * r.s[0] or r.s[0] == 0:
-            raise RankDeficiencyError(
-                f"user {k}: channel rank below {keep} requested layers"
-            )
-        u_blocks.append(r.u)
-        s_blocks.append(r.s)
-        v_blocks.append(r.v)
-    return ChannelDecomposition.from_blocks(u_blocks, s_blocks, v_blocks)
+    dims = channels.dims
+    if channels.paths is None:
+        svds = [reduced_svd(h, keep) for h, keep in zip(channels.blocks, dims.layers)]
+        u_blocks, s_blocks, v_blocks = zip(*((r.u, r.s, r.v) for r in svds))
+    else:
+        a, amp, b = channels.paths
+        keep = dims.layers[0]
+        u_blocks, v_blocks = align_phase(a[..., :keep], b[..., :keep].mT.conj())
+        s_blocks = amp[:, :keep]
+    for k, s in enumerate(s_blocks):
+        if s[-1] <= RANK_TOLERANCE * s[0] or s[0] == 0:
+            raise RankDeficiencyError(f"user {k}: channel rank below {dims.layers[k]} "
+                                      "requested layers")
+    return ChannelDecomposition(dims=dims, u_blocks=tuple(u_blocks),
+                                s=np.concatenate(s_blocks), v=np.concatenate(v_blocks))
 
 
 @dataclass(frozen=True)
@@ -368,9 +376,10 @@ def _mixed_directions(z_paths, environment) -> np.ndarray:
             + np.sqrt(SHARED_PATH_WEIGHT) * centers.T[:paths])
 
 
-def _blocks(z, config: ScenarioConfig, environment) -> np.ndarray:
+def _blocks(z, config: ScenarioConfig, environment):
     """The multi-path channel blocks ``a diag(sqrt(p)) b^H``, unit
-    Frobenius norm, of the candidates drawn as the rows of ``z``.
+    Frobenius norm, of the candidates drawn as the rows of ``z``, and
+    their stacked factors: path frames ``a`` and ``b``, amplitudes ``amp``.
 
     ``a`` and ``b`` are the orthonormal receive and transmit path
     frames, so a block's singular values equal the path amplitude
@@ -388,7 +397,8 @@ def _blocks(z, config: ScenarioConfig, environment) -> np.ndarray:
         _complex(z[:, :rx_draws]).reshape(len(z), config.rx_per_user, config.num_paths))
     mixed = _mixed_directions(z[:, rx_draws:].reshape(len(z), config.num_paths, -1), environment)
     b, _ = np.linalg.qr(mixed.mT)
-    return (a * np.sqrt(_path_powers(config.num_paths))) @ b.conj().mT
+    amp = np.broadcast_to(np.sqrt(_path_powers(config.num_paths)), (len(z), config.num_paths))
+    return (a * amp[:, None]) @ b.conj().mT, a, amp, b
 
 
 def generate_scenario(config: ScenarioConfig) -> ChannelSet:
@@ -412,7 +422,8 @@ def generate_scenario(config: ScenarioConfig) -> ChannelSet:
     the chunk with the kept direction strikes out every later candidate
     too correlated with it.  The kept blocks are built as one stack.
     Varied path loss redraws the last chunk up to its last kept candidate
-    before drawing the gains.
+    before drawing the gains.  The set carries its path factors, the blocks'
+    exact reduced SVDs (``ChannelSet.paths``), so :func:`decompose` runs no SVD.
     """
     environment = _scatter_environment(config.num_tx, config.num_paths)
     rx_draws = 2 * config.rx_per_user * config.num_paths
@@ -447,14 +458,16 @@ def generate_scenario(config: ScenarioConfig) -> ChannelSet:
                 break
         else:
             continue
-        blocks = _blocks(np.stack(kept), config, environment)
+        blocks, a, amp, b = _blocks(np.stack(kept), config, environment)
         if config.path_loss == "varied":
             rng.bit_generator.state = state
             rng.standard_normal((i + 1) * size)
             lo, hi = config.path_loss_range_db
             gains = 10.0 ** (rng.uniform(lo, hi, size=config.num_users) / 20.0)
-            blocks = blocks * gains[:, None, None]
-        return ChannelSet(dims=config.dims, blocks=tuple(blocks))
+            blocks, amp = blocks * gains[:, None, None], amp * gains[:, None]
+        channels = ChannelSet(dims=config.dims, blocks=tuple(blocks))
+        object.__setattr__(channels, "paths", (a, amp, b))
+        return channels
     raise SelectionError(
         f"no {config.num_users}-user subset met corr<= {config.corr_threshold}"
         f" in {config.max_retries} pools from seed {config.seed}"

@@ -19,8 +19,8 @@ import numpy as np
 
 from .exceptions import DimensionError, NotHpdError, NumericalError, check_positive
 
-__all__ = ["RANK_TOLERANCE", "SvdResult", "as_complex_matrix", "reduced_svd", "hpd_inverse",
-           "complex_normal"]
+__all__ = ["RANK_TOLERANCE", "SvdResult", "as_complex_matrix", "reduced_svd", "align_phase",
+           "hpd_inverse", "complex_normal"]
 
 # Singular values below RANK_TOLERANCE * s_max are treated as rank
 # deficiency by callers that need to invert.
@@ -62,7 +62,7 @@ def reduced_svd(m, keep: int) -> SvdResult:
 
     The phase ambiguity is fixed by rotating each singular pair so that
     the largest-magnitude entry of each row of ``v`` is real and
-    positive, which makes results reproducible across runs.
+    positive (:func:`align_phase`), which makes results reproducible across runs.
 
     Parameters
     ----------
@@ -90,16 +90,20 @@ def reduced_svd(m, keep: int) -> SvdResult:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
 
-    u = u[:, :keep].copy()
-    s = s[:keep].copy()
-    v = vh[:keep].copy()
-    # Unit-norm rows always have a nonzero largest entry.
-    for i in range(keep):
-        pivot = v[i, np.argmax(np.abs(v[i]))]
-        phase = pivot / abs(pivot)
-        v[i] *= np.conj(phase)
-        u[:, i] *= phase
-    return SvdResult(u=u.conj().T, s=s, v=v)
+    u, v = align_phase(u[:, :keep], vh[:keep])
+    return SvdResult(u=u, s=s[:keep].copy(), v=v)
+
+
+def align_phase(u, vh):
+    """Rotate stacked singular pairs, left vectors as the columns of ``u``
+    (``(..., rows, keep)``) and right ones as the rows of ``vh``, so that the
+    largest-magnitude entry of each row of ``vh`` is real and positive
+    (unit rows always have a nonzero one); returns the rotated ``(u^H, vh)``.
+    ``np.hypot`` has the bits of a scalar ``abs``, which the array ``abs`` of
+    complex numbers does not always give: each phase has its own pair's bits."""
+    pivot = np.take_along_axis(vh, abs(vh).argmax(-1)[..., None], -1)
+    phase = pivot / np.hypot(pivot.real, pivot.imag)
+    return (u * phase.mT).conj().mT, vh * phase.conj()
 
 
 def hpd_inverse(a: np.ndarray) -> np.ndarray:

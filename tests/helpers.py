@@ -8,7 +8,7 @@ import numpy as np
 from precodesim.channel import calibrate_noise
 from precodesim.exceptions import check_positive
 from precodesim.metrics import evaluate_many
-from precodesim.numerics import complex_normal
+from precodesim.numerics import SvdResult, complex_normal
 from precodesim.optimizer import OptConfig, optimize
 from precodesim.precoding import arzf, closed_forms, mrt, rzf, wrzf, zf
 
@@ -89,3 +89,17 @@ def two_loop(grad_phi, pairs):
         b = rho * float(yv @ q)
         q += (a - b) * s
     return -q
+
+
+def reduced_svd_loop(m, keep):
+    """Top-``keep`` singular triplets of ``m`` with the phase fixed one
+    pair at a time: the largest-magnitude entry of each row of ``v`` is
+    made real and positive by scalar arithmetic."""
+    u, s, vh = np.linalg.svd(np.asarray(m, dtype=complex), full_matrices=False)
+    u, s, v = u[:, :keep].copy(), s[:keep].copy(), vh[:keep].copy()
+    for i in range(keep):
+        pivot = v[i, np.argmax(np.abs(v[i]))]
+        phase = pivot / abs(pivot)
+        v[i] *= np.conj(phase)
+        u[:, i] *= phase
+    return SvdResult(u=u.conj().T, s=s, v=v)

@@ -1,4 +1,5 @@
 import time
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -28,7 +29,7 @@ from precodesim.exceptions import (
     SelectionError,
 )
 from precodesim.numerics import complex_normal, reduced_svd
-from helpers import av_susinr, complex_gaussian
+from helpers import av_susinr, complex_gaussian, reduced_svd_loop
 
 
 def small_channels(seed=0, rx=(4, 3), layers=(2, 1), num_tx=8):
@@ -251,6 +252,73 @@ class TestScenario:
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             ScenarioConfig(**{field: value})
         assert ScenarioConfig(**{field: np.int64(getattr(ScenarioConfig(), field))})
+
+
+def assert_phase_convention(dec):
+    """The largest-magnitude entry of every row of ``dec.v`` is real and
+    positive."""
+    pivot = np.take_along_axis(dec.v, abs(dec.v).argmax(1)[:, None], 1)
+    assert np.all(pivot.real > 0) and np.all(abs(pivot.imag) <= 1e-14)
+
+
+class TestPathFactors:
+    """A generated set carries its exact factorization and ``decompose``
+    reads the SVD off it; every other set runs the SVD."""
+
+    @pytest.mark.parametrize("make", [ScenarioConfig, quick_config], ids=["default", "quick"])
+    @pytest.mark.parametrize("family", ["equal", "varied"])
+    def test_factors_match_the_svd(self, make, family):
+        for seed in range(40):
+            ch = generate_scenario(make(seed=seed, path_loss=family))
+            plain = replace(ch)
+            assert ch.paths is not None and plain.paths is None
+            got, want = decompose(ch), decompose(plain)
+            assert got.dims == want.dims
+            assert np.allclose(got.s, want.s, rtol=1e-12, atol=0)
+            assert np.abs(got.v - want.v).max() <= 1e-12
+            for gu, wu in zip(got.u_blocks, want.u_blocks, strict=True):
+                assert gu.shape == wu.shape and np.abs(gu - wu).max() <= 1e-12
+            assert_phase_convention(got)
+            assert_phase_convention(want)
+
+    def test_generated_set_needs_no_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        want = decompose(replace(generate_scenario(ScenarioConfig(seed=3, path_loss="varied"))))
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        got = decompose(generate_scenario(ScenarioConfig(seed=3, path_loss="varied")))
+        assert np.allclose(got.s, want.s, rtol=1e-12, atol=0)
+        with pytest.raises(AssertionError, match="svd called"):
+            decompose(small_channels())
+
+    def test_replaced_blocks_fall_back_to_the_svd(self):
+        # the factors are the generator's, so a copy with other blocks, or a
+        # set built by the caller, carries none; they stay out of repr and ==
+        ch = generate_scenario(quick_config(seed=5, path_loss="varied"))
+        assert [(f.init, f.repr, f.compare) for f in fields(ch) if f.name == "paths"] == [
+            (False, False, False)]
+        assert "paths" not in repr(ch)
+        doubled = replace(ch, blocks=tuple(2.0 * b for b in ch.blocks))
+        assert doubled.paths is None
+        dec = decompose(doubled)
+        assert np.allclose(dec.s, 2.0 * decompose(ch).s, rtol=1e-12, atol=0)
+        for k, b in enumerate(doubled.blocks):
+            want = reduced_svd_loop(b, ch.dims.layers[k])
+            for got, w in ((dec.u_blocks[k], want.u), (dec.s_block(k), want.s),
+                           (dec.v[dec.dims.layer_slice(k)], want.v)):
+                assert got.shape == w.shape and got.tobytes() == w.tobytes()
+
+    def test_factor_rank_check(self):
+        # a generated user whose kept layers span a drop below the rank
+        # tolerance fails as the SVD path does
+        cfg = ScenarioConfig(num_tx=16, num_users=1, rx_per_user=12, layers_per_user=12,
+                             num_paths=12, candidate_pool=1, seed=0)
+        assert np.sqrt(_path_powers(12)[-1] / _path_powers(12)[0]) < 1e-12
+        ch = generate_scenario(cfg)
+        for channels in (ch, replace(ch)):
+            with pytest.raises(RankDeficiencyError, match="user 0: channel rank below 12"):
+                decompose(channels)
 
 
 def svd_screened_selection(config):

@@ -316,6 +316,22 @@ class TestRunSweep:
         expected = format_csv(SweepResult(rows=tuple(rows), failures=(), config=cfg))
         assert format_csv(run_sweep(cfg)) == expected
 
+    @pytest.mark.parametrize("scenario", ["varied", "equal"])
+    def test_path_factor_rows_match_the_svd(self, monkeypatch, scenario):
+        # generated scenes are decomposed from their path factors; a --skip-opt
+        # sweep whose scenes carry none, so that each is decomposed by SVD,
+        # gives the same rows to rounding
+        cfg = SweepConfig(scenario=scenario, methods=CLOSED_FORMS)
+        got = run_sweep(cfg)
+        real = harness.generate_scenario
+        monkeypatch.setattr(harness, "generate_scenario", lambda c: replace(real(c)))
+        want = run_sweep(cfg)
+        assert len(got.rows) == len(want.rows) == 11 * 7
+        for g, w in zip(got.rows, want.rows):
+            assert (g.susinr_db, g.method, g.seeds) == (w.susinr_db, w.method, 40)
+            for f in ("avg_sum_se", "se_std", "avg_min_se", "min_se_std"):
+                assert abs(getattr(g, f) - getattr(w, f)) <= 1e-12 * abs(getattr(w, f))
+
     def test_failing_level_inside_a_stack_fails_as_alone(self, monkeypatch):
         # seed 1 fails at two levels of one stack: the first zeroes a layer
         # SINR, the second clears a signal, whose check runs first in a

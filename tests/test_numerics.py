@@ -11,7 +11,7 @@ from precodesim.numerics import (
     hpd_inverse,
     reduced_svd,
 )
-from helpers import complex_gaussian
+from helpers import complex_gaussian, reduced_svd_loop
 
 
 def reconstruct(r):
@@ -104,6 +104,17 @@ class TestReducedSvd:
     def test_result_is_dataclass(self):
         r = reduced_svd(np.eye(2), keep=1)
         assert isinstance(r, SvdResult)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 20), st.integers(1, 20), st.floats(0.0, 1.0),
+           st.floats(-250.0, 250.0), st.integers(0, 2**32 - 1))
+    def test_phases_equal_the_pair_loop_bit_for_bit(self, rows, cols, share, log_scale, seed):
+        # the vectorized phase fix keeps the bits of fixing one pair at a time
+        m = complex_gaussian(seed, rows, cols, 1.0) * 10.0**log_scale
+        keep = 1 + int(share * (min(rows, cols) - 1))
+        got, want = reduced_svd(m, keep), reduced_svd_loop(m, keep)
+        for a, b in ((got.u, want.u), (got.s, want.s), (got.v, want.v)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestSolveHpd:
