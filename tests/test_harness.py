@@ -328,7 +328,7 @@ class TestRunSweep:
         want = run_sweep(cfg)
         assert len(got.rows) == len(want.rows) == 11 * 7
         for g, w in zip(got.rows, want.rows):
-            assert (g.susinr_db, g.method, g.seeds) == (w.susinr_db, w.method, 40)
+            assert (g.susinr_db, g.method, g.seeds, w.seeds) == (w.susinr_db, w.method, 40, 40)
             for f in ("avg_sum_se", "se_std", "avg_min_se", "min_se_std"):
                 assert abs(getattr(g, f) - getattr(w, f)) <= 1e-12 * abs(getattr(w, f))
 
