@@ -16,7 +16,6 @@ from .exceptions import (
 from .harness import (
     METHODS, SweepConfig, SweepResult, SweepRow, emit_csv, emit_plotdata, format_csv, run_sweep)
 from .metrics import MetricsReport, effective_sinr, evaluate, layer_sinr, report, user_se
-from .numerics import SvdResult, reduced_svd
 from .optimizer import (
     OptConfig, OptResult, default_start, gradient, objective, optimize, optimize_many)
 from .precoding import Precoder, arzf, mrt, normalize, parametric_rzf, rzf, wrzf, zf

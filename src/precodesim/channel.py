@@ -7,7 +7,7 @@ carved out of ``H_k`` by a reduced SVD.  Layers are ordered user-major,
 singular values descending inside each user.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 
@@ -16,7 +16,7 @@ import numpy as np
 from .exceptions import (
     ConfigError, DimensionError, NumericalError, RankDeficiencyError, SelectionError,
     check_integer, check_positive, check_real)
-from .numerics import RANK_TOLERANCE, align_phase, as_complex_matrix, reduced_svd
+from .numerics import RANK_TOLERANCE, align_phase, as_complex_matrix
 
 __all__ = ["SystemDims", "ChannelSet", "ChannelDecomposition", "ScenarioConfig", "decompose",
            "generate_scenario", "calibrate_noise"]
@@ -123,13 +123,10 @@ class SystemDims:
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """Per-user channel blocks for one realization.  On a set that
-    :func:`generate_scenario` built, ``paths`` is ``(a, amp, b)``, each block's
-    exact reduced SVD ``a[k] diag(amp[k]) b[k]^H``; any other carries None."""
+    """Per-user channel blocks for one realization."""
 
     dims: SystemDims
     blocks: tuple
-    paths: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = tuple(as_complex_matrix(b, f"blocks[{k}]") for k, b in enumerate(self.blocks))
@@ -157,6 +154,17 @@ class ChannelSet:
              np.array([layer[dims.layer_slice(k)] for k in u]))
             for u in by_shape.values()
         )
+
+    @cached_property
+    def factors(self) -> tuple:
+        """Reduced SVD ``(u, s, vh)``, ``h[i] = u[i] diag(s[i]) vh[i]``, of
+        each :attr:`groups` stack ``h``: one LAPACK call per block, so each has
+        its own call's bits.  A set from :func:`generate_scenario` holds its
+        exact path factors here and runs no SVD."""
+        try:
+            return tuple(np.linalg.svd(h, full_matrices=False) for _, h, _ in self.groups)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"SVD did not converge: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -218,22 +226,20 @@ class ChannelDecomposition:
 
 
 def decompose(channels: ChannelSet) -> ChannelDecomposition:
-    """Reduced per-user SVD of every channel block.
-
-    A generated set's SVD is read off its path factors (``channels.paths``)
-    with the phase convention of :func:`numerics.reduced_svd`; any other
-    set runs one SVD per block.  Raises :class:`RankDeficiencyError` if a
-    block cannot support its configured number of layers.
+    """Reduced per-user SVD of every channel block, read off
+    :attr:`ChannelSet.factors`.  Each singular pair is rotated so that the
+    largest-magnitude entry of its row of ``v`` is real and positive
+    (:func:`numerics.align_phase`), which makes results reproducible across
+    runs.  Raises :class:`RankDeficiencyError`, naming the lowest such user,
+    if a block cannot support its configured number of layers.
     """
     dims = channels.dims
-    if channels.paths is None:
-        svds = [reduced_svd(h, keep) for h, keep in zip(channels.blocks, dims.layers)]
-        u_blocks, s_blocks, v_blocks = zip(*((r.u, r.s, r.v) for r in svds))
-    else:
-        a, amp, b = channels.paths
-        keep = dims.layers[0]
-        u_blocks, v_blocks = align_phase(a[..., :keep], b[..., :keep].mT.conj())
-        s_blocks = amp[:, :keep]
+    u_blocks, s_blocks, v_blocks = ([None] * dims.num_users for _ in range(3))
+    for (users, _, _), (u, s, vh) in zip(channels.groups, channels.factors):
+        keep = dims.layers[users[0]]
+        uh, v = align_phase(u[..., :keep], vh[..., :keep, :])
+        for i, k in enumerate(users):
+            u_blocks[k], s_blocks[k], v_blocks[k] = uh[i], s[i, :keep], v[i]
     for k, s in enumerate(s_blocks):
         if s[-1] <= RANK_TOLERANCE * s[0] or s[0] == 0:
             raise RankDeficiencyError(f"user {k}: channel rank below {dims.layers[k]} "
@@ -422,8 +428,9 @@ def generate_scenario(config: ScenarioConfig) -> ChannelSet:
     the chunk with the kept direction strikes out every later candidate
     too correlated with it.  The kept blocks are built as one stack.
     Varied path loss redraws the last chunk up to its last kept candidate
-    before drawing the gains.  The set carries its path factors, the blocks'
-    exact reduced SVDs (``ChannelSet.paths``), so :func:`decompose` runs no SVD.
+    before drawing the gains.  The set holds its path factors, the blocks'
+    exact reduced SVDs, as :attr:`ChannelSet.factors`: :func:`decompose` runs
+    no SVD.
     """
     environment = _scatter_environment(config.num_tx, config.num_paths)
     rx_draws = 2 * config.rx_per_user * config.num_paths
@@ -466,7 +473,7 @@ def generate_scenario(config: ScenarioConfig) -> ChannelSet:
             gains = 10.0 ** (rng.uniform(lo, hi, size=config.num_users) / 20.0)
             blocks, amp = blocks * gains[:, None, None], amp * gains[:, None]
         channels = ChannelSet(dims=config.dims, blocks=tuple(blocks))
-        object.__setattr__(channels, "paths", (a, amp, b))
+        vars(channels)["factors"] = ((a, amp, b.conj().mT),)
         return channels
     raise SelectionError(
         f"no {config.num_users}-user subset met corr<= {config.corr_threshold}"
@@ -481,12 +488,12 @@ def calibrate_noise(decomp: ChannelDecomposition, power: float, target_susinr_db
     The single-user SINR of user k is
     ``(power / (layers_k * noise_var)) * geomean(s_k^2)`` and the
     average is the geometric mean over users; this solves that relation
-    for ``noise_var`` given the target in dB.  A target below
-    :data:`MIN_SUSINR_DB`, a NaN, or a result that over- or underflows,
-    raises :class:`ConfigError`.  A tuple or list of targets gives the list
-    of their noise variances: the level-independent factor is computed
-    once, then each level is one scalar ``power / target * factor``, with
-    the bits of its own call.
+    for ``noise_var`` given the target in dB.  A target that is not a real
+    number, is NaN or below :data:`MIN_SUSINR_DB`, or whose result over- or
+    underflows, raises :class:`ConfigError`.  A tuple or list of targets
+    gives the list of their noise variances: the level-independent factor is
+    computed once, then each level is one scalar ``power / target * factor``,
+    with the bits of its own call.
     """
     check_positive("power", power)
     many = isinstance(target_susinr_db, (tuple, list))
@@ -496,6 +503,7 @@ def calibrate_noise(decomp: ChannelDecomposition, power: float, target_susinr_db
     with np.errstate(over="ignore", divide="ignore"):
         factor = np.exp(np.mean(log_terms))
         for level in target_susinr_db if many else [target_susinr_db]:
+            check_real("target_susinr_db", level)
             if np.isnan(level):
                 raise ConfigError(f"target SINR {level} dB is not finite")
             if not level >= MIN_SUSINR_DB:

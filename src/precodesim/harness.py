@@ -58,6 +58,10 @@ class SweepConfig:
     def __post_init__(self):
         if self.scenario not in ("equal", "varied"):
             raise ConfigError(f"scenario must be 'equal' or 'varied', got {self.scenario!r}")
+        for name in ("susinr_db", "methods"):
+            value = getattr(self, name)
+            if isinstance(value, str) or not np.iterable(value):
+                raise ConfigError(f"{name} must be a sequence, got {value!r}")
         for level in self.susinr_db:
             check_real("susinr_db level", level)
         object.__setattr__(self, "susinr_db", tuple(float(x) for x in self.susinr_db))

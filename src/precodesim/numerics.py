@@ -1,9 +1,10 @@
 """Dense complex linear-algebra kernel shared by all other modules.
 
 Matrices are ``numpy.ndarray`` of ``complex128``, 2-D or stacked along
-leading batch axes.  The entry points are :func:`reduced_svd`, the stacked
-Hermitian positive definite inverse :func:`hpd_inverse` and
-:func:`complex_normal`; everything here is a pure function of its inputs.
+leading batch axes.  The entry points are :func:`align_phase`, the phase
+convention of singular pairs, the stacked Hermitian positive definite
+inverse :func:`hpd_inverse` and :func:`complex_normal`; everything here is
+a pure function of its inputs.
 
 Every Hermitian positive definite system of the package (the ridges of all
 precoders and the MMSE blocks) goes through :func:`hpd_inverse`: a Cholesky
@@ -13,14 +14,12 @@ loop over a stack one matrix at a time, so there is one solve path, one BLAS
 library and no per-matrix Python loop.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exceptions import DimensionError, NotHpdError, NumericalError, check_positive
 
-__all__ = ["RANK_TOLERANCE", "SvdResult", "as_complex_matrix", "reduced_svd", "align_phase",
-           "hpd_inverse", "complex_normal"]
+__all__ = ["RANK_TOLERANCE", "as_complex_matrix", "align_phase", "hpd_inverse",
+           "complex_normal"]
 
 # Singular values below RANK_TOLERANCE * s_max are treated as rank
 # deficiency by callers that need to invert.
@@ -36,62 +35,6 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     if m.size and not np.all(np.isfinite(m)):
         raise NumericalError(f"{name} contains non-finite entries")
     return m
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Reduced singular value decomposition ``m = u^H @ diag(s) @ v``.
-
-    Attributes
-    ----------
-    u : ndarray, shape (keep, rows)
-        Left factors; rows are orthonormal.
-    s : ndarray, shape (keep,)
-        Singular values, nonnegative and descending.
-    v : ndarray, shape (keep, cols)
-        Right singular vectors by rows; rows are orthonormal.
-    """
-
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
-
-
-def reduced_svd(m, keep: int) -> SvdResult:
-    """Top-``keep`` singular triplets of a complex matrix.
-
-    The phase ambiguity is fixed by rotating each singular pair so that
-    the largest-magnitude entry of each row of ``v`` is real and
-    positive (:func:`align_phase`), which makes results reproducible across runs.
-
-    Parameters
-    ----------
-    m : array_like, shape (rows, cols)
-        Complex matrix to decompose.
-    keep : int
-        Number of leading singular triplets to return,
-        ``1 <= keep <= min(rows, cols)``.
-
-    Raises
-    ------
-    DimensionError
-        If ``keep`` is out of range.
-    NumericalError
-        If the underlying SVD iteration fails to converge.
-    """
-    m = as_complex_matrix(m)
-    rank_cap = min(m.shape)
-    if not 1 <= keep <= rank_cap:
-        raise DimensionError(
-            f"keep={keep} out of range [1, {rank_cap}] for shape {m.shape}"
-        )
-    try:
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge: {exc}") from exc
-
-    u, v = align_phase(u[:, :keep], vh[:keep])
-    return SvdResult(u=u, s=s[:keep].copy(), v=v)
 
 
 def align_phase(u, vh):

@@ -129,24 +129,27 @@ def closed_stack(decomp: ChannelDecomposition, tokens, power: float, noise_vars)
     and one :func:`ridge_stack`, whose ridges and column scales are checked to
     be finite and ``>= 0`` (else ConfigError), so each member has the bits of
     its one-level build.  ``noise_vars`` may be ``[None]`` if only
-    :data:`NOISE_FREE` forms are asked for."""
+    :data:`NOISE_FREE` forms are asked for; otherwise a None is a ConfigError
+    that names the forms needing a noise variance."""
     check_positive("power", power)
-    for nv in noise_vars:
-        if nv is not None:
-            check_positive("noise_var", nv)
     unknown = [t for t in tokens if t not in CLOSED_FORMS]
     if unknown:
         raise ConfigError(f"unknown closed forms {unknown}, valid: {CLOSED_FORMS}")
+    noisy = [t for t in tokens if t not in NOISE_FREE]
+    for nv in noise_vars:
+        if nv is not None:
+            check_positive("noise_var", nv)
+        elif noisy:
+            raise ConfigError(f"closed forms {noisy} need a noise variance, got None")
     vh, levels = decomp.v.conj().T, len(noise_vars)
     raw, gain = np.empty((levels, 0, *vh.shape), dtype=complex), np.empty((levels, 0))
     ridged = [t for t in tokens if t != "mrt"]
     if ridged:
-        # one level stays scalar, the cheap call of the one-token builders;
-        # elementwise, the ridges have the same bits either way
-        nv = noise_vars[0] if levels == 1 else np.reshape(noise_vars, (-1, 1))
+        nv = np.reshape(noise_vars, (-1, 1))
         rc = np.empty((levels, len(ridged), 2, decomp.dims.total_layers))
-        for b, t in enumerate(ridged):
-            rc[:, b, 0], rc[:, b, 1] = RIDGES[t](decomp, power, nv)
+        with np.errstate(over="ignore"):  # an overflowing ridge fails the check
+            for b, t in enumerate(ridged):
+                rc[:, b, 0], rc[:, b, 1] = RIDGES[t](decomp, power, nv)
         _check_nonnegative("ridge and column scale", rc)
         rc = rc.reshape(-1, *rc.shape[2:])
         gram = gram_stack(decomp.v[None]).repeat(len(rc), axis=0)

@@ -1,6 +1,7 @@
 """Seeded draws, the public closed-form builders and the per-point and
 per-search oracles, shared by the test modules."""
 
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import numpy as np
 from precodesim.channel import calibrate_noise
 from precodesim.exceptions import check_positive
 from precodesim.metrics import evaluate_many
-from precodesim.numerics import SvdResult, complex_normal
+from precodesim.numerics import complex_normal
 from precodesim.optimizer import OptConfig, optimize
 from precodesim.precoding import arzf, closed_forms, mrt, rzf, wrzf, zf
 
@@ -91,10 +92,14 @@ def two_loop(grad_phi, pairs):
     return -q
 
 
+# A reduced SVD ``m = u^H @ diag(s) @ v``: rows of ``u`` and ``v`` orthonormal.
+Svd = namedtuple("Svd", "u s v")
+
+
 def reduced_svd_loop(m, keep):
-    """Top-``keep`` singular triplets of ``m`` with the phase fixed one
-    pair at a time: the largest-magnitude entry of each row of ``v`` is
-    made real and positive by scalar arithmetic."""
+    """Top-``keep`` singular triplets of ``m`` as an :data:`Svd`, with the
+    phase fixed one pair at a time: the largest-magnitude entry of each row
+    of ``v`` is made real and positive by scalar arithmetic."""
     u, s, vh = np.linalg.svd(np.asarray(m, dtype=complex), full_matrices=False)
     u, s, v = u[:, :keep].copy(), s[:keep].copy(), vh[:keep].copy()
     for i in range(keep):
@@ -102,4 +107,4 @@ def reduced_svd_loop(m, keep):
         phase = pivot / abs(pivot)
         v[i] *= np.conj(phase)
         u[:, i] *= phase
-    return SvdResult(u=u.conj().T, s=s, v=v)
+    return Svd(u=u.conj().T, s=s, v=v)

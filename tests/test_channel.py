@@ -25,10 +25,11 @@ from precodesim.channel import (
 from precodesim.exceptions import (
     ConfigError,
     DimensionError,
+    NumericalError,
     RankDeficiencyError,
     SelectionError,
 )
-from precodesim.numerics import complex_normal, reduced_svd
+from precodesim.numerics import complex_normal
 from helpers import av_susinr, complex_gaussian, reduced_svd_loop
 
 
@@ -66,6 +67,55 @@ class TestChannelSet:
         dims = SystemDims(num_tx=8, rx=(4,), layers=(2,))
         with pytest.raises(DimensionError):
             ChannelSet(dims=dims, blocks=(np.ones((3, 8)),))
+
+    def test_nonfinite_rejected(self):
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = np.nan
+        with pytest.raises(NumericalError, match="blocks"):
+            ChannelSet(dims=SystemDims(num_tx=2, rx=(2,), layers=(1,)), blocks=(m,))
+
+
+def one_user(m, keep):
+    """``(u, s, v)`` of :func:`decompose` on the one-user set of block ``m``."""
+    m = np.asarray(m, dtype=complex)
+    dec = decompose(ChannelSet(dims=SystemDims(num_tx=m.shape[1], rx=(m.shape[0],),
+                                               layers=(keep,)), blocks=(m,)))
+    return dec.u_blocks[0], dec.s, dec.v
+
+
+def reconstruct(u, s, v):
+    """``u^H @ diag(s) @ v``."""
+    return u.conj().T @ (s[:, None] * v)
+
+
+def gram_eig_rank_k(m, keep):
+    """Independent rank-k approximation via eigendecomposition of m^H m.
+
+    Uses a different LAPACK path than the SVD under test; phase-free
+    because it only needs the right singular subspace projector.
+    """
+    w, vecs = np.linalg.eigh(m.conj().T @ m)
+    top = vecs[:, ::-1][:, :keep]
+    proj = top @ top.conj().T
+    return m @ proj, np.sqrt(np.maximum(w[::-1][:keep], 0.0))
+
+
+@st.composite
+def heterogeneous_sets(draw):
+    """A caller-built set of 1-4 users with few distinct ``(rx, layers)``,
+    so groups of several users interleave, scaled by up to 1e+-250."""
+    num_tx = draw(st.integers(1, 12))
+    users = draw(st.integers(1, min(4, num_tx)))
+    rx, layers = [], []
+    for k in range(users):
+        rx.append(draw(st.integers(1, 4)))
+        room = num_tx - sum(layers) - (users - k - 1)
+        layers.append(draw(st.integers(1, min(rx[-1], num_tx, room))))
+    seed, log_scale = draw(st.integers(0, 2**32 - 1)), draw(st.floats(-250.0, 250.0))
+    blocks = [complex_gaussian(seed + k, r, num_tx, 1.0) * 10.0**log_scale
+              for k, r in enumerate(rx)]
+    return ChannelSet(dims=SystemDims(num_tx=num_tx, rx=tuple(rx), layers=tuple(layers)),
+                      blocks=tuple(blocks))
 
 
 class TestDecompose:
@@ -115,6 +165,86 @@ class TestDecompose:
         with pytest.raises(RankDeficiencyError):
             decompose(ch)
 
+    def test_identity(self):
+        u, s, v = one_user(np.eye(2), 2)
+        assert np.allclose(s, [1.0, 1.0])
+        assert np.allclose(reconstruct(u, s, v), np.eye(2), atol=1e-14)
+
+    def test_diagonal_keep_one(self):
+        u, s, v = one_user(np.diag([3.0, 1.0]), 1)
+        assert s.shape == (1,)
+        assert abs(s[0] - 3.0) < 1e-14
+        assert np.allclose(v, [[1.0, 0.0]], atol=1e-14)
+        assert np.allclose(u, [[1.0, 0.0]], atol=1e-14)
+
+    def test_shapes_and_order(self):
+        u, s, v = one_user(complex_gaussian(7, 5, 9, 1.0), 3)
+        assert (u.shape, s.shape, v.shape) == ((3, 5), (3,), (3, 9))
+        assert np.all(np.diff(s) <= 1e-12)
+        assert np.all(s >= 0)
+
+    def test_row_orthonormality(self):
+        u, s, v = one_user(complex_gaussian(11, 6, 4, 1.0), 4)
+        assert np.allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
+        assert np.allclose(v @ v.conj().T, np.eye(4), atol=1e-12)
+
+    def test_full_reconstruction(self):
+        m = complex_gaussian(3, 4, 6, 1.0)
+        assert np.linalg.norm(reconstruct(*one_user(m, 4)) - m) < 1e-12 * np.linalg.norm(m)
+
+    def test_rank_k_matches_gram_oracle(self):
+        for seed in range(5):
+            m = complex_gaussian(100 + seed, 8, 12, 1.0)
+            u, s, v = one_user(m, 2)
+            approx, s_oracle = gram_eig_rank_k(m, 2)
+            assert np.linalg.norm(reconstruct(u, s, v) - approx) < 1e-9
+            assert np.allclose(s, s_oracle, atol=1e-9)
+
+    def test_phase_convention(self):
+        _, _, v = one_user(complex_gaussian(23, 5, 7, 1.0), 5)
+        for row in v:
+            pivot = row[np.argmax(np.abs(row))]
+            assert abs(pivot.imag) < 1e-13
+            assert pivot.real > 0
+
+    def test_determinism(self):
+        m = complex_gaussian(42, 6, 6, 1.0)
+        for a, b in zip(one_user(m, 3), one_user(m.copy(), 3), strict=True):
+            assert np.array_equal(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ch=heterogeneous_sets())
+    def test_groups_equal_the_pair_loop_bit_for_bit(self, ch):
+        # one stacked SVD and phase fix per group keeps the bits of one SVD
+        # and one pair at a time per block, in user order
+        dec = decompose(ch)
+        assert len(ch.factors) == len(ch.groups)
+        for k, b in enumerate(ch.blocks):
+            want = reduced_svd_loop(b, ch.dims.layers[k])
+            for got, w in ((dec.u_blocks[k], want.u), (dec.s_block(k), want.s),
+                           (dec.v[dec.dims.layer_slice(k)], want.v)):
+                assert got.shape == w.shape and got.tobytes() == w.tobytes()
+
+    def test_rank_error_names_the_lowest_user(self):
+        # users 0 and 2 share a group that comes before user 1's; the check
+        # still runs in user order
+        dims = SystemDims(num_tx=8, rx=(4, 3, 4), layers=(2, 1, 2))
+        rank_one = complex_gaussian(1, 4, 1, 1.0) @ complex_gaussian(2, 1, 8, 1.0)
+        full = complex_gaussian(3, 4, 8, 1.0)
+        for user_1, failing in ((np.zeros((3, 8)), 1), (complex_gaussian(4, 3, 8, 1.0), 2)):
+            ch = ChannelSet(dims=dims, blocks=(full, user_1, rank_one))
+            assert [g[0] for g in ch.groups] == [(0, 2), (1,)]
+            with pytest.raises(RankDeficiencyError, match=f"^user {failing}: channel rank "):
+                decompose(ch)
+
+    def test_svd_failure_is_a_numerical_error(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        with pytest.raises(NumericalError, match="SVD did not converge"):
+            decompose(small_channels())
+
     def test_from_blocks_round_trip(self):
         ch = small_channels(rx=(4, 3), layers=(2, 1))
         dec = decompose(ch)
@@ -160,7 +290,7 @@ class TestScenario:
     def test_correlation_cap_holds(self):
         for seed in range(5):
             ch = generate_scenario(quick_config(seed=seed))
-            dirs = [reduced_svd(b, 1).v[0] for b in ch.blocks]
+            dirs = [reduced_svd_loop(b, 1).v[0] for b in ch.blocks]
             for i in range(len(dirs)):
                 for j in range(i):
                     assert abs(dirs[i] @ dirs[j].conj()) ** 2 <= 0.5 + 1e-12
@@ -201,7 +331,7 @@ class TestScenario:
         corrs = []
         for seed in range(10):
             ch = generate_scenario(quick_config(seed=seed))
-            dirs = [reduced_svd(b, 1).v[0] for b in ch.blocks]
+            dirs = [reduced_svd_loop(b, 1).v[0] for b in ch.blocks]
             for i in range(len(dirs)):
                 for j in range(i):
                     corrs.append(abs(dirs[i] @ dirs[j].conj()) ** 2)
@@ -262,8 +392,8 @@ def assert_phase_convention(dec):
 
 
 class TestPathFactors:
-    """A generated set carries its exact factorization and ``decompose``
-    reads the SVD off it; every other set runs the SVD."""
+    """A generated set's ``factors`` cache holds its exact factorization, so
+    ``decompose`` reads the SVD off it; every other set runs the SVD."""
 
     @pytest.mark.parametrize("make", [ScenarioConfig, quick_config], ids=["default", "quick"])
     @pytest.mark.parametrize("family", ["equal", "varied"])
@@ -271,7 +401,7 @@ class TestPathFactors:
         for seed in range(40):
             ch = generate_scenario(make(seed=seed, path_loss=family))
             plain = replace(ch)
-            assert ch.paths is not None and plain.paths is None
+            assert "factors" in vars(ch) and "factors" not in vars(plain)
             got, want = decompose(ch), decompose(plain)
             assert got.dims == want.dims
             assert np.allclose(got.s, want.s, rtol=1e-12, atol=0)
@@ -296,11 +426,14 @@ class TestPathFactors:
         # the factors are the generator's, so a copy with other blocks, or a
         # set built by the caller, carries none; they stay out of repr and ==
         ch = generate_scenario(quick_config(seed=5, path_loss="varied"))
-        assert [(f.init, f.repr, f.compare) for f in fields(ch) if f.name == "paths"] == [
-            (False, False, False)]
-        assert "paths" not in repr(ch)
+        assert [f.name for f in fields(ch)] == ["dims", "blocks"]
+        plain = replace(ch)
+        assert "factors" not in vars(plain)
+        assert plain == ch and repr(plain) == repr(ch)
+        assert len(plain.factors) == 1  # now run and cached, still unseen
+        assert "factors" in vars(plain) and plain == ch and repr(plain) == repr(ch)
         doubled = replace(ch, blocks=tuple(2.0 * b for b in ch.blocks))
-        assert doubled.paths is None
+        assert "factors" not in vars(doubled)
         dec = decompose(doubled)
         assert np.allclose(dec.s, 2.0 * decompose(ch).s, rtol=1e-12, atol=0)
         for k, b in enumerate(doubled.blocks):
@@ -344,7 +477,7 @@ def svd_screened_selection(config):
             )
             b, _ = np.linalg.qr(mixed)
             h = (a * np.sqrt(powers)) @ b.conj().T
-            d = reduced_svd(h, keep=1).v[0]
+            d = reduced_svd_loop(h, 1).v[0]
             if all(abs(d @ o.conj()) ** 2 <= config.corr_threshold for o in directions):
                 chosen.append(h)
                 directions.append(d)
@@ -512,6 +645,17 @@ class TestCalibrateNoise:
         assert calibrate_noise(dec, 1.0, MIN_SUSINR_DB) > 0
         with pytest.raises(ConfigError, match="target SINR nan dB is not finite"):
             calibrate_noise(dec, 1.0, float("nan"))
+
+    @pytest.mark.parametrize("bad", [True, np.bool_(False), np.array([0.0, 10.0]), "10", None,
+                                     1j, 10**400])
+    def test_targets_must_be_real(self, bad):
+        # True read as 1 dB; the array and the text failed inside numpy
+        dec = decompose(generate_scenario(quick_config()))
+        with pytest.raises(ConfigError, match="target_susinr_db must be a real number"):
+            calibrate_noise(dec, 1.0, bad)
+        with pytest.raises(ConfigError, match="target_susinr_db must be a real number"):
+            calibrate_noise(dec, 1.0, [0.0, bad])
+        assert calibrate_noise(dec, 1.0, np.int64(10)) == calibrate_noise(dec, 1.0, 10.0)
 
     def test_grid_is_one_factor_bit_for_bit(self):
         # a grid of targets computes the level-independent factor once; each

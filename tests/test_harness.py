@@ -104,6 +104,12 @@ class TestSweepConfig:
                    {"susinr_db": (0.0, 0.0)}, {"susinr_db": (0, 0.0)}):
             with pytest.raises(ConfigError, match=next(iter(kw))):
                 SweepConfig(**kw)
+        # a text or a scalar where a sequence belongs; "arzf" used to read as
+        # the methods a, r, z and f, and 5.0 raised a TypeError
+        for kw in ({"methods": "arzf"}, {"methods": np.str_("mrt")}, {"susinr_db": 5.0},
+                   {"susinr_db": np.array(5.0)}, {"susinr_db": "0,10"}):
+            with pytest.raises(ConfigError, match=f"{next(iter(kw))} must be a sequence"):
+                SweepConfig(**kw)
         assert SweepConfig(num_seeds=np.int64(2), seed_base=np.int32(3)).num_seeds == 2
         # a non-finite level fails here, naming itself, not in calibrate_noise
         for level in ("nan", "inf", "-inf"):

@@ -3,118 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from precodesim.exceptions import DimensionError, NotHpdError, NumericalError
-from precodesim.numerics import (
-    SvdResult,
-    as_complex_matrix,
-    complex_normal,
-    hpd_inverse,
-    reduced_svd,
-)
-from helpers import complex_gaussian, reduced_svd_loop
-
-
-def reconstruct(r):
-    """``u^H @ diag(s) @ v`` of an :class:`SvdResult`."""
-    return r.u.conj().T @ (r.s[:, None] * r.v)
-
-
-def gram_eig_rank_k(m, keep):
-    """Independent rank-k approximation via eigendecomposition of m^H m.
-
-    Uses a different LAPACK path than the SVD under test; phase-free
-    because it only needs the right singular subspace projector.
-    """
-    w, vecs = np.linalg.eigh(m.conj().T @ m)
-    top = vecs[:, ::-1][:, :keep]
-    proj = top @ top.conj().T
-    return m @ proj, np.sqrt(np.maximum(w[::-1][:keep], 0.0))
-
-
-class TestReducedSvd:
-    def test_identity(self):
-        r = reduced_svd(np.eye(2), keep=2)
-        assert np.allclose(r.s, [1.0, 1.0])
-        assert np.allclose(reconstruct(r), np.eye(2), atol=1e-14)
-
-    def test_diagonal_keep_one(self):
-        r = reduced_svd(np.diag([3.0, 1.0]), keep=1)
-        assert r.s.shape == (1,)
-        assert abs(r.s[0] - 3.0) < 1e-14
-        assert np.allclose(r.v, [[1.0, 0.0]], atol=1e-14)
-        assert np.allclose(r.u, [[1.0, 0.0]], atol=1e-14)
-
-    def test_shapes_and_order(self):
-        m = complex_gaussian(7, 5, 9, 1.0)
-        r = reduced_svd(m, keep=3)
-        assert r.u.shape == (3, 5)
-        assert r.s.shape == (3,)
-        assert r.v.shape == (3, 9)
-        assert np.all(np.diff(r.s) <= 1e-12)
-        assert np.all(r.s >= 0)
-
-    def test_row_orthonormality(self):
-        m = complex_gaussian(11, 6, 4, 1.0)
-        r = reduced_svd(m, keep=4)
-        assert np.allclose(r.u @ r.u.conj().T, np.eye(4), atol=1e-12)
-        assert np.allclose(r.v @ r.v.conj().T, np.eye(4), atol=1e-12)
-
-    def test_full_reconstruction(self):
-        m = complex_gaussian(3, 4, 6, 1.0)
-        r = reduced_svd(m, keep=4)
-        assert np.linalg.norm(reconstruct(r) - m) < 1e-12 * np.linalg.norm(m)
-
-    def test_rank_k_matches_gram_oracle(self):
-        for seed in range(5):
-            m = complex_gaussian(100 + seed, 8, 12, 1.0)
-            r = reduced_svd(m, keep=2)
-            approx, s_oracle = gram_eig_rank_k(m, 2)
-            assert np.linalg.norm(reconstruct(r) - approx) < 1e-9
-            assert np.allclose(r.s, s_oracle, atol=1e-9)
-
-    def test_phase_convention(self):
-        m = complex_gaussian(23, 5, 7, 1.0)
-        r = reduced_svd(m, keep=5)
-        for row in r.v:
-            pivot = row[np.argmax(np.abs(row))]
-            assert abs(pivot.imag) < 1e-13
-            assert pivot.real > 0
-
-    def test_determinism(self):
-        m = complex_gaussian(42, 6, 6, 1.0)
-        a = reduced_svd(m, keep=3)
-        b = reduced_svd(m.copy(), keep=3)
-        assert np.array_equal(a.u, b.u)
-        assert np.array_equal(a.s, b.s)
-        assert np.array_equal(a.v, b.v)
-
-    def test_keep_out_of_range(self):
-        m = np.eye(3)
-        with pytest.raises(DimensionError):
-            reduced_svd(m, keep=0)
-        with pytest.raises(DimensionError):
-            reduced_svd(m, keep=4)
-
-    def test_nonfinite_rejected(self):
-        m = np.eye(2, dtype=complex)
-        m[0, 1] = np.nan
-        with pytest.raises(NumericalError):
-            reduced_svd(m, keep=1)
-
-    def test_result_is_dataclass(self):
-        r = reduced_svd(np.eye(2), keep=1)
-        assert isinstance(r, SvdResult)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 20), st.integers(1, 20), st.floats(0.0, 1.0),
-           st.floats(-250.0, 250.0), st.integers(0, 2**32 - 1))
-    def test_phases_equal_the_pair_loop_bit_for_bit(self, rows, cols, share, log_scale, seed):
-        # the vectorized phase fix keeps the bits of fixing one pair at a time
-        m = complex_gaussian(seed, rows, cols, 1.0) * 10.0**log_scale
-        keep = 1 + int(share * (min(rows, cols) - 1))
-        got, want = reduced_svd(m, keep), reduced_svd_loop(m, keep)
-        for a, b in ((got.u, want.u), (got.s, want.s), (got.v, want.v)):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+from precodesim.exceptions import DimensionError, NotHpdError
+from precodesim.numerics import as_complex_matrix, complex_normal, hpd_inverse
+from helpers import complex_gaussian
 
 
 class TestSolveHpd:

@@ -22,6 +22,7 @@ from precodesim.precoding import (
     Precoder,
     arzf,
     closed_forms,
+    closed_stack,
     mrt,
     normalize,
     parametric_rzf,
@@ -191,6 +192,8 @@ class TestRzf:
         # a ridge that overflows is caught once per stack
         with pytest.raises(ConfigError):
             rzf(dec, 1e-300, noise_var=1e300)
+        with pytest.raises(ConfigError, match="ridge and column scale"):
+            closed_stack(dec, ("zf_v", "arzf"), 1e-300, [1.0, 1e300])
 
 
 class TestWrzf:
@@ -286,6 +289,17 @@ class TestClosedForms:
         with pytest.raises(ConfigError, match="power"):
             closed_forms(dec, ("mrt",), 0.0)
         assert closed_forms(dec, (), 1.0) == ()
+
+    @pytest.mark.parametrize("token", ["rzf_v", "rzf_f", "wrzf", "arzf"])
+    def test_noise_dependent_form_needs_a_noise_variance(self, token):
+        # each used to raise a TypeError inside its ridge formula
+        dec = sample_decomp()
+        with pytest.raises(ConfigError, match=f"closed forms \\['{token}'\\] need a noise"):
+            BUILDERS[token](dec, 1.0, None)
+        with pytest.raises(ConfigError, match=token):
+            closed_stack(dec, ("mrt", token, "zf_v"), 1.0, [0.3, None])
+        raw, gain = closed_stack(dec, ("zf_v", "mrt", "zf_f"), 1.0, [None])
+        assert raw.shape == (1, 3, 12, 4) and gain.shape == (1, 3)
 
 
 class TestParametric:
