@@ -53,6 +53,10 @@ class TestSystemDims:
         with pytest.raises(ConfigError):
             SystemDims(num_tx=8, rx=(2,), layers=(3,))
 
+    def test_zero_layers(self):
+        with pytest.raises(ConfigError, match=r"layers\[0\]=0 outside"):
+            SystemDims(num_tx=4, rx=(2,), layers=(0,))
+
     def test_total_layers_capped_by_tx(self):
         with pytest.raises(ConfigError):
             SystemDims(num_tx=3, rx=(4, 4), layers=(2, 2))
@@ -102,13 +106,14 @@ def gram_eig_rank_k(m, keep):
 
 @st.composite
 def heterogeneous_sets(draw):
-    """A caller-built set of 1-4 users with few distinct ``(rx, layers)``,
-    so groups of several users interleave, scaled by up to 1e+-250."""
-    num_tx = draw(st.integers(1, 12))
+    """A caller-built set of 1-4 users with blocks of 1-20 rows by 1-20
+    columns, up to 20 layers, scaled by up to 1e+-250.  The ``(rx, layers)``
+    draws favour a few small shapes, so groups of several users interleave."""
+    num_tx = draw(st.integers(1, 20))
     users = draw(st.integers(1, min(4, num_tx)))
     rx, layers = [], []
     for k in range(users):
-        rx.append(draw(st.integers(1, 4)))
+        rx.append(draw(st.one_of(st.integers(1, 3), st.integers(1, 20))))
         room = num_tx - sum(layers) - (users - k - 1)
         layers.append(draw(st.integers(1, min(rx[-1], num_tx, room))))
     seed, log_scale = draw(st.integers(0, 2**32 - 1)), draw(st.floats(-250.0, 250.0))
