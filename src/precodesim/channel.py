@@ -295,7 +295,8 @@ class ScenarioConfig:
         if self.path_loss not in ("equal", "varied"):
             raise ConfigError(f"unknown path_loss mode {self.path_loss!r}")
         pair = self.path_loss_range_db
-        if not (isinstance(pair, (tuple, list, np.ndarray)) and len(pair) == 2):
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                or isinstance(pair, np.ndarray) and pair.shape == (2,)):
             raise ConfigError(f"path_loss_range_db must be a pair (lo, hi), got {pair!r}")
         for end in pair:
             check_real("path_loss_range_db", end)

@@ -11,7 +11,6 @@ configuration, including the emitted CSV bytes.
 import json
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import product
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from .exceptions import (
     ConfigError, PrecodesimError, SelectionError, check_integer, check_positive, check_real)
 from .metrics import evaluate_many
 from .optimizer import OptConfig, optimize_many
-from .precoding import CLOSED_FORMS, NOISE_FREE, closed_stack
+from .precoding import CLOSED_FORMS, closed_stack
 
 __all__ = ["METHODS", "SweepConfig", "SweepRow", "SweepResult", "run_sweep", "format_csv",
            "emit_csv", "emit_plotdata"]
@@ -60,20 +59,22 @@ class SweepConfig:
             raise ConfigError(f"scenario must be 'equal' or 'varied', got {self.scenario!r}")
         for name in ("susinr_db", "methods"):
             value = getattr(self, name)
-            if isinstance(value, str) or not np.iterable(value):
+            # a set's order, and so the CSV's, would depend on the hash seed
+            if not (isinstance(value, (list, tuple))
+                    or isinstance(value, np.ndarray) and value.ndim == 1):
                 raise ConfigError(f"{name} must be a sequence, got {value!r}")
         for level in self.susinr_db:
             check_real("susinr_db level", level)
-        object.__setattr__(self, "susinr_db", tuple(float(x) for x in self.susinr_db))
-        object.__setattr__(self, "methods", tuple(self.methods))
-        if not self.susinr_db:
-            raise ConfigError("susinr_db grid must be nonempty")
-        for level in self.susinr_db:
+            level = float(level)
             if not np.isfinite(level):
                 raise ConfigError(f"susinr_db level {level} dB is not finite")
             if level < MIN_SUSINR_DB:
                 raise ConfigError(f"susinr_db level {level:g} dB is below the lowest supported "
                                   f"level, {MIN_SUSINR_DB:g} dB")
+        object.__setattr__(self, "susinr_db", tuple(float(x) for x in self.susinr_db))
+        object.__setattr__(self, "methods", tuple(self.methods))
+        if not self.susinr_db:
+            raise ConfigError("susinr_db grid must be nonempty")
         for name in ("susinr_db", "methods"):
             value = getattr(self, name)
             if len(set(value)) < len(value):
@@ -95,7 +96,7 @@ class SweepConfig:
             num_users=self.num_users,
             rx_per_user=self.rx_per_user,
             layers_per_user=self.layers_per_user,
-            path_loss=("varied" if self.scenario == "varied" else "equal"),
+            path_loss=self.scenario,
             seed=seed,
         )
 
@@ -132,141 +133,129 @@ def _failure(exc):
     return f"{type(exc).__name__}: {exc}"
 
 
-def _record(vals, score, levels, tokens, lo, hi):
-    """``vals[(level, token)] = (sum SE, min SE)`` of ``tokens`` at
-    ``levels[lo:hi]`` from one pass ``score(lo, hi)``, level-major.  A pass
-    that raises is replayed level by level, so the first failing level
-    raises the error it raises alone."""
-    try:
-        rep = score(lo, hi)
-    except PrecodesimError:
-        for k in range(lo, hi):
-            score(k, k + 1)
-        raise
-    vals.update(zip(product(levels[lo:hi], tokens), zip(rep.sum_se, rep.min_se)))
-
-
-def _closed_pass(channels, decomp, tokens, power, noise, fixed, lo, hi):
-    """The closed forms ``tokens`` at the noise levels ``noise[lo:hi]``, scored
-    as one stack: the weights ``fixed`` of the leading noise-free tokens, then
-    one :func:`closed_stack` of the rest."""
-    f = fixed.shape[1]
-    raw, gain = closed_stack(decomp, tokens[f:], power, noise[lo:hi])
-    w = np.empty((hi - lo, len(tokens), *fixed.shape[2:]), dtype=complex)
-    w[:, :f] = fixed
-    np.multiply(raw, gain[..., None, None], out=w[:, f:])
-    return evaluate_many(channels, w.reshape(-1, *w.shape[2:]), noise[lo:hi].repeat(len(tokens)))
-
-
-def _opt_pass(channels, noise, found, lo, hi):
-    """The searched precoders ``found[lo:hi]`` scored as one stack, or the
-    first search error among them."""
-    for r in found[lo:hi]:
+def _score(channels, decomp, closed, power, noise, found, lo, hi):
+    """Every method of one seed at the noise levels ``noise[lo:hi]``, scored
+    as one stack, level-major: one :func:`closed_stack` of the closed forms
+    ``closed``, then the searched precoders ``found[lo:hi]`` (none without
+    ``opt``), raising the first search error among them, then one
+    :func:`evaluate_many` pass."""
+    raw, gain = closed_stack(decomp, closed, power, noise[lo:hi])
+    c = len(closed)
+    w = np.empty((hi - lo, c + bool(found), *raw.shape[2:]), dtype=complex)
+    np.multiply(raw, gain[..., None, None], out=w[:, :c])
+    del raw  # not held through detection, which sets the peak memory
+    for k, r in enumerate(found[lo:hi]):
         if isinstance(r, PrecodesimError):
             raise r
-    return evaluate_many(channels, np.stack([r.precoder.weights for r in found[lo:hi]]),
-                         noise[lo:hi])
+        w[k, c] = r.precoder.weights
+    return evaluate_many(channels, w.reshape(-1, *w.shape[2:]), noise[lo:hi].repeat(w.shape[1]))
+
+
+def _values(score, levels):
+    """``(levels, methods, 2)`` sum and min SE of one seed from stacks
+    ``score(lo, hi)`` of at most ``_LEVELS`` whole levels; the bound
+    keeps a stack's detection arrays, and so the peak memory, small.  A stack
+    that raises is replayed level by level, so the first failing level raises
+    the error it raises alone."""
+    stacks = []
+    for lo in range(0, levels, _LEVELS):
+        hi = min(lo + _LEVELS, levels)
+        try:
+            rep = score(lo, hi)
+        except PrecodesimError:
+            for k in range(lo, hi):
+                score(k, k + 1)
+            raise
+        stacks.append(np.stack((rep.sum_se, rep.min_se), axis=-1).reshape(hi - lo, -1, 2))
+    return np.concatenate(stacks)
 
 
 def run_sweep(config: SweepConfig, progress=None) -> SweepResult:
     """Full multi-seed sweep.
 
-    Each seed's closed-form methods are scored as its channels are drawn:
-    the noise-free ones are built once, and the levels go in stacks of at
-    most ``_LEVELS`` whole levels, each one :func:`closed_stack` and one
-    :func:`evaluate_many` pass; the bound keeps a stack's detection arrays,
-    and so the peak memory, small.  The searched ridge (``opt``) of every
-    (seed, level) is queued, all searches run in one :func:`optimize_many`,
-    and each seed's searched precoders are scored in one pass.  Every member
-    of a stack has the bits it has alone, and a seed records the error of
-    its first failing level.  A seed whose realization cannot be generated
-    or evaluated, or whose search fails, is recorded in ``failures`` and
-    dropped from aggregation; the per-row ``seeds`` count reflects only
-    successful realizations.  ``progress(done, total)`` is called as each
-    seed finishes, after its last search.  Raises :class:`SelectionError`
-    if every seed fails.  A :class:`ConfigError` faults the configuration,
-    not one realization, and ends the sweep.
+    Every method of a seed is scored in one pass per stack of at most
+    ``_LEVELS`` whole levels: one :func:`closed_stack` of its closed forms,
+    then its searched ridge (``opt``) precoders, then one
+    :func:`evaluate_many`, so errors within a level come in that order, and a
+    seed records the error of its first failing level.  Every member of a
+    stack has the bits it has alone.  A seed is scored once it has no search
+    left: at once without ``opt``, else when its last search ends; the
+    searches of every (seed, level) run in one :func:`optimize_many`.  A seed
+    whose realization cannot be generated or evaluated, or whose search
+    fails, is recorded in ``failures`` and dropped from aggregation; the
+    per-row ``seeds`` count reflects only successful realizations.
+    ``progress(done, total)`` is called as each seed finishes.  Raises
+    :class:`SelectionError` if every seed fails.  A :class:`ConfigError`
+    faults the configuration, not one realization, and ends the sweep.
     """
     levels, n = config.susinr_db, len(config.susinr_db)
-    # noise-free forms first: built once per seed, they lead every level of a stack
-    closed = sorted((m for m in config.methods if m != "opt"), key=lambda m: m not in NOISE_FREE)
-    free = sum(m in NOISE_FREE for m in closed)
-    per_seed, failures, queue = {}, {}, []
-    finished = 0
+    closed = [m for m in config.methods if m != "opt"]
+    # the columns of a seed's values: the closed forms, then the searched ridge
+    tokens = closed + ["opt"] * ("opt" in config.methods)
+    kept, failures, queue, problems = {}, {}, [], []
 
-    def seed_done():
-        nonlocal finished
-        finished += 1
-        if progress is not None:
-            progress(finished, config.num_seeds)
-
-    for i in range(config.num_seeds):
-        seed = config.seed_base + i
+    def finish(i, seed_values, *args):
+        """Keep seed ``i``'s ``seed_values(*args)``, or record the error it
+        raises, and report progress; None means its searches are queued."""
         try:
-            channels = generate_scenario(config.scenario_config(seed))
-            decomp = decompose(channels)
-            noise, vals = np.array(calibrate_noise(decomp, config.power, levels)), {}
-            if closed:
-                raw, gain = closed_stack(decomp, closed[:free], config.power, noise[:1])
-                score = partial(_closed_pass, channels, decomp, closed, config.power, noise,
-                                raw * gain[..., None, None])
-                for lo in range(0, n, _LEVELS):
-                    _record(vals, score, levels, closed, lo, min(lo + _LEVELS, n))
-            per_seed[i] = vals
-        except ConfigError:
-            raise
-        except PrecodesimError as exc:
-            failures[i] = (seed, _failure(exc))
-        if "opt" in config.methods and i in per_seed:
-            queue.append((i, decomp, channels, noise))
-        else:
-            seed_done()
-
-    left = dict.fromkeys((q[0] for q in queue), n)
-
-    def search_done(q, _):
-        left[queue[q // n][0]] -= 1
-        if not left[queue[q // n][0]]:
-            seed_done()
-
-    problems = [(dc, ch, config.power, nv) for _, dc, ch, noise in queue for nv in noise]
-    results = optimize_many(problems, config.opt, done=search_done)
-    for s, (i, _, channels, noise) in enumerate(queue):
-        try:
-            _record(per_seed[i], partial(_opt_pass, channels, noise, results[s * n:(s + 1) * n]),
-                   levels, ("opt",), 0, n)
+            values = seed_values(*args)
+            if values is None:
+                return
+            kept[i] = values
         except ConfigError:
             raise
         except PrecodesimError as exc:
             failures[i] = (config.seed_base + i, _failure(exc))
-            del per_seed[i]
+        if progress is not None:
+            progress(len(kept) + len(failures), config.num_seeds)
 
-    per_seed = list(per_seed.values())
-    failures = [failures[i] for i in sorted(failures)]
-    n = len(per_seed)
-    if n == 0:
+    def start(i):
+        channels = generate_scenario(config.scenario_config(config.seed_base + i))
+        decomp = decompose(channels)
+        noise = np.array(calibrate_noise(decomp, config.power, levels))
+        score = partial(_score, channels, decomp, closed, config.power, noise)
+        if "opt" not in tokens:
+            return _values(partial(score, ()), n)
+        queue.append((i, score, [None] * n))
+        problems.extend((decomp, channels, config.power, nv) for nv in noise)
+
+    def search_done(q, result):
+        i, score, found = queue[q // n]
+        found[q % n] = result
+        if all(r is not None for r in found):
+            finish(i, _values, partial(score, found), n)
+
+    for i in range(config.num_seeds):
+        finish(i, start, i)
+    optimize_many(problems, config.opt, done=search_done)
+
+    if not kept:
         raise SelectionError(
-            f"all {config.num_seeds} seeds failed; first: {failures[0][1]}"
+            f"all {config.num_seeds} seeds failed; first: {failures[min(failures)][1]}"
         )
-    ddof = 1 if n > 1 else 0
+    # seeds in seed order along a contiguous last axis, where each cell's
+    # mean and std have the bits of its own 1-D reduction
+    vals = np.stack([kept[i] for i in sorted(kept)], axis=-1)
+    seeds = vals.shape[-1]
+    mean, std = vals.mean(axis=-1), vals.std(axis=-1, ddof=1 if seeds > 1 else 0)
     rows = []
-    for su in config.susinr_db:
+    for k, su in enumerate(levels):
         for m in config.methods:
-            sums = np.array([v[(su, m)][0] for v in per_seed])
-            mins = np.array([v[(su, m)][1] for v in per_seed])
+            c = tokens.index(m)
             rows.append(
                 SweepRow(
                     scenario=config.scenario,
                     susinr_db=su,
                     method=m,
-                    avg_sum_se=float(sums.mean()),
-                    se_std=float(sums.std(ddof=ddof)),
-                    avg_min_se=float(mins.mean()),
-                    min_se_std=float(mins.std(ddof=ddof)),
-                    seeds=n,
+                    avg_sum_se=float(mean[k, c, 0]),
+                    se_std=float(std[k, c, 0]),
+                    avg_min_se=float(mean[k, c, 1]),
+                    min_se_std=float(std[k, c, 1]),
+                    seeds=seeds,
                 )
             )
-    return SweepResult(rows=tuple(rows), failures=tuple(failures), config=config)
+    failures = tuple(failures[i] for i in sorted(failures))
+    return SweepResult(rows=tuple(rows), failures=failures, config=config)
 
 
 def format_csv(result: SweepResult) -> str:

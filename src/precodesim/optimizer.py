@@ -328,10 +328,10 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
 
     At most ``_BATCH`` searches run at once, and a finished one makes room
     for the next.  Each round evaluates a stretch of every running search's
-    ladder in one batch of at most ``max(_BATCH, running searches)``
-    trials.  A stretch is one trial long in a line search's first round,
-    and its width doubles after each round that rejects all of it.  Each
-    result is bitwise the one the search gets alone, one trial per round.
+    ladder in one batch of at most ``_BATCH`` trials.  A stretch is one
+    trial long in a line search's first round, and its width doubles after
+    each round that rejects all of it.  Each result is bitwise the one the
+    search gets alone, one trial per round.
     The list holds one :class:`OptResult` per problem, in order, or the
     :class:`PrecodesimError` its search raised; ``done(i, result)``, if
     given, is called as search ``i`` ends.  Inputs are validated once,
@@ -378,7 +378,7 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
         # stretches in search order
         rung = tried[run]
         want = np.minimum(width[run], len(alphas) - rung) - 1
-        spare = max(_BATCH, len(run)) - len(run) - (want.cumsum() - want)
+        spare = _BATCH - len(run) - (want.cumsum() - want)
         sent = 1 + np.minimum(want, np.maximum(spare, 0))
         end = sent.cumsum()
         trial = np.repeat(run, sent)

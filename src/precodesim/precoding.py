@@ -125,41 +125,46 @@ def closed_stack(decomp: ChannelDecomposition, tokens, power: float, noise_vars)
     """Raw weights ``(levels, tokens, num_tx, total_layers)`` and gains
     ``(levels, tokens)`` of the closed forms ``tokens`` (of
     :data:`CLOSED_FORMS`) at each of the noise variances ``noise_vars``, in
-    order.  The ridge forms of every level are one stack: one gram ``V V^H``
-    and one :func:`ridge_stack`, whose ridges and column scales are checked to
-    be finite and ``>= 0`` (else ConfigError), so each member has the bits of
-    its one-level build.  ``noise_vars`` may be ``[None]`` if only
+    order.  The :data:`NOISE_FREE` forms are built once and shared by every
+    level: ``mrt`` is one ``V^H``, and ``zf_v`` and ``zf_f`` are one member
+    each of the one gram ``V V^H`` and one :func:`ridge_stack` that also hold
+    every other form at every level.  Its ridges and column scales are
+    checked to be finite and ``>= 0`` (else ConfigError), so each member has
+    the bits of its one-level build.  ``noise_vars`` may be ``[None]`` if only
     :data:`NOISE_FREE` forms are asked for; otherwise a None is a ConfigError
     that names the forms needing a noise variance."""
     check_positive("power", power)
     unknown = [t for t in tokens if t not in CLOSED_FORMS]
     if unknown:
         raise ConfigError(f"unknown closed forms {unknown}, valid: {CLOSED_FORMS}")
+    free = [t for t in tokens if t in NOISE_FREE and t != "mrt"]
     noisy = [t for t in tokens if t not in NOISE_FREE]
     for nv in noise_vars:
         if nv is not None:
             check_positive("noise_var", nv)
         elif noisy:
             raise ConfigError(f"closed forms {noisy} need a noise variance, got None")
-    vh, levels = decomp.v.conj().T, len(noise_vars)
-    raw, gain = np.empty((levels, 0, *vh.shape), dtype=complex), np.empty((levels, 0))
-    ridged = [t for t in tokens if t != "mrt"]
-    if ridged:
-        nv = np.reshape(noise_vars, (-1, 1))
-        rc = np.empty((levels, len(ridged), 2, decomp.dims.total_layers))
-        with np.errstate(over="ignore"):  # an overflowing ridge fails the check
-            for b, t in enumerate(ridged):
-                rc[:, b, 0], rc[:, b, 1] = RIDGES[t](decomp, power, nv)
-        _check_nonnegative("ridge and column scale", rc)
-        rc = rc.reshape(-1, *rc.shape[2:])
-        gram = gram_stack(decomp.v[None]).repeat(len(rc), axis=0)
-        raw, gain, _ = ridge_stack(gram, vh, rc[:, 0], rc[:, 1, None], power)
-        raw, gain = raw.reshape(levels, -1, *vh.shape), gain.reshape(levels, -1)
-    if "mrt" in tokens:  # splice the matched rows in at mrt's place
-        at, (r, g), shape = tokens.index("mrt"), (raw, gain), (levels, len(tokens))
-        raw, gain = np.empty((*shape, *vh.shape), dtype=complex), np.empty(shape)
-        raw[:, :at], raw[:, at], raw[:, at + 1:] = r[:, :at], vh, r[:, at:]
-        gain[:, :at], gain[:, at], gain[:, at + 1:] = g[:, :at], normalize(vh, power), g[:, at:]
+    vh, levels, f, q = decomp.v.conj().T, len(noise_vars), len(free), len(noisy)
+    # ridge and column scale of each member: the shared forms, then the rest
+    # level by level
+    rc = np.empty((f + levels * q, 2, decomp.dims.total_layers))
+    per_level, nv = rc[f:].reshape(levels, q, *rc.shape[1:]), np.reshape(noise_vars, (-1, 1))
+    with np.errstate(over="ignore"):  # an overflowing ridge fails the check
+        for b, t in enumerate(free):
+            rc[b, 0], rc[b, 1] = RIDGES[t](decomp, power, None)
+        for b, t in enumerate(noisy):
+            per_level[:, b, 0], per_level[:, b, 1] = RIDGES[t](decomp, power, nv)
+    _check_nonnegative("ridge and column scale", rc)
+    gram = gram_stack(decomp.v[None]).repeat(len(rc), axis=0)
+    r, g, _ = ridge_stack(gram, vh, rc[:, 0], rc[:, 1, None], power)
+    shape = (levels, len(tokens))
+    raw, gain = np.empty((*shape, *vh.shape), dtype=complex), np.empty(shape)
+    for j, t in enumerate(tokens):
+        if t == "mrt":
+            raw[:, j], gain[:, j] = vh, normalize(vh, power)
+        else:
+            at = free.index(t) if t in free else slice(f + noisy.index(t), None, q)
+            raw[:, j], gain[:, j] = r[at], g[at]
     return raw, gain
 
 

@@ -107,9 +107,18 @@ class TestSweepConfig:
         # a text or a scalar where a sequence belongs; "arzf" used to read as
         # the methods a, r, z and f, and 5.0 raised a TypeError
         for kw in ({"methods": "arzf"}, {"methods": np.str_("mrt")}, {"susinr_db": 5.0},
-                   {"susinr_db": np.array(5.0)}, {"susinr_db": "0,10"}):
+                   {"susinr_db": np.array(5.0)}, {"susinr_db": "0,10"},
+                   {"susinr_db": np.zeros((1, 2))}):
             with pytest.raises(ConfigError, match=f"{next(iter(kw))} must be a sequence"):
                 SweepConfig(**kw)
+        # a set or a dict has no order of its own: a set of strings gave a
+        # CSV row order that depended on the hash seed
+        for kw in ({"methods": {"mrt", "arzf", "zf_v"}}, {"methods": dict.fromkeys(("mrt",))},
+                   {"susinr_db": {0.0, 10.0}}, {"susinr_db": {0.0: 1}}):
+            with pytest.raises(ConfigError, match=f"{next(iter(kw))} must be a sequence"):
+                SweepConfig(**kw)
+        assert SweepConfig(methods=["arzf", "mrt"], susinr_db=np.array([0, 10])).methods == (
+            "arzf", "mrt")
         assert SweepConfig(num_seeds=np.int64(2), seed_base=np.int32(3)).num_seeds == 2
         # a non-finite level fails here, naming itself, not in calibrate_noise
         for level in ("nan", "inf", "-inf"):
@@ -128,6 +137,7 @@ class TestSweepConfig:
     @pytest.mark.parametrize("make, field, value", [
         (ScenarioConfig, "path_loss_range_db", (0, 1, 2)),
         (ScenarioConfig, "path_loss_range_db", 5.0),
+        (ScenarioConfig, "path_loss_range_db", np.array(5.0)),
         (ScenarioConfig, "path_loss_range_db", ("-10", 10.0)),
         (ScenarioConfig, "path_loss_range_db", (-10.0, True)),
         (ScenarioConfig, "corr_threshold", "0.3"),
@@ -376,6 +386,23 @@ class TestRunSweep:
             np.inf if v == nv[search_fails_at] else 1.0))
         res = run_sweep(cfg)
         assert res.failures == ((1, message),)
+        assert all(row.seeds == 2 for row in res.rows)
+
+    def test_search_failure_before_a_later_closed_form_failure(self, monkeypatch):
+        # seed 1's search fails at level 0 and its arzf scores a zero SINR at
+        # level 2; the seed records level 0's search error, as when each
+        # point is built, searched and scored alone
+        cfg = tiny_sweep(methods=("arzf", "opt"), susinr_db=(0.0, 12.0, 24.0))
+        nv = calibrate_noise(decompose(generate_scenario(cfg.scenario_config(1))), 1.0,
+                             cfg.susinr_db)
+        fail_scoring(monkeypatch, {nv[2]: "zero"})
+        real = optimizer.default_start
+        monkeypatch.setattr(optimizer, "default_start", lambda d, p, v: real(d, p, v) * (
+            np.inf if v == nv[0] else 1.0))
+        want = first_failures(cfg)
+        assert want == ((1, "NumericalError: objective undefined at the starting ridge"),)
+        res = run_sweep(cfg)
+        assert res.failures == want
         assert all(row.seeds == 2 for row in res.rows)
 
     def test_closed_stacks_bound_peak_memory(self, monkeypatch):

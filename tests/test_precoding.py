@@ -16,6 +16,7 @@ from precodesim.exceptions import (
     SingularGramError,
     ZeroMatrixError,
 )
+import precodesim.precoding as precoding
 from helpers import BUILDERS, complex_gaussian
 from precodesim.precoding import (
     CLOSED_FORMS,
@@ -260,19 +261,42 @@ def unit(m):
     return m / np.linalg.norm(m)
 
 
+# every closed form, noise-free and noisy mixed
+STACK_TOKENS = ("arzf", "mrt", "zf_f", "wrzf", "rzf_v", "zf_v", "rzf_f")
+
+
 class TestClosedForms:
     def test_table_covers_builders(self):
         assert CLOSED_FORMS == tuple(BUILDERS)
 
-    def test_stack_member_equals_single_build(self):
-        # one stack per point; each member is bitwise its one-token build
+    @pytest.mark.parametrize("noise", [(0.3,), (0.3, 1e-3, 7.0)], ids=["1level", "3levels"])
+    def test_stack_member_equals_single_build(self, noise):
+        # one stack of every level; each (level, token) member, the shared
+        # noise-free ones included, is bitwise its one-token build at that
+        # level's noise
         dec = sample_decomp(seed=19)
-        tokens = ("arzf", "mrt", "zf_f", "wrzf", "rzf_v", "zf_v", "rzf_f")
-        for pre, token in zip(closed_forms(dec, tokens, 2.0, 0.3), tokens):
-            one = BUILDERS[token](dec, 2.0, 0.3)
-            assert pre.method == one.method == token
-            assert pre.raw.tobytes() == one.raw.tobytes()
-            assert pre.gain == one.gain
+        raw, gain = closed_stack(dec, STACK_TOKENS, 2.0, noise)
+        assert raw.shape[:2] == gain.shape == (len(noise), len(STACK_TOKENS))
+        for level, nv in enumerate(noise):
+            pres = closed_forms(dec, STACK_TOKENS, 2.0, nv)
+            for b, (pre, token) in enumerate(zip(pres, STACK_TOKENS)):
+                one = BUILDERS[token](dec, 2.0, nv)
+                assert pre.method == one.method == token
+                assert raw[level, b].tobytes() == pre.raw.tobytes() == one.raw.tobytes()
+                assert gain[level, b] == pre.gain == one.gain
+
+    def test_one_ridge_stack_per_call(self, monkeypatch):
+        # the noise-free zf_v and zf_f are one member each, shared by the
+        # levels, in the same ridge_stack as the 4 noisy forms at 3 levels
+        real, sizes = precoding.ridge_stack, []
+
+        def counted(gram, *args):
+            sizes.append(len(gram))
+            return real(gram, *args)
+
+        monkeypatch.setattr(precoding, "ridge_stack", counted)
+        closed_stack(sample_decomp(seed=19), STACK_TOKENS, 2.0, (0.3, 1e-3, 7.0))
+        assert sizes == [2 + 3 * 4]
 
     def test_f_forms_are_column_scaled_v_ridges(self):
         dec = sample_decomp(seed=20)
