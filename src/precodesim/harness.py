@@ -28,7 +28,7 @@ __all__ = ["METHODS", "SweepConfig", "SweepRow", "SweepResult", "run_sweep", "fo
 CSV_HEADER = "scenario,susinr_db,method,avg_sum_se,se_std,avg_min_se,min_se_std,seeds,detection"
 
 
-# Whole SINR levels per closed-form stack.  On a 20-seed closed-form sweep
+# Whole SINR levels per scoring stack.  On a 20-seed closed-form sweep
 # (default scale, 2 vCPUs) stacks of 1, 4 and 11 levels took 0.13-0.15,
 # 0.09-0.10 and 0.10 ms of CPU per point at 39.0, 39.3 and 41.2 MB peak RSS.
 _LEVELS = 4

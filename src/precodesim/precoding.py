@@ -145,18 +145,19 @@ def closed_stack(decomp: ChannelDecomposition, tokens, power: float, noise_vars)
         elif noisy:
             raise ConfigError(f"closed forms {noisy} need a noise variance, got None")
     vh, levels, f, q = decomp.v.conj().T, len(noise_vars), len(free), len(noisy)
-    # ridge and column scale of each member: the shared forms, then the rest
-    # level by level
-    rc = np.empty((f + levels * q, 2, decomp.dims.total_layers))
-    per_level, nv = rc[f:].reshape(levels, q, *rc.shape[1:]), np.reshape(noise_vars, (-1, 1))
-    with np.errstate(over="ignore"):  # an overflowing ridge fails the check
-        for b, t in enumerate(free):
-            rc[b, 0], rc[b, 1] = RIDGES[t](decomp, power, None)
-        for b, t in enumerate(noisy):
-            per_level[:, b, 0], per_level[:, b, 1] = RIDGES[t](decomp, power, nv)
-    _check_nonnegative("ridge and column scale", rc)
-    gram = gram_stack(decomp.v[None]).repeat(len(rc), axis=0)
-    r, g, _ = ridge_stack(gram, vh, rc[:, 0], rc[:, 1, None], power)
+    if f + q:  # mrt alone inverts nothing
+        # ridge and column scale of each member: the shared forms, then the
+        # rest level by level
+        rc = np.empty((f + levels * q, 2, decomp.dims.total_layers))
+        per_level, nv = rc[f:].reshape(levels, q, *rc.shape[1:]), np.reshape(noise_vars, (-1, 1))
+        with np.errstate(over="ignore"):  # an overflowing ridge fails the check
+            for b, t in enumerate(free):
+                rc[b, 0], rc[b, 1] = RIDGES[t](decomp, power, None)
+            for b, t in enumerate(noisy):
+                per_level[:, b, 0], per_level[:, b, 1] = RIDGES[t](decomp, power, nv)
+        _check_nonnegative("ridge and column scale", rc)
+        gram = gram_stack(decomp.v[None]).repeat(len(rc), axis=0)
+        r, g, _ = ridge_stack(gram, vh, rc[:, 0], rc[:, 1, None], power)
     shape = (levels, len(tokens))
     raw, gain = np.empty((*shape, *vh.shape), dtype=complex), np.empty(shape)
     for j, t in enumerate(tokens):

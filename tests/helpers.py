@@ -1,11 +1,17 @@
-"""Seeded draws, the public closed-form builders and the per-point and
-per-search oracles, shared by the test modules."""
+"""Seeded draws, the public closed-form builders, the per-point and
+per-search oracles and a child interpreter on this source tree, shared by
+the test modules."""
 
+import os
+import subprocess
+import sys
 from collections import namedtuple
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
+import precodesim
 from precodesim.channel import calibrate_noise
 from precodesim.exceptions import check_positive
 from precodesim.metrics import evaluate_many
@@ -24,6 +30,17 @@ BUILDERS = {
     "wrzf": wrzf,
     "arzf": arzf,
 }
+
+SRC = str(Path(precodesim.__file__).resolve().parent.parent)
+
+
+def run_child(args, **env):
+    """``python <args>`` in a fresh interpreter that imports this source
+    tree, with ``env`` added to the environment."""
+    child_env = dict(os.environ, **env)
+    child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=child_env, capture_output=True,
+                          text=True, timeout=300)
 
 
 def complex_gaussian(rng_seed: int, rows: int, cols: int, variance: float) -> np.ndarray:

@@ -9,8 +9,6 @@ fixtures at the default desk scale (64 tx antennas, 4 users, 2 layers
 each, 40 seeds); the whole module takes a few minutes.
 """
 
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -26,7 +24,7 @@ from precodesim.verification import (
     check_noise_shaping,
     check_stationarity,
 )
-from helpers import evaluate_point
+from helpers import evaluate_point, run_child
 
 GRID = tuple(float(x) for x in range(0, 41, 4))
 MARGIN_GRID = tuple(su for su in GRID if su <= 24.0)
@@ -230,16 +228,14 @@ def test_10_csv_determinism(capsys, tmp_path):
     """Two separate CLI executions with an identical configuration emit
     byte-identical CSV."""
     args = [
-        sys.executable, "-m", "precodesim", "run",
+        "-m", "precodesim", "run",
         "--scenario", "varied", "--susinr", "0,12", "--seeds", "2",
         "--methods", "mrt,rzf_v,arzf", "--quiet",
     ]
     outs = []
     for name in ("a.csv", "b.csv"):
         path = tmp_path / name
-        proc = subprocess.run(
-            args + ["--out", str(path)], capture_output=True, text=True, timeout=300
-        )
+        proc = run_child(args + ["--out", str(path)])
         assert proc.returncode == 0, f"run failed: {proc.stderr}"
         outs.append(path.read_bytes())
     ok = outs[0] == outs[1]

@@ -1,31 +1,15 @@
 import csv
 import json
 import math
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
-import precodesim
 from precodesim.channel import MIN_SUSINR_DB
 from precodesim.cli import MAX_SUSINR_LEVELS, main, parse_susinr
 from precodesim.harness import METHODS, SweepConfig
 from precodesim.verification import run_all
-
-SRC = str(Path(precodesim.__file__).resolve().parent.parent)
-
-
-def run_child(args, **env):
-    """``python <args>`` in a fresh interpreter that imports this source
-    tree, with ``env`` added to the environment."""
-    child_env = dict(os.environ, **env)
-    child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env=child_env, capture_output=True,
-                          text=True, timeout=300)
-
+from helpers import run_child
 
 class TestParseSusinr:
     def test_range(self):
