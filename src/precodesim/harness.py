@@ -153,10 +153,10 @@ def _score(channels, decomp, closed, power, noise, found, lo, hi):
 
 def _values(score, levels):
     """``(levels, methods, 2)`` sum and min SE of one seed from stacks
-    ``score(lo, hi)`` of at most ``_LEVELS`` whole levels; the bound
-    keeps a stack's detection arrays, and so the peak memory, small.  A stack
-    that raises is replayed level by level, so the first failing level raises
-    the error it raises alone."""
+    ``score(lo, hi)`` of at most ``_LEVELS`` whole levels; the bound keeps a
+    stack's detection arrays, and so the peak memory, small.  A stack that
+    raises is replayed level by level, so the first failing level raises the
+    error it raises alone."""
     stacks = []
     for lo in range(0, levels, _LEVELS):
         hi = min(lo + _LEVELS, levels)
