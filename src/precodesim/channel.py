@@ -7,6 +7,7 @@ carved out of ``H_k`` by a reduced SVD.  Layers are ordered user-major,
 singular values descending inside each user.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -19,7 +20,7 @@ from .exceptions import (
 from .numerics import RANK_TOLERANCE, align_phase, as_complex_matrix
 
 __all__ = ["SystemDims", "ChannelSet", "ChannelDecomposition", "ScenarioConfig", "decompose",
-           "generate_scenario", "calibrate_noise"]
+           "generate_scenario", "check_level", "calibrate_noise"]
 
 # Path power profile of the synthetic generator: the leading
 # DOMINANT_PATHS paths decay slowly (PATH_POWER_DECAY per path) and the
@@ -85,8 +86,12 @@ class SystemDims:
     layers: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "rx", tuple(int(r) for r in self.rx))
-        object.__setattr__(self, "layers", tuple(int(l) for l in self.layers))
+        check_integer("num_tx", self.num_tx)
+        for name in ("rx", "layers"):
+            sizes = tuple(getattr(self, name))
+            for k, n in enumerate(sizes):
+                check_integer(f"{name}[{k}]", n)
+            object.__setattr__(self, name, tuple(map(int, sizes)))
         if self.num_tx < 1:
             raise ConfigError(f"num_tx must be >= 1, got {self.num_tx}")
         if len(self.rx) != len(self.layers) or not self.rx:
@@ -293,7 +298,7 @@ class ScenarioConfig:
         if not 0 < self.corr_threshold <= 1:
             raise ConfigError("corr_threshold must be in (0, 1]")
         if self.path_loss not in ("equal", "varied"):
-            raise ConfigError(f"unknown path_loss mode {self.path_loss!r}")
+            raise ConfigError(f"path_loss must be 'equal' or 'varied', got {self.path_loss!r}")
         pair = self.path_loss_range_db
         if not (isinstance(pair, (tuple, list)) and len(pair) == 2
                 or isinstance(pair, np.ndarray) and pair.shape == (2,)):
@@ -482,6 +487,18 @@ def generate_scenario(config: ScenarioConfig) -> ChannelSet:
     )
 
 
+def check_level(name: str, level, label: str = "") -> None:
+    """Raise :class:`ConfigError` unless the SINR level ``level`` (dB) is a
+    real number (``name`` in the message), finite and at least
+    :data:`MIN_SUSINR_DB` (``label``, by default ``name``, in the message)."""
+    check_real(name, level)
+    if not math.isfinite(level):
+        raise ConfigError(f"{label or name} {level} dB is not finite")
+    if level < MIN_SUSINR_DB:
+        raise ConfigError(f"{label or name} {level:g} dB is below the lowest supported level, "
+                          f"{MIN_SUSINR_DB:g} dB")
+
+
 def calibrate_noise(decomp: ChannelDecomposition, power: float, target_susinr_db):
     """Noise variance that places the realization at a target average
     single-user SINR.
@@ -489,12 +506,12 @@ def calibrate_noise(decomp: ChannelDecomposition, power: float, target_susinr_db
     The single-user SINR of user k is
     ``(power / (layers_k * noise_var)) * geomean(s_k^2)`` and the
     average is the geometric mean over users; this solves that relation
-    for ``noise_var`` given the target in dB.  A target that is not a real
-    number, is NaN or below :data:`MIN_SUSINR_DB`, or whose result over- or
-    underflows, raises :class:`ConfigError`.  A tuple or list of targets
-    gives the list of their noise variances: the level-independent factor is
-    computed once, then each level is one scalar ``power / target * factor``,
-    with the bits of its own call.
+    for ``noise_var`` given the target in dB.  A target that fails
+    :func:`check_level`, or whose result over- or underflows, raises
+    :class:`ConfigError`.  A tuple or list of targets gives the list of their
+    noise variances: the level-independent factor is computed once, then
+    each level is one scalar ``power / target * factor``, with the bits of
+    its own call.
     """
     check_positive("power", power)
     many = isinstance(target_susinr_db, (tuple, list))
@@ -504,12 +521,7 @@ def calibrate_noise(decomp: ChannelDecomposition, power: float, target_susinr_db
     with np.errstate(over="ignore", divide="ignore"):
         factor = np.exp(np.mean(log_terms))
         for level in target_susinr_db if many else [target_susinr_db]:
-            check_real("target_susinr_db", level)
-            if np.isnan(level):
-                raise ConfigError(f"target SINR {level} dB is not finite")
-            if not level >= MIN_SUSINR_DB:
-                raise ConfigError(f"target SINR {level:g} dB is below the lowest supported "
-                                  f"level, {MIN_SUSINR_DB:g} dB")
+            check_level("target_susinr_db", level, "target SINR")
             out.append(power / np.float64(10.0) ** (level / 10.0) * factor)
             check_positive(f"noise variance for target {level} dB", out[-1])
     return out if many else out[0]

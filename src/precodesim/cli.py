@@ -13,6 +13,7 @@ import json
 import math
 import reprlib
 import sys
+from dataclasses import replace
 
 from .exceptions import PrecodesimError
 from .harness import METHODS, SweepConfig, emit_csv, emit_plotdata, format_csv, run_sweep
@@ -50,11 +51,13 @@ def parse_susinr(spec):
             start, stop, step = values
             if not (step > 0 and stop >= start):
                 raise ValueError(f"bad grid text {text!r}")
-            steps = (stop - start) / step
-            if not steps + 1 <= MAX_SUSINR_LEVELS:
+            if not (stop - start) / step + 1 <= MAX_SUSINR_LEVELS:
                 raise ValueError(f"grid text {text!r} spans more than {MAX_SUSINR_LEVELS} levels")
-            grid = (start + i * step for i in range(int(round(steps)) + 1))
-            values = tuple(g for g in grid if g <= stop + 1e-9)
+            # each level in decimal, so it has the bits of its comma-list
+            # text; only this form needs decimal, so only it imports it
+            from decimal import Decimal
+            start, stop, step = map(Decimal, parts)
+            values = tuple(float(start + i * step) for i in range(int((stop - start) / step) + 1))
     if len(values) > MAX_SUSINR_LEVELS:
         raise ValueError(f"grid has {len(values)} levels, more than {MAX_SUSINR_LEVELS}")
     if not all(math.isfinite(v) for v in values):
@@ -70,17 +73,24 @@ def _method_list(value):
     return tuple(t for t in (_expect(p, str).strip() for p in parts) if t)
 
 
-# key -> (default, conversion of the flag's text or the config file's value)
+def _switch(value):
+    return _expect(value, bool)
+
+
+# key -> (the SweepConfig field it sets, or None if the run reads it itself;
+# the one conversion of its flag's text or config file value; help).  An
+# option given neither way is not passed, so the field's default applies.
 _RUN_OPTIONS = {
-    "scenario": ("varied", lambda v: _expect(v, str)),
-    "susinr": ("0:40:4", parse_susinr),
-    "seeds": (40, lambda v: int(_expect(v, int, str))),
-    "seed_base": (0, lambda v: int(_expect(v, int, str))),
-    "power": (1.0, lambda v: float(_expect(v, int, float, str))),
-    "methods": (",".join(METHODS), _method_list),
-    "skip_opt": (False, lambda v: _expect(v, bool)),
-    "out": (None, lambda v: _expect(v, str, type(None))),
-    "plotdata": (None, lambda v: _expect(v, str, type(None))),
+    "scenario": ("scenario", lambda v: _expect(v, str), "equal or varied path loss"),
+    "susinr": ("susinr_db", parse_susinr, "grid: start:stop:step or comma list, dB"),
+    "seeds": ("num_seeds", lambda v: int(_expect(v, int, str)), "number of channel realizations"),
+    "seed_base": ("seed_base", lambda v: int(_expect(v, int, str)),
+                  "seed of the first realization; realization i uses seed base + i"),
+    "power": ("power", lambda v: float(_expect(v, int, float, str)), "transmit power budget"),
+    "methods": ("methods", _method_list, f"comma list from {','.join(METHODS)}"),
+    "skip_opt": (None, _switch, "drop the searched-ridge method from the run"),
+    "out": (None, lambda v: _expect(v, str, type(None)), "CSV output path (default: stdout)"),
+    "plotdata": (None, lambda v: _expect(v, str, type(None)), "plot data JSON output path"),
 }
 
 
@@ -92,16 +102,9 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run a sweep and emit CSV")
-    run_p.add_argument("--scenario", help="equal or varied path loss")
-    run_p.add_argument("--susinr", help="grid: start:stop:step or comma list, dB")
-    run_p.add_argument("--seeds", help="number of channel realizations")
-    run_p.add_argument("--seed-base", dest="seed_base")
-    run_p.add_argument("--power", help="transmit power budget")
-    run_p.add_argument("--methods", help=f"comma list from {','.join(METHODS)}")
-    run_p.add_argument("--skip-opt", action="store_true", default=None, dest="skip_opt",
-                       help="drop the searched-ridge method from the run")
-    run_p.add_argument("--out", help="CSV output path (default: stdout)")
-    run_p.add_argument("--plotdata", help="plot data JSON output path")
+    for key, (_, convert, text) in _RUN_OPTIONS.items():
+        run_p.add_argument("--" + key.replace("_", "-"), help=text,
+                           action="store_true" if convert is _switch else "store", default=None)
     run_p.add_argument("--config", help="JSON file with the same keys as the flags")
     run_p.add_argument("--quiet", action="store_true", help="no progress on stderr")
 
@@ -110,43 +113,36 @@ def _build_parser():
     return parser
 
 
-def _resolve_run_options(args):
-    """Each run option from its flag, else the config file, else its
-    default, through the key's one conversion; a value that does not
-    convert raises ValueError naming the key."""
-    raw = {key: default for key, (default, _) in _RUN_OPTIONS.items()}
+def _run_options(args):
+    """The sweep and the output choices of a run.  Each option given as a
+    flag or in the config file (the flag wins) goes through its key's one
+    conversion, and a value that does not convert raises ValueError naming
+    the key; a field that no option sets keeps its SweepConfig default."""
+    given = {}
     if args.config:
         with open(args.config) as f:
-            loaded = json.load(f)
-        if not isinstance(loaded, dict):
+            given = json.load(f)
+        if not isinstance(given, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = set(loaded) - set(raw)
+        unknown = set(given) - set(_RUN_OPTIONS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        raw.update(loaded)
-    options = {}
-    for key, (_, convert) in _RUN_OPTIONS.items():
-        value = getattr(args, key)
-        value = raw[key] if value is None else value
-        try:
-            options[key] = convert(value)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"bad {key} {reprlib.repr(value)}: {exc}") from None
-    if options["skip_opt"]:
-        options["methods"] = tuple(m for m in options["methods"] if m != "opt")
-    return options
+    given.update((k, v) for k, v in vars(args).items() if k in _RUN_OPTIONS and v is not None)
+    fields, outputs = {}, {}
+    for key, (field, convert, _) in _RUN_OPTIONS.items():
+        if key in given:
+            try:
+                (fields if field else outputs)[field or key] = convert(given[key])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"bad {key} {reprlib.repr(given[key])}: {exc}") from None
+    config = SweepConfig(**fields)
+    if outputs.get("skip_opt"):
+        config = replace(config, methods=tuple(m for m in config.methods if m != "opt"))
+    return config, outputs
 
 
 def _cmd_run(args):
-    options = _resolve_run_options(args)
-    config = SweepConfig(
-        scenario=options["scenario"],
-        susinr_db=options["susinr"],
-        num_seeds=options["seeds"],
-        seed_base=options["seed_base"],
-        power=options["power"],
-        methods=options["methods"],
-    )
+    config, outputs = _run_options(args)
 
     progress = None
     if not args.quiet:
@@ -156,12 +152,12 @@ def _cmd_run(args):
     result = run_sweep(config, progress=progress)
     for seed, msg in result.failures:
         print(f"seed {seed} failed: {msg}", file=sys.stderr)
-    if options["out"]:
-        emit_csv(options["out"], result)
+    if outputs.get("out"):
+        emit_csv(outputs["out"], result)
     else:
         sys.stdout.write(format_csv(result))
-    if options["plotdata"]:
-        emit_plotdata(options["plotdata"], result)
+    if outputs.get("plotdata"):
+        emit_plotdata(outputs["plotdata"], result)
     return 0
 
 
@@ -182,7 +178,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_verify(args)
-    except (PrecodesimError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (PrecodesimError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

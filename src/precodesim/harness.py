@@ -14,10 +14,9 @@ from functools import partial
 
 import numpy as np
 
-from .channel import (
-    MIN_SUSINR_DB, ScenarioConfig, calibrate_noise, decompose, generate_scenario)
+from .channel import ScenarioConfig, calibrate_noise, check_level, decompose, generate_scenario
 from .exceptions import (
-    ConfigError, PrecodesimError, SelectionError, check_integer, check_positive, check_real)
+    ConfigError, PrecodesimError, SelectionError, check_integer, check_positive)
 from .metrics import evaluate_many
 from .optimizer import OptConfig, optimize_many
 from .precoding import CLOSED_FORMS, closed_stack
@@ -40,7 +39,9 @@ METHODS = (*CLOSED_FORMS, "opt")
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One sweep: scenario family, SINR grid, seeds and methods."""
+    """One sweep: scenario family, SINR grid, seeds and methods.  The sizes
+    default to :class:`ScenarioConfig`'s, and construction builds the first
+    seed's, so a scenario or size the generator cannot run fails here."""
 
     scenario: str = "varied"
     susinr_db: tuple = (0.0, 4.0, 8.0, 12.0, 16.0, 20.0, 24.0, 28.0, 32.0, 36.0, 40.0)
@@ -48,15 +49,13 @@ class SweepConfig:
     seed_base: int = 0
     power: float = 1.0
     methods: tuple = tuple(METHODS)
-    num_tx: int = 64
-    num_users: int = 4
-    rx_per_user: int = 16
-    layers_per_user: int = 2
+    num_tx: int = ScenarioConfig.num_tx
+    num_users: int = ScenarioConfig.num_users
+    rx_per_user: int = ScenarioConfig.rx_per_user
+    layers_per_user: int = ScenarioConfig.layers_per_user
     opt: OptConfig = field(default_factory=OptConfig)
 
     def __post_init__(self):
-        if self.scenario not in ("equal", "varied"):
-            raise ConfigError(f"scenario must be 'equal' or 'varied', got {self.scenario!r}")
         for name in ("susinr_db", "methods"):
             value = getattr(self, name)
             # a set's order, and so the CSV's, would depend on the hash seed
@@ -64,13 +63,7 @@ class SweepConfig:
                     or isinstance(value, np.ndarray) and value.ndim == 1):
                 raise ConfigError(f"{name} must be a sequence, got {value!r}")
         for level in self.susinr_db:
-            check_real("susinr_db level", level)
-            level = float(level)
-            if not np.isfinite(level):
-                raise ConfigError(f"susinr_db level {level} dB is not finite")
-            if level < MIN_SUSINR_DB:
-                raise ConfigError(f"susinr_db level {level:g} dB is below the lowest supported "
-                                  f"level, {MIN_SUSINR_DB:g} dB")
+            check_level("susinr_db level", level)
         object.__setattr__(self, "susinr_db", tuple(float(x) for x in self.susinr_db))
         object.__setattr__(self, "methods", tuple(self.methods))
         if not self.susinr_db:
@@ -89,6 +82,7 @@ class SweepConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown or not self.methods:
             raise ConfigError(f"unknown methods {unknown}, valid: {tuple(METHODS)}")
+        self.scenario_config(self.seed_base)
 
     def scenario_config(self, seed: int) -> ScenarioConfig:
         return ScenarioConfig(
@@ -127,10 +121,6 @@ class SweepResult:
             if r.susinr_db == susinr_db and r.method == method:
                 return r
         raise KeyError(f"no row for ({susinr_db}, {method})")
-
-
-def _failure(exc):
-    return f"{type(exc).__name__}: {exc}"
 
 
 def _score(channels, decomp, closed, power, noise, found, lo, hi):
@@ -205,7 +195,7 @@ def run_sweep(config: SweepConfig, progress=None) -> SweepResult:
         except ConfigError:
             raise
         except PrecodesimError as exc:
-            failures[i] = (config.seed_base + i, _failure(exc))
+            failures[i] = (config.seed_base + i, f"{type(exc).__name__}: {exc}")
         if progress is not None:
             progress(len(kept) + len(failures), config.num_seeds)
 

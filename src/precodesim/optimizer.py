@@ -31,7 +31,8 @@ import numpy as np
 
 from .channel import ChannelDecomposition, ChannelSet
 from .exceptions import (
-    ConfigError, DimensionError, NumericalError, PrecodesimError, check_integer, check_positive)
+    ConfigError, DimensionError, NumericalError, PrecodesimError, check_integer, check_positive,
+    check_real)
 from .metrics import effective_sinr, mmse_sinr_stack, require_positive, user_se
 from .precoding import RIDGES, Precoder, check_reg, gram_stack, ridge_stack
 
@@ -75,10 +76,10 @@ class OptConfig:
             raise ConfigError("max_iters, memory must be >= 1; max_backtracks >= 0")
         for name in ("grad_tol", "init_step"):
             check_positive(name, getattr(self, name))
-        if not 0 < self.backtrack < 1:
-            raise ConfigError("backtrack must be in (0, 1)")
-        if not 0 < self.armijo_c1 < 1:
-            raise ConfigError("armijo_c1 must be in (0, 1)")
+        for name in ("backtrack", "armijo_c1"):
+            check_real(name, getattr(self, name))
+            if not 0 < getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be in (0, 1)")
 
 
 @dataclass(frozen=True)

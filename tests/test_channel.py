@@ -65,6 +65,19 @@ class TestSystemDims:
         with pytest.raises(ConfigError):
             SystemDims(num_tx=4, rx=(), layers=())
 
+    @pytest.mark.parametrize("kw, field", [
+        ({"rx": (2.7,)}, r"rx\[0\]"), ({"layers": (1.9,)}, r"layers\[0\]"),
+        ({"rx": ("2",)}, r"rx\[0\]"), ({"rx": (2, True), "layers": (1, 1)}, r"rx\[1\]"),
+        ({"num_tx": 8.5}, "num_tx"), ({"num_tx": True}, "num_tx"), ({"num_tx": "8"}, "num_tx"),
+    ])
+    def test_sizes_must_be_integers(self, kw, field):
+        # rx and layers were truncated through int(), a text or a bool size
+        # was taken, and a text num_tx raised a bare TypeError
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            SystemDims(**{"num_tx": 8, "rx": (2,), "layers": (1,), **kw})
+        d = SystemDims(num_tx=np.int64(8), rx=[np.int32(2)], layers=(np.int64(1),))
+        assert d.rx == (2,) and d.layers == (1,) and type(d.rx[0]) is int
+
 
 class TestChannelSet:
     def test_shape_mismatch(self):

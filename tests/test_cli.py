@@ -3,11 +3,13 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+import precodesim.cli as cli
 from precodesim.channel import MIN_SUSINR_DB
 from precodesim.cli import MAX_SUSINR_LEVELS, main, parse_susinr
-from precodesim.harness import METHODS, SweepConfig
+from precodesim.harness import METHODS, SweepConfig, SweepResult, SweepRow
 from precodesim.verification import run_all
 from helpers import run_child
 
@@ -17,6 +19,18 @@ class TestParseSusinr:
 
     def test_range_fractional(self):
         assert parse_susinr("0:1:0.5") == (0.0, 0.5, 1.0)
+
+    def test_range_equals_its_comma_list(self):
+        # the range form used to label 0.3 as 0.30000000000000004; each
+        # level now has the bits of its decimal text
+        assert parse_susinr("0:1:0.1") == parse_susinr("0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1")
+        assert parse_susinr("0:0.3:0.1") == (0.0, 0.1, 0.2, 0.3)
+        assert parse_susinr("-1.5:0.3:0.6") == (-1.5, -0.9, -0.3, 0.3)
+        assert parse_susinr("1e-3:3e-3:1e-3") == (0.001, 0.002, 0.003)
+        assert parse_susinr("0:1:0.3") == (0.0, 0.3, 0.6, 0.9)
+        # the default grid keeps the bits of start + i * step
+        assert np.array(parse_susinr("0:40:4")).tobytes() == \
+            np.array([0.0 + i * 4.0 for i in range(11)]).tobytes()
 
     def test_list(self):
         assert parse_susinr("0,8, 16") == (0.0, 8.0, 16.0)
@@ -218,10 +232,69 @@ class TestRunCommand:
         assert "seed 1/2" in err and "seed 2/2" in err
 
 
+@pytest.fixture
+def swept(monkeypatch):
+    """The configs ``main`` hands to ``run_sweep``, which is replaced by a
+    stub that returns one placeholder row per level and method."""
+    configs = []
+
+    def fake_sweep(config, progress=None):
+        configs.append(config)
+        rows = tuple(SweepRow(config.scenario, su, m, 1.0, 0.0, 1.0, 0.0, 1)
+                     for su in config.susinr_db for m in config.methods)
+        return SweepResult(rows=rows, failures=(), config=config)
+
+    monkeypatch.setattr(cli, "run_sweep", fake_sweep)
+    return configs
+
+
+# a value for every run option, as flag text, and the config it builds
+OPTION_SAMPLES = {
+    "scenario": ("equal", {"scenario": "equal"}),
+    "susinr": ("0:0.3:0.1", {"susinr_db": (0.0, 0.1, 0.2, 0.3)}),
+    "seeds": ("3", {"num_seeds": 3}),
+    "seed_base": ("7", {"seed_base": 7}),
+    "power": ("2.5", {"power": 2.5}),
+    "methods": ("arzf,opt,mrt", {"methods": ("arzf", "opt", "mrt")}),
+    "skip_opt": (True, {"methods": METHODS[:-1]}),
+    "out": ("out.csv", {}),
+    "plotdata": ("plot.json", {}),
+}
+
+
+class TestRunOptions:
+    def test_no_option_takes_the_sweep_defaults(self, swept, capsys):
+        assert main(["run"]) == 0
+        assert swept == [SweepConfig()]
+        rows = len(SweepConfig().susinr_db) * len(METHODS)
+        assert capsys.readouterr().out.count("\n") == 1 + rows
+
+    def test_samples_cover_every_option(self):
+        assert set(OPTION_SAMPLES) == set(cli._RUN_OPTIONS)
+
+    @pytest.mark.parametrize("key", OPTION_SAMPLES)
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_every_option_as_flag_and_config_key(self, swept, tmp_path, monkeypatch, capsys,
+                                                 key, form):
+        monkeypatch.chdir(tmp_path)
+        value, fields = OPTION_SAMPLES[key]
+        flag = "--" + key.replace("_", "-")
+        if form == "flag":
+            argv = [flag] if value is True else [flag, value]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+            argv = ["--config", "cfg.json"]
+        assert main(["run", "--quiet", *argv]) == 0, capsys.readouterr().err
+        assert swept == [replace(SweepConfig(), **fields)]
+        if not fields:
+            assert (tmp_path / value).exists()
+
+
 class TestRuntimeDependencies:
     def test_cli_import_loads_no_scipy(self):
+        # nor decimal, which only a start:stop:step grid imports
         proc = run_child(["-c", "import sys, precodesim.cli; "
-                                "assert 'scipy' not in sys.modules, sorted(sys.modules)"])
+                                "assert not {'scipy', 'decimal'} & set(sys.modules)"])
         assert proc.returncode == 0, proc.stderr
 
 

@@ -159,6 +159,19 @@ class TestSweepConfig:
         with pytest.raises(ConfigError, match=field):
             make(**{field: value})
 
+    @pytest.mark.parametrize("kw, message", [
+        ({"num_users": 40}, "total layers 80 exceed num_tx 64"),
+        ({"num_tx": 0}, r"min\(rx_per_user, num_tx\)=0"),
+        ({"layers_per_user": 20}, "cannot support 20 layers per user"),
+        ({"num_tx": 64.5}, "num_tx must be an integer"),
+        ({"scenario": "urban"}, "path_loss must be 'equal' or 'varied', got 'urban'"),
+    ])
+    def test_generator_checks_run_at_construction(self, monkeypatch, kw, message):
+        # each size used to construct, then fail every seed when it was drawn
+        monkeypatch.setattr(harness, "generate_scenario", None)
+        with pytest.raises(ConfigError, match=message):
+            SweepConfig(**kw)
+
     def test_numpy_scalars_pass(self):
         assert ScenarioConfig(corr_threshold=np.float32(0.5),
                               path_loss_range_db=np.array([-3.0, 3.0])).corr_threshold == 0.5

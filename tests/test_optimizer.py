@@ -480,3 +480,9 @@ class TestConfigAndCsv:
             with pytest.raises(ConfigError, match=next(iter(kw))):
                 OptConfig(**kw)
         assert OptConfig(max_iters=np.int64(3), memory=np.int32(2)).max_iters == 3
+        # each used to raise a bare TypeError from the (0, 1) comparison
+        for kw in ({"backtrack": "0.5"}, {"backtrack": None}, {"armijo_c1": 1j},
+                   {"backtrack": True}, {"armijo_c1": float("nan")}):
+            with pytest.raises(ConfigError, match=next(iter(kw))):
+                OptConfig(**kw)
+        assert OptConfig(backtrack=np.float32(0.25), armijo_c1=np.float64(0.1)).backtrack == 0.25
