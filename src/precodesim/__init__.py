@@ -9,7 +9,7 @@ and reports spectral-efficiency metrics over multi-seed sweeps.
 from .channel import (
     ChannelDecomposition, ChannelSet, ScenarioConfig, SystemDims, calibrate_noise, decompose,
     generate_scenario)
-from .detection import DetectionSet, conjugate_detection, mmse_detection
+from .detection import conjugate_detection, mmse_detection
 from .exceptions import (
     ConfigError, DimensionError, NotHpdError, NumericalError, PrecodesimError, RankDeficiencyError,
     SelectionError, SingularGramError, ZeroMatrixError, ZeroSinrError)

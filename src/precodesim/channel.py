@@ -134,6 +134,8 @@ class ChannelSet:
     blocks: tuple
 
     def __post_init__(self):
+        if not isinstance(self.dims, SystemDims):
+            raise ConfigError(f"dims must be a SystemDims, got {self.dims!r}")
         blocks = tuple(as_complex_matrix(b, f"blocks[{k}]") for k, b in enumerate(self.blocks))
         object.__setattr__(self, "blocks", blocks)
         if len(blocks) != self.dims.num_users:
@@ -188,6 +190,11 @@ class ChannelDecomposition:
     v: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.dims, SystemDims):
+            raise ConfigError(f"dims must be a SystemDims, got {self.dims!r}")
+        object.__setattr__(self, "v", as_complex_matrix(self.v, "v"))
+        object.__setattr__(self, "u_blocks", tuple(
+            as_complex_matrix(u, f"u_blocks[{k}]") for k, u in enumerate(self.u_blocks)))
         if self.v.shape != (self.dims.total_layers, self.dims.num_tx):
             raise DimensionError(
                 f"v shape {self.v.shape} != "
@@ -208,15 +215,15 @@ class ChannelDecomposition:
 
     @classmethod
     def from_blocks(cls, u_blocks, s_blocks, v_blocks) -> "ChannelDecomposition":
-        """Assemble a decomposition from per-user (u, s, v) triplets."""
-        u_blocks = tuple(as_complex_matrix(u, "u") for u in u_blocks)
-        v_list = [as_complex_matrix(v, "v") for v in v_blocks]
+        """Assemble a decomposition from per-user (u, s, v) triplets, which
+        the constructor checks."""
+        u_blocks, v_list = tuple(u_blocks), list(v_blocks)
         s_list = [np.asarray(s, dtype=float) for s in s_blocks]
-        if not (len(u_blocks) == len(s_list) == len(v_list)):
-            raise DimensionError("block lists must have equal length")
+        if not len(u_blocks) == len(s_list) == len(v_list) > 0:
+            raise DimensionError("block lists must be nonempty and of equal length")
         dims = SystemDims(
-            num_tx=v_list[0].shape[1],
-            rx=tuple(u.shape[1] for u in u_blocks),
+            num_tx=np.shape(v_list[0])[-1],
+            rx=tuple(np.shape(u)[-1] for u in u_blocks),
             layers=tuple(len(s) for s in s_list),
         )
         return cls(

@@ -1,51 +1,53 @@
 """Receive-side detection matrices.
 
-Each user applies its own detection block to its own antennas; the
-package never forms a joint receiver across users.  Two constructions
+Each user applies its own detection block to its own antennas, and a
+receiver is the tuple of those blocks in user order; the package never
+forms a joint receiver across users.  Two constructions
 are provided: a channel-diagonalizing one built from the decomposition
 alone, and the per-user linear MMSE receiver for a given precoder,
 computed for all users of one shape at once.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channel import ChannelDecomposition, ChannelSet
+from .channel import ChannelDecomposition, ChannelSet, SystemDims
 from .exceptions import DimensionError, check_positive
 from .numerics import hpd_inverse
 from .precoding import Precoder
 
-__all__ = ["DetectionSet", "conjugate_detection", "mmse_stack", "mmse_detection"]
+__all__ = ["check_scoring", "conjugate_detection", "mmse_stack", "mmse_detection"]
 
 
-@dataclass(frozen=True)
-class DetectionSet:
-    """Per-user detection blocks, ``blocks[k]`` of shape
-    ``(layers[k], rx[k])``, applied as ``blocks[k] @ y_k``."""
+def check_scoring(dims: SystemDims, w, noise_var, blocks=None) -> None:
+    """The one input check of every scoring entry point: a weight stack
+    ``w`` of shape ``(B, num_tx, total_layers)`` with ``B >= 1``, a
+    ``noise_var`` that is a scalar or one value per member, each positive
+    and finite, and, if given, one detection block ``(layers[k], rx[k])``
+    per user.  Raises DimensionError or ConfigError."""
+    want = (dims.num_tx, dims.total_layers)
+    if np.ndim(w) != 3 or np.shape(w)[1:] != want or len(w) < 1:
+        raise DimensionError(f"weight stack shape {np.shape(w)} != (B >= 1, {want[0]}, {want[1]})")
+    if np.ndim(noise_var) and np.shape(noise_var) != (len(w),):
+        raise DimensionError(f"noise_var shape {np.shape(noise_var)} != () or ({len(w)},)")
+    for nv in dict.fromkeys(np.ravel(noise_var).tolist()):
+        check_positive("noise_var", nv)
+    if blocks is not None and [np.shape(g) for g in blocks] != list(zip(dims.layers, dims.rx)):
+        raise DimensionError(f"detection block shapes {[np.shape(g) for g in blocks]} != "
+                             f"{list(zip(dims.layers, dims.rx))}")
 
-    blocks: tuple
-    kind: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        for k, g in enumerate(self.blocks):
-            if g.ndim != 2:
-                raise DimensionError(f"blocks[{k}] must be 2-D")
-
-
-def conjugate_detection(decomp: ChannelDecomposition) -> DetectionSet:
-    """Detection that diagonalizes each user's own channel.
+def conjugate_detection(decomp: ChannelDecomposition) -> tuple:
+    """Detection that diagonalizes each user's own channel: the tuple of
+    per-user blocks, in user order.
 
     User k applies ``diag(1/s_k) @ u_k``; composing with the channel
     block reproduces the layer rows exactly, so the effective noise
     on layer l is scaled by ``1 / s_l``.
     """
-    blocks = tuple(
+    return tuple(
         decomp.s_block(k)[:, None] ** -1.0 * decomp.u_blocks[k]
         for k in range(decomp.dims.num_users)
     )
-    return DetectionSet(blocks=blocks, kind="conjugate")
 
 
 def mmse_stack(h: np.ndarray, w: np.ndarray, own: np.ndarray, noise_var):
@@ -69,18 +71,13 @@ def mmse_stack(h: np.ndarray, w: np.ndarray, own: np.ndarray, noise_var):
     return eff, ah, m_inv, m_inv @ ah
 
 
-def mmse_detection(channels: ChannelSet, precoder: Precoder, noise_var: float) -> DetectionSet:
-    """Per-user linear MMSE receiver for the precoded own-user signal:
-    user k's block is the :func:`mmse_stack` block of ``A_k = H_k @ W_k``
-    (own layers only)."""
-    check_positive("noise_var", noise_var)
-    dims = channels.dims
+def mmse_detection(channels: ChannelSet, precoder: Precoder, noise_var: float) -> tuple:
+    """Per-user linear MMSE receiver for the precoded own-user signal: the
+    tuple of per-user blocks, in user order, user k's block being the
+    :func:`mmse_stack` block of ``A_k = H_k @ W_k`` (own layers only)."""
     w = precoder.weights
-    if w.shape != (dims.num_tx, dims.total_layers):
-        raise DimensionError(
-            f"precoder shape {w.shape} != ({dims.num_tx}, {dims.total_layers})"
-        )
+    check_scoring(channels.dims, w[None], noise_var)
     blocks = {}
     for users, h, own in channels.groups:
         blocks.update(zip(users, mmse_stack(h[None], w[None], own, noise_var)[3][0]))
-    return DetectionSet(blocks=[blocks[k] for k in range(dims.num_users)], kind="mmse")
+    return tuple(blocks[k] for k in range(channels.dims.num_users))

@@ -82,6 +82,8 @@ class SweepConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown or not self.methods:
             raise ConfigError(f"unknown methods {unknown}, valid: {tuple(METHODS)}")
+        if not isinstance(self.opt, OptConfig):
+            raise ConfigError(f"opt must be an OptConfig, got {self.opt!r}")
         self.scenario_config(self.seed_base)
 
     def scenario_config(self, seed: int) -> ScenarioConfig:
@@ -107,7 +109,6 @@ class SweepRow:
     avg_min_se: float
     min_se_std: float
     seeds: int
-    detection: str = "mmse"
 
 
 @dataclass(frozen=True)
@@ -257,7 +258,7 @@ def format_csv(result: SweepResult) -> str:
             f"{r.scenario},{r.susinr_db:.17g},{r.method},"
             f"{r.avg_sum_se:.17g},{r.se_std:.17g},"
             f"{r.avg_min_se:.17g},{r.min_se_std:.17g},"
-            f"{r.seeds},{r.detection}"
+            f"{r.seeds},mmse"
         )
     return "\n".join(lines) + "\n"
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet
-from .detection import DetectionSet, mmse_stack
-from .exceptions import DimensionError, ZeroSinrError, check_positive
+from .detection import check_scoring, mmse_stack
+from .exceptions import DimensionError, ZeroSinrError
 from .precoding import Precoder
 
 __all__ = ["MetricsReport", "sinr_terms", "require_positive", "mmse_sinr_stack", "layer_sinr",
@@ -22,7 +22,7 @@ __all__ = ["MetricsReport", "sinr_terms", "require_positive", "mmse_sinr_stack",
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Evaluated link metrics for one (channel, precoder, detection)
+    """Evaluated link metrics for one (channel, precoder, receiver)
     triple, or for a stack of precoders with the batch axis first
     (:func:`evaluate_many`).  ``avg_se`` is ``sum_se`` divided by the user
     count."""
@@ -33,7 +33,6 @@ class MetricsReport:
     sum_se: float
     min_se: float
     avg_se: float
-    detection: str
 
 
 def sinr_terms(g: np.ndarray, eff: np.ndarray, own: np.ndarray, noise_var):
@@ -83,21 +82,14 @@ def mmse_sinr_stack(groups, w: np.ndarray, noise_var):
     return sinrs, stages, ok
 
 
-def layer_sinr(channels: ChannelSet, precoder: Precoder, detection: DetectionSet,
-               noise_var: float) -> np.ndarray:
-    """Per-layer SINR under the given detection blocks (see
-    :func:`sinr_terms`)."""
-    check_positive("noise_var", noise_var)
-    dims = channels.dims
-    for k, g in enumerate(detection.blocks):
-        if g.shape != (dims.layers[k], dims.rx[k]):
-            raise DimensionError(
-                f"detection block {k} shape {g.shape} != ({dims.layers[k]}, {dims.rx[k]})"
-            )
+def layer_sinr(channels: ChannelSet, precoder: Precoder, blocks, noise_var: float) -> np.ndarray:
+    """Per-layer SINR under the detection ``blocks``, one per user in user
+    order (see :func:`sinr_terms`)."""
     w = precoder.weights
-    out = np.empty(dims.total_layers)
+    check_scoring(channels.dims, w[None], noise_var, blocks)
+    out = np.empty(channels.dims.total_layers)
     for users, h, own in channels.groups:
-        g = np.stack([detection.blocks[k] for k in users])
+        g = np.stack([blocks[k] for k in users])
         _, sig, den, ok = sinr_terms(g[None], (h @ w)[None], own, noise_var)
         require_positive(ok)
         out[own] = sig[0] / den[0]
@@ -122,11 +114,10 @@ def user_se(eff: np.ndarray, dims) -> np.ndarray:
     return np.asarray(dims.layers, dtype=float) * (np.log1p(eff) / np.log(2.0))
 
 
-def report(channels: ChannelSet, precoder: Precoder, detection: DetectionSet,
-           noise_var: float) -> MetricsReport:
-    """Evaluate all metrics for one configuration."""
-    return _summary(layer_sinr(channels, precoder, detection, noise_var), channels.dims,
-                    detection.kind)
+def report(channels: ChannelSet, precoder: Precoder, blocks, noise_var: float) -> MetricsReport:
+    """Evaluate all metrics for one configuration, under the detection
+    ``blocks`` of :func:`layer_sinr`."""
+    return _summary(layer_sinr(channels, precoder, blocks, noise_var), channels.dims)
 
 
 def evaluate(channels: ChannelSet, precoder: Precoder, noise_var: float) -> MetricsReport:
@@ -147,22 +138,17 @@ def evaluate_many(channels: ChannelSet, weights: np.ndarray, noise_var) -> Metri
 
 
 def _mmse_sinrs(channels: ChannelSet, w: np.ndarray, noise_var) -> np.ndarray:
-    for nv in dict.fromkeys(np.ravel(noise_var).tolist()):
-        check_positive("noise_var", nv)
-    dims = channels.dims
-    if w.shape[1:] != (dims.num_tx, dims.total_layers):
-        raise DimensionError(f"precoder shape {w.shape[1:]} != ({dims.num_tx}, {dims.total_layers})")
+    check_scoring(channels.dims, w, noise_var)
     groups = [(h[None], own) for _, h, own in channels.groups]
     sinrs, _, ok = mmse_sinr_stack(groups, w, noise_var)
     require_positive(ok)
     return sinrs
 
 
-def _summary(sinrs, dims, detection: str = "mmse") -> MetricsReport:
+def _summary(sinrs, dims) -> MetricsReport:
     """The report of layer SINRs ``sinrs``, batch axes first."""
     eff = effective_sinr(sinrs, dims)
     se = user_se(eff, dims)
     total = se.sum(axis=-1)
     return MetricsReport(layer_sinr=sinrs, eff_sinr=eff, user_se=se, sum_se=total,
-                         min_se=se.min(axis=-1), avg_se=total / dims.num_users,
-                         detection=detection)
+                         min_se=se.min(axis=-1), avg_se=total / dims.num_users)

@@ -32,7 +32,7 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got ndim={m.ndim}")
-    if m.size and not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise NumericalError(f"{name} contains non-finite entries")
     return m
 

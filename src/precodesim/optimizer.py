@@ -336,9 +336,12 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
     The list holds one :class:`OptResult` per problem, in order, or the
     :class:`PrecodesimError` its search raised; ``done(i, result)``, if
     given, is called as search ``i`` ends.  Inputs are validated once,
-    here: a power or noise variance that is not positive and finite raises
-    ConfigError, and problems whose dims differ raise DimensionError.
+    here: a ``config`` that is not an :class:`OptConfig` or a power or noise
+    variance that is not positive and finite raises ConfigError, and
+    problems whose dims differ raise DimensionError.
     """
+    if not isinstance(config, OptConfig):
+        raise ConfigError(f"config must be an OptConfig, got {config!r}")
     problems = list(problems)
     if not problems:
         return []

@@ -79,7 +79,7 @@ def check_identities(seed=101, instances=100, tol=1e-10):
         pairs = (
             (zf(dec, power, basis="v").raw, f_ridge(0.0) * dec.s),
             (arzf(dec, power, nv).raw, f_ridge(dec.dims.total_layers * nv / power) * dec.s),
-            (dec.v, np.vstack([gb @ hb for gb, hb in zip(g.blocks, ch.blocks)])),
+            (dec.v, np.vstack([gb @ hb for gb, hb in zip(g, ch.blocks)])),
             (arzf(eq, power, nv).raw, wrzf(eq, power, nv).raw),
         )
         for want, got in pairs:
@@ -165,7 +165,7 @@ def check_noise_shaping(seed=404, draws=100_000, tol=0.03, time_limit=10.0):
     ch, dec = _instance(rng, TWO_USERS)
     g = np.zeros((ch.dims.total_layers, ch.dims.total_rx), dtype=complex)
     cols = np.cumsum((0,) + ch.dims.rx)
-    for k, b in enumerate(conjugate_detection(dec).blocks):
+    for k, b in enumerate(conjugate_detection(dec)):
         g[ch.dims.layer_slice(k), cols[k]:cols[k + 1]] = b
     nv = 0.7
     z = complex_normal(rng, (draws, ch.dims.total_rx), nv) @ g.T

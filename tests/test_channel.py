@@ -275,6 +275,30 @@ class TestDecompose:
         assert np.array_equal(rebuilt.v, dec.v)
         assert np.array_equal(rebuilt.s, dec.s)
 
+    def test_constructors_check_their_inputs(self):
+        # each was accepted or raised a bare AttributeError or IndexError
+        ch = small_channels()
+        dec = decompose(ch)
+        nan_v, nan_u = dec.v.copy(), dec.u_blocks[0].copy()
+        nan_v[0, 0] = nan_u[0, 0] = np.nan
+        with pytest.raises(NumericalError, match="v contains"):
+            replace(dec, v=nan_v)
+        with pytest.raises(NumericalError, match=r"u_blocks\[0\] contains"):
+            replace(dec, u_blocks=(nan_u, dec.u_blocks[1]))
+        listed = replace(dec, u_blocks=(dec.u_blocks[0].tolist(), dec.u_blocks[1]))
+        assert listed.u_blocks[0].dtype == np.complex128
+        assert np.array_equal(listed.u_blocks[0], dec.u_blocks[0])
+        with pytest.raises(DimensionError, match="nonempty"):
+            ChannelDecomposition.from_blocks([], [], [])
+        for make, rest in ((ChannelSet, {"blocks": ch.blocks}),
+                           (ChannelDecomposition, {"u_blocks": dec.u_blocks, "s": dec.s,
+                                                   "v": dec.v})):
+            with pytest.raises(ConfigError, match="dims must be a SystemDims"):
+                make(dims=None, **rest)
+        # a complex128 factor is kept, not copied
+        again = replace(dec)
+        assert again.v is dec.v and all(map(np.shares_memory, again.u_blocks, dec.u_blocks))
+
 
 def quick_config(**kw):
     base = dict(

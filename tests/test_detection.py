@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from precodesim.channel import ChannelSet, SystemDims, decompose
-from precodesim.detection import DetectionSet, conjugate_detection, mmse_detection
-from precodesim.exceptions import ConfigError
+from precodesim.detection import conjugate_detection, mmse_detection
+from precodesim.exceptions import ConfigError, DimensionError
 from precodesim.metrics import layer_sinr
 from precodesim.numerics import complex_normal
 from helpers import complex_gaussian
@@ -26,7 +26,7 @@ class TestConjugate:
         dec = decompose(ch)
         det = conjugate_detection(dec)
         for k in range(2):
-            resid = det.blocks[k] @ ch.blocks[k] - dec.v[dec.dims.layer_slice(k)]
+            resid = det[k] @ ch.blocks[k] - dec.v[dec.dims.layer_slice(k)]
             assert np.linalg.norm(resid) < 1e-10
 
     def test_noise_shaping_algebraic(self):
@@ -35,13 +35,13 @@ class TestConjugate:
         dec = decompose(make_channels(seed=3))
         det = conjugate_detection(dec)
         for k in range(2):
-            g = det.blocks[k]
+            g = det[k]
             want = np.diag(dec.s_block(k) ** -2.0)
             assert np.linalg.norm(g @ g.conj().T - want) < 1e-12
 
     def test_noise_shaping_monte_carlo(self):
         dec = decompose(make_channels(seed=5, rx=(4,), layers=(2,), num_tx=6))
-        g = conjugate_detection(dec).blocks[0]
+        g = conjugate_detection(dec)[0]
         nv = 0.8
         rng = np.random.default_rng(11)
         n = complex_normal(rng, (10000, 4), nv)
@@ -51,10 +51,6 @@ class TestConjugate:
         # 10k draws: ~1% relative noise on the diagonal
         assert np.all(np.abs(np.diag(emp) - np.diag(want)) < 0.05 * np.diag(want))
         assert abs(emp[0, 1]) < 0.05 * np.sqrt(want[0, 0] * want[1, 1])
-
-    def test_kind_label(self):
-        dec = decompose(make_channels())
-        assert conjugate_detection(dec).kind == "conjugate"
 
 
 class TestMmse:
@@ -71,8 +67,7 @@ class TestMmse:
 
     def test_shapes(self):
         for k in range(2):
-            assert self.det.blocks[k].shape == (2, 4)
-        assert self.det.kind == "mmse"
+            assert self.det[k].shape == (2, 4)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -96,7 +91,7 @@ class TestMmse:
         for k in range(dims.num_users):
             a = ch.blocks[k] @ pre.weights[:, dims.layer_slice(k)]
             oracle = a.conj().T @ np.linalg.inv(a @ a.conj().T + nv * np.eye(rx[k]))
-            assert np.linalg.norm(got.blocks[k] - oracle) <= 1e-10 * np.linalg.norm(oracle)
+            assert np.linalg.norm(got[k] - oracle) <= 1e-10 * np.linalg.norm(oracle)
         k = int(rng.integers(dims.num_users))
         blocks[k] = np.exp(1j * theta) * blocks[k]
         rot = ChannelSet(dims=dims, blocks=tuple(blocks))
@@ -109,7 +104,7 @@ class TestMmse:
         # stationarity of ||G A - I||^2 + nv ||G||^2 in G
         for k in range(2):
             a = self.effective(k)
-            g = self.det.blocks[k]
+            g = self.det[k]
             resid = (g @ a - np.eye(2)) @ a.conj().T + self.nv * g
             assert np.linalg.norm(resid) < 1e-9
 
@@ -117,7 +112,7 @@ class TestMmse:
         rng = np.random.default_rng(2)
         for k in range(2):
             a = self.effective(k)
-            g = self.det.blocks[k]
+            g = self.det[k]
 
             def f(m):
                 return (
@@ -141,20 +136,29 @@ class TestMmse:
             for k in range(2):
                 sl = ch.dims.layer_slice(k)
                 a = ch.blocks[k] @ pre.weights[:, sl]
-                assert np.linalg.norm(det.blocks[k] @ a - np.eye(2)) < 1e-6
+                assert np.linalg.norm(det[k] @ a - np.eye(2)) < 1e-6
 
     def test_high_noise_matches_scaled_adjoint(self):
         nv = 1e9
         det = mmse_detection(self.ch, self.pre, nv)
         for k in range(2):
             a = self.effective(k)
-            diff = np.linalg.norm(det.blocks[k] - a.conj().T / nv)
+            diff = np.linalg.norm(det[k] - a.conj().T / nv)
             assert diff < 1e-6 * np.linalg.norm(a) / nv
 
     def test_noise_validated(self):
         with pytest.raises(ConfigError):
             mmse_detection(self.ch, self.pre, 0.0)
 
+    def test_shapes_validated(self):
+        # a noise array of the wrong shape was a ConfigError saying it is not
+        # a real number
+        with pytest.raises(DimensionError, match="noise_var shape"):
+            mmse_detection(self.ch, self.pre, np.array([0.3, 0.4]))
+        wide = rzf(decompose(make_channels(seed=7, rx=(4, 4, 4), layers=(2, 2, 2))), 1.0, 0.3)
+        with pytest.raises(DimensionError, match="weight stack shape"):
+            mmse_detection(self.ch, wide, self.nv)
+
     def test_blocks_tuple(self):
-        assert isinstance(self.det, DetectionSet)
-        assert isinstance(self.det.blocks, tuple)
+        assert isinstance(self.det, tuple) and len(self.det) == 2
+        assert isinstance(conjugate_detection(self.dec), tuple)

@@ -40,7 +40,7 @@ def naive_layer_sinr(channels, precoder, detection, noise_var):
     out = []
     for k in range(dims.num_users):
         h = channels.blocks[k]
-        g = detection.blocks[k]
+        g = detection[k]
         for j in range(dims.layers[k]):
             l = dims.layer_slice(k).start + j
             row = g[j]
@@ -97,6 +97,17 @@ class TestLayerSinr:
         hi = layer_sinr(ch, pre, det, 1.0)
         assert np.all(hi < lo)
 
+    def test_validates_blocks(self):
+        # a block too many was a bare IndexError
+        ch = make_channels(seed=4)
+        dec = decompose(ch)
+        pre = arzf(dec, 1.0, 0.1)
+        det = conjugate_detection(dec)
+        for blocks in (det + det[:1], (det[0], det[1].T)):
+            with pytest.raises(DimensionError, match="detection block shapes"):
+                layer_sinr(ch, pre, blocks, 0.1)
+        assert np.array_equal(layer_sinr(ch, pre, list(det), 0.1), layer_sinr(ch, pre, det, 0.1))
+
 
 class TestAggregation:
     def test_effective_sinr_geometric_mean(self):
@@ -123,7 +134,6 @@ class TestAggregation:
         nv = 0.3
         pre = arzf(dec, 2.0, nv)
         rep = report(ch, pre, mmse_detection(ch, pre, nv), nv)
-        assert rep.detection == "mmse"
         assert rep.layer_sinr.shape == (4,)
         assert abs(rep.sum_se - rep.user_se.sum()) < 1e-12
         assert abs(rep.min_se - rep.user_se.min()) < 1e-12
@@ -141,6 +151,24 @@ class TestAggregation:
                 evaluate(ch, pre, nv)
         with pytest.raises(DimensionError):
             evaluate(ch, replace(pre, raw=pre.raw[:, :3]), 0.3)
+        # each below was a bare IndexError or numpy ValueError
+        ch4 = make_channels(seed=5, rx=(4, 4, 4, 4), layers=(2, 2, 2, 2))
+        pre4 = arzf(decompose(ch4), 2.0, 0.3)
+        det4 = mmse_detection(ch4, pre4, 0.3)
+        wide = replace(pre4, raw=pre4.raw[:, :6])
+        for score in (layer_sinr, report):
+            with pytest.raises(DimensionError, match="weight stack shape"):
+                score(ch4, wide, det4, 0.3)
+        for blocks in (det4[:2], det4 + det4[:1]):
+            with pytest.raises(DimensionError, match="detection block shapes"):
+                report(ch4, pre4, blocks, 0.3)
+        w = np.stack([pre4.weights] * 3)
+        with pytest.raises(DimensionError, match="noise_var shape"):
+            evaluate_many(ch4, w, np.array([0.3, 0.4]))
+        with pytest.raises(DimensionError, match="noise_var shape"):
+            evaluate(ch, pre, np.array([0.1, 0.2]))
+        with pytest.raises(DimensionError, match="weight stack shape"):
+            evaluate_many(ch4, w[:0], 0.3)
 
     def test_evaluate_many_noise_per_member(self):
         # one summary of the whole stack, member b under noise[b], each
@@ -151,7 +179,7 @@ class TestAggregation:
         pres = [arzf(dec, 2.0, nv) for nv in noise[:2]] + [mrt(dec, 2.0), rzf(dec, 2.0, 0.7)]
         rep = evaluate_many(ch, np.stack([p.weights for p in pres]), noise)
         assert rep.sum_se.shape == rep.min_se.shape == rep.avg_se.shape == (4,)
-        assert rep.user_se.shape == (4, ch.dims.num_users) and rep.detection == "mmse"
+        assert rep.user_se.shape == (4, ch.dims.num_users)
         for b, (pre, nv) in enumerate(zip(pres, noise)):
             one = evaluate(ch, pre, nv)
             for name in ("layer_sinr", "eff_sinr", "user_se", "sum_se", "min_se", "avg_se"):

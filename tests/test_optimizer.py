@@ -486,3 +486,8 @@ class TestConfigAndCsv:
             with pytest.raises(ConfigError, match=next(iter(kw))):
                 OptConfig(**kw)
         assert OptConfig(backtrack=np.float32(0.25), armijo_c1=np.float64(0.1)).backtrack == 0.25
+        # each was a bare AttributeError from the search
+        ch, dec = make_pair(seed=1)
+        for config in (None, {}):
+            with pytest.raises(ConfigError, match="config must be an OptConfig"):
+                optimize_many([(dec, ch, POWER, NV)], config)
