@@ -193,6 +193,10 @@ class ChannelDecomposition:
         if not isinstance(self.dims, SystemDims):
             raise ConfigError(f"dims must be a SystemDims, got {self.dims!r}")
         object.__setattr__(self, "v", as_complex_matrix(self.v, "v"))
+        s = np.asarray(self.s)
+        if s.dtype.kind not in "iuf":
+            raise ConfigError(f"s must hold real numbers, got dtype {s.dtype}")
+        object.__setattr__(self, "s", s.astype(float, copy=False))
         object.__setattr__(self, "u_blocks", tuple(
             as_complex_matrix(u, f"u_blocks[{k}]") for k, u in enumerate(self.u_blocks)))
         if self.v.shape != (self.dims.total_layers, self.dims.num_tx):
@@ -218,7 +222,7 @@ class ChannelDecomposition:
         """Assemble a decomposition from per-user (u, s, v) triplets, which
         the constructor checks."""
         u_blocks, v_list = tuple(u_blocks), list(v_blocks)
-        s_list = [np.asarray(s, dtype=float) for s in s_blocks]
+        s_list = [np.asarray(s) for s in s_blocks]
         if not len(u_blocks) == len(s_list) == len(v_list) > 0:
             raise DimensionError("block lists must be nonempty and of equal length")
         dims = SystemDims(

@@ -1,8 +1,8 @@
 """Command line entry point.
 
 Two subcommands: ``run`` executes a sweep and writes CSV (stdout by
-default) plus optional plot data JSON; ``verify`` runs the built-in
-consistency checks and reports one line per check.
+default) plus optional plot data JSON; ``verify`` runs checks 01-09 (the
+consistency checks and the paper's claims) and reports one line per check.
 
 Exit codes: 0 success, 1 one or more verify checks failed, 2 bad
 arguments or a runtime failure.
@@ -108,8 +108,8 @@ def _build_parser():
     run_p.add_argument("--config", help="JSON file with the same keys as the flags")
     run_p.add_argument("--quiet", action="store_true", help="no progress on stderr")
 
-    ver_p = sub.add_parser("verify", help="run built-in consistency checks")
-    ver_p.add_argument("--quick", action="store_true", help="smaller instance counts")
+    ver_p = sub.add_parser("verify", help="run the consistency checks and the paper's claims")
+    ver_p.add_argument("--quick", action="store_true", help="counts divided by five")
     return parser
 
 

@@ -113,9 +113,14 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """Rows, failed ``(seed, message)`` pairs and the configuration, and
+    (None if built from rows alone) the rows' per-seed ``values``:
+    ``(levels, config.methods, sum/min SE, kept seeds in seed order)``."""
+
     rows: tuple
     failures: tuple
     config: SweepConfig
+    values: np.ndarray = field(default=None, repr=False, compare=False)
 
     def row(self, susinr_db: float, method: str) -> SweepRow:
         for r in self.rows:
@@ -174,7 +179,7 @@ def run_sweep(config: SweepConfig, progress=None) -> SweepResult:
     searches of every (seed, level) run in one :func:`optimize_many`.  A seed
     whose realization cannot be generated or evaluated, or whose search
     fails, is recorded in ``failures`` and dropped from aggregation; the
-    per-row ``seeds`` count reflects only successful realizations.
+    per-row ``seeds`` count and ``values`` reflect only successful ones.
     ``progress(done, total)`` is called as each seed finishes.  Raises
     :class:`SelectionError` if every seed fails.  A :class:`ConfigError`
     faults the configuration, not one realization, and ends the sweep.
@@ -224,29 +229,17 @@ def run_sweep(config: SweepConfig, progress=None) -> SweepResult:
         raise SelectionError(
             f"all {config.num_seeds} seeds failed; first: {failures[min(failures)][1]}"
         )
-    # seeds in seed order along a contiguous last axis, where each cell's
-    # mean and std have the bits of its own 1-D reduction
-    vals = np.stack([kept[i] for i in sorted(kept)], axis=-1)
+    # seeds in seed order along a C-contiguous last axis (np.take keeps it, a
+    # fancy index would not), where a cell's mean and std have 1-D bits
+    order = [tokens.index(m) for m in config.methods]
+    vals = np.take(np.stack([kept[i] for i in sorted(kept)], axis=-1), order, axis=1)
     seeds = vals.shape[-1]
-    mean, std = vals.mean(axis=-1), vals.std(axis=-1, ddof=1 if seeds > 1 else 0)
-    rows = []
-    for k, su in enumerate(levels):
-        for m in config.methods:
-            c = tokens.index(m)
-            rows.append(
-                SweepRow(
-                    scenario=config.scenario,
-                    susinr_db=su,
-                    method=m,
-                    avg_sum_se=float(mean[k, c, 0]),
-                    se_std=float(std[k, c, 0]),
-                    avg_min_se=float(mean[k, c, 1]),
-                    min_se_std=float(std[k, c, 1]),
-                    seeds=seeds,
-                )
-            )
+    stats = np.stack((vals.mean(axis=-1), vals.std(axis=-1, ddof=1 if seeds > 1 else 0)), axis=-1)
+    # stats[level, method] is ((avg_sum_se, se_std), (avg_min_se, min_se_std))
+    rows = tuple(SweepRow(config.scenario, su, m, *map(float, stats[k, c].flat), seeds)
+                 for k, su in enumerate(levels) for c, m in enumerate(config.methods))
     failures = tuple(failures[i] for i in sorted(failures))
-    return SweepResult(rows=tuple(rows), failures=failures, config=config)
+    return SweepResult(rows=rows, failures=failures, config=config, values=vals)
 
 
 def format_csv(result: SweepResult) -> str:

@@ -22,7 +22,7 @@ import numpy as np
 from .channel import ChannelDecomposition
 from .exceptions import (
     ConfigError, DimensionError, NotHpdError, SingularGramError, ZeroMatrixError, check_positive)
-from .numerics import hpd_inverse
+from .numerics import as_complex_matrix, hpd_inverse
 
 __all__ = ["Precoder", "RIDGES", "CLOSED_FORMS", "NOISE_FREE", "normalize", "closed_stack",
            "closed_forms", "mrt", "zf", "rzf", "wrzf", "arzf", "parametric_rzf"]
@@ -61,6 +61,10 @@ class Precoder:
     raw: np.ndarray
     gain: float
     method: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "raw", as_complex_matrix(self.raw, "raw"))
+        check_positive("gain", self.gain)
 
     @property
     def weights(self) -> np.ndarray:

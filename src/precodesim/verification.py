@@ -1,8 +1,11 @@
-"""Consistency checks for the closed forms and the gradient, and the gradient's oracle.
+"""Consistency checks for the closed forms and the gradient, the gradient's
+oracle, and the paper's claims read from a sweep's per-seed values.
 
-Acceptance tests 01-05 and the ``verify`` subcommand both call these
-checks at their default seeds, sizes and bounds; ``verify --quick``
-only shrinks the instance and draw counts.
+Acceptance tests 01-09 and the ``verify`` subcommand both call these
+checks with their default seeds, sizes and bounds.  Checks 01-05 draw
+their own instances; checks 06-09 read a :class:`SweepResult`: 06, 07 and
+09 the default sweep, 08 the equal-path-loss ``wrzf``/``arzf`` sweep.
+``verify --quick`` only shrinks the instance, draw and seed counts.
 """
 
 import time
@@ -12,12 +15,15 @@ import numpy as np
 
 from .channel import ChannelDecomposition, ChannelSet, SystemDims, decompose
 from .detection import conjugate_detection
+from .exceptions import ConfigError
+from .harness import SweepConfig, run_sweep
 from .numerics import complex_normal
 from .optimizer import default_start, gradient, objective
 from .precoding import arzf, parametric_rzf, rzf, wrzf, zf
 
 __all__ = ["CheckResult", "check_identities", "check_stationarity", "check_asymptotics",
-           "check_noise_shaping", "central_differences", "check_gradient", "run_all"]
+           "check_noise_shaping", "central_differences", "check_gradient", "check_search_gain",
+           "check_sum_se_ordering", "check_equal_agreement", "check_min_se_tradeoff", "run_all"]
 
 
 @dataclass(frozen=True)
@@ -222,14 +228,92 @@ def check_gradient(seed=505, instances=20, tol=1e-4):
     )
 
 
+def _cells(result, scenario, method, measure=0, levels=None):
+    """Per-seed sum SE (``measure`` 0) or min SE (1) of ``method`` in a
+    ``scenario`` sweep, ``(levels, seeds)`` at ``levels`` (default: the
+    grid); a missing family, method or level is a ConfigError naming it."""
+    config, grid = result.config, result.config.susinr_db
+    if result.values is None or config.scenario != scenario:
+        raise ConfigError(f"the check reads per-seed values of the {scenario} family")
+    levels = grid if levels is None else levels
+    if method not in config.methods or not levels or not set(levels) <= set(grid):
+        raise ConfigError(f"the check needs {method} at {levels} dB; "
+                          f"the sweep has {config.methods} at {grid}")
+    return result.values[:, config.methods.index(method), measure][[grid.index(x) for x in levels]]
+
+
+def check_search_gain(result, levels=(8.0, 20.0, 32.0), share=0.8):
+    """Varied path loss: the searched ridge's sum SE is never below its
+    ``arzf`` start on a (seed, level) pair at ``levels``, and is above it
+    on at least ``share`` of them."""
+    diffs = _cells(result, "varied", "opt", 0, levels) - _cells(result, "varied", "arzf", 0, levels)
+    low, strict = float(diffs.min()), float(np.mean(diffs > 0.0))
+    return CheckResult(
+        "search_gain", low >= 0.0 and strict >= share, (low, strict),
+        f"sum-SE difference over {diffs.size} seed/level pairs: min {low:+.4f} "
+        f"(must be >= 0), strict improvement on {strict:.0%} (need >= {share:.0%})")
+
+
+def check_sum_se_ordering(result, levels=(0.0, 4.0, 8.0, 12.0, 16.0, 20.0, 24.0), min_t=2.0):
+    """Varied path loss, mean sum SE: ``arzf`` beats ``rzf_v`` and ``wrzf`` by
+    at least ``min_t`` seed-level standard errors at ``levels``, and at every
+    level ``opt`` is not below ``arzf`` and ``rzf_v`` is within one standard
+    error of the better of ``mrt`` and ``zf_v``."""
+    sums = lambda m, at=None: _cells(result, "varied", m, 0, at)
+    if sums("arzf").shape[-1] < 2:
+        raise ConfigError("the check needs standard errors, so at least 2 kept seeds")
+    se = lambda d: d.std(axis=-1, ddof=1) / np.sqrt(d.shape[-1])
+    t = float(min((d.mean(axis=-1) / se(d)).min()
+                  for d in (sums("arzf", levels) - sums(m, levels) for m in ("rzf_v", "wrzf"))))
+    opt_slack = float((sums("opt").mean(axis=-1) - sums("arzf").mean(axis=-1)).min())
+    d = sums("rzf_v") - np.maximum(sums("mrt"), sums("zf_v"))
+    env_slack = float((d.mean(axis=-1) + se(d)).min())
+    return CheckResult(
+        "sum_se_ordering", t >= min_t and opt_slack >= 0.0 and env_slack >= 0.0,
+        (t, opt_slack, env_slack),
+        f"worst adapted-vs-scalar margin t={t:.2f} (need >= {min_t:g}) on "
+        f"{min(levels):g}-{max(levels):g} dB; searched-minus-adapted mean slack "
+        f"{opt_slack:+.4f} (need >= 0); scalar-ridge envelope slack within 1se "
+        f"{env_slack:+.4f} (need >= 0)")
+
+
+def check_equal_agreement(result, tol=0.02):
+    """Equal path loss: ``arzf`` and ``wrzf`` agree on mean sum SE within
+    ``tol`` relative at every level."""
+    adapted, scalar = (_cells(result, "equal", m).mean(axis=-1) for m in ("arzf", "wrzf"))
+    worst = float((abs(adapted - scalar) / scalar).max())
+    return CheckResult(
+        "equal_pathloss_agreement", worst <= tol, (worst,),
+        f"worst relative mean sum-SE gap {worst:.3%} over {len(scalar)} levels (tol {tol:.0%})")
+
+
+def check_min_se_tradeoff(result, levels=(0.0, 4.0, 8.0, 12.0)):
+    """Varied path loss at low SINR: ``arzf`` trades the weakest user away,
+    so its mean min SE does not exceed ``rzf_v``'s at ``levels``."""
+    adapted, scalar = (_cells(result, "varied", m, 1, levels).mean(axis=-1)
+                       for m in ("arzf", "rzf_v"))
+    worst = float((adapted - scalar).max())
+    return CheckResult(
+        "min_se_tradeoff", worst <= 0.0, (worst,),
+        f"max of mean min-SE(adapted) minus min-SE(scalar) {worst:+.4f} "
+        f"over levels <= {max(levels):g} dB (must be <= 0)")
+
+
 def run_all(quick=False):
-    """Every check at its default seed, size and bound; ``quick``
-    divides each instance and draw count by five."""
+    """Every check at its default seed, size and bound, 06-09 on the
+    default sweep and the equal-path-loss ``wrzf``/``arzf`` sweep;
+    ``quick`` divides each instance, draw and seed count by five."""
     d = 5 if quick else 1
+    varied = run_sweep(SweepConfig(num_seeds=40 // d))
+    equal = run_sweep(SweepConfig(scenario="equal", methods=("wrzf", "arzf"), num_seeds=40 // d))
     return [
         check_identities(instances=100 // d),
         check_stationarity(instances=100 // d),
         check_asymptotics(instances=20 // d),
         check_noise_shaping(draws=100_000 // d),
         check_gradient(instances=20 // d),
+        check_search_gain(varied),
+        check_sum_se_ordering(varied),
+        check_equal_agreement(equal),
+        check_min_se_tradeoff(varied),
     ]

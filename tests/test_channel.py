@@ -288,6 +288,14 @@ class TestDecompose:
         listed = replace(dec, u_blocks=(dec.u_blocks[0].tolist(), dec.u_blocks[1]))
         assert listed.u_blocks[0].dtype == np.complex128
         assert np.array_equal(listed.u_blocks[0], dec.u_blocks[0])
+        listed = replace(dec, s=dec.s.tolist())
+        assert listed.s.dtype == float and np.array_equal(listed.s, dec.s)
+        # complex singular values lost their imaginary part without an error
+        with pytest.raises(ConfigError, match="s must hold real numbers"):
+            replace(dec, s=dec.s + 0j)
+        with pytest.raises(ConfigError, match="s must hold real numbers"):
+            ChannelDecomposition.from_blocks(dec.u_blocks, [dec.s_block(0) + 0j, dec.s_block(1)],
+                                             [dec.v[dec.dims.layer_slice(k)] for k in range(2)])
         with pytest.raises(DimensionError, match="nonempty"):
             ChannelDecomposition.from_blocks([], [], [])
         for make, rest in ((ChannelSet, {"blocks": ch.blocks}),

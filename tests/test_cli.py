@@ -2,6 +2,7 @@ import csv
 import json
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,8 +10,11 @@ import pytest
 import precodesim.cli as cli
 from precodesim.channel import MIN_SUSINR_DB
 from precodesim.cli import MAX_SUSINR_LEVELS, main, parse_susinr
-from precodesim.harness import METHODS, SweepConfig, SweepResult, SweepRow
-from precodesim.verification import run_all
+from precodesim.exceptions import ConfigError
+from precodesim.harness import METHODS, SweepConfig, SweepResult, SweepRow, run_sweep
+from precodesim.verification import (
+    CheckResult, check_equal_agreement, check_min_se_tradeoff, check_search_gain,
+    check_sum_se_ordering)
 from helpers import run_child
 
 class TestParseSusinr:
@@ -300,15 +304,16 @@ class TestRuntimeDependencies:
 
 class TestVerifyCommand:
     def test_quick_verify_passes(self, capsys):
+        # the suite's one quick verify: every check, in order, with a reading
         assert main(["verify", "--quick"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") == 5
-        assert "5/5 checks passed" in out
+        *lines, total = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [f"PASS {name}" for name in (
+            "identities", "stationarity", "asymptotics", "noise_shaping", "gradient_consistency",
+            "search_gain", "sum_se_ordering", "equal_pathloss_agreement", "min_se_tradeoff")]
+        assert all(line.split(": ", 1)[1] for line in lines)
+        assert total == "9/9 checks passed"
 
     def test_verify_failure_exit_code(self, capsys, monkeypatch):
-        import precodesim.cli as cli
-        from precodesim.verification import CheckResult
-
         monkeypatch.setattr(
             cli, "run_all",
             lambda quick=False: [CheckResult("stub", False, (1.0,), "forced failure")],
@@ -318,16 +323,44 @@ class TestVerifyCommand:
         assert "FAIL stub" in out
 
 
+@pytest.fixture(scope="module")
+def claim_sweeps():
+    """8-seed sweeps of both families on which checks 06-09 pass."""
+    return {"varied": run_sweep(SweepConfig(num_seeds=8, susinr_db=(8.0, 20.0, 32.0))),
+            "equal": run_sweep(SweepConfig(scenario="equal", methods=("wrzf", "arzf"),
+                                           num_seeds=8, susinr_db=(0.0, 20.0)))}
+
+
 class TestVerificationChecks:
-    def test_full_list_names(self):
-        results = run_all(quick=True)
-        names = [r.name for r in results]
-        assert names == [
-            "identities",
-            "stationarity",
-            "asymptotics",
-            "noise_shaping",
-            "gradient_consistency",
-        ]
-        assert all(r.passed for r in results)
-        assert all(r.detail for r in results)
+    @pytest.mark.parametrize("check, family", [
+        (check_search_gain, "varied"),
+        (partial(check_sum_se_ordering, levels=(8.0, 20.0)), "varied"),
+        (check_equal_agreement, "equal"),
+        (partial(check_min_se_tradeoff, levels=(8.0,)), "varied"),
+    ])
+    def test_claim_check_fails_on_a_doctored_sweep(self, claim_sweeps, check, family):
+        result = claim_sweeps[family]
+        clean = check(result)
+        v, c = result.values.copy(), {m: k for k, m in enumerate(result.config.methods)}
+        if clean.name == "search_gain":  # one opt cell just below its arzf start
+            v[1, c["opt"], 0, 3] = np.nextafter(v[1, c["arzf"], 0, 3], -np.inf)
+        elif clean.name == "equal_pathloss_agreement":  # arzf 2.01% above wrzf at one level
+            v[1, c["arzf"], 0] = 1.0201 * v[1, c["wrzf"], 0]
+        else:  # the arzf and rzf_v columns swapped
+            v[:, [c["arzf"], c["rzf_v"]]] = v[:, [c["rzf_v"], c["arzf"]]]
+        assert clean.passed and not check(replace(result, values=v)).passed
+
+    @pytest.mark.parametrize("check, family, change, message", [
+        (check_search_gain, "varied", lambda r: {"values": None}, "values of the varied"),
+        (check_equal_agreement, "varied", lambda r: {}, "per-seed values of the equal"),
+        (check_search_gain, "varied", lambda r: {"config": replace(r.config, methods=("arzf",))},
+         r"needs opt at \(8.0"),
+        (check_min_se_tradeoff, "varied", lambda r: {}, r"needs arzf at \(0.0, 4.0, 8.0, 12.0\)"),
+        (partial(check_sum_se_ordering, levels=(8.0,)), "varied",
+         lambda r: {"values": r.values[..., :1]}, "at least 2 kept seeds"),
+    ])
+    def test_claim_check_names_what_the_sweep_lacks(self, claim_sweeps, check, family, change,
+                                                    message):
+        result = claim_sweeps[family]
+        with pytest.raises(ConfigError, match=message):
+            check(replace(result, **change(result)))

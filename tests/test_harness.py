@@ -16,11 +16,8 @@ from precodesim.harness import (
     CSV_HEADER,
     METHODS,
     SweepConfig,
-    SweepResult,
-    SweepRow,
     emit_csv,
     emit_plotdata,
-    format_csv,
     run_sweep,
 )
 from precodesim.metrics import report
@@ -189,15 +186,6 @@ class TestSweepConfig:
 
 
 class TestEvaluatePoint:
-    def test_reports_all_methods(self):
-        cfg = tiny_sweep()
-        ch = generate_scenario(cfg.scenario_config(0))
-        dec = decompose(ch)
-        reps = evaluate_point(ch, dec, 1.0, 12.0, ("mrt", "arzf", "opt"))
-        assert set(reps) == {"mrt", "arzf", "opt"}
-        for rep in reps.values():
-            assert rep.sum_se > 0
-
     def test_reports_equal_detection_then_report(self):
         # the stacked build and batched MMSE pass of a point give each
         # method's public build and report(mmse_detection(...)) bit for bit
@@ -220,24 +208,8 @@ class TestEvaluatePoint:
                     assert (rep.sum_se, rep.min_se, rep.avg_se) == (
                         ref.sum_se, ref.min_se, ref.avg_se)
 
-    def test_opt_at_least_adapted_ridge(self):
-        cfg = tiny_sweep()
-        ch = generate_scenario(cfg.scenario_config(1))
-        dec = decompose(ch)
-        reps = evaluate_point(ch, dec, 1.0, 16.0, ("arzf", "opt"))
-        assert reps["opt"].sum_se >= reps["arzf"].sum_se - 1e-12
-
 
 class TestRunSweep:
-    def test_rows_cover_grid_and_methods(self):
-        res = run_sweep(tiny_sweep())
-        assert len(res.rows) == 2 * 3
-        assert res.failures == ()
-        for row in res.rows:
-            assert row.seeds == 3
-            assert row.se_std >= 0
-        assert all(line.endswith(",mmse") for line in format_csv(res).splitlines()[1:])
-
     def test_row_lookup(self):
         res = run_sweep(tiny_sweep())
         row = res.row(12.0, "arzf")
@@ -245,32 +217,51 @@ class TestRunSweep:
         with pytest.raises(KeyError):
             res.row(99.0, "arzf")
 
-    def test_deterministic(self):
-        a = format_csv(run_sweep(tiny_sweep()))
-        b = format_csv(run_sweep(tiny_sweep()))
-        assert a == b
-
     def test_seed_base_changes_results(self):
         a = run_sweep(tiny_sweep())
         b = run_sweep(tiny_sweep(seed_base=50))
         assert a.row(0.0, "arzf").avg_sum_se != b.row(0.0, "arzf").avg_sum_se
 
-    def test_failed_seed_recorded_and_dropped(self, monkeypatch):
-        real = harness.generate_scenario
-        calls = {"n": 0}
+    @pytest.mark.parametrize("fail, methods", [
+        ("scenario", ("mrt", "zf_v", "arzf")),
+        ("search", ("arzf", "opt")),
+        (None, ("opt", "mrt", "zf_f")),
+    ])
+    def test_values_hold_each_kept_seed_in_config_order(self, monkeypatch, fail, methods):
+        # seed 1's draw fails, or its first search starts where the kernel
+        # cannot evaluate, or nothing fails; the rows are the means and stds
+        # of the values cells bit for bit, and the kept seeds' cells are those
+        # of the sweep without the failure
+        real_scenario, real_start, starts = harness.generate_scenario, optimizer.default_start, []
 
-        def flaky(cfg):
-            calls["n"] += 1
-            if calls["n"] == 2:
+        def scenario(sc):
+            if fail == "scenario" and sc.seed == 1:
                 raise SelectionError("synthetic failure")
-            return real(cfg)
+            return real_scenario(sc)
 
-        monkeypatch.setattr(harness, "generate_scenario", flaky)
-        res = run_sweep(tiny_sweep())
-        assert len(res.failures) == 1
-        assert res.failures[0][0] == 1
-        assert "synthetic failure" in res.failures[0][1]
-        assert all(row.seeds == 2 for row in res.rows)
+        def start(*args):
+            starts.append(real_start(*args))
+            return starts[-1] * np.inf if fail == "search" and len(starts) == 4 else starts[-1]
+
+        monkeypatch.setattr(harness, "generate_scenario", scenario)
+        monkeypatch.setattr(optimizer, "default_start", start)
+        cfg, seen = tiny_sweep(methods=methods, susinr_db=(0.0, 20.0, 40.0)), []
+        res = run_sweep(cfg, progress=lambda d, t: seen.append(d))
+        kept = [0, 2] if fail else [0, 1, 2]
+        assert seen == [1, 2, 3]
+        assert res.failures == {
+            "scenario": ((1, "SelectionError: synthetic failure"),),
+            "search": ((1, "NumericalError: objective undefined at the starting ridge"),),
+            None: ()}[fail]
+        assert res.values.shape == (3, len(methods), 2, len(kept))
+        assert len(res.rows) == 3 * len(methods)
+        for row in res.rows:
+            cell = res.values[cfg.susinr_db.index(row.susinr_db), methods.index(row.method)]
+            assert (row.avg_sum_se, row.se_std, row.avg_min_se, row.min_se_std, row.seeds) == (
+                np.mean(cell[0]), np.std(cell[0], ddof=1), np.mean(cell[1]),
+                np.std(cell[1], ddof=1), len(kept))
+        monkeypatch.undo()
+        assert fail is None or np.array_equal(res.values, run_sweep(cfg).values[..., kept])
 
     def test_all_seeds_failed_raises(self, monkeypatch):
         def broken(cfg):
@@ -294,24 +285,16 @@ class TestRunSweep:
 
     def test_searched_sweep_equals_point_loop(self):
         # all searches of the sweep run in one batch; each must score as it
-        # does alone, so the CSV equals one built from evaluate_point calls
+        # does alone, so each seed's values are those of its evaluate_point calls
         cfg = tiny_sweep(num_seeds=3, methods=("mrt", "opt", "arzf"), susinr_db=(0.0, 12.0, 30.0))
-        points = []
+        want = np.empty((3, 3, 2, 3))
         for seed in range(3):
             ch = generate_scenario(cfg.scenario_config(seed))
             dec = decompose(ch)
-            points.append({su: evaluate_point(ch, dec, 1.0, su, cfg.methods)
-                           for su in cfg.susinr_db})
-        rows = []
-        for su in cfg.susinr_db:
-            for m in cfg.methods:
-                sums = np.array([p[su][m].sum_se for p in points])
-                mins = np.array([p[su][m].min_se for p in points])
-                rows.append(SweepRow(cfg.scenario, su, m, float(sums.mean()),
-                                     float(sums.std(ddof=1)), float(mins.mean()),
-                                     float(mins.std(ddof=1)), 3))
-        expected = format_csv(SweepResult(rows=tuple(rows), failures=(), config=cfg))
-        assert format_csv(run_sweep(cfg)) == expected
+            for k, su in enumerate(cfg.susinr_db):
+                reps = evaluate_point(ch, dec, 1.0, su, cfg.methods)
+                want[k, ..., seed] = [(reps[m].sum_se, reps[m].min_se) for m in cfg.methods]
+        assert np.array_equal(run_sweep(cfg).values, want)
 
     @pytest.mark.parametrize("scenario, grid", [
         ("varied", (0.0, 20.0, 40.0)), ("equal", (0.0, 20.0, 40.0)),
@@ -319,32 +302,24 @@ class TestRunSweep:
     ], ids=["varied", "equal", "varied-11levels", "equal-11levels"])
     def test_closed_forms_equal_public_build_then_report(self, scenario, grid):
         # the sweep builds and scores a seed's closed forms as stacks of whole
-        # levels; its CSV is the one rebuilt method by method and level by
-        # level through the public builders and report(mmse_detection(...)).
+        # levels; each seed's values are those rebuilt method by method and
+        # level by level through the public builders and report(mmse_detection(...)).
         # The 11-level grid crosses the stack bound and ends in a partly full
         # stack.
         if len(grid) > harness._LEVELS:
             assert len(grid) % harness._LEVELS
         cfg = SweepConfig(scenario=scenario, susinr_db=grid, num_seeds=2, methods=CLOSED_FORMS)
-        vals = []
+        want = np.empty((len(grid), len(CLOSED_FORMS), 2, 2))
         for seed in range(2):
             ch = generate_scenario(cfg.scenario_config(seed))
             dec = decompose(ch)
-            for su in cfg.susinr_db:
+            for k, su in enumerate(cfg.susinr_db):
                 nv = calibrate_noise(dec, 1.0, su)
-                for m in cfg.methods:
+                for c, m in enumerate(cfg.methods):
                     pre = BUILDERS[m](dec, 1.0, nv)
                     rep = report(ch, pre, mmse_detection(ch, pre, nv), nv)
-                    vals.append(((su, m), (rep.sum_se, rep.min_se)))
-        rows = []
-        for su in cfg.susinr_db:
-            for m in cfg.methods:
-                sums = np.array([v[0] for k, v in vals if k == (su, m)])
-                mins = np.array([v[1] for k, v in vals if k == (su, m)])
-                rows.append(SweepRow(scenario, su, m, float(sums.mean()), float(sums.std(ddof=1)),
-                                     float(mins.mean()), float(mins.std(ddof=1)), 2))
-        expected = format_csv(SweepResult(rows=tuple(rows), failures=(), config=cfg))
-        assert format_csv(run_sweep(cfg)) == expected
+                    want[k, c, :, seed] = rep.sum_se, rep.min_se
+        assert np.array_equal(run_sweep(cfg).values, want)
 
     @pytest.mark.parametrize("scenario", ["varied", "equal"])
     def test_path_factor_rows_match_the_svd(self, monkeypatch, scenario):
@@ -439,29 +414,6 @@ class TestRunSweep:
         monkeypatch.setattr(harness, "_LEVELS", len(cfg.susinr_db))
         assert peak() > bound
 
-    def test_failed_search_recorded_and_dropped(self, monkeypatch):
-        # seed 1's first search starts from a ridge the kernel cannot evaluate
-        real = optimizer.default_start
-        calls = {"n": 0}
-
-        def start(decomp, power, noise_var):
-            calls["n"] += 1
-            r = real(decomp, power, noise_var)
-            return r * np.inf if calls["n"] == 3 else r
-
-        monkeypatch.setattr(optimizer, "default_start", start)
-        seen = []
-        res = run_sweep(tiny_sweep(methods=("arzf", "opt")), progress=lambda d, t: seen.append(d))
-        assert res.failures == ((1, "NumericalError: objective undefined at the starting ridge"),)
-        assert all(row.seeds == 2 for row in res.rows)
-        assert seen == [1, 2, 3]
-        clean = run_sweep(tiny_sweep(methods=("arzf", "opt"), num_seeds=1))
-        other = run_sweep(tiny_sweep(methods=("arzf", "opt"), num_seeds=1, seed_base=2))
-        for row in res.rows:
-            pair = [clean.row(row.susinr_db, row.method).avg_sum_se,
-                    other.row(row.susinr_db, row.method).avg_sum_se]
-            assert row.avg_sum_se == np.mean(pair)
-
 
 class TestEmit:
     def test_csv_format(self, tmp_path):
@@ -475,7 +427,7 @@ class TestEmit:
         assert cells[0] == "varied"
         assert cells[2] in ("mrt", "zf_v", "arzf")
         assert cells[7] == "2"
-        assert cells[8] == "mmse"
+        assert all(line.endswith(",mmse") for line in lines[1:])
         float(cells[3])
 
     def test_csv_byte_identical(self, tmp_path):

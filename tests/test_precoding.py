@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,18 @@ class TestMrtZf:
         p = zf(dec, power=2.0)
         assert np.array_equal(p.weights, p.gain * p.raw)
         assert isinstance(p, Precoder)
+
+    def test_fields_checked_at_construction(self):
+        # a listed raw failed later in scoring with a bare TypeError, and a
+        # NaN gain gave NaN receiver blocks without an error
+        p = zf(sample_decomp(), power=2.0)
+        assert replace(p).raw is p.raw
+        assert np.array_equal(replace(p, raw=p.raw.tolist()).raw, p.raw)
+        with pytest.raises(NumericalError, match="raw contains"):
+            replace(p, raw=np.where(p.raw == p.raw[0, 0], np.nan, p.raw))
+        for gain in (np.nan, np.inf, 0.0, -1.0, True, None):
+            with pytest.raises(ConfigError, match="gain"):
+                replace(p, gain=gain)
 
 
 class TestRzf:
