@@ -234,12 +234,24 @@ def run_sweep(config: SweepConfig, progress=None) -> SweepResult:
     order = [tokens.index(m) for m in config.methods]
     vals = np.take(np.stack([kept[i] for i in sorted(kept)], axis=-1), order, axis=1)
     seeds = vals.shape[-1]
-    stats = np.stack((vals.mean(axis=-1), vals.std(axis=-1, ddof=1 if seeds > 1 else 0)), axis=-1)
-    # stats[level, method] is ((avg_sum_se, se_std), (avg_min_se, min_se_std))
-    rows = tuple(SweepRow(config.scenario, su, m, *map(float, stats[k, c].flat), seeds)
-                 for k, su in enumerate(levels) for c, m in enumerate(config.methods))
+    mean, std = vals.mean(axis=-1), vals.std(axis=-1, ddof=1 if seeds > 1 else 0)
+    rows = []
+    for k, su in enumerate(levels):
+        for c, m in enumerate(config.methods):
+            rows.append(
+                SweepRow(
+                    scenario=config.scenario,
+                    susinr_db=su,
+                    method=m,
+                    avg_sum_se=float(mean[k, c, 0]),
+                    se_std=float(std[k, c, 0]),
+                    avg_min_se=float(mean[k, c, 1]),
+                    min_se_std=float(std[k, c, 1]),
+                    seeds=seeds,
+                )
+            )
     failures = tuple(failures[i] for i in sorted(failures))
-    return SweepResult(rows=rows, failures=failures, config=config, values=vals)
+    return SweepResult(rows=tuple(rows), failures=failures, config=config, values=vals)
 
 
 def format_csv(result: SweepResult) -> str:

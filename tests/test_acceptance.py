@@ -4,18 +4,15 @@ One test per acceptance item, each printing a single summary line with
 the measured worst case and its tolerance (the line shows up inline in
 the pytest output).  Items 01-09 call the checks in
 ``precodesim.verification`` that ``precodesim verify`` also runs, with
-their seeds, sizes and bounds.  Items 06-09 read two module-scoped sweeps
-at the default desk scale (64 tx antennas, 4 users, 2 layers each, 40
-seeds): the default ``run_sweep`` and the equal-path-loss ``wrzf``/``arzf``
-one.  The whole module takes a few seconds.
+their seeds, sizes and bounds.  Items 06-09 read the two session-scoped
+sweeps of ``conftest.py`` at the default desk scale (64 tx antennas, 4
+users, 2 layers each, 40 seeds): the default ``run_sweep`` and the
+equal-path-loss ``wrzf``/``arzf`` one.  The whole module takes a few
+seconds.
 """
 
-import time
 from dataclasses import replace
 
-import pytest
-
-from precodesim.harness import SweepConfig, run_sweep
 from precodesim.verification import (
     CheckResult,
     check_asymptotics,
@@ -29,21 +26,6 @@ from precodesim.verification import (
     check_sum_se_ordering,
 )
 from helpers import run_child
-
-
-@pytest.fixture(scope="module")
-def default_run():
-    """The default sweep (varied path loss, 0:40:4 dB, 40 seeds, every
-    method) and the seconds it took."""
-    start = time.monotonic()
-    result = run_sweep(SweepConfig())
-    return result, time.monotonic() - start
-
-
-@pytest.fixture(scope="module")
-def equal_run():
-    """The equal-path-loss sweep of ``wrzf`` and ``arzf``, otherwise default."""
-    return run_sweep(SweepConfig(scenario="equal", methods=("wrzf", "arzf")))
 
 
 def _check(capsys, num, title, result):

@@ -2,7 +2,6 @@ import csv
 import json
 import math
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ import precodesim.cli as cli
 from precodesim.channel import MIN_SUSINR_DB
 from precodesim.cli import MAX_SUSINR_LEVELS, main, parse_susinr
 from precodesim.exceptions import ConfigError
-from precodesim.harness import METHODS, SweepConfig, SweepResult, SweepRow, run_sweep
+from precodesim.harness import METHODS, SweepConfig, SweepResult, SweepRow
 from precodesim.verification import (
     CheckResult, check_equal_agreement, check_min_se_tradeoff, check_search_gain,
     check_sum_se_ordering)
@@ -323,44 +322,35 @@ class TestVerifyCommand:
         assert "FAIL stub" in out
 
 
-@pytest.fixture(scope="module")
-def claim_sweeps():
-    """8-seed sweeps of both families on which checks 06-09 pass."""
-    return {"varied": run_sweep(SweepConfig(num_seeds=8, susinr_db=(8.0, 20.0, 32.0))),
-            "equal": run_sweep(SweepConfig(scenario="equal", methods=("wrzf", "arzf"),
-                                           num_seeds=8, susinr_db=(0.0, 20.0)))}
-
-
 class TestVerificationChecks:
-    @pytest.mark.parametrize("check, family", [
-        (check_search_gain, "varied"),
-        (partial(check_sum_se_ordering, levels=(8.0, 20.0)), "varied"),
-        (check_equal_agreement, "equal"),
-        (partial(check_min_se_tradeoff, levels=(8.0,)), "varied"),
+    # each claim check passes on the session's default or equal sweep and
+    # fails on a copy with one doctored values array
+    @pytest.mark.parametrize("check", [
+        check_search_gain, check_sum_se_ordering, check_equal_agreement, check_min_se_tradeoff,
     ])
-    def test_claim_check_fails_on_a_doctored_sweep(self, claim_sweeps, check, family):
-        result = claim_sweeps[family]
+    def test_claim_check_fails_on_a_doctored_sweep(self, default_run, equal_run, check):
+        result = equal_run if check is check_equal_agreement else default_run[0]
         clean = check(result)
         v, c = result.values.copy(), {m: k for k, m in enumerate(result.config.methods)}
-        if clean.name == "search_gain":  # one opt cell just below its arzf start
-            v[1, c["opt"], 0, 3] = np.nextafter(v[1, c["arzf"], 0, 3], -np.inf)
-        elif clean.name == "equal_pathloss_agreement":  # arzf 2.01% above wrzf at one level
-            v[1, c["arzf"], 0] = 1.0201 * v[1, c["wrzf"], 0]
+        at = result.config.susinr_db.index(20.0)
+        if check is check_search_gain:  # one opt cell just below its arzf start
+            v[at, c["opt"], 0, 3] = np.nextafter(v[at, c["arzf"], 0, 3], -np.inf)
+        elif check is check_equal_agreement:  # arzf 2.01% above wrzf at one level
+            v[at, c["arzf"], 0] = 1.0201 * v[at, c["wrzf"], 0]
         else:  # the arzf and rzf_v columns swapped
             v[:, [c["arzf"], c["rzf_v"]]] = v[:, [c["rzf_v"], c["arzf"]]]
         assert clean.passed and not check(replace(result, values=v)).passed
 
-    @pytest.mark.parametrize("check, family, change, message", [
-        (check_search_gain, "varied", lambda r: {"values": None}, "values of the varied"),
-        (check_equal_agreement, "varied", lambda r: {}, "per-seed values of the equal"),
-        (check_search_gain, "varied", lambda r: {"config": replace(r.config, methods=("arzf",))},
+    @pytest.mark.parametrize("check, change, message", [
+        (check_search_gain, lambda r: {"values": None}, "values of the varied"),
+        (check_equal_agreement, lambda r: {}, "per-seed values of the equal"),
+        (check_search_gain, lambda r: {"config": replace(r.config, methods=("arzf",))},
          r"needs opt at \(8.0"),
-        (check_min_se_tradeoff, "varied", lambda r: {}, r"needs arzf at \(0.0, 4.0, 8.0, 12.0\)"),
-        (partial(check_sum_se_ordering, levels=(8.0,)), "varied",
-         lambda r: {"values": r.values[..., :1]}, "at least 2 kept seeds"),
+        (check_min_se_tradeoff, lambda r: {"config": replace(r.config, susinr_db=(8.0, 20.0))},
+         r"needs arzf at \(0.0, 4.0, 8.0, 12.0\)"),
+        (check_sum_se_ordering, lambda r: {"values": r.values[..., :1]}, "at least 2 kept seeds"),
     ])
-    def test_claim_check_names_what_the_sweep_lacks(self, claim_sweeps, check, family, change,
-                                                    message):
-        result = claim_sweeps[family]
+    def test_claim_check_names_what_the_sweep_lacks(self, default_run, check, change, message):
+        result = default_run[0]
         with pytest.raises(ConfigError, match=message):
             check(replace(result, **change(result)))
