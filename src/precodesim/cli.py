@@ -19,7 +19,7 @@ from .exceptions import PrecodesimError
 from .harness import METHODS, SweepConfig, emit_csv, emit_plotdata, format_csv, run_sweep
 from .verification import run_all
 
-__all__ = ["main", "parse_susinr"]
+__all__ = ["main"]
 
 # Most levels a SINR grid may hold; a ``start:stop:step`` range is also
 # checked against it before it is built.

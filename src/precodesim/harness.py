@@ -68,6 +68,8 @@ class SweepConfig:
         object.__setattr__(self, "methods", tuple(self.methods))
         if not self.susinr_db:
             raise ConfigError("susinr_db grid must be nonempty")
+        if not self.methods:
+            raise ConfigError("methods must be nonempty")
         for name in ("susinr_db", "methods"):
             value = getattr(self, name)
             if len(set(value)) < len(value):
@@ -80,7 +82,7 @@ class SweepConfig:
             raise ConfigError(f"seed_base must be >= 0, got {self.seed_base}")
         check_positive("power", self.power)
         unknown = [m for m in self.methods if m not in METHODS]
-        if unknown or not self.methods:
+        if unknown:
             raise ConfigError(f"unknown methods {unknown}, valid: {tuple(METHODS)}")
         if not isinstance(self.opt, OptConfig):
             raise ConfigError(f"opt must be an OptConfig, got {self.opt!r}")
@@ -121,12 +123,6 @@ class SweepResult:
     failures: tuple
     config: SweepConfig
     values: np.ndarray = field(default=None, repr=False, compare=False)
-
-    def row(self, susinr_db: float, method: str) -> SweepRow:
-        for r in self.rows:
-            if r.susinr_db == susinr_db and r.method == method:
-                return r
-        raise KeyError(f"no row for ({susinr_db}, {method})")
 
 
 def _score(channels, decomp, closed, power, noise, found, lo, hi):
@@ -275,20 +271,15 @@ def emit_csv(path, result: SweepResult) -> None:
 
 def emit_plotdata(path, result: SweepResult) -> None:
     """Write per-method series (x axis: SINR grid) as JSON."""
-    grid = list(result.config.susinr_db)
-    series = {}
-    for m in result.config.methods:
-        rows = [result.row(su, m) for su in grid]
-        series[m] = {
-            "avg_sum_se": [r.avg_sum_se for r in rows],
-            "se_std": [r.se_std for r in rows],
-            "avg_min_se": [r.avg_min_se for r in rows],
-            "min_se_std": [r.min_se_std for r in rows],
-        }
+    keys = ("avg_sum_se", "se_std", "avg_min_se", "min_se_std")
+    series = {m: {k: [] for k in keys} for m in result.config.methods}
+    for r in result.rows:  # level-major, so each series follows the grid
+        for k in keys:
+            series[r.method][k].append(getattr(r, k))
     doc = {
         "scenario": result.config.scenario,
         "detection": "mmse",
-        "susinr_db": grid,
+        "susinr_db": list(result.config.susinr_db),
         "seeds": result.rows[0].seeds if result.rows else 0,
         "series": series,
         "failures": [list(f) for f in result.failures],

@@ -16,23 +16,21 @@ from .detection import check_scoring, mmse_stack
 from .exceptions import DimensionError, ZeroSinrError
 from .precoding import Precoder
 
-__all__ = ["MetricsReport", "sinr_terms", "require_positive", "mmse_sinr_stack", "layer_sinr",
-           "effective_sinr", "user_se", "report", "evaluate", "evaluate_many"]
+__all__ = ["MetricsReport", "require_positive", "mmse_sinr_stack", "layer_sinr", "effective_sinr",
+           "user_se", "report", "evaluate", "evaluate_many"]
 
 
 @dataclass(frozen=True)
 class MetricsReport:
     """Evaluated link metrics for one (channel, precoder, receiver)
     triple, or for a stack of precoders with the batch axis first
-    (:func:`evaluate_many`).  ``avg_se`` is ``sum_se`` divided by the user
-    count."""
+    (:func:`evaluate_many`)."""
 
     layer_sinr: np.ndarray
     eff_sinr: np.ndarray
     user_se: np.ndarray
     sum_se: float
     min_se: float
-    avg_se: float
 
 
 def sinr_terms(g: np.ndarray, eff: np.ndarray, own: np.ndarray, noise_var):
@@ -134,7 +132,8 @@ def evaluate_many(channels: ChannelSet, weights: np.ndarray, noise_var) -> Metri
     summary: every array of the report has the batch axis first, and each
     member is bitwise as alone.  Any layer SINR that is not positive raises
     ZeroSinrError."""
-    return _summary(_mmse_sinrs(channels, weights, noise_var), channels.dims)
+    return _summary(_mmse_sinrs(channels, np.asarray(weights, dtype=complex), noise_var),
+                    channels.dims)
 
 
 def _mmse_sinrs(channels: ChannelSet, w: np.ndarray, noise_var) -> np.ndarray:
@@ -149,6 +148,5 @@ def _summary(sinrs, dims) -> MetricsReport:
     """The report of layer SINRs ``sinrs``, batch axes first."""
     eff = effective_sinr(sinrs, dims)
     se = user_se(eff, dims)
-    total = se.sum(axis=-1)
-    return MetricsReport(layer_sinr=sinrs, eff_sinr=eff, user_se=se, sum_se=total,
-                         min_se=se.min(axis=-1), avg_se=total / dims.num_users)
+    return MetricsReport(layer_sinr=sinrs, eff_sinr=eff, user_se=se, sum_se=se.sum(axis=-1),
+                         min_se=se.min(axis=-1))

@@ -143,6 +143,9 @@ class _Problems:
     def __init__(self, problems):
         scenes, scene = {}, []
         for decomp, channels, power, noise_var in problems:
+            if not (isinstance(decomp, ChannelDecomposition) and isinstance(channels, ChannelSet)):
+                raise ConfigError("each problem needs a ChannelDecomposition, then a ChannelSet, got "
+                                  f"{type(decomp).__name__} and {type(channels).__name__}")
             check_positive("power", power)
             check_positive("noise_var", noise_var)
             if decomp.dims != channels.dims or decomp.dims != problems[0][0].dims:
@@ -336,7 +339,8 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
     The list holds one :class:`OptResult` per problem, in order, or the
     :class:`PrecodesimError` its search raised; ``done(i, result)``, if
     given, is called as search ``i`` ends.  Inputs are validated once,
-    here: a ``config`` that is not an :class:`OptConfig` or a power or noise
+    here: a ``config`` that is not an :class:`OptConfig`, a problem that does
+    not start with a decomposition and a channel set, or a power or noise
     variance that is not positive and finite raises ConfigError, and
     problems whose dims differ raise DimensionError.
     """
@@ -463,7 +467,7 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
             live[i] = False
             results[i] = ended[i] if isinstance(ended[i], PrecodesimError) else OptResult(
                 reg_vec=reg[i],
-                precoder=Precoder(raw=raw[i], gain=gain[i], method="parametric_rzf"),
+                precoder=Precoder(raw=raw[i], gain=gain[i]),
                 objective=float(j[i]),
                 start_objective=traj[i][0][1],
                 iterations=int(accepted[i]),

@@ -24,8 +24,8 @@ from .exceptions import (
     ConfigError, DimensionError, NotHpdError, SingularGramError, ZeroMatrixError, check_positive)
 from .numerics import as_complex_matrix, hpd_inverse
 
-__all__ = ["Precoder", "RIDGES", "CLOSED_FORMS", "NOISE_FREE", "normalize", "closed_stack",
-           "closed_forms", "mrt", "zf", "rzf", "wrzf", "arzf", "parametric_rzf"]
+__all__ = ["Precoder", "RIDGES", "CLOSED_FORMS", "closed_stack", "closed_forms", "mrt", "zf", "rzf",
+           "wrzf", "arzf", "parametric_rzf"]
 
 # Ridge token -> (ridge r, column scale c) of decomposition d at power p and
 # noise variance nv.  An f-basis form F^H inv(F F^H + lam I), F = diag(s) V,
@@ -54,13 +54,10 @@ class Precoder:
         Closed-form weight matrix before power scaling.
     gain : float
         Scalar applied to ``raw`` to meet the power budget.
-    method : str
-        Label of the constructing method.
     """
 
     raw: np.ndarray
     gain: float
-    method: str
 
     def __post_init__(self):
         object.__setattr__(self, "raw", as_complex_matrix(self.raw, "raw"))
@@ -177,7 +174,7 @@ def closed_forms(decomp: ChannelDecomposition, tokens, power: float, noise_var=N
     """The closed forms ``tokens`` at one point, in token order: the
     one-level :func:`closed_stack`."""
     raw, gain = closed_stack(decomp, tokens, power, [noise_var])
-    return tuple(Precoder(raw=raw[0, b], gain=gain[0, b], method=t) for b, t in enumerate(tokens))
+    return tuple(Precoder(raw=r, gain=g) for r, g in zip(raw[0], gain[0]))
 
 
 def mrt(decomp: ChannelDecomposition, power: float) -> Precoder:
@@ -223,4 +220,4 @@ def parametric_rzf(decomp: ChannelDecomposition, reg_vec, power: float) -> Preco
     check_positive("power", power)
     v = decomp.v[None]
     raw, gain, _ = ridge_stack(gram_stack(v), np.conj(v.swapaxes(1, 2)), reg_vec[None], 1.0, power)
-    return Precoder(raw=raw[0], gain=gain[0], method="parametric_rzf")
+    return Precoder(raw=raw[0], gain=gain[0])

@@ -1,18 +1,18 @@
-"""Seeded draws, the public closed-form builders, the per-point and
-per-search oracles and a child interpreter on this source tree, shared by
-the test modules."""
+"""Seeded draws, the public closed-form builders, a sweep row lookup,
+the per-point and per-search oracles and a child interpreter on this
+source tree, shared by the test modules."""
 
 import os
 import subprocess
 import sys
 from collections import namedtuple
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 import precodesim
-from precodesim.channel import calibrate_noise
+from precodesim.channel import ChannelSet, SystemDims, calibrate_noise
 from precodesim.exceptions import check_positive
 from precodesim.metrics import evaluate_many
 from precodesim.numerics import complex_normal
@@ -52,6 +52,13 @@ def complex_gaussian(rng_seed: int, rows: int, cols: int, variance: float) -> np
     return complex_normal(rng, (rows, cols), variance)
 
 
+def gaussian_channels(seed=0, rx=(4, 4), layers=(2, 2), num_tx=12) -> ChannelSet:
+    """Users with unit-variance i.i.d. Gaussian blocks, user ``k`` drawn
+    from seed ``seed + k``."""
+    blocks = tuple(complex_gaussian(seed + k, r, num_tx, 1.0) for k, r in enumerate(rx))
+    return ChannelSet(dims=SystemDims(num_tx=num_tx, rx=rx, layers=layers), blocks=blocks)
+
+
 def evaluate_point(channels, decomp, power, susinr_db, methods, opt_config=None):
     """All requested methods on one realization at one SINR level.
 
@@ -71,8 +78,13 @@ def evaluate_point(channels, decomp, power, susinr_db, methods, opt_config=None)
 
 def split(rep, b):
     """Member ``b`` of a stacked :class:`MetricsReport`."""
-    return replace(rep, **{f: getattr(rep, f)[b] for f in (
-        "layer_sinr", "eff_sinr", "user_se", "sum_se", "min_se", "avg_se")})
+    return replace(rep, **{f.name: getattr(rep, f.name)[b] for f in fields(rep)})
+
+
+def row(result, susinr_db, method):
+    """The one row of ``result`` at SINR level ``susinr_db`` and ``method``."""
+    (found,) = [r for r in result.rows if (r.susinr_db, r.method) == (susinr_db, method)]
+    return found
 
 
 def av_susinr(decomp, power: float, noise_var: float) -> float:

@@ -30,15 +30,7 @@ from precodesim.exceptions import (
     SelectionError,
 )
 from precodesim.numerics import complex_normal
-from helpers import av_susinr, complex_gaussian, reduced_svd_loop
-
-
-def small_channels(seed=0, rx=(4, 3), layers=(2, 1), num_tx=8):
-    dims = SystemDims(num_tx=num_tx, rx=rx, layers=layers)
-    blocks = tuple(
-        complex_gaussian(seed + k, r, num_tx, 1.0) for k, r in enumerate(rx)
-    )
-    return ChannelSet(dims=dims, blocks=blocks)
+from helpers import av_susinr, complex_gaussian, gaussian_channels, reduced_svd_loop
 
 
 class TestSystemDims:
@@ -138,7 +130,7 @@ def heterogeneous_sets(draw):
 
 class TestDecompose:
     def test_reconstruction_full_rank_layers(self):
-        ch = small_channels(rx=(4, 3), layers=(4, 3))
+        ch = gaussian_channels(rx=(4, 3), layers=(4, 3), num_tx=8)
         dec = decompose(ch)
         for k, h in enumerate(ch.blocks):
             u = dec.u_blocks[k]
@@ -148,7 +140,7 @@ class TestDecompose:
     def test_truncation_energy(self):
         # discarded energy equals the sum of dropped squared singular
         # values; oracle eigenvalues come from the Gram matrix
-        ch = small_channels(seed=5, rx=(5,), layers=(2,), num_tx=6)
+        ch = gaussian_channels(seed=5, rx=(5,), layers=(2,), num_tx=6)
         dec = decompose(ch)
         h = ch.blocks[0]
         v0 = dec.v[dec.dims.layer_slice(0)]
@@ -158,7 +150,7 @@ class TestDecompose:
         assert abs(np.linalg.norm(h - recon) ** 2 - dropped) < 1e-9
 
     def test_layer_order_and_ownership(self):
-        ch = small_channels(rx=(4, 4), layers=(3, 2))
+        ch = gaussian_channels(rx=(4, 4), layers=(3, 2), num_tx=8)
         dec = decompose(ch)
         assert dec.dims.layer_slice(0) == slice(0, 3)
         assert dec.dims.layer_slice(1) == slice(3, 5)
@@ -167,7 +159,7 @@ class TestDecompose:
             assert np.all(np.diff(sk) <= 1e-12)
 
     def test_per_user_row_orthonormality(self):
-        ch = small_channels(rx=(4, 3), layers=(2, 2))
+        ch = gaussian_channels(rx=(4, 3), layers=(2, 2), num_tx=8)
         dec = decompose(ch)
         for k in range(2):
             vk = dec.v[dec.dims.layer_slice(k)]
@@ -261,10 +253,10 @@ class TestDecompose:
 
         monkeypatch.setattr(np.linalg, "svd", no_convergence)
         with pytest.raises(NumericalError, match="SVD did not converge"):
-            decompose(small_channels())
+            decompose(gaussian_channels(rx=(4, 3), layers=(2, 1), num_tx=8))
 
     def test_from_blocks_round_trip(self):
-        ch = small_channels(rx=(4, 3), layers=(2, 1))
+        ch = gaussian_channels(rx=(4, 3), layers=(2, 1), num_tx=8)
         dec = decompose(ch)
         rebuilt = ChannelDecomposition.from_blocks(
             dec.u_blocks,
@@ -277,7 +269,7 @@ class TestDecompose:
 
     def test_constructors_check_their_inputs(self):
         # each was accepted or raised a bare AttributeError or IndexError
-        ch = small_channels()
+        ch = gaussian_channels(rx=(4, 3), layers=(2, 1), num_tx=8)
         dec = decompose(ch)
         nan_v, nan_u = dec.v.copy(), dec.u_blocks[0].copy()
         nan_v[0, 0] = nan_u[0, 0] = np.nan
@@ -470,7 +462,7 @@ class TestPathFactors:
         got = decompose(generate_scenario(ScenarioConfig(seed=3, path_loss="varied")))
         assert np.allclose(got.s, want.s, rtol=1e-12, atol=0)
         with pytest.raises(AssertionError, match="svd called"):
-            decompose(small_channels())
+            decompose(gaussian_channels(rx=(4, 3), layers=(2, 1), num_tx=8))
 
     def test_replaced_blocks_fall_back_to_the_svd(self):
         # the factors are the generator's, so a copy with other blocks, or a
@@ -737,7 +729,7 @@ class TestCalibrateNoise:
     def test_positive_decreasing_round_trip(self, seed, power, a, b):
         assume(abs(a - b) > 1e-6)
         lo, hi = min(a, b), max(a, b)
-        dec = decompose(small_channels(seed=seed))
+        dec = decompose(gaussian_channels(seed=seed, rx=(4, 3), layers=(2, 1), num_tx=8))
         nv_lo, nv_hi = calibrate_noise(dec, power, lo), calibrate_noise(dec, power, hi)
         assert 0.0 < nv_hi < nv_lo < np.inf
         for target_db, nv in ((lo, nv_lo), (hi, nv_hi)):

@@ -142,6 +142,12 @@ class TestRunCommand:
         assert main(args) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [["--methods", "opt", "--skip-opt"], ["--methods", ","]])
+    def test_empty_method_list_exits_2(self, tmp_path, capsys, extra):
+        args, _ = run_args(tmp_path, extra)
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: methods must be nonempty\n"
+
     @pytest.mark.parametrize("flag", [
         "--susinr=4000", "--susinr=-4000", "--susinr=-inf", "--susinr=nan",
         "--susinr=-1700", "--susinr=-3000",

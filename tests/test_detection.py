@@ -8,21 +8,13 @@ from precodesim.detection import conjugate_detection, mmse_detection
 from precodesim.exceptions import ConfigError, DimensionError
 from precodesim.metrics import layer_sinr
 from precodesim.numerics import complex_normal
-from helpers import complex_gaussian
+from helpers import gaussian_channels
 from precodesim.precoding import arzf, rzf
-
-
-def make_channels(seed=0, rx=(4, 4), layers=(2, 2), num_tx=12):
-    dims = SystemDims(num_tx=num_tx, rx=rx, layers=layers)
-    blocks = tuple(
-        complex_gaussian(seed + k, r, num_tx, 1.0) for k, r in enumerate(rx)
-    )
-    return ChannelSet(dims=dims, blocks=blocks)
 
 
 class TestConjugate:
     def test_reproduces_layer_rows(self):
-        ch = make_channels()
+        ch = gaussian_channels()
         dec = decompose(ch)
         det = conjugate_detection(dec)
         for k in range(2):
@@ -32,7 +24,7 @@ class TestConjugate:
     def test_noise_shaping_algebraic(self):
         # G G^H must be diag(1/s^2): effective noise is independent
         # across a user's layers with per-layer variance noise/s_l^2
-        dec = decompose(make_channels(seed=3))
+        dec = decompose(gaussian_channels(seed=3))
         det = conjugate_detection(dec)
         for k in range(2):
             g = det[k]
@@ -40,7 +32,7 @@ class TestConjugate:
             assert np.linalg.norm(g @ g.conj().T - want) < 1e-12
 
     def test_noise_shaping_monte_carlo(self):
-        dec = decompose(make_channels(seed=5, rx=(4,), layers=(2,), num_tx=6))
+        dec = decompose(gaussian_channels(seed=5, rx=(4,), layers=(2,), num_tx=6))
         g = conjugate_detection(dec)[0]
         nv = 0.8
         rng = np.random.default_rng(11)
@@ -55,7 +47,7 @@ class TestConjugate:
 
 class TestMmse:
     def setup_method(self):
-        self.ch = make_channels(seed=7)
+        self.ch = gaussian_channels(seed=7)
         self.dec = decompose(self.ch)
         self.nv = 0.3
         self.pre = arzf(self.dec, 2.0, self.nv)
@@ -128,8 +120,8 @@ class TestMmse:
     def test_low_noise_inverts(self):
         # 1e-20 is below working precision for the rx x rx form (rx 4 > 2 layers)
         for ch, build, nv in (
-            (make_channels(seed=9, rx=(2, 2), layers=(2, 2), num_tx=10), rzf, 1e-9),
-            (make_channels(seed=9), arzf, 1e-20),
+            (gaussian_channels(seed=9, rx=(2, 2), layers=(2, 2), num_tx=10), rzf, 1e-9),
+            (gaussian_channels(seed=9), arzf, 1e-20),
         ):
             pre = build(decompose(ch), 1.0, nv)
             det = mmse_detection(ch, pre, nv)
@@ -155,7 +147,7 @@ class TestMmse:
         # a real number
         with pytest.raises(DimensionError, match="noise_var shape"):
             mmse_detection(self.ch, self.pre, np.array([0.3, 0.4]))
-        wide = rzf(decompose(make_channels(seed=7, rx=(4, 4, 4), layers=(2, 2, 2))), 1.0, 0.3)
+        wide = rzf(decompose(gaussian_channels(seed=7, rx=(4, 4, 4), layers=(2, 2, 2))), 1.0, 0.3)
         with pytest.raises(DimensionError, match="weight stack shape"):
             mmse_detection(self.ch, wide, self.nv)
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from precodesim.channel import (
-    ChannelSet,
     ScenarioConfig,
     SystemDims,
     calibrate_noise,
@@ -21,16 +20,8 @@ from precodesim.metrics import (
     report,
     user_se,
 )
-from helpers import av_susinr, complex_gaussian
+from helpers import av_susinr, gaussian_channels
 from precodesim.precoding import arzf, mrt, rzf
-
-
-def make_channels(seed=0, rx=(4, 4), layers=(2, 2), num_tx=12):
-    dims = SystemDims(num_tx=num_tx, rx=rx, layers=layers)
-    blocks = tuple(
-        complex_gaussian(seed + k, r, num_tx, 1.0) for k, r in enumerate(rx)
-    )
-    return ChannelSet(dims=dims, blocks=blocks)
 
 
 def naive_layer_sinr(channels, precoder, detection, noise_var):
@@ -56,7 +47,7 @@ def naive_layer_sinr(channels, precoder, detection, noise_var):
 
 class TestLayerSinr:
     def test_matches_naive_loop(self):
-        ch = make_channels(seed=1)
+        ch = gaussian_channels(seed=1)
         dec = decompose(ch)
         nv = 0.4
         pre = arzf(dec, 2.0, nv)
@@ -68,7 +59,7 @@ class TestLayerSinr:
     def test_conjugate_closed_form_equivalence(self):
         # channel-diagonalizing detection reduces the SINR to the layer
         # rows: |t_ll|^2 / (sum_{i!=l} |t_li|^2 + nv / s_l^2), T = V W
-        ch = make_channels(seed=2)
+        ch = gaussian_channels(seed=2)
         dec = decompose(ch)
         nv = 0.15
         for pre in (mrt(dec, 1.0), arzf(dec, 1.0, nv), rzf(dec, 1.0, nv)):
@@ -79,7 +70,7 @@ class TestLayerSinr:
             assert np.allclose(generic, closed, rtol=1e-10)
 
     def test_scale_invariance(self):
-        ch = make_channels(seed=3)
+        ch = gaussian_channels(seed=3)
         dec = decompose(ch)
         for c in (4.0, 0.25):
             a = arzf(dec, 1.0, 0.2)
@@ -89,7 +80,7 @@ class TestLayerSinr:
             assert np.allclose(sa, sb, rtol=1e-10)
 
     def test_more_noise_lower_sinr(self):
-        ch = make_channels(seed=4)
+        ch = gaussian_channels(seed=4)
         dec = decompose(ch)
         pre = arzf(dec, 1.0, 0.1)
         det = conjugate_detection(dec)
@@ -99,7 +90,7 @@ class TestLayerSinr:
 
     def test_validates_blocks(self):
         # a block too many was a bare IndexError
-        ch = make_channels(seed=4)
+        ch = gaussian_channels(seed=4)
         dec = decompose(ch)
         pre = arzf(dec, 1.0, 0.1)
         det = conjugate_detection(dec)
@@ -129,7 +120,7 @@ class TestAggregation:
         assert tiny[0] == pytest.approx(1.4426950408889634e-30, rel=1e-12)
 
     def test_report_consistency(self):
-        ch = make_channels(seed=5)
+        ch = gaussian_channels(seed=5)
         dec = decompose(ch)
         nv = 0.3
         pre = arzf(dec, 2.0, nv)
@@ -137,12 +128,11 @@ class TestAggregation:
         assert rep.layer_sinr.shape == (4,)
         assert abs(rep.sum_se - rep.user_se.sum()) < 1e-12
         assert abs(rep.min_se - rep.user_se.min()) < 1e-12
-        assert abs(rep.avg_se - rep.sum_se / 2) < 1e-12
         eff = effective_sinr(rep.layer_sinr, ch.dims)
         assert np.allclose(eff, rep.eff_sinr)
 
     def test_evaluate_validates_input(self):
-        ch = make_channels(seed=5)
+        ch = gaussian_channels(seed=5)
         pre = arzf(decompose(ch), 2.0, 0.3)
         ref = report(ch, pre, mmse_detection(ch, pre, 0.3), 0.3)
         assert evaluate(ch, pre, 0.3).sum_se == ref.sum_se
@@ -152,7 +142,7 @@ class TestAggregation:
         with pytest.raises(DimensionError):
             evaluate(ch, replace(pre, raw=pre.raw[:, :3]), 0.3)
         # each below was a bare IndexError or numpy ValueError
-        ch4 = make_channels(seed=5, rx=(4, 4, 4, 4), layers=(2, 2, 2, 2))
+        ch4 = gaussian_channels(seed=5, rx=(4, 4, 4, 4), layers=(2, 2, 2, 2))
         pre4 = arzf(decompose(ch4), 2.0, 0.3)
         det4 = mmse_detection(ch4, pre4, 0.3)
         wide = replace(pre4, raw=pre4.raw[:, :6])
@@ -173,22 +163,32 @@ class TestAggregation:
     def test_evaluate_many_noise_per_member(self):
         # one summary of the whole stack, member b under noise[b], each
         # bitwise its evaluate alone
-        ch = make_channels(seed=6)
+        ch = gaussian_channels(seed=6)
         dec = decompose(ch)
         noise = np.array([0.05, 0.3, 2.0, 0.3])
         pres = [arzf(dec, 2.0, nv) for nv in noise[:2]] + [mrt(dec, 2.0), rzf(dec, 2.0, 0.7)]
         rep = evaluate_many(ch, np.stack([p.weights for p in pres]), noise)
-        assert rep.sum_se.shape == rep.min_se.shape == rep.avg_se.shape == (4,)
+        assert rep.sum_se.shape == rep.min_se.shape == (4,)
         assert rep.user_se.shape == (4, ch.dims.num_users)
         for b, (pre, nv) in enumerate(zip(pres, noise)):
             one = evaluate(ch, pre, nv)
-            for name in ("layer_sinr", "eff_sinr", "user_se", "sum_se", "min_se", "avg_se"):
+            for name in ("layer_sinr", "eff_sinr", "user_se", "sum_se", "min_se"):
                 assert np.asarray(getattr(rep, name)[b]).tobytes() == \
                     np.asarray(getattr(one, name)).tobytes()
         w = np.stack([p.weights for p in pres])
         for bad in (np.array([0.3, np.nan, 0.3, 0.3]), np.array([0.3, 0.3, -1.0, 0.3])):
             with pytest.raises(ConfigError, match="noise_var"):
                 evaluate_many(ch, w, bad)
+
+    def test_evaluate_many_takes_a_list(self):
+        # a list of weight matrices was a bare AttributeError: no attribute 'shape'
+        ch = gaussian_channels(seed=6)
+        dec = decompose(ch)
+        ws = [mrt(dec, 2.0).weights, arzf(dec, 2.0, 0.3).weights]
+        got, want = evaluate_many(ch, ws, 0.3), evaluate_many(ch, np.stack(ws), 0.3)
+        assert got.layer_sinr.tobytes() == want.layer_sinr.tobytes()
+        with pytest.raises(DimensionError, match="weight stack shape"):
+            evaluate_many(ch, [w[:, :3] for w in ws], 0.3)
 
 
 class TestAvSusinr:
@@ -220,7 +220,7 @@ class TestAvSusinr:
         assert abs(got - 3.0 * 2.0 / 0.5) < 1e-12
 
     def test_validation(self):
-        dec = decompose(make_channels())
+        dec = decompose(gaussian_channels())
         with pytest.raises(ConfigError):
             av_susinr(dec, -1.0, 1.0)
         with pytest.raises(ConfigError):

@@ -16,7 +16,7 @@ from precodesim.detection import mmse_detection
 from precodesim.exceptions import ConfigError, DimensionError, NotHpdError, NumericalError
 from precodesim.metrics import evaluate, report
 from precodesim.numerics import complex_normal
-from helpers import complex_gaussian, evaluate_point, two_loop
+from helpers import evaluate_point, gaussian_channels, two_loop
 from precodesim.optimizer import (
     _PROGRESS_TOL,
     _WINDOW,
@@ -32,15 +32,6 @@ from precodesim.precoding import arzf, parametric_rzf
 from precodesim.verification import central_differences
 
 
-def make_pair(seed=0, rx=(4, 4), layers=(2, 2), num_tx=12):
-    dims = SystemDims(num_tx=num_tx, rx=rx, layers=layers)
-    blocks = tuple(
-        complex_gaussian(seed + k, r, num_tx, 1.0) for k, r in enumerate(rx)
-    )
-    ch = ChannelSet(dims=dims, blocks=blocks)
-    return ch, decompose(ch)
-
-
 POWER, NV = 2.0, 0.2
 
 
@@ -48,7 +39,8 @@ class TestObjective:
     def test_start_matches_adapted_ridge_exactly(self):
         # the start is arzf's ridge bit for bit; its objective comes from
         # the layer-space kernel, which matches the full channel to rounding
-        ch, dec = make_pair(seed=1)
+        ch = gaussian_channels(seed=1)
+        dec = decompose(ch)
         r0 = default_start(dec, POWER, NV)
         pre = arzf(dec, POWER, NV)
         assert np.array_equal(parametric_rzf(dec, r0, POWER).weights, pre.weights)
@@ -59,7 +51,8 @@ class TestObjective:
 class TestGradient:
     def test_adjoint_matches_central_differences(self):
         for seed in range(5):
-            ch, dec = make_pair(seed=10 + seed)
+            ch = gaussian_channels(seed=10 + seed)
+            dec = decompose(ch)
             rng = np.random.default_rng(seed)
             r = default_start(dec, POWER, NV) * np.exp(rng.uniform(-1, 1, 4))
             gd = gradient(dec, ch, r, POWER, NV)
@@ -70,7 +63,8 @@ class TestGradient:
     def test_single_layer_objective_flat(self):
         # one user, one layer: the ridge only rescales the raw weights
         # and normalization undoes it, so the gradient must vanish
-        ch, dec = make_pair(seed=20, rx=(3,), layers=(1,), num_tx=6)
+        ch = gaussian_channels(seed=20, rx=(3,), layers=(1,), num_tx=6)
+        dec = decompose(ch)
         for scale in (0.1, 1.0, 10.0):
             r = default_start(dec, POWER, NV) * scale
             g = gradient(dec, ch, r, POWER, NV)
@@ -80,7 +74,8 @@ class TestGradient:
         assert abs(j1 - j2) < 1e-12
 
     def test_user_swap_equivariance(self):
-        ch, dec = make_pair(seed=30)
+        ch = gaussian_channels(seed=30)
+        dec = decompose(ch)
         blocks = (ch.blocks[1], ch.blocks[0])
         ch_sw = ChannelSet(dims=ch.dims, blocks=blocks)
         dec_sw = decompose(ch_sw)
@@ -91,7 +86,8 @@ class TestGradient:
         assert np.allclose(np.concatenate([g[2:], g[:2]]), g_sw, atol=1e-10)
 
     def test_positive_reg_required(self):
-        ch, dec = make_pair()
+        ch = gaussian_channels()
+        dec = decompose(ch)
         with pytest.raises(ConfigError):
             gradient(dec, ch, np.zeros(4), POWER, NV)
 
@@ -170,7 +166,8 @@ class TestLayerSpace:
 class TestOptimize:
     def test_never_below_start(self):
         for seed in (3, 4, 5):
-            ch, dec = make_pair(seed=seed)
+            ch = gaussian_channels(seed=seed)
+            dec = decompose(ch)
             res = optimize(dec, ch, POWER, NV)
             assert res.objective >= res.start_objective
             assert res.objective >= objective(
@@ -178,12 +175,14 @@ class TestOptimize:
             )
 
     def test_improves_on_a_generic_instance(self):
-        ch, dec = make_pair(seed=6)
+        ch = gaussian_channels(seed=6)
+        dec = decompose(ch)
         res = optimize(dec, ch, POWER, NV)
         assert res.objective > res.start_objective
 
     def test_deterministic(self):
-        ch, dec = make_pair(seed=7)
+        ch = gaussian_channels(seed=7)
+        dec = decompose(ch)
         a = optimize(dec, ch, POWER, NV)
         b = optimize(dec, ch, POWER, NV)
         assert np.array_equal(a.reg_vec, b.reg_vec)
@@ -191,14 +190,16 @@ class TestOptimize:
         assert a.trajectory == b.trajectory
 
     def test_single_layer_converges_immediately(self):
-        ch, dec = make_pair(seed=8, rx=(3,), layers=(1,), num_tx=6)
+        ch = gaussian_channels(seed=8, rx=(3,), layers=(1,), num_tx=6)
+        dec = decompose(ch)
         res = optimize(dec, ch, POWER, NV)
         assert res.converged
         assert res.iterations == 0
         assert "gradient" in res.reason
 
     def test_trajectory_monotone(self):
-        ch, dec = make_pair(seed=9)
+        ch = gaussian_channels(seed=9)
+        dec = decompose(ch)
         res = optimize(dec, ch, POWER, NV)
         objs = [row[1] for row in res.trajectory]
         assert all(b >= a for a, b in zip(objs, objs[1:]))
@@ -206,7 +207,8 @@ class TestOptimize:
         assert len(res.trajectory) == res.iterations + 1
 
     def test_line_search_failure_returns_best(self):
-        ch, dec = make_pair(seed=12)
+        ch = gaussian_channels(seed=12)
+        dec = decompose(ch)
         cfg = OptConfig(init_step=1e12, max_backtracks=0)
         res = optimize(dec, ch, POWER, NV, cfg)
         assert not res.converged
@@ -233,7 +235,8 @@ class TestOptimize:
 
     @pytest.mark.parametrize("seed, kink", [(0, False), (1, True)])
     def test_window_stop(self, seed, kink):
-        ch, dec = make_pair(seed=seed)
+        ch = gaussian_channels(seed=seed)
+        dec = decompose(ch)
         res = optimize(dec, ch, POWER, NV)
         assert res.converged is False
         assert res.reason == "progress stalled" + (" at a max-row kink" if kink else "")
@@ -252,20 +255,23 @@ class TestOptimize:
     def test_grad_norm_is_gradient_at_result(self):
         # the search reuses the accepted trial's evaluation for its gradient
         for seed in (0, 1, 10):
-            ch, dec = make_pair(seed=seed)
+            ch = gaussian_channels(seed=seed)
+            dec = decompose(ch)
             res = optimize(dec, ch, POWER, NV)
             assert res.grad_norm == np.abs(gradient(dec, ch, res.reg_vec, POWER, NV)).max()
             assert res.objective == objective(dec, ch, res.reg_vec, POWER, NV)
 
     def test_iteration_limit_reported(self):
-        ch, dec = make_pair(seed=14)
+        ch = gaussian_channels(seed=14)
+        dec = decompose(ch)
         res = optimize(dec, ch, POWER, NV, OptConfig(max_iters=1, grad_tol=1e-14))
         if not res.converged:
             assert "limit" in res.reason or "line search" in res.reason
         assert res.iterations <= 1
 
     def test_result_precoder_matches_reg(self):
-        ch, dec = make_pair(seed=15)
+        ch = gaussian_channels(seed=15)
+        dec = decompose(ch)
         res = optimize(dec, ch, POWER, NV)
         rebuilt = parametric_rzf(dec, res.reg_vec, POWER)
         assert np.array_equal(res.precoder.weights, rebuilt.weights)
@@ -453,8 +459,10 @@ class TestOptimizeMany:
         assert abs(res.objective - want) <= 1e-12 * want
 
     def test_boundary_validation(self):
-        ch, dec = make_pair(seed=1)
-        other_ch, other_dec = make_pair(seed=2, rx=(4,), layers=(2,))
+        ch = gaussian_channels(seed=1)
+        dec = decompose(ch)
+        other_ch = gaussian_channels(seed=2, rx=(4,), layers=(2,))
+        other_dec = decompose(other_ch)
         assert optimize_many([]) == []
         for power, nv in ((0.0, NV), (POWER, float("nan")), (float("inf"), NV)):
             with pytest.raises(ConfigError):
@@ -463,6 +471,19 @@ class TestOptimizeMany:
             optimize_many([(dec, ch, POWER, NV), (other_dec, other_ch, POWER, NV)])
         with pytest.raises(DimensionError):
             optimize(dec, other_ch, POWER, NV)
+
+    def test_swapped_pair_is_a_config_error(self):
+        # each was a bare AttributeError: 'ChannelSet' object has no attribute 'v'
+        ch = gaussian_channels(seed=1)
+        dec = decompose(ch)
+        start = default_start(dec, POWER, NV)
+        with pytest.raises(ConfigError, match="ChannelDecomposition, then a ChannelSet"):
+            optimize_many([(dec, ch, POWER, NV), (ch, dec, POWER, NV)])
+        for call in (lambda: optimize(ch, dec, POWER, NV),
+                     lambda: objective(ch, dec, start, POWER, NV),
+                     lambda: gradient(ch, dec, start, POWER, NV)):
+            with pytest.raises(ConfigError, match="got ChannelSet and ChannelDecomposition"):
+                call()
 
 
 class TestConfigAndCsv:
@@ -487,7 +508,8 @@ class TestConfigAndCsv:
                 OptConfig(**kw)
         assert OptConfig(backtrack=np.float32(0.25), armijo_c1=np.float64(0.1)).backtrack == 0.25
         # each was a bare AttributeError from the search
-        ch, dec = make_pair(seed=1)
+        ch = gaussian_channels(seed=1)
+        dec = decompose(ch)
         for config in (None, {}):
             with pytest.raises(ConfigError, match="config must be an OptConfig"):
                 optimize_many([(dec, ch, POWER, NV)], config)

@@ -5,9 +5,7 @@ import pytest
 
 from precodesim.channel import (
     ChannelDecomposition,
-    ChannelSet,
     ScenarioConfig,
-    SystemDims,
     decompose,
     generate_scenario,
 )
@@ -19,7 +17,7 @@ from precodesim.exceptions import (
     ZeroMatrixError,
 )
 import precodesim.precoding as precoding
-from helpers import BUILDERS, complex_gaussian
+from helpers import BUILDERS, complex_gaussian, gaussian_channels
 from precodesim.precoding import (
     CLOSED_FORMS,
     Precoder,
@@ -33,14 +31,6 @@ from precodesim.precoding import (
     wrzf,
     zf,
 )
-
-
-def sample_decomp(seed=0, rx=(4, 4), layers=(2, 2), num_tx=12):
-    dims = SystemDims(num_tx=num_tx, rx=rx, layers=layers)
-    blocks = tuple(
-        complex_gaussian(seed + k, r, num_tx, 1.0) for k, r in enumerate(rx)
-    )
-    return decompose(ChannelSet(dims=dims, blocks=blocks))
 
 
 def inv_ridge_oracle(basis, reg_diag):
@@ -80,17 +70,17 @@ class TestNormalize:
 
 class TestMrtZf:
     def test_mrt_raw(self):
-        dec = sample_decomp()
+        dec = decompose(gaussian_channels())
         p = mrt(dec, power=1.0)
         assert np.array_equal(p.raw, dec.v.conj().T)
 
     def test_zf_v_inverts_layers(self):
-        dec = sample_decomp()
+        dec = decompose(gaussian_channels())
         p = zf(dec, power=1.0, basis="v")
         assert np.linalg.norm(dec.v @ p.raw - np.eye(4)) < 1e-10
 
     def test_zf_f_inverts_weighted_layers(self):
-        dec = sample_decomp()
+        dec = decompose(gaussian_channels())
         f = dec.s[:, None] * dec.v
         p = zf(dec, power=1.0, basis="f")
         assert np.linalg.norm(f @ p.raw - np.eye(4)) < 1e-10
@@ -99,7 +89,7 @@ class TestMrtZf:
         # pseudoinverse of the weighted basis, rescaled by the singular
         # values, is the pseudoinverse of the plain basis; zf_f is built
         # from the plain one, so the weighted side is the explicit oracle
-        dec = sample_decomp(seed=3)
+        dec = decompose(gaussian_channels(seed=3))
         wf = inv_ridge_oracle(dec.s[:, None] * dec.v, None)
         wv = zf(dec, 1.0, basis="v").raw
         assert np.linalg.norm(wf * dec.s[None, :] - wv) < 1e-10
@@ -136,7 +126,7 @@ class TestMrtZf:
             assert np.array_equal(f_form.raw, v_ridge * (1.0 / dec.s))
 
     def test_weights_are_gain_times_raw(self):
-        dec = sample_decomp()
+        dec = decompose(gaussian_channels())
         p = zf(dec, power=2.0)
         assert np.array_equal(p.weights, p.gain * p.raw)
         assert isinstance(p, Precoder)
@@ -144,7 +134,7 @@ class TestMrtZf:
     def test_fields_checked_at_construction(self):
         # a listed raw failed later in scoring with a bare TypeError, and a
         # NaN gain gave NaN receiver blocks without an error
-        p = zf(sample_decomp(), power=2.0)
+        p = zf(decompose(gaussian_channels()), power=2.0)
         assert replace(p).raw is p.raw
         assert np.array_equal(replace(p, raw=p.raw.tolist()).raw, p.raw)
         with pytest.raises(NumericalError, match="raw contains"):
@@ -156,7 +146,7 @@ class TestMrtZf:
 
 class TestRzf:
     def test_matches_inverse_oracle(self):
-        dec = sample_decomp(seed=7)
+        dec = decompose(gaussian_channels(seed=7))
         for basis in ("v", "f"):
             p = rzf(dec, power=2.0, noise_var=0.3, basis=basis)
             b = dec.v if basis == "v" else dec.s[:, None] * dec.v
@@ -165,7 +155,7 @@ class TestRzf:
             assert np.linalg.norm(p.raw - oracle) < 1e-10
 
     def test_default_reg_value(self):
-        dec = sample_decomp()
+        dec = decompose(gaussian_channels())
         a = rzf(dec, power=2.0, noise_var=0.3)
         b = parametric_rzf(dec, np.full(4, 4 * 0.3 / 2.0), 2.0)
         assert np.array_equal(a.raw, b.raw)
@@ -174,7 +164,7 @@ class TestRzf:
     def test_stationarity(self):
         # raw ridge solution zeroes the gradient of
         # ||B W - I||^2 + reg ||W||^2
-        dec = sample_decomp(seed=11)
+        dec = decompose(gaussian_channels(seed=11))
         lam = 0.7
         for basis in ("v", "f"):
             b = dec.v if basis == "v" else dec.s[:, None] * dec.v
@@ -184,7 +174,7 @@ class TestRzf:
             assert np.linalg.norm(resid) < 1e-9
 
     def test_local_minimality(self):
-        dec = sample_decomp(seed=13)
+        dec = decompose(gaussian_channels(seed=13))
         lam = 0.4
         w = parametric_rzf(dec, np.full(4, lam), 1.0).raw
         b = dec.v
@@ -199,7 +189,7 @@ class TestRzf:
             assert j(w + 1e-3 * d / np.linalg.norm(d)) >= j0
 
     def test_negative_reg_rejected(self):
-        dec = sample_decomp()
+        dec = decompose(gaussian_channels())
         with pytest.raises(ConfigError):
             parametric_rzf(dec, np.full(4, -0.1), 1.0)
         with pytest.raises(ConfigError):
@@ -213,25 +203,24 @@ class TestRzf:
 
 class TestWrzf:
     def test_equals_rzf_with_inverse_gain_ridge(self):
-        dec = sample_decomp(seed=4)
+        dec = decompose(gaussian_channels(seed=4))
         power, nv = 2.0, 0.5
         lam = nv / power * np.sum(dec.s**-2.0)
         a = wrzf(dec, power, nv)
         b = parametric_rzf(dec, np.full(4, lam), power)
         assert np.array_equal(a.raw, b.raw)
-        assert a.method == "wrzf"
 
 
 class TestArzf:
     def test_equals_weighted_basis_ridge_times_s(self):
-        dec = sample_decomp(seed=6)
+        dec = decompose(gaussian_channels(seed=6))
         power, nv = 3.0, 0.2
         a = arzf(dec, power, nv)
         f_ridge = inv_ridge_oracle(dec.s[:, None] * dec.v, np.full(4, 4 * nv / power))
         assert np.linalg.norm(a.raw - f_ridge * dec.s[None, :]) < 1e-10
 
     def test_is_parametric_with_scaled_inverse_gains(self):
-        dec = sample_decomp(seed=6)
+        dec = decompose(gaussian_channels(seed=6))
         power, nv = 3.0, 0.2
         lam = 4 * nv / power
         a = arzf(dec, power, nv)
@@ -242,7 +231,7 @@ class TestArzf:
     def test_weighted_stationarity(self):
         # raw solution zeroes the gradient of
         # ||S (V W - I)||^2 + lam ||W||^2
-        dec = sample_decomp(seed=9)
+        dec = decompose(gaussian_channels(seed=9))
         power, nv = 1.0, 0.6
         lam = 4 * nv / power
         w = arzf(dec, power, nv).raw
@@ -251,7 +240,7 @@ class TestArzf:
         assert np.linalg.norm(resid) < 1e-9
 
     def test_small_ridge_approaches_zf(self):
-        dec = sample_decomp(seed=8)
+        dec = decompose(gaussian_channels(seed=8))
         zf_dir = unit(zf(dec, 1.0).raw)
         dists = []
         for lam in (1e-2, 1e-3, 1e-4):
@@ -261,7 +250,7 @@ class TestArzf:
             assert 5.0 <= a / b <= 20.0
 
     def test_large_ridge_approaches_weighted_matched(self):
-        dec = sample_decomp(seed=8)
+        dec = decompose(gaussian_channels(seed=8))
         tgt = unit(dec.v.conj().T * dec.s[None, :] ** 2)
         dists = []
         for lam in (1e2, 1e3, 1e4):
@@ -288,14 +277,13 @@ class TestClosedForms:
         # one stack of every level; each (level, token) member, the shared
         # noise-free ones included, is bitwise its one-token build at that
         # level's noise
-        dec = sample_decomp(seed=19)
+        dec = decompose(gaussian_channels(seed=19))
         raw, gain = closed_stack(dec, STACK_TOKENS, 2.0, noise)
         assert raw.shape[:2] == gain.shape == (len(noise), len(STACK_TOKENS))
         for level, nv in enumerate(noise):
             pres = closed_forms(dec, STACK_TOKENS, 2.0, nv)
             for b, (pre, token) in enumerate(zip(pres, STACK_TOKENS)):
                 one = BUILDERS[token](dec, 2.0, nv)
-                assert pre.method == one.method == token
                 assert raw[level, b].tobytes() == pre.raw.tobytes() == one.raw.tobytes()
                 assert gain[level, b] == pre.gain == one.gain
 
@@ -309,17 +297,17 @@ class TestClosedForms:
             return real(gram, *args)
 
         monkeypatch.setattr(precoding, "ridge_stack", counted)
-        closed_stack(sample_decomp(seed=19), STACK_TOKENS, 2.0, (0.3, 1e-3, 7.0))
+        closed_stack(decompose(gaussian_channels(seed=19)), STACK_TOKENS, 2.0, (0.3, 1e-3, 7.0))
         assert sizes == [2 + 3 * 4]
 
     def test_f_forms_are_column_scaled_v_ridges(self):
-        dec = sample_decomp(seed=20)
+        dec = decompose(gaussian_channels(seed=20))
         zf_v, zf_f, rzf_f, arzf_ = closed_forms(dec, ("zf_v", "zf_f", "rzf_f", "arzf"), 1.0, 0.5)
         assert np.array_equal(zf_f.raw, zf_v.raw * (1.0 / dec.s))
         assert np.array_equal(rzf_f.raw, arzf_.raw * (1.0 / dec.s))
 
     def test_validation(self):
-        dec = sample_decomp()
+        dec = decompose(gaussian_channels())
         with pytest.raises(ConfigError, match="zf_x"):
             closed_forms(dec, ("mrt", "zf_x"), 1.0, 0.3)
         with pytest.raises(ConfigError, match="noise_var"):
@@ -331,7 +319,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("token", ["rzf_v", "rzf_f", "wrzf", "arzf"])
     def test_noise_dependent_form_needs_a_noise_variance(self, token):
         # each used to raise a TypeError inside its ridge formula
-        dec = sample_decomp()
+        dec = decompose(gaussian_channels())
         with pytest.raises(ConfigError, match=f"closed forms \\['{token}'\\] need a noise"):
             BUILDERS[token](dec, 1.0, None)
         with pytest.raises(ConfigError, match=token):
@@ -342,14 +330,14 @@ class TestClosedForms:
 
 class TestParametric:
     def test_validation(self):
-        dec = sample_decomp()
+        dec = decompose(gaussian_channels())
         with pytest.raises(DimensionError):
             parametric_rzf(dec, np.ones(3), 1.0)
         with pytest.raises(ConfigError):
             parametric_rzf(dec, [-1.0, 1.0, 1.0, 1.0], 1.0)
 
     def test_matches_inverse_oracle(self):
-        dec = sample_decomp(seed=14)
+        dec = decompose(gaussian_channels(seed=14))
         r = np.array([0.1, 0.5, 1.0, 2.0])
         p = parametric_rzf(dec, r, 1.0)
         assert np.linalg.norm(p.raw - inv_ridge_oracle(dec.v, r)) < 1e-10
@@ -357,7 +345,7 @@ class TestParametric:
 
 class TestInvariances:
     def test_layer_phase_rotation(self):
-        dec = sample_decomp(seed=21)
+        dec = decompose(gaussian_channels(seed=21))
         rng = np.random.default_rng(1)
         phases = np.exp(2j * np.pi * rng.uniform(size=4))
         rot = ChannelDecomposition(
@@ -405,7 +393,7 @@ class TestInvariances:
 
 class TestScaleConsistency:
     def test_joint_power_noise_scaling(self):
-        dec = sample_decomp(seed=17)
+        dec = decompose(gaussian_channels(seed=17))
         for build in (
             lambda d, p, n: rzf(d, p, n),
             lambda d, p, n: wrzf(d, p, n),
