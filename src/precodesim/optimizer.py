@@ -113,8 +113,9 @@ def default_start(decomp: ChannelDecomposition, power: float, noise_var: float) 
 class _Evaluation(NamedTuple):
     """Kernel results for the ridges ``reg[b]`` of problems ``idx[b]``: sum
     SE ``j`` (NaN where ``ok`` is False), the :func:`sinr_terms` ``ok``, the
-    layer weights ``x``, raw weights and gains, each user's effective SINR
-    ``geo`` and the stages of each user shape group, all batch axis first."""
+    layer weights ``x``, raw weights, gains and most-loaded antennas, each
+    user's effective SINR ``geo`` and the stages of each user shape group,
+    all batch axis first."""
 
     idx: np.ndarray
     j: np.ndarray
@@ -123,6 +124,7 @@ class _Evaluation(NamedTuple):
     x: np.ndarray
     raw: np.ndarray
     gain: np.ndarray
+    top: np.ndarray
     geo: np.ndarray
     stages: list
 
@@ -175,20 +177,20 @@ class _Problems:
         build or MMSE system fails, or whose SINR underflows to 0, makes
         the whole batch raise."""
         at = self.scene[idx]
-        raw, gain, x = ridge_stack(self.gram[at], self.vh[at], reg, 1.0, self.power[idx])
+        raw, gain, x, top = ridge_stack(self.gram[at], self.vh[at], reg, None, self.power[idx])
         groups = [(r[at], own) for r, own in self.groups]
         sinrs, stages, ok = mmse_sinr_stack(groups, gain[:, None, None] * x, self.noise_var[idx])
         geo = effective_sinr(sinrs, self.dims)
         j = np.where(ok, user_se(geo, self.dims).sum(axis=-1), np.nan)
-        return _Evaluation(idx, j, ok, reg, x, raw, gain, geo, stages)
+        return _Evaluation(idx, j, ok, reg, x, raw, gain, top, geo, stages)
 
     def adjoint(self, ev: _Evaluation):
         """Gradient of each member's objective with respect to the
         elementwise log ``u`` of its ridge diagonal, in reverse mode from
-        its evaluation, and its most-loaded antenna.  ``x_bar`` is the
-        adjoint of ``x``, ``dJ = Re sum(conj(x_bar) * dx)``: ``y = a @ b``
-        sends ``y_bar @ b^H`` to ``a`` and ``a^H @ y_bar`` to ``b``, and
-        ``|z|^2`` sends ``2 z`` times its own adjoint to ``z``."""
+        its evaluation.  ``x_bar`` is the adjoint of ``x``, ``dJ = Re
+        sum(conj(x_bar) * dx)``: ``y = a @ b`` sends ``y_bar @ b^H`` to ``a``
+        and ``a^H @ y_bar`` to ``b``, and ``|z|^2`` sends ``2 z`` times its
+        own adjoint to ``z``."""
         dims = self.dims
         lt = dims.total_layers
         nb = len(ev.idx)
@@ -224,8 +226,7 @@ class _Problems:
         # gain = sqrt(power / num_tx) / rho, rho the largest row norm of
         # raw = V^H x; raw_bar is zero off that row, so V raw_bar is the
         # outer product of V's column top and raw_bar's row top
-        x, raw, gain = ev.x, ev.raw, ev.gain
-        top = np.argmax(np.linalg.norm(raw, axis=-1), axis=-1)
+        x, raw, gain, top = ev.x, ev.raw, ev.gain, ev.top
         gain_bar = (w_bar.conj() * x).reshape(nb, -1).sum(axis=-1).real
         x_bar = gain[:, None, None] * w_bar
         top_row = raw[rows, top]
@@ -234,7 +235,7 @@ class _Problems:
         # x = inv(K), K = V V^H + diag(r), so dx = -x diag(dr) x, and
         # d/du_d = r_d d/dr_d
         prod = x.swapaxes(-1, -2) @ x_bar.conj()
-        return -np.sum(ev.reg[:, :, None] * x * prod, axis=-1).real, top
+        return -np.sum(ev.reg[:, :, None] * x * prod, axis=-1).real
 
 
 def _one(decomp, channels, reg_vec, power, noise_var):
@@ -263,7 +264,7 @@ def gradient(decomp: ChannelDecomposition, channels: ChannelSet, reg_vec, power:
     if np.any(np.asarray(reg_vec, dtype=float) <= 0):
         raise ConfigError("gradient needs strictly positive reg entries")
     problems, ev = _one(decomp, channels, reg_vec, power, noise_var)
-    return problems.adjoint(ev)[0][0]
+    return problems.adjoint(ev)[0]
 
 
 def _directions(g, s, y, rho):
@@ -322,7 +323,7 @@ def _round(problems, idx, regs, bounds, sent):
             sub = ev if len(good) == len(ev.j) else ev.take(good)
             t = keep[good]
             hit = owner[t]
-            return hit, t - (sent.cumsum() - sent)[hit], sub, *problems.adjoint(sub)
+            return hit, t - (sent.cumsum() - sent)[hit], sub, problems.adjoint(sub), sub.top
     return np.zeros(0, dtype=int), np.zeros(0, dtype=int), None, None, None
 
 

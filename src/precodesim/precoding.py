@@ -69,13 +69,16 @@ class Precoder:
         return self.gain * self.raw
 
 
-def normalize(raw: np.ndarray, power):
+def normalize(raw: np.ndarray, power, *, row_norms=None):
     """Scalar gain that makes the largest row norm of ``raw`` equal
     ``sqrt(power / num_tx)``, one per matrix of a stack ``raw``; ``power`` is
-    one number, or one per matrix trusted to be positive and finite."""
+    one number, or one per matrix trusted to be positive and finite.
+    ``row_norms``, if given, is ``np.linalg.norm(raw, axis=-1)``."""
     if not isinstance(power, np.ndarray):
         check_positive("power", power)
-    denom = np.linalg.norm(raw, axis=-1).max(axis=-1) * np.sqrt(raw.shape[-2])
+    if row_norms is None:
+        row_norms = np.linalg.norm(raw, axis=-1)
+    denom = row_norms.max(axis=-1) * np.sqrt(raw.shape[-2])
     if (denom == 0).any():
         raise ZeroMatrixError("cannot normalize an all-zero precoder")
     return np.sqrt(power) / denom
@@ -105,11 +108,13 @@ def ridge_stack(gram: np.ndarray, vh: np.ndarray, reg: np.ndarray, scale, power)
     """Raw weights ``vh[b] X[b] diag(scale[b])`` with ``X[b] = inv(gram[b] +
     diag(reg[b]))``, of a stack of per-layer ridges ``reg`` (shape
     ``(B, layers)``), with ``gram`` from :func:`gram_stack` of the layer rows
-    ``v`` and with ``vh = v^H`` and ``scale`` broadcast against the stack,
-    their :func:`normalize` gains at ``power``, and ``X``.  The inputs are
-    trusted: finite, ``reg >= 0``, ``scale >= 0`` and ``power > 0``.  Each
-    matrix is its own LAPACK or BLAS call, so members do not change each
-    other's bits.  Dependent rows under a zero ridge raise SingularGramError."""
+    ``v`` and with ``vh = v^H`` and ``scale`` (None: no column scale)
+    broadcast against the stack, their :func:`normalize` gains at ``power``,
+    ``X`` and each member's most-loaded antenna (its largest row norm).  The
+    inputs are trusted: finite, ``reg >= 0``, ``scale >= 0`` and
+    ``power > 0``.  Each matrix is its own LAPACK or BLAS call, so members do
+    not change each other's bits.  Dependent rows under a zero ridge raise
+    SingularGramError."""
     k = gram.copy()
     idx = np.arange(k.shape[-1])
     k[:, idx, idx] += reg
@@ -118,8 +123,10 @@ def ridge_stack(gram: np.ndarray, vh: np.ndarray, reg: np.ndarray, scale, power)
     except NotHpdError as exc:
         raise SingularGramError("precoding basis has numerically dependent rows") from exc
     raw = vh @ x
-    raw *= scale
-    return raw, normalize(raw, power), x
+    if scale is not None:
+        raw *= scale
+    norms = np.linalg.norm(raw, axis=-1)
+    return raw, normalize(raw, power, row_norms=norms), x, norms.argmax(axis=-1)
 
 
 def closed_stack(decomp: ChannelDecomposition, tokens, power: float, noise_vars):
@@ -158,7 +165,7 @@ def closed_stack(decomp: ChannelDecomposition, tokens, power: float, noise_vars)
                 per_level[:, b, 0], per_level[:, b, 1] = RIDGES[t](decomp, power, nv)
         _check_nonnegative("ridge and column scale", rc)
         gram = gram_stack(decomp.v[None]).repeat(len(rc), axis=0)
-        r, g, _ = ridge_stack(gram, vh, rc[:, 0], rc[:, 1, None], power)
+        r, g, _, _ = ridge_stack(gram, vh, rc[:, 0], rc[:, 1, None], power)
     shape = (levels, len(tokens))
     raw, gain = np.empty((*shape, *vh.shape), dtype=complex), np.empty(shape)
     for j, t in enumerate(tokens):
@@ -219,5 +226,6 @@ def parametric_rzf(decomp: ChannelDecomposition, reg_vec, power: float) -> Preco
     reg_vec = check_reg(reg_vec, decomp.dims.total_layers)
     check_positive("power", power)
     v = decomp.v[None]
-    raw, gain, _ = ridge_stack(gram_stack(v), np.conj(v.swapaxes(1, 2)), reg_vec[None], 1.0, power)
+    raw, gain, _, _ = ridge_stack(gram_stack(v), np.conj(v.swapaxes(1, 2)), reg_vec[None], None,
+                                  power)
     return Precoder(raw=raw[0], gain=gain[0])
