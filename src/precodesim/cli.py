@@ -2,7 +2,8 @@
 
 Two subcommands: ``run`` executes a sweep and writes CSV (stdout by
 default) plus optional plot data JSON; ``verify`` runs checks 01-09 (the
-consistency checks and the paper's claims) and reports one line per check.
+consistency checks and the paper's claims) and reports one line per check,
+or with ``--quality`` one line per quality set of the searched ridge.
 
 Exit codes: 0 success, 1 one or more verify checks failed, 2 bad
 arguments or a runtime failure.
@@ -17,7 +18,7 @@ from dataclasses import replace
 
 from .exceptions import PrecodesimError
 from .harness import METHODS, SweepConfig, emit_csv, emit_plotdata, format_csv, run_sweep
-from .verification import run_all
+from .verification import run_all, search_quality
 
 __all__ = ["main"]
 
@@ -110,6 +111,9 @@ def _build_parser():
 
     ver_p = sub.add_parser("verify", help="run the consistency checks and the paper's claims")
     ver_p.add_argument("--quick", action="store_true", help="counts divided by five")
+    ver_p.add_argument("--quality", action="store_true",
+                       help="instead of the checks, the searched ridge's gain over arzf on "
+                            "each quality set")
     return parser
 
 
@@ -162,6 +166,11 @@ def _cmd_run(args):
 
 
 def _cmd_verify(args):
+    if args.quality:
+        for name, pairs, mean, worst, seed, level in search_quality(quick=args.quick):
+            print(f"{name}: {pairs} pairs, mean opt - arzf sum SE {mean:.6f} bit/s/Hz, "
+                  f"worst {worst:+.6f} at seed {seed}, {level:g} dB")
+        return 0
     results = run_all(quick=args.quick)
     failed = 0
     for r in results:

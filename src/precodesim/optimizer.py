@@ -42,8 +42,10 @@ __all__ = ["OptConfig", "OptResult", "default_start", "objective", "gradient", "
 _LN2 = np.log(2.0)
 # At the max-row kink the gradient stays large and steps need long
 # halving chains: on 18 traced opt_search searches, steps of more than 10
-# halvings took 48% of the evaluations for 0.03% of the gain.
-_WINDOW, _PROGRESS_TOL = 5, 1e-5
+# halvings took 48% of the evaluations for 0.03% of the gain.  So a search
+# also stops once its last _WINDOW accepted steps gained at most
+# _PROGRESS_TOL, in bit/s/Hz of sum SE, the same at every SINR.
+_WINDOW, _PROGRESS_TOL = 5, 5e-4
 _CONVERGED = "gradient norm below tolerance"
 # Searches running at once, and trial rows per round unless more searches
 # run.  On the default 440-search sweep (2 vCPUs) 32, 64 and 128 took
@@ -57,8 +59,9 @@ class OptConfig:
     """Knobs for :func:`optimize`.
 
     Stopping, in this order: gradient infinity norm at or below
-    ``grad_tol``; the objective gaining at most ``_PROGRESS_TOL * |J|``
-    over the last ``_WINDOW`` accepted steps; ``max_iters`` steps.
+    ``grad_tol``; the objective gaining at most ``_PROGRESS_TOL`` (5e-4
+    bit/s/Hz) over the last ``_WINDOW`` (5) accepted steps; ``max_iters``
+    steps.
     """
 
     max_iters: int = 100
@@ -431,7 +434,7 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
                 traj[i].append(row)
 
             conv, limit = gn <= config.grad_tol, it == config.max_iters
-            stall = (it >= _WINDOW) & (sub.j - recent_j[acc, 0] <= _PROGRESS_TOL * np.abs(sub.j))
+            stall = (it >= _WINDOW) & (sub.j - recent_j[acc, 0] <= _PROGRESS_TOL)
             stop = conv | stall | limit
             for b in np.flatnonzero(stop).tolist():
                 i = int(acc[b])

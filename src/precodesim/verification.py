@@ -1,11 +1,13 @@
 """Consistency checks for the closed forms and the gradient, the gradient's
-oracle, and the paper's claims read from a sweep's per-seed values.
+oracle, the paper's claims read from a sweep's per-seed values, and the
+searched ridge's quality sets.
 
 Acceptance tests 01-09 and the ``verify`` subcommand both call these
 checks with their default seeds, sizes and bounds.  Checks 01-05 draw
 their own instances; checks 06-09 read a :class:`SweepResult`: 06, 07 and
 09 the default sweep, 08 the equal-path-loss ``wrzf``/``arzf`` sweep.
 ``verify --quick`` only shrinks the instance, draw and seed counts.
+``verify --quality`` reads :data:`QUALITY_SETS` instead of the checks.
 """
 
 import time
@@ -23,7 +25,8 @@ from .precoding import arzf, parametric_rzf, rzf, wrzf, zf
 
 __all__ = ["CheckResult", "check_identities", "check_stationarity", "check_asymptotics",
            "check_noise_shaping", "central_differences", "check_gradient", "check_search_gain",
-           "check_sum_se_ordering", "check_equal_agreement", "check_min_se_tradeoff", "run_all"]
+           "check_sum_se_ordering", "check_equal_agreement", "check_min_se_tradeoff", "run_all",
+           "QUALITY_SETS", "search_quality"]
 
 
 @dataclass(frozen=True)
@@ -317,3 +320,33 @@ def run_all(quick=False):
         check_equal_agreement(equal),
         check_min_se_tradeoff(varied),
     ]
+
+
+# The sets a change to the search is measured on, each an ``arzf``/``opt``
+# sweep: (scenario, seeds, seed base, levels in dB).  Acceptance 06's pairs;
+# held-out seeds in both families; the opt_search benchmark workload's shape.
+QUALITY_SETS = {
+    "acceptance_06": ("varied", 40, 0, (8.0, 20.0, 32.0)),
+    "held_out_equal": ("equal", 20, 10**9, (0.0, 20.0, 40.0)),
+    "held_out_varied": ("varied", 20, 10**9, (0.0, 20.0, 40.0)),
+    "opt_search": ("varied", 200, 0, (0.0, 20.0, 40.0)),
+}
+
+
+def search_quality(quick=False):
+    """Per quality set, ``(name, pairs, mean gain, worst gain, its seed, its
+    level)`` of the searched ridge's sum SE over its ``arzf`` start in
+    bit/s/Hz, read from the set's :func:`run_sweep` values; ``quick``
+    divides each seed count by five."""
+    readings = []
+    for name, (scenario, seeds, base, levels) in QUALITY_SETS.items():
+        seeds //= 5 if quick else 1
+        result = run_sweep(SweepConfig(scenario=scenario, susinr_db=levels, num_seeds=seeds,
+                                       seed_base=base, methods=("arzf", "opt")))
+        gains = _cells(result, scenario, "opt") - _cells(result, scenario, "arzf")
+        failed = {seed for seed, _ in result.failures}
+        kept = [seed for seed in range(base, base + seeds) if seed not in failed]
+        level, seed = np.unravel_index(np.argmin(gains), gains.shape)
+        readings.append((name, gains.size, float(gains.mean()), float(gains[level, seed]),
+                         kept[seed], levels[level]))
+    return readings

@@ -12,7 +12,7 @@ from precodesim.cli import MAX_SUSINR_LEVELS, main, parse_susinr
 from precodesim.exceptions import ConfigError
 from precodesim.harness import METHODS, SweepConfig, SweepResult, SweepRow
 from precodesim.verification import (
-    CheckResult, check_equal_agreement, check_min_se_tradeoff, check_search_gain,
+    QUALITY_SETS, CheckResult, check_equal_agreement, check_min_se_tradeoff, check_search_gain,
     check_sum_se_ordering)
 from helpers import run_child
 
@@ -317,6 +317,20 @@ class TestVerifyCommand:
             "search_gain", "sum_se_ordering", "equal_pathloss_agreement", "min_se_tradeoff")]
         assert all(line.split(": ", 1)[1] for line in lines)
         assert total == "9/9 checks passed"
+
+    def test_quick_quality(self, capsys, default_run):
+        # every quality set, in order, with a fifth of its seeds; the searched
+        # ridge is never below arzf, and acceptance 06's set reads what the
+        # session's default sweep holds for seeds 0-7 at 8, 20 and 32 dB
+        assert main(["verify", "--quality", "--quick"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == list(QUALITY_SETS)
+        assert [int(line.split()[1]) for line in lines] == [24, 12, 12, 120]
+        assert all(float(line.split("worst ")[1].split()[0]) >= 0.0 for line in lines)
+        result = default_run[0]
+        c, at = result.config.methods, [result.config.susinr_db.index(x) for x in (8.0, 20.0, 32.0)]
+        gains = result.values[at, c.index("opt"), 0, :8] - result.values[at, c.index("arzf"), 0, :8]
+        assert f"mean opt - arzf sum SE {gains.mean():.6f} bit/s/Hz" in lines[0]
 
     def test_verify_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(
