@@ -303,11 +303,11 @@ def _round(problems, idx, regs, bounds, sent):
     for each ``k`` in order.  Find each search's first accepted trial: its
     objective ``j`` is finite and ``-j <= bound``.  Returns ``hit``, the
     positions ``k`` that accepted a trial, the trial's position in its
-    stretch, and its evaluation, gradient and most-loaded antenna (``None``
-    if nothing was accepted).  A ridge that is not finite is rejected
-    unevaluated.  One trial's failure fails a stacked LAPACK call for the
-    whole batch, so a failing batch has each trial evaluated alone and the
-    survivors again together; batch independence gives them the same bits."""
+    stretch, and its evaluation and gradient (``None`` if nothing was
+    accepted).  A ridge that is not finite is rejected unevaluated.  One
+    trial's failure fails a stacked LAPACK call for the whole batch, so a
+    failing batch has each trial evaluated alone and the survivors again
+    together; batch independence gives them the same bits."""
     owner = np.repeat(np.arange(len(idx)), sent)
     rows = np.asarray(idx)[owner]
     keep = np.flatnonzero(np.isfinite(regs).all(axis=-1))
@@ -326,8 +326,8 @@ def _round(problems, idx, regs, bounds, sent):
             sub = ev if len(good) == len(ev.j) else ev.take(good)
             t = keep[good]
             hit = owner[t]
-            return hit, t - (sent.cumsum() - sent)[hit], sub, problems.adjoint(sub), sub.top
-    return np.zeros(0, dtype=int), np.zeros(0, dtype=int), None, None, None
+            return hit, t - (sent.cumsum() - sent)[hit], sub, problems.adjoint(sub)
+    return np.zeros(0, dtype=int), np.zeros(0, dtype=int), None, None
 
 
 def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
@@ -401,7 +401,7 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
         fresh = accepted[run] < 0
         if np.count_nonzero(fresh):
             ridges[end[fresh] - 1], bounds[end[fresh] - 1] = reg[run[fresh]], np.inf
-        hit, at, sub, g_new, top = _round(stack, run, ridges, bounds, sent)
+        hit, at, sub, g_new = _round(stack, run, ridges, bounds, sent)
 
         ended, failed = {}, []
         if len(hit) < len(run):
@@ -428,7 +428,7 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
             u[acc], g[acc], reg[acc], j[acc], raw[acc], gain[acc], gnorm[acc], accepted[acc] = (
                 u_new, g_new, sub.reg, sub.j, sub.raw, sub.gain, gn, it)
             recent_j[acc, :-1], recent_top[acc, :-1] = recent_j[acc, 1:], recent_top[acc, 1:]
-            recent_j[acc, -1], recent_top[acc, -1] = sub.j, top
+            recent_j[acc, -1], recent_top[acc, -1] = sub.j, sub.top
             steps = np.where(fresh, 0.0, alphas[k]).tolist()
             for i, row in zip(acc.tolist(), zip(it.tolist(), sub.j.tolist(), gn.tolist(), steps)):
                 traj[i].append(row)
