@@ -204,6 +204,9 @@ def run_sweep(config: SweepConfig, progress=None) -> SweepResult:
     def start(i):
         channels = generate_scenario(config.scenario_config(config.seed_base + i))
         decomp = decompose(channels)
+        # decompose copied what it read, and the set is held until the
+        # seed's searches end: drop its cached path factors
+        vars(channels).pop("factors", None)
         noise = np.array(calibrate_noise(decomp, config.power, levels))
         score = partial(_score, channels, decomp, closed, config.power, noise)
         if "opt" not in tokens:

@@ -7,17 +7,21 @@ Per-user aggregation uses the geometric mean of the user's layer
 SINRs, so one dead layer drags the user's effective SINR down hard.
 """
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .channel import ChannelSet
-from .detection import check_scoring, mmse_stack
+from .detection import check_scoring, mmse_stack, own_positions
 from .exceptions import DimensionError, ZeroSinrError
 from .precoding import Precoder
 
 __all__ = ["MetricsReport", "require_positive", "mmse_sinr_stack", "layer_sinr", "effective_sinr",
            "user_se", "report", "evaluate", "evaluate_many"]
+
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -45,11 +49,11 @@ def sinr_terms(g: np.ndarray, eff: np.ndarray, own: np.ndarray, noise_var):
     and :func:`require_positive` turns it into ZeroSinrError."""
     coup = g @ eff
     mag = np.abs(coup) ** 2
-    nb, n, nl = g.shape[:3]
-    at = (np.arange(nb)[:, None, None], np.arange(n)[:, None], np.arange(nl), own)
-    sig = mag[at]
-    mag[at] = 0.0
-    den = mag.sum(axis=-1) + np.reshape(noise_var, (-1, 1, 1)) * (np.abs(g) ** 2).sum(axis=-1)
+    nb, n, nl, lt = mag.shape
+    flat, at = mag.reshape(nb, -1), own_positions(own, g.shape[-1], lt)[0]
+    sig = flat[:, at].reshape(nb, n, nl)
+    flat[:, at] = 0.0
+    den = mag.sum(axis=-1) + np.asarray(noise_var).reshape(-1, 1, 1) * (np.abs(g) ** 2).sum(axis=-1)
     ok = (np.minimum(sig, den) > 0).reshape(nb, -1).all(axis=-1)
     if not ok.all():
         sig[~ok] = den[~ok] = 1.0
@@ -68,13 +72,11 @@ def mmse_sinr_stack(groups, w: np.ndarray, noise_var):
     ``(eff, ah, m_inv, g, coup, sig, den)`` of each ``(h, own)`` of ``groups``,
     ``h[b]`` being the :attr:`ChannelSet.groups` stack of batch member b,
     and the :func:`sinr_terms` ``ok`` of each member over all groups."""
-    sinrs = np.empty((len(w), w.shape[-1]))
-    ok = np.ones(len(w), dtype=bool)
-    stages = []
+    sinrs, ok, stages = np.empty((len(w), w.shape[-1])), True, []
     for h, own in groups:
         eff, ah, m_inv, g = mmse_stack(h, w, own, noise_var)
         coup, sig, den, ok_group = sinr_terms(g, eff, own, noise_var)
-        ok &= ok_group
+        ok = ok_group & ok
         sinrs[:, own] = sig / den
         stages.append((eff, ah, m_inv, g, coup, sig, den))
     return sinrs, stages, ok
@@ -99,17 +101,28 @@ def effective_sinr(sinrs: np.ndarray, dims) -> np.ndarray:
     sinrs = np.asarray(sinrs, dtype=float)
     if sinrs.shape[-1:] != (dims.total_layers,):
         raise DimensionError(f"sinr shape {sinrs.shape} != (..., {dims.total_layers})")
-    if not np.all(sinrs > 0):
+    if not (sinrs > 0).all():
         raise ZeroSinrError("nonpositive SINR cannot enter a geometric mean")
-    layers = np.asarray(dims.layers)
-    return np.exp(np.add.reduceat(np.log(sinrs), layers.cumsum() - layers, axis=-1) / layers)
+    layers, starts, _ = _layer_counts(dims.layers)
+    return np.exp(np.add.reduceat(np.log(sinrs), starts, axis=-1) / layers)
 
 
 def user_se(eff: np.ndarray, dims) -> np.ndarray:
     """Per-user spectral efficiency, layers times log2(1 + effective),
     exact also where the effective SINR is below double precision's
     epsilon."""
-    return np.asarray(dims.layers, dtype=float) * (np.log1p(eff) / np.log(2.0))
+    return _layer_counts(dims.layers)[2] * (np.log1p(eff) / _LN2)
+
+
+@lru_cache(maxsize=16)
+def _layer_counts(layers: tuple):
+    """Each user's layer count as an int array, the user's first layer, and
+    the count as a float array; read-only, as every caller shares them."""
+    counts = np.array(layers)
+    out = counts, counts.cumsum() - counts, counts.astype(float)
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def report(channels: ChannelSet, precoder: Precoder, blocks, noise_var: float) -> MetricsReport:

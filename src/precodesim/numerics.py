@@ -15,6 +15,7 @@ library and no per-matrix Python loop.
 """
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .exceptions import DimensionError, NotHpdError, NumericalError, check_positive
 
@@ -49,18 +50,26 @@ def align_phase(u, vh):
     return (u * phase.mT).conj().mT, vh * phase.conj()
 
 
+def _not_hpd(err, flag):
+    raise NotHpdError("matrix is not positive definite")
+
+
 def hpd_inverse(a: np.ndarray) -> np.ndarray:
     """Inverse of each matrix of a stack ``a`` (shape ``(..., n, n)``) of
     finite Hermitian matrices, unchecked otherwise; raises NotHpdError
     unless every one is positive definite.  The Cholesky factor only tests
     definiteness (numpy has no stacked triangular solve); the inverse comes
     from LU.  Each matrix is its own LAPACK call, so a member's bits do not
-    depend on the rest of the stack."""
-    try:
-        np.linalg.cholesky(a)
-        return np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotHpdError(f"matrix is not positive definite: {exc}") from exc
+    depend on the rest of the stack.  Both are the gufuncs behind
+    ``np.linalg.cholesky`` and ``np.linalg.inv``, called as those do but
+    without their per-call argument handling, which costs more than the
+    LAPACK work of a small stack: a failed factorization sets the invalid
+    flag, which the errstate turns into the error."""
+    sig = "D->D" if a.dtype.kind == "c" else "d->d"
+    with np.errstate(call=_not_hpd, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        _umath_linalg.cholesky_lo(a, signature=sig)
+        return _umath_linalg.inv(a, signature=sig)
 
 
 def complex_normal(rng: np.random.Generator, shape, variance: float = 1.0) -> np.ndarray:

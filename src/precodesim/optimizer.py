@@ -17,8 +17,9 @@ central differences of the objective, lives in :mod:`verification`.
 The kernel has a leading batch axis.  :func:`optimize_many` runs many
 searches in lockstep, one row of its state arrays each: a round evaluates
 a stretch of every running search's backtracking ladder in one batch,
-then updates the rows as masks, and one masked two-loop recursion gives
-every new direction.  Each matrix of a batch is its own BLAS or LAPACK
+then updates the accepted and the rejected rows by index, and one masked
+two-loop recursion gives every new direction.  A search's precoder is
+built once more from its ridge when it ends.  Each matrix of a batch is its own BLAS or LAPACK
 call, each dot product one ``ddot`` per row, and every other reduction
 runs over a contiguous trailing axis, so a search's bits do not depend on
 its batch companions and :func:`optimize` is a batch of one.
@@ -30,6 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import ChannelDecomposition, ChannelSet
+from .detection import own_positions
 from .exceptions import (
     ConfigError, DimensionError, NumericalError, PrecodesimError, check_integer, check_positive,
     check_real)
@@ -116,16 +118,16 @@ def default_start(decomp: ChannelDecomposition, power: float, noise_var: float) 
 class _Evaluation(NamedTuple):
     """Kernel results for the ridges ``reg[b]`` of problems ``idx[b]``: sum
     SE ``j`` (NaN where ``ok`` is False), the :func:`sinr_terms` ``ok``, the
-    layer weights ``x``, raw weights, gains and most-loaded antennas, each
-    user's effective SINR ``geo`` and the stages of each user shape group,
-    all batch axis first."""
+    layer weights ``x``, the row of the raw weights at the most-loaded antenna
+    ``top``, the gains, each user's effective SINR ``geo`` and the stages of
+    each user shape group, all batch axis first."""
 
     idx: np.ndarray
     j: np.ndarray
     ok: np.ndarray
     reg: np.ndarray
     x: np.ndarray
-    raw: np.ndarray
+    top_row: np.ndarray
     gain: np.ndarray
     top: np.ndarray
     geo: np.ndarray
@@ -133,8 +135,8 @@ class _Evaluation(NamedTuple):
 
     def take(self, sel):
         """The members at positions ``sel``."""
-        return _Evaluation(*(a[sel] for a in self[:-1]),
-                           [tuple(a[sel] for a in st) for st in self.stages])
+        return _Evaluation(*[a.take(sel, 0) for a in self[:-1]],
+                           [tuple([a.take(sel, 0) for a in st]) for st in self.stages])
 
 
 class _Problems:
@@ -158,7 +160,8 @@ class _Problems:
             key = (id(decomp), id(channels))
             scene.append(scenes.setdefault(key, (len(scenes), decomp, channels))[0])
         _, decomps, channel_sets = zip(*scenes.values())
-        self.dims = decomps[0].dims
+        self.dims = dims = decomps[0].dims
+        lt = dims.total_layers
         self.scene = np.array(scene)
         self.v = np.stack([d.v for d in decomps])
         self.vh = np.conj(self.v.swapaxes(1, 2))
@@ -170,8 +173,19 @@ class _Problems:
                           mode="r"), own)
             for gi, (_, _, own) in enumerate(channel_sets[0].groups)
         ]
+        # for the adjoint: V^T, and per group conj(R) with one row per
+        # (user, row), the group's users (a slice if they are all users in
+        # order) and the positions of :func:`own_positions`
+        self.vt = np.ascontiguousarray(self.v.swapaxes(1, 2))
+        self.adjoint_groups = [
+            (np.conj(r).reshape(len(r), -1, lt),
+             slice(None) if users == tuple(range(dims.num_users)) else np.array(users),
+             *own_positions(own, r.shape[-2], lt))
+            for (users, _, own), (r, _) in zip(channel_sets[0].groups, self.groups)
+        ]
         self.power = np.array([p[2] for p in problems])
         self.noise_var = np.array([p[3] for p in problems])
+        self.two_noise_var = 2.0 * self.noise_var
         self.start = [default_start(d, p, nv) for d, _, p, nv in problems]
 
     def evaluate(self, idx, reg) -> _Evaluation:
@@ -180,12 +194,14 @@ class _Problems:
         build or MMSE system fails, or whose SINR underflows to 0, makes
         the whole batch raise."""
         at = self.scene[idx]
-        raw, gain, x, top = ridge_stack(self.gram[at], self.vh[at], reg, None, self.power[idx])
-        groups = [(r[at], own) for r, own in self.groups]
+        raw, gain, x, top = ridge_stack(self.gram.take(at, axis=0), self.vh.take(at, axis=0), reg,
+                                        None, self.power[idx])
+        groups = [(r.take(at, axis=0), own) for r, own in self.groups]
         sinrs, stages, ok = mmse_sinr_stack(groups, gain[:, None, None] * x, self.noise_var[idx])
         geo = effective_sinr(sinrs, self.dims)
         j = np.where(ok, user_se(geo, self.dims).sum(axis=-1), np.nan)
-        return _Evaluation(idx, j, ok, reg, x, raw, gain, top, geo, stages)
+        top_row = raw[np.arange(len(idx)), top]
+        return _Evaluation(idx, j, ok, reg, x, top_row, gain, top, geo, stages)
 
     def adjoint(self, ev: _Evaluation):
         """Gradient of each member's objective with respect to the
@@ -194,51 +210,46 @@ class _Problems:
         sum(conj(x_bar) * dx)``: ``y = a @ b`` sends ``y_bar @ b^H`` to ``a``
         and ``a^H @ y_bar`` to ``b``, and ``|z|^2`` sends ``2 z`` times its
         own adjoint to ``z``."""
-        dims = self.dims
-        lt = dims.total_layers
+        lt = self.dims.total_layers
         nb = len(ev.idx)
-        rows = np.arange(nb)
-        bi = rows[:, None, None]
         at = self.scene[ev.idx]
-        nv = self.noise_var[ev.idx][:, None, None, None]
+        two_nv = self.two_noise_var[ev.idx][:, None, None, None]
         # SE_k = L_k log2(1 + geomean_k) and d geomean_k = geomean_k mean_j d log sinr_j
-        dlog_sinr = np.repeat(ev.geo / (1.0 + ev.geo), dims.layers, axis=-1) / _LN2
+        dlog_sinr = ev.geo / (1.0 + ev.geo) / _LN2
 
         # w = gain x, the weights the kernel saw
-        w_bar = np.zeros_like(ev.x)
-        for (r, own), stage in zip(self.groups, ev.stages):
+        w_bar = np.zeros(ev.x.shape, dtype=complex)
+        for (rh, users, lanes, cols), stage in zip(self.adjoint_groups, ev.stages):
             eff, ah, m_inv, g, coup, sig, den = stage
-            users = np.arange(len(own))[:, None]
-            mine = (bi, users, np.arange(own.shape[1]), own)
-            d = dlog_sinr[:, own]
+            d = dlog_sinr[:, users, None]
             sig_bar, den_bar = d / sig, -d / den
-            coup_bar = np.repeat(den_bar[..., None], lt, axis=-1)
-            coup_bar[mine] = sig_bar
+            coup_bar = den_bar[..., None].repeat(lt, axis=-1)
+            coup_bar.reshape(nb, -1)[:, lanes] = sig_bar.reshape(nb, -1)
             coup_bar = 2.0 * coup_bar * coup
             gh = np.conj(g.swapaxes(-1, -2))
             g_bar = coup_bar @ np.conj(eff.swapaxes(-1, -2))
-            g_bar += 2.0 * nv * den_bar[..., None] * g
+            g_bar += two_nv * den_bar[..., None] * g
             eff_bar = gh @ coup_bar
             # g = m_inv ah with m_inv = inv(ah ah^H + noise_var I), Hermitian
             ah_bar = m_inv @ g_bar
             m_bar = -ah_bar @ gh
             ah_bar += (m_bar + np.conj(m_bar.swapaxes(-1, -2))) @ ah
-            eff_bar[bi, users, :, own] += ah_bar.conj()
-            w_bar += np.conj(r[at].reshape(nb, -1, lt).swapaxes(1, 2)) @ eff_bar.reshape(nb, -1, lt)
+            eff_bar.reshape(nb, -1)[:, cols] += ah_bar.conj().reshape(nb, -1)
+            w_bar += rh.take(at, axis=0).swapaxes(1, 2) @ eff_bar.reshape(nb, -1, lt)
 
         # gain = sqrt(power / num_tx) / rho, rho the largest row norm of
         # raw = V^H x; raw_bar is zero off that row, so V raw_bar is the
         # outer product of V's column top and raw_bar's row top
-        x, raw, gain, top = ev.x, ev.raw, ev.gain, ev.top
+        x, top_row, gain = ev.x, ev.top_row, ev.gain
         gain_bar = (w_bar.conj() * x).reshape(nb, -1).sum(axis=-1).real
         x_bar = gain[:, None, None] * w_bar
-        top_row = raw[rows, top]
-        top_bar = -(gain_bar * gain / np.sum(np.abs(top_row) ** 2, axis=-1))[:, None] * top_row
-        x_bar += self.v[at, :, top][:, :, None] * top_bar[:, None, :]
+        top_sq = np.add.reduce(np.abs(top_row) ** 2, axis=-1)
+        top_bar = -(gain_bar * gain / top_sq)[:, None] * top_row
+        x_bar += self.vt[at, ev.top][:, :, None] * top_bar[:, None, :]
         # x = inv(K), K = V V^H + diag(r), so dx = -x diag(dr) x, and
         # d/du_d = r_d d/dr_d
         prod = x.swapaxes(-1, -2) @ x_bar.conj()
-        return -np.sum(ev.reg[:, :, None] * x * prod, axis=-1).real
+        return -np.add.reduce(ev.reg[:, :, None] * x * prod, axis=-1).real
 
 
 def _one(decomp, channels, reg_vec, power, noise_var):
@@ -301,33 +312,38 @@ def _round(problems, idx, regs, bounds, sent):
     """Evaluate the trial ridges ``regs`` with Armijo bounds ``bounds``:
     ``sent[k]`` consecutive rows, a stretch of search ``idx[k]``'s ladder,
     for each ``k`` in order.  Find each search's first accepted trial: its
-    objective ``j`` is finite and ``-j <= bound``.  Returns ``hit``, the
-    positions ``k`` that accepted a trial, the trial's position in its
-    stretch, and its evaluation and gradient (``None`` if nothing was
-    accepted).  A ridge that is not finite is rejected unevaluated.  One
-    trial's failure fails a stacked LAPACK call for the whole batch, so a
-    failing batch has each trial evaluated alone and the survivors again
-    together; batch independence gives them the same bits."""
-    owner = np.repeat(np.arange(len(idx)), sent)
-    rows = np.asarray(idx)[owner]
-    keep = np.flatnonzero(np.isfinite(regs).all(axis=-1))
+    objective ``j`` is finite and ``-j <= bound``.  Returns the rows of the
+    accepted trials, one per accepting search in search order, and their
+    evaluation and gradient (``None`` if nothing was accepted).  A ridge
+    that is not finite is rejected unevaluated.  One trial's failure fails a
+    stacked LAPACK call for the whole batch, so a failing batch has each
+    trial evaluated alone and the survivors again together; batch
+    independence gives them the same bits."""
+    owner = idx.repeat(sent)
+    whole = np.isfinite(regs).all()
+    t = np.arange(len(regs)) if whole else np.isfinite(regs).all(axis=-1).nonzero()[0]
     with np.errstate(all="ignore"):
-        ev = _try_evaluate(problems, rows[keep], regs[keep]) if len(keep) else None
-        if ev is None and len(keep) > 1:
-            keep = [t for t in keep if _try_evaluate(problems, rows[[t]], regs[[t]]) is not None]
-            ev = problems.evaluate(rows[keep], regs[keep]) if keep else None
+        ev = None
+        if len(t):
+            ev = _try_evaluate(problems, owner if whole else owner[t], regs if whole else regs[t])
+        if ev is None and len(t) > 1:
+            t = np.array([k for k in t if _try_evaluate(problems, owner[k:k + 1], regs[k:k + 1])
+                          is not None], dtype=int)
+            whole = False
+            ev = problems.evaluate(owner[t], regs[t]) if len(t) else None
     if ev is not None:
-        keep = np.asarray(keep)
-        good = np.flatnonzero(np.isfinite(ev.j) & (-ev.j <= bounds[keep]))
+        good = (np.isfinite(ev.j) & (-ev.j <= (bounds if whole else bounds[t]))).nonzero()[0]
         if len(good):
             # trials run in search order, then step order: keep each search's first
-            who = owner[keep[good]]
-            good = good[np.concatenate([[True], who[1:] != who[:-1]])]
+            who, first, last = owner[t[good]].tolist(), [], None
+            for k, i in enumerate(who):
+                if i != last:
+                    first.append(k)
+                    last = i
+            good = good[first]
             sub = ev if len(good) == len(ev.j) else ev.take(good)
-            t = keep[good]
-            hit = owner[t]
-            return hit, t - (sent.cumsum() - sent)[hit], sub, problems.adjoint(sub)
-    return np.zeros(0, dtype=int), np.zeros(0, dtype=int), None, None
+            return t[good], sub, problems.adjoint(sub)
+    return t[:0], None, None
 
 
 def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
@@ -357,131 +373,167 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
     n, lt, m = len(problems), stack.dims.total_layers, config.memory
     # the step lengths of every ladder, by repeated shrinking
     alphas = np.cumprod([config.init_step] + [config.backtrack] * config.max_backtracks)
-    armijo = config.armijo_c1 * alphas
+    armijo, rungs, steps = config.armijo_c1 * alphas, len(alphas), alphas.tolist()
 
     # One row per search.  It steps in u = log(reg) but evaluates at reg
     # itself, so the start (and a search that never moves) is exactly the
     # arzf ridge, and accepted ridge entries that underflow to zero stay
     # differentiable.  The start is a ladder of one, the last rung, with
-    # bound inf and step 0; accepted is -1 until it is taken.
+    # bound inf and step 0, tried while the search has no trajectory.
     reg = np.array(stack.start)
     u = np.log(reg)
-    j, gnorm, slope, gain = (np.zeros(n) for _ in range(4))
+    j, slope = np.zeros(n), np.zeros(n)
     g, p = np.zeros((n, lt)), np.zeros((n, lt))
-    raw = np.zeros((n, stack.dims.num_tx, lt), dtype=complex)
-    # curvature pairs, newest last, and how many are real
-    s_mem, y_mem, rho = np.zeros((n, m, lt)), np.zeros((n, m, lt)), np.zeros((n, m))
-    pairs = np.zeros(n, dtype=int)
+    # curvature pairs (s, y, 1 / (s y)), newest last, and how many are real
+    mem, pairs = np.zeros((n, m, 2 * lt + 1)), np.zeros(n, dtype=int)
     # rungs of the current ladder tried so far, and the next stretch's width
-    tried, width, accepted = np.full(n, len(alphas) - 1), np.ones(n, dtype=int), np.full(n, -1)
-    # objective and most-loaded antenna of the last _WINDOW + 1 iterates, newest last
-    recent_j, recent_top = np.zeros((n, _WINDOW + 1)), np.zeros((n, _WINDOW + 1), dtype=int)
-    traj = [[] for _ in range(n)]
-    results, live, begun = [None] * n, np.zeros(n, dtype=bool), 0
+    tried, width = np.full(n, rungs - 1), np.ones(n, dtype=int)
+    # (iteration, objective, gradient norm, step) and most-loaded antenna
+    # of every iterate
+    traj, tops = [[] for _ in range(n)], [[] for _ in range(n)]
+    results, running, begun, fresh = [None] * n, [], 0, set()
 
     while True:
-        free = _BATCH - np.count_nonzero(live)
-        live[begun:begun + free] = True
-        begun = min(n, begun + free)
-        run = np.flatnonzero(live)
-        if not len(run):
+        if len(running) < _BATCH and begun < n:
+            new = range(begun, min(n, begun + _BATCH - len(running)))
+            running += new
+            fresh.update(new)
+            begun = new.stop
+            run = np.array(running)
+        if not running:
             return results
         # every search gets one trial; the rest of the budget widens the
         # stretches in search order
-        rung = tried[run]
-        want = np.minimum(width[run], len(alphas) - rung) - 1
-        spare = _BATCH - len(run) - (want.cumsum() - want)
-        sent = 1 + np.minimum(want, np.maximum(spare, 0))
+        rung, wide = tried[run], width[run]
+        sent = np.minimum(wide, rungs - rung)
         end = sent.cumsum()
-        trial = np.repeat(run, sent)
-        step = np.arange(end[-1]) - np.repeat(end - sent - rung, sent)
+        if end[-1] > _BATCH:
+            want = sent - 1
+            sent = 1 + np.minimum(want, np.maximum(_BATCH - len(run) - (want.cumsum() - want), 0))
+            end = sent.cumsum()
+        after = rung + sent
+        trial = run.repeat(sent)
+        step = np.arange(end[-1]) + (rung - end + sent).repeat(sent)
         with np.errstate(over="ignore"):
-            ridges = np.exp(u[trial] + alphas[step][:, None] * p[trial])
-        bounds = -j[trial] + armijo[step] * slope[trial]
-        fresh = accepted[run] < 0
-        if np.count_nonzero(fresh):
-            ridges[end[fresh] - 1], bounds[end[fresh] - 1] = reg[run[fresh]], np.inf
-        hit, at, sub, g_new = _round(stack, run, ridges, bounds, sent)
+            ridges = np.exp(u.take(trial, 0) + alphas[step][:, None] * p.take(trial, 0))
+        bounds = armijo[step] * slope[trial] - j[trial]
+        if fresh:
+            starts = [pos for pos, i in enumerate(running) if i in fresh]
+            ridges[end[starts] - 1], bounds[end[starts] - 1] = reg[run[starts]], np.inf
+        t, sub, g_new = _round(stack, run, ridges, bounds, sent)
+        tried[run], width[run] = after, 2 * wide
+        # searches that tried their last rung, some of which accepted it
+        failed = run[after == rungs].tolist()
 
-        ended, failed = {}, []
-        if len(hit) < len(run):
-            rejected = np.ones(len(run), dtype=bool)
-            rejected[hit] = False
-            rej = run[rejected]
-            tried[rej] += sent[rejected]
-            width[rej] *= 2
-            failed = rej[tried[rej] == len(alphas)].tolist()
-
-        if len(hit):
-            acc, fresh = run[hit], fresh[hit]
-            k = tried[acc] + at
-            u_new = u[acc] + alphas[k][:, None] * p[acc]
-            s, y = u_new - u[acc], g[acc] - g_new
+        ended = {}
+        if len(t):
+            acc, k = trial[t], step[t]
+            if failed:
+                failed = sorted(set(failed).difference(acc.tolist()))
+            u_old = u.take(acc, 0)
+            u_new = u_old + alphas[k][:, None] * p.take(acc, 0)
+            # the new curvature pair (s, y, 1 / (s y)) of each search
+            pair = np.empty((len(acc), 2 * lt + 1))
+            s = np.subtract(u_new, u_old, out=pair[:, :lt])
+            y = np.subtract(g.take(acc, 0), g_new, out=pair[:, lt:-1])
             sy = np.vecdot(s, y)
             # the start steps 0 from itself, so it adds no pair
             new = sy > 1e-12
-            c = acc[new]
-            s_mem[c, :-1], y_mem[c, :-1], rho[c, :-1] = s_mem[c, 1:], y_mem[c, 1:], rho[c, 1:]
-            s_mem[c, -1], y_mem[c, -1], rho[c, -1] = s[new], y[new], 1.0 / sy[new]
-            pairs[c] += pairs[c] < m
-            gn, it = np.abs(g_new).max(axis=-1), accepted[acc] + 1
-            u[acc], g[acc], reg[acc], j[acc], raw[acc], gain[acc], gnorm[acc], accepted[acc] = (
-                u_new, g_new, sub.reg, sub.j, sub.raw, sub.gain, gn, it)
-            recent_j[acc, :-1], recent_top[acc, :-1] = recent_j[acc, 1:], recent_top[acc, 1:]
-            recent_j[acc, -1], recent_top[acc, -1] = sub.j, sub.top
-            steps = np.where(fresh, 0.0, alphas[k]).tolist()
-            for i, row in zip(acc.tolist(), zip(it.tolist(), sub.j.tolist(), gn.tolist(), steps)):
-                traj[i].append(row)
-
-            conv, limit = gn <= config.grad_tol, it == config.max_iters
-            stall = (it >= _WINDOW) & (sub.j - recent_j[acc, 0] <= _PROGRESS_TOL)
-            stop = conv | stall | limit
-            for b in np.flatnonzero(stop).tolist():
-                i = int(acc[b])
-                # the kink: the most-loaded antenna changed in the window
-                kink = " at a max-row kink" if len(set(recent_top[i].tolist())) > 1 else ""
-                ended[i] = (_CONVERGED if conv[b] else "progress stalled" + kink if stall[b]
-                            else "iteration limit reached")
-            go = acc[~stop]
-            p[go] = g[go]
-            mem = go[pairs[go] > 0]
-            if len(mem):
-                # slots that are padding in every row change nothing
-                lo = m - pairs[mem].max()
-                p[mem] = _directions(g[mem], s_mem[mem, lo:], y_mem[mem, lo:], rho[mem, lo:])
-            gp = np.vecdot(g[go], p[go])
-            slope[go], tried[go], width[go] = -gp, 0, 1
-            failed += go[gp <= 0].tolist()
+            c = acc if np.count_nonzero(new) == len(new) else acc[new]
+            if len(c):
+                if len(c) < len(acc):
+                    pair, sy = pair[new], sy[new]
+                np.divide(1.0, sy, out=pair[:, -1])
+                mem[c, :-1] = mem.take(c, 0)[:, 1:]
+                mem[c, -1] = pair
+                pairs[c] = np.minimum(pairs[c] + 1, m)
+            u[acc], g[acc], reg[acc], j[acc] = u_new, g_new, sub.reg, sub.j
+            go = []
+            rows = zip(acc.tolist(), sub.j.tolist(),
+                       np.maximum.reduce(np.abs(g_new), axis=-1).tolist(), k.tolist(),
+                       sub.top.tolist())
+            for b, (i, obj, gn, rung_k, top) in enumerate(rows):
+                path, seen = traj[i], tops[i]
+                it = len(path)
+                fresh.discard(i)
+                path.append((it, obj, gn, steps[rung_k] if it else 0.0))
+                seen.append(top)
+                if gn <= config.grad_tol:
+                    ended[i] = _CONVERGED
+                elif it >= _WINDOW and obj - path[-1 - _WINDOW][1] <= _PROGRESS_TOL:
+                    # the kink: the most-loaded antenna changed in the window
+                    kink = len(set(seen[-1 - _WINDOW:])) > 1
+                    ended[i] = "progress stalled" + " at a max-row kink" * kink
+                elif it == config.max_iters:
+                    ended[i] = "iteration limit reached"
+                else:
+                    go.append(b)
+            if go:
+                gg = g_new if len(go) == len(acc) else g_new[go]
+                go = acc[go]
+                # rows without pairs go along the gradient; slots that are
+                # padding in every row change nothing
+                known, dirs = pairs[go], gg.copy()
+                has = slice(None) if np.count_nonzero(known) == len(known) else known > 0
+                lo = m - known.max()
+                if lo < m:
+                    held = mem.take(go[has], 0)[:, lo:]
+                    dirs[has] = _directions(gg[has], held[..., :lt], held[..., lt:-1],
+                                            held[..., -1])
+                gp = np.vecdot(gg, dirs)
+                p[go], slope[go], tried[go], width[go] = dirs, -gp, 0, 1
+                failed += go[gp <= 0].tolist()
 
         if failed:
             for i in failed:
-                if accepted[i] < 0:
+                if not traj[i]:
                     ended[i] = NumericalError("objective undefined at the starting ridge")
                 elif not pairs[i]:
                     ended[i] = "line search failed to find an acceptable step"
             # curvature memory can point downhill or across a normalization
             # kink; drop it and retry along the raw gradient
             retry = [i for i in failed if i not in ended]
-            pairs[retry], s_mem[retry], y_mem[retry], rho[retry] = 0, 0.0, 0.0, 0.0
+            pairs[retry], mem[retry] = 0, 0.0
             p[retry], slope[retry] = g[retry], -np.vecdot(g[retry], g[retry])
             tried[retry], width[retry] = 0, 1
 
-        # rows of ended searches are never written again, so results hold views
-        for i in sorted(ended):
-            live[i] = False
-            results[i] = ended[i] if isinstance(ended[i], PrecodesimError) else OptResult(
+        if ended:
+            _finish(stack, ended, results, reg, j, traj, done)
+            fresh.difference_update(ended)
+            running = [i for i in running if i not in ended]
+            run = np.array(running, dtype=int)
+
+
+def _finish(stack, ended, results, reg, j, traj, done):
+    """Record the searches ``ended`` (index -> reason or error), in index
+    order.  A search's precoder is one :func:`ridge_stack` of its ridge,
+    bitwise the build its evaluation made."""
+    ids = [i for i in sorted(ended) if not isinstance(ended[i], PrecodesimError)]
+    if ids:
+        at = stack.scene[ids]
+        with np.errstate(all="ignore"):
+            raw, gain, _, _ = ridge_stack(stack.gram[at], stack.vh[at], reg[ids], None,
+                                          stack.power[ids])
+        built = dict(zip(ids, zip(raw, gain)))
+    for i in sorted(ended):
+        if isinstance(ended[i], PrecodesimError):
+            results[i] = ended[i]
+        else:
+            path = traj[i]
+            # rows of ended searches are never written again, so results hold views
+            results[i] = OptResult(
                 reg_vec=reg[i],
-                precoder=Precoder(raw=raw[i], gain=gain[i]),
+                precoder=Precoder(raw=built[i][0], gain=built[i][1]),
                 objective=float(j[i]),
-                start_objective=traj[i][0][1],
-                iterations=int(accepted[i]),
+                start_objective=path[0][1],
+                iterations=len(path) - 1,
                 converged=ended[i] == _CONVERGED,
                 reason=ended[i],
-                grad_norm=float(gnorm[i]),
-                trajectory=tuple(traj[i]),
+                grad_norm=path[-1][2],
+                trajectory=tuple(path),
             )
-            if done is not None:
-                done(i, results[i])
+        if done is not None:
+            done(i, results[i])
 
 
 def optimize(decomp: ChannelDecomposition, channels: ChannelSet, power: float, noise_var: float,

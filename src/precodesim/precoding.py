@@ -15,6 +15,7 @@ Normalization is per antenna: one scalar gain caps every antenna at
 layer directions never change.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,8 +79,8 @@ def normalize(raw: np.ndarray, power, *, row_norms=None):
         check_positive("power", power)
     if row_norms is None:
         row_norms = np.linalg.norm(raw, axis=-1)
-    denom = row_norms.max(axis=-1) * np.sqrt(raw.shape[-2])
-    if (denom == 0).any():
+    denom = row_norms.max(axis=-1) * math.sqrt(raw.shape[-2])
+    if not denom.all():
         raise ZeroMatrixError("cannot normalize an all-zero precoder")
     return np.sqrt(power) / denom
 
@@ -116,8 +117,7 @@ def ridge_stack(gram: np.ndarray, vh: np.ndarray, reg: np.ndarray, scale, power)
     not change each other's bits.  Dependent rows under a zero ridge raise
     SingularGramError."""
     k = gram.copy()
-    idx = np.arange(k.shape[-1])
-    k[:, idx, idx] += reg
+    k.reshape(len(k), -1)[:, :: k.shape[-1] + 1] += reg
     try:
         x = hpd_inverse(k)
     except NotHpdError as exc:
@@ -125,7 +125,8 @@ def ridge_stack(gram: np.ndarray, vh: np.ndarray, reg: np.ndarray, scale, power)
     raw = vh @ x
     if scale is not None:
         raw *= scale
-    norms = np.linalg.norm(raw, axis=-1)
+    # np.linalg.norm(raw, axis=-1) without its argument handling
+    norms = np.sqrt(np.add.reduce((raw.conj() * raw).real, axis=-1))
     return raw, normalize(raw, power, row_norms=norms), x, norms.argmax(axis=-1)
 
 

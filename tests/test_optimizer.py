@@ -338,16 +338,30 @@ def sweep_problems(seeds, family, levels=tuple(range(0, 41, 4))):
     return out
 
 
+# The default search and degenerate ones: one curvature pair, more pair
+# slots than iterations, ladders of one and two rungs, one step.
+CONFIGS = {
+    "default": OptConfig(),
+    "memory_1": OptConfig(memory=1),
+    "memory_20_of_19_steps": OptConfig(memory=20, max_iters=19),
+    "no_backtracking": OptConfig(max_backtracks=0),
+    "one_backtrack": OptConfig(max_backtracks=1),
+    "one_step": OptConfig(max_iters=1),
+}
+
+
 class TestOptimizeMany:
+    @pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS)
     @pytest.mark.parametrize("family", ["varied", "equal"])
-    def test_batch_equals_single_searches(self, family):
-        # 2 seeds x 11 levels at the default scale: the batch thins out as
-        # searches finish at different rounds
+    def test_batch_equals_single_searches(self, family, config):
+        # 2 seeds x 11 levels at the default scale: the default batch thins
+        # out as searches finish at different rounds
         problems = sweep_problems((0, 1), family)
-        many = optimize_many(problems)
-        assert len({r.iterations for r in many}) > 1
+        many = optimize_many(problems, config)
+        if config == OptConfig():
+            assert len({r.iterations for r in many}) > 1
         for p, res in zip(problems, many):
-            assert same_search(res, optimize(*p))
+            assert same_search(res, optimize(*p, config))
 
     def test_batch_window_is_invisible(self, monkeypatch):
         # a window smaller than the batch starts searches as others finish
