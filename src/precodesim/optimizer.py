@@ -50,9 +50,10 @@ _LN2 = np.log(2.0)
 _WINDOW, _PROGRESS_TOL = 5, 5e-4
 _CONVERGED = "gradient norm below tolerance"
 # Searches running at once, and trial rows per round unless more searches
-# run.  On the default 440-search sweep (2 vCPUs) 32, 64 and 128 took
-# 3.5-4.0, 3.0 and 2.8 s at 56, 58 and 62 MB peak RSS; an opt_search
-# process (6 searches) rarely fills 32 rows.
+# run.  On the default 440-search sweep (2 vCPUs, three alternating runs
+# each) 32, 64 and 128 took 1.54-1.71, 1.33-1.37 and 1.22-1.25 s at 54.0,
+# 55.0 and 57.2 MB peak RSS; an opt_search process (6 searches) rarely
+# fills 32 rows.
 _BATCH = 64
 
 
