@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +20,8 @@ from .exceptions import (
     check_integer, check_positive, check_real)
 from .numerics import RANK_TOLERANCE, align_phase, as_complex_matrix
 
-__all__ = ["SystemDims", "ChannelSet", "ChannelDecomposition", "ScenarioConfig", "decompose",
-           "generate_scenario", "check_level", "calibrate_noise"]
+__all__ = ["SystemDims", "UserGroup", "ChannelSet", "ChannelDecomposition", "ScenarioConfig",
+           "decompose", "generate_scenario", "check_level", "calibrate_noise"]
 
 # Path power profile of the synthetic generator: the leading
 # DOMINANT_PATHS paths decay slowly (PATH_POWER_DECAY per path) and the
@@ -126,6 +127,30 @@ class SystemDims:
         return slice(start, start + self.layers[k])
 
 
+class UserGroup(NamedTuple):
+    """The users ``users`` that share ``(rx_k, layers_k)``, as one stack:
+    ``h[..., i, :, :]`` is user ``users[i]``'s block, with ``rows`` rows and
+    any batch axes leading, and ``own[i]`` the indices of its layers among
+    ``lt``.  ``lanes`` and ``cols`` are the flat positions, within one batch
+    member, of the own-layer entries: in a ``(users, layers_k, lt)`` array,
+    in (user, layer) order, and in a ``(users, rows, lt)`` array, in (user,
+    layer, row) order.  Gathering along one flat axis costs less than
+    indexing four axes."""
+
+    users: tuple
+    h: np.ndarray
+    own: np.ndarray
+    lanes: np.ndarray
+    cols: np.ndarray
+
+    @classmethod
+    def of(cls, users: tuple, h: np.ndarray, own: np.ndarray, lt: int) -> "UserGroup":
+        rows = h.shape[-2]
+        starts = np.arange(len(users))[:, None] * rows + np.arange(rows)
+        return cls(users, h, own, np.arange(own.size) * lt + own.ravel(),
+                   (starts[:, None] * lt + own[..., None]).ravel())
+
+
 @dataclass(frozen=True)
 class ChannelSet:
     """Per-user channel blocks for one realization."""
@@ -149,16 +174,15 @@ class ChannelSet:
 
     @cached_property
     def groups(self) -> tuple:
-        """``(users, h, own)`` per distinct ``(rx_k, layers_k)``, in order of
-        first appearance: ``h[i]`` is the block of user ``users[i]`` and
-        ``own[i]`` the indices of its layers."""
+        """One :class:`UserGroup` of channel blocks per distinct ``(rx_k,
+        layers_k)``, in order of first appearance."""
         dims, by_shape = self.dims, {}
         for k in range(dims.num_users):
             by_shape.setdefault((dims.rx[k], dims.layers[k]), []).append(k)
         layer = np.arange(dims.total_layers)
         return tuple(
-            (tuple(u), np.stack([self.blocks[k] for k in u]),
-             np.array([layer[dims.layer_slice(k)] for k in u]))
+            UserGroup.of(tuple(u), np.stack([self.blocks[k] for k in u]),
+                         np.array([layer[dims.layer_slice(k)] for k in u]), dims.total_layers)
             for u in by_shape.values()
         )
 
@@ -169,7 +193,7 @@ class ChannelSet:
         its own call's bits.  A set from :func:`generate_scenario` holds its
         exact path factors here and runs no SVD."""
         try:
-            return tuple(np.linalg.svd(h, full_matrices=False) for _, h, _ in self.groups)
+            return tuple(np.linalg.svd(g.h, full_matrices=False) for g in self.groups)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"SVD did not converge: {exc}") from exc
 
@@ -251,10 +275,10 @@ def decompose(channels: ChannelSet) -> ChannelDecomposition:
     """
     dims = channels.dims
     u_blocks, s_blocks, v_blocks = ([None] * dims.num_users for _ in range(3))
-    for (users, _, _), (u, s, vh) in zip(channels.groups, channels.factors):
-        keep = dims.layers[users[0]]
+    for group, (u, s, vh) in zip(channels.groups, channels.factors):
+        keep = dims.layers[group.users[0]]
         uh, v = align_phase(u[..., :keep], vh[..., :keep, :])
-        for i, k in enumerate(users):
+        for i, k in enumerate(group.users):
             u_blocks[k], s_blocks[k], v_blocks[k] = uh[i], s[i, :keep], v[i]
     for k, s in enumerate(s_blocks):
         if s[-1] <= RANK_TOLERANCE * s[0] or s[0] == 0:

@@ -8,17 +8,14 @@ alone, and the per-user linear MMSE receiver for a given precoder,
 computed for all users of one shape at once.
 """
 
-from functools import lru_cache
-
 import numpy as np
 
-from .channel import ChannelDecomposition, ChannelSet, SystemDims
+from .channel import ChannelDecomposition, ChannelSet, SystemDims, UserGroup
 from .exceptions import DimensionError, check_positive
 from .numerics import hpd_inverse
 from .precoding import Precoder
 
-__all__ = ["check_scoring", "conjugate_detection", "own_positions", "mmse_stack",
-           "mmse_detection"]
+__all__ = ["check_scoring", "conjugate_detection", "mmse_stack", "mmse_detection"]
 
 
 def check_scoring(dims: SystemDims, w, noise_var, blocks=None) -> None:
@@ -53,42 +50,21 @@ def conjugate_detection(decomp: ChannelDecomposition) -> tuple:
     )
 
 
-def own_positions(own: np.ndarray, rows: int, lt: int) -> tuple:
-    """Flat positions, within one batch member, of the own-layer entries of
-    the users of one :attr:`ChannelSet.groups` stack with own layers
-    ``own``: in a ``(users, layers_k, lt)`` array, in (user, layer) order,
-    and in a ``(users, rows, lt)`` array, in (user, layer, row) order.
-    Gathering a member's entries along one flat axis costs less than
-    indexing four axes; the arrays are shared and read-only."""
-    return _own_positions(own.tobytes(), own.dtype.str, own.shape, rows, lt)
-
-
-@lru_cache(maxsize=64)
-def _own_positions(key: bytes, dtype: str, shape: tuple, rows: int, lt: int) -> tuple:
-    own = np.frombuffer(key, dtype=dtype).reshape(shape)[..., None]
-    user, lane = np.arange(shape[0])[:, None, None], np.arange(shape[1])[:, None]
-    out = (((user * shape[1] + lane) * lt + own).ravel(),
-           ((user * rows + np.arange(rows)) * lt + own).ravel())
-    for a in out:
-        a.setflags(write=False)
-    return out
-
-
-def mmse_stack(h: np.ndarray, w: np.ndarray, own: np.ndarray, noise_var):
-    """MMSE blocks of a batch of :attr:`ChannelSet.groups` stacks, batch
-    axis first: ``h[b]`` is one stack of user blocks, ``w[b]`` its weights
-    and ``noise_var`` a scalar or one value per ``b``.  Returns
-    ``eff = h @ w``, ``ah = A^H`` for the own-layer columns
-    ``A = eff[b, i][:, own[i]]``, the inverse ``m_inv`` of
-    ``m = A^H A + noise_var I`` and ``g = m_inv A^H``, the minimizer of
-    ``||G A - I||^2 + noise_var ||G||^2``.
+def mmse_stack(group: UserGroup, w: np.ndarray, noise_var):
+    """MMSE blocks of a :class:`UserGroup` for a batch of weights, batch
+    axis first: ``w[b]`` is member b's weights, ``noise_var`` a scalar or
+    one value per ``b``, and ``group.h`` one stack of user blocks for every
+    member or one per member (``h[b]``).  Returns ``eff = h @ w``, ``ah =
+    A^H`` for the own-layer columns ``A = eff[b, i][:, own[i]]``, the
+    inverse ``m_inv`` of ``m = A^H A + noise_var I`` and ``g = m_inv A^H``,
+    the minimizer of ``||G A - I||^2 + noise_var ||G||^2``.
     This L x L form equals ``A^H inv(A A^H + noise_var I)``, whose rx x rx
     system is singular to working precision at low noise.  Every matrix is
     its own BLAS or LAPACK call, so batch members do not change each other's
     bits.  A non-HPD ``m`` anywhere in the batch raises NotHpdError."""
-    eff = h @ w[:, None]
-    nb, n, rows, lt = eff.shape
-    ah = eff.reshape(nb, -1)[:, own_positions(own, rows, lt)[1]].reshape(nb, n, -1, rows).conj()
+    eff = group.h @ w[:, None]
+    nb, n, rows, _ = eff.shape
+    ah = eff.reshape(nb, -1)[:, group.cols].reshape(nb, n, -1, rows).conj()
     m = ah @ np.conj(ah.swapaxes(-1, -2))
     m.reshape(nb, n, -1)[..., :: m.shape[-1] + 1] += np.asarray(noise_var).reshape(-1, 1, 1)
     m_inv = hpd_inverse(m)
@@ -102,6 +78,6 @@ def mmse_detection(channels: ChannelSet, precoder: Precoder, noise_var: float) -
     w = precoder.weights
     check_scoring(channels.dims, w[None], noise_var)
     blocks = {}
-    for users, h, own in channels.groups:
-        blocks.update(zip(users, mmse_stack(h[None], w[None], own, noise_var)[3][0]))
+    for group in channels.groups:
+        blocks.update(zip(group.users, mmse_stack(group, w[None], noise_var)[3][0]))
     return tuple(blocks[k] for k in range(channels.dims.num_users))

@@ -13,8 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import ChannelSet
-from .detection import check_scoring, mmse_stack, own_positions
+from .channel import ChannelSet, UserGroup
+from .detection import check_scoring, mmse_stack
 from .exceptions import DimensionError, ZeroSinrError
 from .precoding import Precoder
 
@@ -37,9 +37,9 @@ class MetricsReport:
     min_se: float
 
 
-def sinr_terms(g: np.ndarray, eff: np.ndarray, own: np.ndarray, noise_var):
-    """``(coup, sig, den, ok)`` of a batch of :attr:`ChannelSet.groups`
-    stacks (batch axis first, as in :func:`mmse_stack`) with detection
+def sinr_terms(g: np.ndarray, eff: np.ndarray, group: UserGroup, noise_var):
+    """``(coup, sig, den, ok)`` of a :class:`UserGroup` for a batch of
+    weights W (batch axis first, as in :func:`mmse_stack`) with detection
     blocks ``g`` and ``eff = h @ W``: ``coup = g @ eff``; row j's power at
     layer ``own[:, j]`` is the signal ``sig[..., j]``, at every other layer
     (own ones included) interference, which ``den[..., j]`` sums with the
@@ -49,10 +49,10 @@ def sinr_terms(g: np.ndarray, eff: np.ndarray, own: np.ndarray, noise_var):
     and :func:`require_positive` turns it into ZeroSinrError."""
     coup = g @ eff
     mag = np.abs(coup) ** 2
-    nb, n, nl, lt = mag.shape
-    flat, at = mag.reshape(nb, -1), own_positions(own, g.shape[-1], lt)[0]
-    sig = flat[:, at].reshape(nb, n, nl)
-    flat[:, at] = 0.0
+    nb, n, nl, _ = mag.shape
+    flat = mag.reshape(nb, -1)
+    sig = flat[:, group.lanes].reshape(nb, n, nl)
+    flat[:, group.lanes] = 0.0
     den = mag.sum(axis=-1) + np.asarray(noise_var).reshape(-1, 1, 1) * (np.abs(g) ** 2).sum(axis=-1)
     ok = (np.minimum(sig, den) > 0).reshape(nb, -1).all(axis=-1)
     if not ok.all():
@@ -69,15 +69,15 @@ def require_positive(ok) -> None:
 def mmse_sinr_stack(groups, w: np.ndarray, noise_var):
     """Layer SINRs ``(B, total_layers)`` under per-user MMSE detection of
     a batch of weights ``w`` (batch axis first), the stages
-    ``(eff, ah, m_inv, g, coup, sig, den)`` of each ``(h, own)`` of ``groups``,
-    ``h[b]`` being the :attr:`ChannelSet.groups` stack of batch member b,
-    and the :func:`sinr_terms` ``ok`` of each member over all groups."""
+    ``(eff, ah, m_inv, g, coup, sig, den)`` of each :class:`UserGroup` of
+    ``groups`` (see :func:`mmse_stack`) and the :func:`sinr_terms` ``ok`` of
+    each member over all groups."""
     sinrs, ok, stages = np.empty((len(w), w.shape[-1])), True, []
-    for h, own in groups:
-        eff, ah, m_inv, g = mmse_stack(h, w, own, noise_var)
-        coup, sig, den, ok_group = sinr_terms(g, eff, own, noise_var)
+    for group in groups:
+        eff, ah, m_inv, g = mmse_stack(group, w, noise_var)
+        coup, sig, den, ok_group = sinr_terms(g, eff, group, noise_var)
         ok = ok_group & ok
-        sinrs[:, own] = sig / den
+        sinrs[:, group.own] = sig / den
         stages.append((eff, ah, m_inv, g, coup, sig, den))
     return sinrs, stages, ok
 
@@ -88,11 +88,11 @@ def layer_sinr(channels: ChannelSet, precoder: Precoder, blocks, noise_var: floa
     w = precoder.weights
     check_scoring(channels.dims, w[None], noise_var, blocks)
     out = np.empty(channels.dims.total_layers)
-    for users, h, own in channels.groups:
-        g = np.stack([blocks[k] for k in users])
-        _, sig, den, ok = sinr_terms(g[None], (h @ w)[None], own, noise_var)
+    for group in channels.groups:
+        g = np.stack([blocks[k] for k in group.users])
+        _, sig, den, ok = sinr_terms(g[None], (group.h @ w)[None], group, noise_var)
         require_positive(ok)
-        out[own] = sig[0] / den[0]
+        out[group.own] = sig[0] / den[0]
     return out
 
 
@@ -151,8 +151,7 @@ def evaluate_many(channels: ChannelSet, weights: np.ndarray, noise_var) -> Metri
 
 def _mmse_sinrs(channels: ChannelSet, w: np.ndarray, noise_var) -> np.ndarray:
     check_scoring(channels.dims, w, noise_var)
-    groups = [(h[None], own) for _, h, own in channels.groups]
-    sinrs, _, ok = mmse_sinr_stack(groups, w, noise_var)
+    sinrs, _, ok = mmse_sinr_stack(channels.groups, w, noise_var)
     require_positive(ok)
     return sinrs
 

@@ -30,18 +30,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelDecomposition, ChannelSet
-from .detection import own_positions
+from .channel import ChannelDecomposition, ChannelSet, UserGroup
 from .exceptions import (
     ConfigError, DimensionError, NumericalError, PrecodesimError, check_integer, check_positive,
     check_real)
-from .metrics import effective_sinr, mmse_sinr_stack, require_positive, user_se
+from .metrics import _LN2, effective_sinr, mmse_sinr_stack, require_positive, user_se
 from .precoding import RIDGES, Precoder, check_reg, gram_stack, ridge_stack
 
 __all__ = ["OptConfig", "OptResult", "default_start", "objective", "gradient", "optimize",
            "optimize_many"]
 
-_LN2 = np.log(2.0)
 # At the max-row kink the gradient stays large and steps need long
 # halving chains: on 18 traced opt_search searches, steps of more than 10
 # halvings took 48% of the evaluations for 0.03% of the gain.  So a search
@@ -142,11 +140,11 @@ class _Evaluation(NamedTuple):
 
 class _Problems:
     """Per-search constants of one :func:`optimize_many` call, computed
-    once and stacked: the layer rows ``v``, ``V^H``, the gram ``V V^H`` and,
-    per user shape group, the R factors of the users' ``H_k V^H``
-    (``min(rx_k, L)`` rows each), once per distinct (decomposition,
-    channels) pair; the power, the noise variance and the starting ridge
-    once per search."""
+    once and stacked: the layer rows ``v``, ``V^H``, ``V^T``, the gram ``V
+    V^H`` and, per :class:`UserGroup` of the channels, the group of the R
+    factors of its users' ``H_k V^H`` (``min(rx_k, L)`` rows each), once per
+    distinct (decomposition, channels) pair; the power, the noise variance,
+    twice the noise variance and the starting ridge once per search."""
 
     def __init__(self, problems):
         scenes, scene = {}, []
@@ -161,8 +159,7 @@ class _Problems:
             key = (id(decomp), id(channels))
             scene.append(scenes.setdefault(key, (len(scenes), decomp, channels))[0])
         _, decomps, channel_sets = zip(*scenes.values())
-        self.dims = dims = decomps[0].dims
-        lt = dims.total_layers
+        self.dims = decomps[0].dims
         self.scene = np.array(scene)
         self.v = np.stack([d.v for d in decomps])
         self.vh = np.conj(self.v.swapaxes(1, 2))
@@ -170,20 +167,13 @@ class _Problems:
         # H_k W = (H_k V^H) gain X = Q_k (R_k gain X), and Q_k's orthonormal
         # columns drop out of every MMSE block, signal and noise term
         self.groups = [
-            (np.linalg.qr(np.stack([ch.groups[gi][1] for ch in channel_sets]) @ self.vh[:, None],
-                          mode="r"), own)
-            for gi, (_, _, own) in enumerate(channel_sets[0].groups)
+            UserGroup.of(same[0].users,
+                         np.linalg.qr(np.stack([g.h for g in same]) @ self.vh[:, None], mode="r"),
+                         same[0].own, self.dims.total_layers)
+            for same in zip(*[ch.groups for ch in channel_sets])
         ]
-        # for the adjoint: V^T, and per group conj(R) with one row per
-        # (user, row), the group's users (a slice if they are all users in
-        # order) and the positions of :func:`own_positions`
+        # V^T, for the adjoint
         self.vt = np.ascontiguousarray(self.v.swapaxes(1, 2))
-        self.adjoint_groups = [
-            (np.conj(r).reshape(len(r), -1, lt),
-             slice(None) if users == tuple(range(dims.num_users)) else np.array(users),
-             *own_positions(own, r.shape[-2], lt))
-            for (users, _, own), (r, _) in zip(channel_sets[0].groups, self.groups)
-        ]
         self.power = np.array([p[2] for p in problems])
         self.noise_var = np.array([p[3] for p in problems])
         self.two_noise_var = 2.0 * self.noise_var
@@ -197,7 +187,7 @@ class _Problems:
         at = self.scene[idx]
         raw, gain, x, top = ridge_stack(self.gram.take(at, axis=0), self.vh.take(at, axis=0), reg,
                                         None, self.power[idx])
-        groups = [(r.take(at, axis=0), own) for r, own in self.groups]
+        groups = [group._replace(h=group.h.take(at, axis=0)) for group in self.groups]
         sinrs, stages, ok = mmse_sinr_stack(groups, gain[:, None, None] * x, self.noise_var[idx])
         geo = effective_sinr(sinrs, self.dims)
         j = np.where(ok, user_se(geo, self.dims).sum(axis=-1), np.nan)
@@ -220,12 +210,12 @@ class _Problems:
 
         # w = gain x, the weights the kernel saw
         w_bar = np.zeros(ev.x.shape, dtype=complex)
-        for (rh, users, lanes, cols), stage in zip(self.adjoint_groups, ev.stages):
+        for group, stage in zip(self.groups, ev.stages):
             eff, ah, m_inv, g, coup, sig, den = stage
-            d = dlog_sinr[:, users, None]
+            d = dlog_sinr[:, group.users, None]
             sig_bar, den_bar = d / sig, -d / den
             coup_bar = den_bar[..., None].repeat(lt, axis=-1)
-            coup_bar.reshape(nb, -1)[:, lanes] = sig_bar.reshape(nb, -1)
+            coup_bar.reshape(nb, -1)[:, group.lanes] = sig_bar.reshape(nb, -1)
             coup_bar = 2.0 * coup_bar * coup
             gh = np.conj(g.swapaxes(-1, -2))
             g_bar = coup_bar @ np.conj(eff.swapaxes(-1, -2))
@@ -235,8 +225,9 @@ class _Problems:
             ah_bar = m_inv @ g_bar
             m_bar = -ah_bar @ gh
             ah_bar += (m_bar + np.conj(m_bar.swapaxes(-1, -2))) @ ah
-            eff_bar.reshape(nb, -1)[:, cols] += ah_bar.conj().reshape(nb, -1)
-            w_bar += rh.take(at, axis=0).swapaxes(1, 2) @ eff_bar.reshape(nb, -1, lt)
+            eff_bar.reshape(nb, -1)[:, group.cols] += ah_bar.conj().reshape(nb, -1)
+            rh = np.conj(group.h.take(at, axis=0)).reshape(nb, -1, lt)
+            w_bar += rh.swapaxes(1, 2) @ eff_bar.reshape(nb, -1, lt)
 
         # gain = sqrt(power / num_tx) / rho, rho the largest row norm of
         # raw = V^H x; raw_bar is zero off that row, so V raw_bar is the
@@ -342,7 +333,7 @@ def _round(problems, idx, regs, bounds, sent):
                     first.append(k)
                     last = i
             good = good[first]
-            sub = ev if len(good) == len(ev.j) else ev.take(good)
+            sub = ev.take(good)
             return t[good], sub, problems.adjoint(sub)
     return t[:0], None, None
 
@@ -392,14 +383,13 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
     # (iteration, objective, gradient norm, step) and most-loaded antenna
     # of every iterate
     traj, tops = [[] for _ in range(n)], [[] for _ in range(n)]
-    results, running, begun, fresh = [None] * n, [], 0, set()
+    results, running, begun = [None] * n, [], 0
 
     while True:
-        if len(running) < _BATCH and begun < n:
-            new = range(begun, min(n, begun + _BATCH - len(running)))
-            running += new
-            fresh.update(new)
-            begun = new.stop
+        admitted = min(n - begun, _BATCH - len(running))
+        if admitted:
+            running += range(begun, begun + admitted)
+            begun += admitted
             run = np.array(running)
         if not running:
             return results
@@ -418,9 +408,10 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
         with np.errstate(over="ignore"):
             ridges = np.exp(u.take(trial, 0) + alphas[step][:, None] * p.take(trial, 0))
         bounds = armijo[step] * slope[trial] - j[trial]
-        if fresh:
-            starts = [pos for pos, i in enumerate(running) if i in fresh]
-            ridges[end[starts] - 1], bounds[end[starts] - 1] = reg[run[starts]], np.inf
+        if admitted:
+            # the searches admitted this round run last, each a ladder of
+            # one: the start, which is accepted or ends the search
+            ridges[-admitted:], bounds[-admitted:] = reg[run[-admitted:]], np.inf
         t, sub, g_new = _round(stack, run, ridges, bounds, sent)
         tried[run], width[run] = after, 2 * wide
         # searches that tried their last rung, some of which accepted it
@@ -438,7 +429,10 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
             s = np.subtract(u_new, u_old, out=pair[:, :lt])
             y = np.subtract(g.take(acc, 0), g_new, out=pair[:, lt:-1])
             sy = np.vecdot(s, y)
-            # the start steps 0 from itself, so it adds no pair
+            # the start steps 0 from itself, so it adds no pair.  Without the
+            # shortcut for all pairs new, opt_search-shaped sweeps read 1.023x
+            # the CPU in one set of 7 in-process pairs (all 7 lost), but 0.994x
+            # in a later set of 13 interleaved runs
             new = sy > 1e-12
             c = acc if np.count_nonzero(new) == len(new) else acc[new]
             if len(c):
@@ -456,7 +450,6 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
             for b, (i, obj, gn, rung_k, top) in enumerate(rows):
                 path, seen = traj[i], tops[i]
                 it = len(path)
-                fresh.discard(i)
                 path.append((it, obj, gn, steps[rung_k] if it else 0.0))
                 seen.append(top)
                 if gn <= config.grad_tol:
@@ -470,12 +463,12 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
                 else:
                     go.append(b)
             if go:
-                gg = g_new if len(go) == len(acc) else g_new[go]
+                gg = g_new[go]
                 go = acc[go]
                 # rows without pairs go along the gradient; slots that are
                 # padding in every row change nothing
                 known, dirs = pairs[go], gg.copy()
-                has = slice(None) if np.count_nonzero(known) == len(known) else known > 0
+                has = known > 0
                 lo = m - known.max()
                 if lo < m:
                     held = mem.take(go[has], 0)[:, lo:]
@@ -500,7 +493,6 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
 
         if ended:
             _finish(stack, ended, results, reg, j, traj, done)
-            fresh.difference_update(ended)
             running = [i for i in running if i not in ended]
             run = np.array(running, dtype=int)
 

@@ -25,8 +25,8 @@ from .exceptions import (
     ConfigError, DimensionError, NotHpdError, SingularGramError, ZeroMatrixError, check_positive)
 from .numerics import as_complex_matrix, hpd_inverse
 
-__all__ = ["Precoder", "RIDGES", "CLOSED_FORMS", "closed_stack", "closed_forms", "mrt", "zf", "rzf",
-           "wrzf", "arzf", "parametric_rzf"]
+__all__ = ["Precoder", "RIDGES", "CLOSED_FORMS", "closed_stack", "mrt", "zf", "rzf", "wrzf", "arzf",
+           "parametric_rzf"]
 
 # Ridge token -> (ridge r, column scale c) of decomposition d at power p and
 # noise variance nv.  An f-basis form F^H inv(F F^H + lam I), F = diag(s) V,

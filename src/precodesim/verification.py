@@ -24,9 +24,9 @@ from .optimizer import default_start, gradient, objective
 from .precoding import arzf, parametric_rzf, rzf, wrzf, zf
 
 __all__ = ["CheckResult", "check_identities", "check_stationarity", "check_asymptotics",
-           "check_noise_shaping", "central_differences", "check_gradient", "check_search_gain",
-           "check_sum_se_ordering", "check_equal_agreement", "check_min_se_tradeoff", "run_all",
-           "QUALITY_SETS", "search_quality"]
+           "check_noise_shaping", "check_gradient", "check_search_gain", "check_sum_se_ordering",
+           "check_equal_agreement", "check_min_se_tradeoff", "run_all", "QUALITY_SETS",
+           "search_quality"]
 
 
 @dataclass(frozen=True)

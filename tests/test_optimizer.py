@@ -151,16 +151,36 @@ class TestLayerSpace:
         lt = dims.total_layers
         regs = default_start(dec, POWER, nv) * np.exp(rng.uniform(-1, 1, (3, lt)))
         problems = optimizer._Problems([(dec, ch, POWER, nv)])
-        for (r, own), (_, h, _) in zip(problems.groups, ch.groups):
-            assert r.shape[2:] == (min(h.shape[1], lt), lt)
+        for r, h in zip(problems.groups, ch.groups):
+            assert r.h.shape[2:] == (min(h.h.shape[1], lt), lt)
         ev = problems.evaluate(np.zeros(len(regs), dtype=int), regs)
         for b, reg in enumerate(regs):
             pre = parametric_rzf(dec, reg, POWER)
             rep = report(ch, pre, mmse_detection(ch, pre, nv), nv)
             sinrs = np.empty(lt)
-            for (_, own), stage in zip(problems.groups, ev.stages):
-                sinrs[own] = stage[5][b] / stage[6][b]
+            for group, stage in zip(problems.groups, ev.stages):
+                sinrs[group.own] = stage[5][b] / stage[6][b]
             assert np.allclose(sinrs, rep.layer_sinr, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("rx", [(4, 3, 4), (6, 3, 6)])
+    def test_group_positions_match_four_axis_index(self, rx):
+        # lanes and cols gather what indexing (member, user, layer, own
+        # layer) and (member, user, own layer, row) gathered, on the channel
+        # stacks (rx_k rows) and on the R factors (min(rx_k, L) rows, L = 5)
+        dims = SystemDims(num_tx=8, rx=rx, layers=(2, 1, 2))
+        rng = np.random.default_rng(7)
+        ch = ChannelSet(dims=dims, blocks=tuple(complex_normal(rng, (r, 8), 1.0) for r in rx))
+        problems = optimizer._Problems([(decompose(ch), ch, POWER, NV)])
+        lt, nb = dims.total_layers, 3
+        for group in (*ch.groups, *problems.groups):
+            (n, nl), rows = group.own.shape, group.h.shape[-2]
+            mag, eff = rng.standard_normal((nb, n, nl, lt)), rng.standard_normal((nb, n, rows, lt))
+            b, i = np.arange(nb)[:, None, None], np.arange(n)[:, None]
+            assert np.array_equal(mag.reshape(nb, -1)[:, group.lanes].reshape(nb, n, nl),
+                                  mag[b, i, np.arange(nl), group.own])
+            assert np.array_equal(eff.reshape(nb, -1)[:, group.cols].reshape(nb, n, nl, rows),
+                                  eff.swapaxes(-1, -2)[b, i, group.own])
+        assert [g.h.shape[-2] for g in problems.groups] == [min(rx[0], lt), rx[1]]
 
 
 class TestOptimize:
