@@ -17,12 +17,14 @@ central differences of the objective, lives in :mod:`verification`.
 The kernel has a leading batch axis.  :func:`optimize_many` runs many
 searches in lockstep, one row of its state arrays each: a round evaluates
 a stretch of every running search's backtracking ladder in one batch,
-then updates the accepted and the rejected rows by index, and one masked
-two-loop recursion gives every new direction.  A search's precoder is
-built once more from its ridge when it ends.  Each matrix of a batch is its own BLAS or LAPACK
-call, each dot product one ``ddot`` per row, and every other reduction
-runs over a contiguous trailing axis, so a search's bits do not depend on
-its batch companions and :func:`optimize` is a batch of one.
+then updates the accepted and the rejected rows by index.  Each search
+keeps one dense BFGS inverse Hessian, which takes the search's curvature
+pair and gives its next direction.  A search's precoder is built once
+more from its ridge when it ends.  Each matrix of a batch is its own BLAS
+or LAPACK call, each dot product one ``ddot`` per row, and every other
+reduction runs over a contiguous trailing axis, so a search's bits do
+not depend on its batch companions and :func:`optimize` is a batch of
+one.
 """
 
 from dataclasses import dataclass
@@ -48,10 +50,10 @@ __all__ = ["OptConfig", "OptResult", "default_start", "objective", "gradient", "
 _WINDOW, _PROGRESS_TOL = 5, 5e-4
 _CONVERGED = "gradient norm below tolerance"
 # Searches running at once, and trial rows per round unless more searches
-# run.  On the default 440-search sweep (2 vCPUs, three alternating runs
-# each) 32, 64 and 128 took 1.54-1.71, 1.33-1.37 and 1.22-1.25 s at 54.0,
-# 55.0 and 57.2 MB peak RSS; an opt_search process (6 searches) rarely
-# fills 32 rows.
+# run.  On the default 440-search sweep (2 vCPUs, one BLAS thread, six
+# alternating runs each) 32, 64 and 128 took 1.64-1.80, 1.45-1.78 and
+# 1.36-1.48 s of CPU at 53.7, 54.6 and 56.6 MB peak RSS; an opt_search
+# process (6 searches) rarely fills 32 rows.
 _BATCH = 64
 
 
@@ -67,17 +69,16 @@ class OptConfig:
 
     max_iters: int = 100
     grad_tol: float = 1e-5
-    memory: int = 10
     armijo_c1: float = 1e-4
     backtrack: float = 0.5
     init_step: float = 1.0
     max_backtracks: int = 30
 
     def __post_init__(self):
-        for name in ("max_iters", "memory", "max_backtracks"):
+        for name in ("max_iters", "max_backtracks"):
             check_integer(name, getattr(self, name))
-        if min(self.max_iters, self.memory) < 1 or self.max_backtracks < 0:
-            raise ConfigError("max_iters, memory must be >= 1; max_backtracks >= 0")
+        if self.max_iters < 1 or self.max_backtracks < 0:
+            raise ConfigError("max_iters must be >= 1; max_backtracks >= 0")
         for name in ("grad_tol", "init_step"):
             check_positive(name, getattr(self, name))
         for name in ("backtrack", "armijo_c1"):
@@ -273,23 +274,18 @@ def gradient(decomp: ChannelDecomposition, channels: ChannelSet, reg_vec, power:
     return problems.adjoint(ev)[0]
 
 
-def _directions(g, s, y, rho):
-    """The limited-memory quasi-Newton ascent direction ``H g`` of each row:
-    the two-loop recursion (Nocedal & Wright, *Numerical Optimization*, 2nd
-    ed., Alg. 7.4) over the row's curvature pairs ``s[b, i]``, ``y[b, i]``,
-    ``rho[b, i] = 1 / (s y)``, oldest first.  Padding pairs at the front are
-    zero with ``rho`` 0 and change nothing; each row's last pair, which
-    scales the initial inverse Hessian, is real."""
-    q, a = g.copy(), []
-    slots = list(zip(s.swapaxes(0, 1), y.swapaxes(0, 1), rho.T))
-    for s_i, y_i, rho_i in reversed(slots):
-        a.append(rho_i * np.vecdot(s_i, q))
-        q -= a[-1][:, None] * y_i
-    s_i, y_i, _ = slots[-1]
-    q *= (np.vecdot(s_i, y_i) / np.vecdot(y_i, y_i))[:, None]
-    for (s_i, y_i, rho_i), a_i in zip(slots, reversed(a)):
-        q += (a_i - rho_i * np.vecdot(y_i, q))[:, None] * s_i
-    return q
+def _bfgs(h, s, y):
+    """Each row's inverse Hessian ``h[b]`` after the BFGS update (Nocedal &
+    Wright, *Numerical Optimization*, 2nd ed., eq. 6.17) by its curvature pair
+    ``s[b]``, ``y[b]`` with ``s y > 0``, expanded into row-wise dots and
+    elementwise products: ``h[b]`` stays exactly symmetric, and its bits do not
+    depend on the other rows."""
+    rho = 1.0 / np.vecdot(s, y)
+    hy = np.vecdot(h, y[:, None])
+    shy = s[:, :, None] * hy[:, None]
+    ss = s[:, :, None] * s[:, None]
+    c = rho * (1.0 + rho * np.vecdot(y, hy))
+    return h - rho[:, None, None] * (shy + shy.mT) + c[:, None, None] * ss
 
 
 def _try_evaluate(problems, idx, regs):
@@ -362,7 +358,7 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
     if not problems:
         return []
     stack = _Problems(problems)
-    n, lt, m = len(problems), stack.dims.total_layers, config.memory
+    n, lt = len(problems), stack.dims.total_layers
     # the step lengths of every ladder, by repeated shrinking
     alphas = np.cumprod([config.init_step] + [config.backtrack] * config.max_backtracks)
     armijo, rungs, steps = config.armijo_c1 * alphas, len(alphas), alphas.tolist()
@@ -376,8 +372,8 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
     u = np.log(reg)
     j, slope = np.zeros(n), np.zeros(n)
     g, p = np.zeros((n, lt)), np.zeros((n, lt))
-    # curvature pairs (s, y, 1 / (s y)), newest last, and how many are real
-    mem, pairs = np.zeros((n, m, 2 * lt + 1)), np.zeros(n, dtype=int)
+    # each search's inverse Hessian, and whether it has seen curvature
+    h, curved = np.zeros((n, lt, lt)), np.zeros(n, dtype=bool)
     # rungs of the current ladder tried so far, and the next stretch's width
     tried, width = np.full(n, rungs - 1), np.ones(n, dtype=int)
     # (iteration, objective, gradient norm, step) and most-loaded antenna
@@ -424,24 +420,15 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
                 failed = sorted(set(failed).difference(acc.tolist()))
             u_old = u.take(acc, 0)
             u_new = u_old + alphas[k][:, None] * p.take(acc, 0)
-            # the new curvature pair (s, y, 1 / (s y)) of each search
-            pair = np.empty((len(acc), 2 * lt + 1))
-            s = np.subtract(u_new, u_old, out=pair[:, :lt])
-            y = np.subtract(g.take(acc, 0), g_new, out=pair[:, lt:-1])
-            sy = np.vecdot(s, y)
-            # the start steps 0 from itself, so it adds no pair.  Without the
-            # shortcut for all pairs new, opt_search-shaped sweeps read 1.023x
-            # the CPU in one set of 7 in-process pairs (all 7 lost), but 0.994x
-            # in a later set of 13 interleaved runs
-            new = sy > 1e-12
-            c = acc if np.count_nonzero(new) == len(new) else acc[new]
-            if len(c):
-                if len(c) < len(acc):
-                    pair, sy = pair[new], sy[new]
-                np.divide(1.0, sy, out=pair[:, -1])
-                mem[c, :-1] = mem.take(c, 0)[:, 1:]
-                mem[c, -1] = pair
-                pairs[c] = np.minimum(pairs[c] + 1, m)
+            # the curvature pair of each search; the start steps 0 from itself
+            s, y = u_new - u_old, g.take(acc, 0) - g_new
+            new = np.vecdot(s, y) > 1e-12
+            if new.any():
+                c, s, y = acc[new], s[new], y[new]
+                # a search's first update scales the identity by s y / y y (eq. 6.20)
+                first = (np.vecdot(s, y) / np.vecdot(y, y))[:, None, None] * np.eye(lt)
+                h[c] = _bfgs(np.where(curved[c, None, None], h.take(c, 0), first), s, y)
+                curved[c] = True
             u[acc], g[acc], reg[acc], j[acc] = u_new, g_new, sub.reg, sub.j
             go = []
             rows = zip(acc.tolist(), sub.j.tolist(),
@@ -465,15 +452,8 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
             if go:
                 gg = g_new[go]
                 go = acc[go]
-                # rows without pairs go along the gradient; slots that are
-                # padding in every row change nothing
-                known, dirs = pairs[go], gg.copy()
-                has = known > 0
-                lo = m - known.max()
-                if lo < m:
-                    held = mem.take(go[has], 0)[:, lo:]
-                    dirs[has] = _directions(gg[has], held[..., :lt], held[..., lt:-1],
-                                            held[..., -1])
+                # the quasi-Newton ascent direction H g, or g before any curvature
+                dirs = np.where(curved[go, None], np.vecdot(h.take(go, 0), gg[:, None]), gg)
                 gp = np.vecdot(gg, dirs)
                 p[go], slope[go], tried[go], width[go] = dirs, -gp, 0, 1
                 failed += go[gp <= 0].tolist()
@@ -482,12 +462,12 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
             for i in failed:
                 if not traj[i]:
                     ended[i] = NumericalError("objective undefined at the starting ridge")
-                elif not pairs[i]:
+                elif not curved[i]:
                     ended[i] = "line search failed to find an acceptable step"
-            # curvature memory can point downhill or across a normalization
+            # the curvature can point downhill or across a normalization
             # kink; drop it and retry along the raw gradient
             retry = [i for i in failed if i not in ended]
-            pairs[retry], mem[retry] = 0, 0.0
+            curved[retry] = False
             p[retry], slope[retry] = g[retry], -np.vecdot(g[retry], g[retry])
             tried[retry], width[retry] = 0, 1
 
@@ -533,8 +513,8 @@ def optimize(decomp: ChannelDecomposition, channels: ChannelSet, power: float, n
              config: OptConfig = OptConfig()) -> OptResult:
     """Maximize sum spectral efficiency over the ridge diagonal.
 
-    Limited-memory quasi-Newton ascent in log space from the
-    gain-adapted starting ridge, with backtracking line search.  Each
+    BFGS ascent in log space from the gain-adapted starting ridge, with
+    backtracking line search.  Each
     accepted ridge is evaluated once: its gradient and the returned
     precoder reuse the line search's evaluation.  Never raises on
     search stagnation: the best iterate seen is returned with

@@ -103,24 +103,6 @@ def av_susinr(decomp, power: float, noise_var: float) -> float:
     return float(np.exp(np.mean(logs)))
 
 
-def two_loop(grad_phi, pairs):
-    """Standard limited-memory inverse-Hessian application for the
-    minimization direction, one search at a time: ``pairs`` holds
-    ``(s, y, 1 / (s y))``, oldest first."""
-    q = grad_phi.copy()
-    alphas = []
-    for s, yv, rho in reversed(pairs):
-        a = rho * float(s @ q)
-        alphas.append(a)
-        q -= a * yv
-    s, yv, rho = pairs[-1]
-    q *= float(s @ yv) / float(yv @ yv)
-    for (s, yv, rho), a in zip(pairs, reversed(alphas)):
-        b = rho * float(yv @ q)
-        q += (a - b) * s
-    return -q
-
-
 # A reduced SVD ``m = u^H @ diag(s) @ v``: rows of ``u`` and ``v`` orthonormal.
 Svd = namedtuple("Svd", "u s v")
 

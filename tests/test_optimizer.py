@@ -16,7 +16,7 @@ from precodesim.detection import mmse_detection
 from precodesim.exceptions import ConfigError, DimensionError, NotHpdError, NumericalError
 from precodesim.metrics import evaluate, report
 from precodesim.numerics import complex_normal
-from helpers import evaluate_point, gaussian_channels, two_loop
+from helpers import evaluate_point, gaussian_channels
 from precodesim.optimizer import (
     _PROGRESS_TOL,
     _WINDOW,
@@ -312,35 +312,31 @@ class TestOptimize:
         ) < 1e-12
 
 
-class TestDirections:
+class TestBfgs:
     @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), memory=st.integers(1, 10), lt=st.integers(1, 9))
-    def test_masked_two_loop_matches_oracle(self, seed, memory, lt):
-        # rows hold from 1 (row 0) to memory (row 4) real pairs behind zero
-        # padding; the pairs come from one SPD Hessian per row, so s y > 0
+    @given(seed=st.integers(0, 2**32 - 1), lt=st.integers(1, 9))
+    def test_update_is_secant_symmetric_and_row_independent(self, seed, lt):
+        # each row's pairs come from one SPD Hessian, so s y > 0; its matrix
+        # starts as the identity scaled by s y / y y, as a search's does
         rng = np.random.default_rng(seed)
         rows = 5
-        g = rng.normal(size=(rows, lt))
-        s, y = np.zeros((rows, memory, lt)), np.zeros((rows, memory, lt))
-        rho = np.zeros((rows, memory))
-        oracle = []
-        for b in range(rows):
-            a = rng.normal(size=(lt, lt))
-            hess = a @ a.T + 0.5 * np.eye(lt)
-            pairs = []
-            for i in range(memory - 1 - b * (memory - 1) // (rows - 1), memory):
-                s[b, i] = rng.normal(size=lt)
-                y[b, i] = hess @ s[b, i]
-                rho[b, i] = 1.0 / float(s[b, i] @ y[b, i])
-                pairs.append((s[b, i], y[b, i], rho[b, i]))
-            oracle.append(two_loop(-g[b], pairs))
-        p = optimizer._directions(g, s, y, rho)
-        oracle = np.array(oracle)
-        assert np.all(np.abs(p - oracle) <= 1e-12 * np.abs(oracle).max(axis=-1, keepdims=True))
-        # each row alone gives the bits it gets inside the batch
-        for b in range(rows):
-            alone = optimizer._directions(g[b:b + 1], s[b:b + 1], y[b:b + 1], rho[b:b + 1])
-            assert alone.tobytes() == p[b:b + 1].tobytes()
+        a = rng.normal(size=(rows, lt, lt))
+        hess = a @ a.mT + 0.5 * np.eye(lt)
+        s = rng.normal(size=(rows, lt))
+        y = (hess @ s[..., None])[..., 0]
+        h = (np.vecdot(s, y) / np.vecdot(y, y))[:, None, None] * np.eye(lt)
+        for _ in range(4):
+            new = optimizer._bfgs(h, s, y)
+            hy = (new @ y[..., None])[..., 0]
+            assert np.all(np.abs(hy - s) <= 1e-12 * np.abs(s).max(axis=-1, keepdims=True))
+            assert np.array_equal(new, new.mT)
+            np.linalg.cholesky(new)  # positive definite
+            # each row alone gives the bits it gets inside the batch
+            for b in range(rows):
+                alone = optimizer._bfgs(h[b:b + 1], s[b:b + 1], y[b:b + 1])
+                assert alone.tobytes() == new[b:b + 1].tobytes()
+            h, s = new, rng.normal(size=(rows, lt))
+            y = (hess @ s[..., None])[..., 0]
 
 
 def same_search(a, b):
@@ -358,12 +354,11 @@ def sweep_problems(seeds, family, levels=tuple(range(0, 41, 4))):
     return out
 
 
-# The default search and degenerate ones: one curvature pair, more pair
-# slots than iterations, ladders of one and two rungs, one step.
+# The default search and degenerate ones: the first scaled matrix and one
+# update, ladders of one and two rungs, one step.
 CONFIGS = {
     "default": OptConfig(),
-    "memory_1": OptConfig(memory=1),
-    "memory_20_of_19_steps": OptConfig(memory=20, max_iters=19),
+    "two_steps": OptConfig(max_iters=2),
     "no_backtracking": OptConfig(max_backtracks=0),
     "one_backtrack": OptConfig(max_backtracks=1),
     "one_step": OptConfig(max_iters=1),
@@ -385,7 +380,7 @@ class TestOptimizeMany:
 
     def test_batch_window_is_invisible(self, monkeypatch):
         # a window smaller than the batch starts searches as others finish
-        problems = sweep_problems((2,), "varied", (0.0, 20.0, 40.0, 10.0))
+        problems = sweep_problems((2,), "varied", (8.0, 12.0, 16.0, 20.0))
         full = optimize_many(problems)
         real, sizes = optimizer._round, []
 
@@ -540,12 +535,12 @@ class TestConfigAndCsv:
         with pytest.raises(ConfigError):
             OptConfig(grad_tol=0.0)
         # a float iteration limit never equals the accepted count, and a
-        # bool memory would be taken as 1
-        for kw in ({"max_iters": 2.5}, {"max_iters": True}, {"memory": True},
-                   {"memory": 3.0}, {"max_backtracks": 1.5}, {"max_backtracks": False}):
+        # bool backtrack count would be taken as 0 or 1
+        for kw in ({"max_iters": 2.5}, {"max_iters": True}, {"max_backtracks": True},
+                   {"max_backtracks": 3.0}, {"max_backtracks": 1.5}, {"max_backtracks": False}):
             with pytest.raises(ConfigError, match=next(iter(kw))):
                 OptConfig(**kw)
-        assert OptConfig(max_iters=np.int64(3), memory=np.int32(2)).max_iters == 3
+        assert OptConfig(max_iters=np.int64(3), max_backtracks=np.int32(2)).max_iters == 3
         # each used to raise a bare TypeError from the (0, 1) comparison
         for kw in ({"backtrack": "0.5"}, {"backtrack": None}, {"armijo_c1": 1j},
                    {"backtrack": True}, {"armijo_c1": float("nan")}):
