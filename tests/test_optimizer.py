@@ -338,6 +338,56 @@ class TestBfgs:
             h, s = new, rng.normal(size=(rows, lt))
             y = (hess @ s[..., None])[..., 0]
 
+    def test_each_update_starts_from_the_last_or_a_scaled_identity(self, monkeypatch):
+        # one search alone: an update takes the matrix the previous one gave,
+        # or, before any curvature and after a retry clears it, the identity
+        # scaled by s y / y y; the start steps 0 from itself and is no pair
+        ch = gaussian_channels(seed=6)
+        dec = decompose(ch)
+        real, calls = optimizer._bfgs, []
+
+        def bfgs(h, s, y):
+            new = real(h, s, y)
+            calls.append((h, s, y, new))
+            return new
+
+        monkeypatch.setattr(optimizer, "_bfgs", bfgs)
+        res = optimize(dec, ch, POWER, NV)
+        lt = dec.dims.total_layers
+        assert 1 < len(calls) <= res.iterations
+        chained, last = 0, None
+        for h, s, y, new in calls:
+            assert h.shape == (1, lt, lt) and np.vecdot(s, y)[0] > 1e-12
+            scaled = (np.vecdot(s, y) / np.vecdot(y, y))[:, None, None] * np.eye(lt)
+            if last is not None and np.array_equal(h, last):
+                chained += 1
+            else:
+                assert np.array_equal(h, scaled)
+            last = new
+        assert chained > 0
+        assert res.objective > res.start_objective
+
+    def test_downhill_curvature_falls_back_to_the_gradient(self, monkeypatch):
+        # a matrix whose direction -g points downhill, and one whose direction
+        # 0 does not ascend, both fail before any trial: each retry clears the
+        # curvature and steps along the raw gradient, so both give the same
+        # gradient ascent, alone and in a batch
+        problems = sweep_problems((5,), "varied", (0.0, 20.0, 40.0))
+
+        def run(sign):
+            monkeypatch.setattr(optimizer, "_bfgs", lambda h, s, y: sign * np.broadcast_to(
+                np.eye(h.shape[-1]), h.shape).copy())
+            return optimize_many(problems), [optimize(*p) for p in problems]
+
+        neg_many, neg_alone = run(-1.0)
+        zero_many, zero_alone = run(0.0)
+        for a, b, c, d in zip(neg_many, neg_alone, zero_many, zero_alone):
+            assert same_search(a, b) and same_search(a, c) and same_search(a, d)
+            objs = [row[1] for row in a.trajectory]
+            assert all(q >= o for o, q in zip(objs, objs[1:]))
+            assert a.objective >= a.start_objective
+        assert max(r.iterations for r in neg_many) > 2
+
 
 def same_search(a, b):
     return (a.reg_vec.tobytes() == b.reg_vec.tobytes() and a.trajectory == b.trajectory
