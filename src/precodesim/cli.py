@@ -12,13 +12,23 @@ arguments or a runtime failure.
 import argparse
 import json
 import math
+import os
 import reprlib
 import sys
 from dataclasses import replace
 
-from .exceptions import PrecodesimError
-from .harness import METHODS, SweepConfig, emit_csv, emit_plotdata, format_csv, run_sweep
-from .verification import run_all, search_quality
+# ``import numpy`` starts OpenBLAS's default thread pool, whose worker
+# busy-waits for 60-80 ms of CPU with no BLAS call at all and then gets no
+# work in a run. So the command line runs BLAS on one thread unless the user
+# set a count. It takes effect only before numpy loads; after that, as in a
+# library import, no setting changes.
+if "numpy" not in sys.modules and "OMP_NUM_THREADS" not in os.environ:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .exceptions import PrecodesimError  # noqa: E402
+from .harness import (  # noqa: E402
+    METHODS, SweepConfig, emit_csv, emit_plotdata, format_csv, run_sweep)
+from .verification import run_all, search_quality  # noqa: E402
 
 __all__ = ["main"]
 

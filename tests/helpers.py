@@ -36,8 +36,9 @@ SRC = str(Path(precodesim.__file__).resolve().parent.parent)
 
 def run_child(args, **env):
     """``python <args>`` in a fresh interpreter that imports this source
-    tree, with ``env`` added to the environment."""
-    child_env = dict(os.environ, **env)
+    tree, with ``env`` added to the environment; a variable given as None
+    is left out of it."""
+    child_env = {k: v for k, v in dict(os.environ, **env).items() if v is not None}
     child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env=child_env, capture_output=True,
                           text=True, timeout=300)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -221,12 +222,12 @@ class TestRunCommand:
         args = ["-m", "precodesim", "run", "--methods", "arzf,opt", "--susinr", "0,20,40",
                 "--seeds", "2", "--quiet"]
         outs = []
-        for threads in ("1", "2"):
-            proc = run_child(args, OPENBLAS_NUM_THREADS=threads)
+        for threads in ("1", "2", None):
+            proc = run_child(args, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=None)
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)
         assert outs[0].count("\n") == 7
-        assert outs[0] == outs[1]
+        assert outs[0] == outs[1] == outs[2]
 
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/nonexistent/x.json", "--quiet"]) == 2
@@ -299,11 +300,40 @@ class TestRunOptions:
             assert (tmp_path / value).exists()
 
 
+# the child's thread count and BLAS thread variable, after it imports the CLI
+THREADS = ("import os, precodesim.cli; "
+           "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))")
+NO_THREAD_VARS = {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None}
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc")
+
+
 class TestRuntimeDependencies:
     def test_cli_import_loads_no_scipy(self):
         # nor decimal, which only a start:stop:step grid imports
         proc = run_child(["-c", "import sys, precodesim.cli; "
                                 "assert not {'scipy', 'decimal'} & set(sys.modules)"])
+        assert proc.returncode == 0, proc.stderr
+
+    @needs_proc
+    def test_cli_runs_blas_on_one_thread(self):
+        # numpy's OpenBLAS starts no worker thread once the CLI is imported
+        proc = run_child(["-c", THREADS], **NO_THREAD_VARS)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", "1"]
+
+    @needs_proc
+    @pytest.mark.parametrize("var", NO_THREAD_VARS)
+    def test_a_chosen_thread_count_stands(self, var):
+        proc = run_child(["-c", THREADS], **dict(NO_THREAD_VARS, **{var: "2"}))
+        assert proc.returncode == 0, proc.stderr
+        threads, blas_var = proc.stdout.split()
+        assert blas_var == ("2" if var == "OPENBLAS_NUM_THREADS" else "None")
+        if len(os.sched_getaffinity(0)) >= 2:
+            assert threads == "2"
+
+    def test_import_after_numpy_changes_no_setting(self):
+        proc = run_child(["-c", "import os, numpy; env = dict(os.environ); import precodesim.cli; "
+                                "assert dict(os.environ) == env"], **NO_THREAD_VARS)
         assert proc.returncode == 0, proc.stderr
 
 
