@@ -11,7 +11,7 @@ computed for all users of one shape at once.
 import numpy as np
 
 from .channel import ChannelDecomposition, ChannelSet, SystemDims, UserGroup
-from .exceptions import DimensionError, check_positive
+from .exceptions import DimensionError, NotHpdError, check_positive
 from .numerics import hpd_inverse
 from .precoding import Precoder
 
@@ -61,14 +61,15 @@ def mmse_stack(group: UserGroup, w: np.ndarray, noise_var):
     This L x L form equals ``A^H inv(A A^H + noise_var I)``, whose rx x rx
     system is singular to working precision at low noise.  Every matrix is
     its own BLAS or LAPACK call, so batch members do not change each other's
-    bits.  A non-HPD ``m`` anywhere in the batch raises NotHpdError."""
+    bits.  Last comes the mask ``ok`` of members whose every ``m`` is HPD;
+    any other member's ``m_inv`` and ``g`` are NaN."""
     eff = group.h @ w[:, None]
     nb, n, rows, _ = eff.shape
     ah = eff.reshape(nb, -1)[:, group.cols].reshape(nb, n, -1, rows).conj()
     m = ah @ np.conj(ah.swapaxes(-1, -2))
     m.reshape(nb, n, -1)[..., :: m.shape[-1] + 1] += np.asarray(noise_var).reshape(-1, 1, 1)
-    m_inv = hpd_inverse(m)
-    return eff, ah, m_inv, m_inv @ ah
+    m_inv, ok = hpd_inverse(m)
+    return eff, ah, m_inv, m_inv @ ah, ok.all(axis=-1)
 
 
 def mmse_detection(channels: ChannelSet, precoder: Precoder, noise_var: float) -> tuple:
@@ -79,5 +80,8 @@ def mmse_detection(channels: ChannelSet, precoder: Precoder, noise_var: float) -
     check_scoring(channels.dims, w[None], noise_var)
     blocks = {}
     for group in channels.groups:
-        blocks.update(zip(group.users, mmse_stack(group, w[None], noise_var)[3][0]))
+        *_, g, ok = mmse_stack(group, w[None], noise_var)
+        if not ok.all():
+            raise NotHpdError("matrix is not positive definite")
+        blocks.update(zip(group.users, g[0]))
     return tuple(blocks[k] for k in range(channels.dims.num_users))

@@ -15,10 +15,10 @@ import numpy as np
 
 from .channel import ChannelSet, UserGroup
 from .detection import check_scoring, mmse_stack
-from .exceptions import DimensionError, ZeroSinrError
+from .exceptions import DimensionError, NotHpdError, ZeroSinrError
 from .precoding import Precoder
 
-__all__ = ["MetricsReport", "require_positive", "mmse_sinr_stack", "layer_sinr", "effective_sinr",
+__all__ = ["MetricsReport", "require_scored", "mmse_sinr_stack", "layer_sinr", "effective_sinr",
            "user_se", "report", "evaluate", "evaluate_many"]
 
 _LN2 = math.log(2.0)
@@ -44,9 +44,8 @@ def sinr_terms(g: np.ndarray, eff: np.ndarray, group: UserGroup, noise_var):
     layer ``own[:, j]`` is the signal ``sig[..., j]``, at every other layer
     (own ones included) interference, which ``den[..., j]`` sums with the
     detected noise.  The layer SINRs are ``sig / den``.  ``ok[b]`` is False
-    where a ``sig`` or ``den`` of member b is not positive (underflow, NaN);
-    that member's terms are then set to 1, so the division stays defined,
-    and :func:`require_positive` turns it into ZeroSinrError."""
+    where a ``sig`` or ``den`` of member b is not positive (underflow, NaN),
+    which :func:`require_scored` turns into ZeroSinrError."""
     coup = g @ eff
     mag = np.abs(coup) ** 2
     nb, n, nl, _ = mag.shape
@@ -55,30 +54,38 @@ def sinr_terms(g: np.ndarray, eff: np.ndarray, group: UserGroup, noise_var):
     flat[:, group.lanes] = 0.0
     den = mag.sum(axis=-1) + np.asarray(noise_var).reshape(-1, 1, 1) * (np.abs(g) ** 2).sum(axis=-1)
     ok = (np.minimum(sig, den) > 0).reshape(nb, -1).all(axis=-1)
-    if not ok.all():
-        sig[~ok] = den[~ok] = 1.0
     return coup, sig, den, ok
 
 
-def require_positive(ok) -> None:
-    """Raise ZeroSinrError unless every ``ok`` of :func:`sinr_terms` holds."""
-    if not np.all(ok):
-        raise ZeroSinrError("a layer's signal or interference-plus-noise power is not positive")
+def require_scored(ok, stages=()) -> None:
+    """Unless every ``ok`` of :func:`mmse_sinr_stack` (with its ``stages``)
+    or of :func:`sinr_terms` holds, raise NotHpdError if an MMSE system of
+    ``stages`` is not HPD, else ZeroSinrError."""
+    if not ok.all():
+        if not all(stage[-1].all() for stage in stages):
+            raise NotHpdError("matrix is not positive definite")
+        raise ZeroSinrError("a layer SINR, signal or interference-plus-noise power is not positive")
 
 
 def mmse_sinr_stack(groups, w: np.ndarray, noise_var):
     """Layer SINRs ``(B, total_layers)`` under per-user MMSE detection of
     a batch of weights ``w`` (batch axis first), the stages
-    ``(eff, ah, m_inv, g, coup, sig, den)`` of each :class:`UserGroup` of
-    ``groups`` (see :func:`mmse_stack`) and the :func:`sinr_terms` ``ok`` of
-    each member over all groups."""
+    ``(eff, ah, m_inv, g, coup, sig, den, hpd)`` of each :class:`UserGroup`
+    of ``groups`` (see :func:`mmse_stack`) and the mask ``ok`` of members
+    whose MMSE systems are HPD, whose :func:`sinr_terms` ``ok`` holds and
+    whose layer SINRs do not underflow to 0.  A failed member's SINRs read
+    1, so that aggregates of them stay defined."""
     sinrs, ok, stages = np.empty((len(w), w.shape[-1])), True, []
     for group in groups:
-        eff, ah, m_inv, g = mmse_stack(group, w, noise_var)
+        eff, ah, m_inv, g, hpd = mmse_stack(group, w, noise_var)
         coup, sig, den, ok_group = sinr_terms(g, eff, group, noise_var)
-        ok = ok_group & ok
-        sinrs[:, group.own] = sig / den
-        stages.append((eff, ah, m_inv, g, coup, sig, den))
+        ok = ok_group & hpd & ok
+        with np.errstate(divide="ignore", invalid="ignore"):  # a failed member's 0 / 0
+            sinrs[:, group.own] = sig / den
+        stages.append((eff, ah, m_inv, g, coup, sig, den, hpd))
+    ok &= (sinrs > 0).all(axis=-1)
+    if not ok.all():
+        sinrs[~ok] = 1.0
     return sinrs, stages, ok
 
 
@@ -91,7 +98,7 @@ def layer_sinr(channels: ChannelSet, precoder: Precoder, blocks, noise_var: floa
     for group in channels.groups:
         g = np.stack([blocks[k] for k in group.users])
         _, sig, den, ok = sinr_terms(g[None], (group.h @ w)[None], group, noise_var)
-        require_positive(ok)
+        require_scored(ok)
         out[group.own] = sig[0] / den[0]
     return out
 
@@ -143,7 +150,8 @@ def evaluate_many(channels: ChannelSet, weights: np.ndarray, noise_var) -> Metri
     total_layers)``, member b under ``noise_var[b]`` (or all under one
     ``noise_var``), from one batched :func:`mmse_sinr_stack` call and one
     summary: every array of the report has the batch axis first, and each
-    member is bitwise as alone.  Any layer SINR that is not positive raises
+    member is bitwise as alone.  A member whose MMSE system is not HPD
+    raises NotHpdError, and one with a layer SINR that is not positive
     ZeroSinrError."""
     return _summary(_mmse_sinrs(channels, np.asarray(weights, dtype=complex), noise_var),
                     channels.dims)
@@ -151,8 +159,8 @@ def evaluate_many(channels: ChannelSet, weights: np.ndarray, noise_var) -> Metri
 
 def _mmse_sinrs(channels: ChannelSet, w: np.ndarray, noise_var) -> np.ndarray:
     check_scoring(channels.dims, w, noise_var)
-    sinrs, _, ok = mmse_sinr_stack(channels.groups, w, noise_var)
-    require_positive(ok)
+    sinrs, stages, ok = mmse_sinr_stack(channels.groups, w, noise_var)
+    require_scored(ok, stages)
     return sinrs
 
 

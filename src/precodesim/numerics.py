@@ -11,13 +11,14 @@ precoders and the MMSE blocks) goes through :func:`hpd_inverse`: a Cholesky
 factorization tests definiteness, then the inverse is formed and matrix
 products apply it.  Both are numpy calls that
 loop over a stack one matrix at a time, so there is one solve path, one BLAS
-library and no per-matrix Python loop.
+library and no per-matrix Python loop.  A member that is not positive
+definite fails alone, in a mask that the callers read.
 """
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .exceptions import DimensionError, NotHpdError, NumericalError, check_positive
+from .exceptions import DimensionError, NumericalError, check_positive
 
 __all__ = ["RANK_TOLERANCE", "as_complex_matrix", "align_phase", "hpd_inverse",
            "complex_normal"]
@@ -50,26 +51,24 @@ def align_phase(u, vh):
     return (u * phase.mT).conj().mT, vh * phase.conj()
 
 
-def _not_hpd(err, flag):
-    raise NotHpdError("matrix is not positive definite")
-
-
-def hpd_inverse(a: np.ndarray) -> np.ndarray:
+def hpd_inverse(a: np.ndarray):
     """Inverse of each matrix of a stack ``a`` (shape ``(..., n, n)``) of
-    finite Hermitian matrices, unchecked otherwise; raises NotHpdError
-    unless every one is positive definite.  The Cholesky factor only tests
-    definiteness (numpy has no stacked triangular solve); the inverse comes
-    from LU.  Each matrix is its own LAPACK call, so a member's bits do not
-    depend on the rest of the stack.  Both are the gufuncs behind
-    ``np.linalg.cholesky`` and ``np.linalg.inv``, called as those do but
-    without their per-call argument handling, which costs more than the
-    LAPACK work of a small stack: a failed factorization sets the invalid
-    flag, which the errstate turns into the error."""
+    finite Hermitian matrices, unchecked otherwise, and the mask ``ok`` of
+    those that are positive definite (finite Cholesky factor); any other has
+    an all-NaN inverse, and none raises or warns.  The Cholesky factor only
+    tests definiteness (numpy has no stacked triangular solve); the inverse
+    comes from LU.  Each matrix is its own LAPACK call, so a member's bits do
+    not depend on the rest of the stack.  Both are the gufuncs behind
+    ``np.linalg.cholesky`` and ``np.linalg.inv``, called without their
+    per-call argument handling, which costs more than a small stack's LAPACK
+    work."""
     sig = "D->D" if a.dtype.kind == "c" else "d->d"
-    with np.errstate(call=_not_hpd, invalid="call", over="ignore", divide="ignore",
-                     under="ignore"):
-        _umath_linalg.cholesky_lo(a, signature=sig)
-        return _umath_linalg.inv(a, signature=sig)
+    with np.errstate(all="ignore"):
+        ok = np.isfinite(_umath_linalg.cholesky_lo(a, signature=sig)).all(axis=(-2, -1))
+        inv = _umath_linalg.inv(a, signature=sig)
+    if not ok.all():
+        inv[~ok] = np.nan
+    return inv, ok
 
 
 def complex_normal(rng: np.random.Generator, shape, variance: float = 1.0) -> np.ndarray:

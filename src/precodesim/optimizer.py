@@ -36,8 +36,8 @@ from .channel import ChannelDecomposition, ChannelSet, UserGroup
 from .exceptions import (
     ConfigError, DimensionError, NumericalError, PrecodesimError, check_integer, check_positive,
     check_real)
-from .metrics import _LN2, effective_sinr, mmse_sinr_stack, require_positive, user_se
-from .precoding import RIDGES, Precoder, check_reg, gram_stack, ridge_stack
+from .metrics import _LN2, effective_sinr, mmse_sinr_stack, require_scored, user_se
+from .precoding import RIDGES, Precoder, check_reg, gram_stack, require_built, ridge_stack
 
 __all__ = ["OptConfig", "OptResult", "default_start", "objective", "gradient", "optimize",
            "optimize_many"]
@@ -117,10 +117,10 @@ def default_start(decomp: ChannelDecomposition, power: float, noise_var: float) 
 
 class _Evaluation(NamedTuple):
     """Kernel results for the ridges ``reg[b]`` of problems ``idx[b]``: sum
-    SE ``j`` (NaN where ``ok`` is False), the :func:`sinr_terms` ``ok``, the
-    layer weights ``x``, the row of the raw weights at the most-loaded antenna
-    ``top``, the gains, each user's effective SINR ``geo`` and the stages of
-    each user shape group, all batch axis first."""
+    SE ``j`` (NaN where the mask ``ok`` of built and scored members fails),
+    the layer weights ``x``, the row of the raw weights at the most-loaded
+    antenna ``top``, the gains, each user's effective SINR ``geo`` and the
+    stages of each user shape group, all batch axis first."""
 
     idx: np.ndarray
     j: np.ndarray
@@ -181,15 +181,17 @@ class _Problems:
         self.start = [default_start(d, p, nv) for d, _, p, nv in problems]
 
     def evaluate(self, idx, reg) -> _Evaluation:
-        """The kernel at ridges ``reg[b]`` of problems ``idx[b]``.  A member
-        whose SINR terms are not positive reads ``ok`` False; one whose
-        build or MMSE system fails, or whose SINR underflows to 0, makes
-        the whole batch raise."""
+        """The kernel at ridges ``reg[b]`` of problems ``idx[b]``; it never
+        raises or warns for a member, which reads ``ok`` False where its
+        ridge is not finite (outside :func:`ridge_stack`'s inputs), its
+        build fails or its scoring does (:func:`mmse_sinr_stack`)."""
         at = self.scene[idx]
-        raw, gain, x, top = ridge_stack(self.gram.take(at, axis=0), self.vh.take(at, axis=0), reg,
-                                        None, self.power[idx])
         groups = [group._replace(h=group.h.take(at, axis=0)) for group in self.groups]
-        sinrs, stages, ok = mmse_sinr_stack(groups, gain[:, None, None] * x, self.noise_var[idx])
+        with np.errstate(all="ignore"):  # a failed build has non-finite weights
+            raw, gain, x, top, built = ridge_stack(
+                self.gram.take(at, axis=0), self.vh.take(at, axis=0), reg, None, self.power[idx])
+            sinrs, stages, ok = mmse_sinr_stack(groups, gain[:, None, None] * x, self.noise_var[idx])
+        ok &= built & np.isfinite(reg).all(axis=-1)
         geo = effective_sinr(sinrs, self.dims)
         j = np.where(ok, user_se(geo, self.dims).sum(axis=-1), np.nan)
         top_row = raw[np.arange(len(idx)), top]
@@ -212,7 +214,7 @@ class _Problems:
         # w = gain x, the weights the kernel saw
         w_bar = np.zeros(ev.x.shape, dtype=complex)
         for group, stage in zip(self.groups, ev.stages):
-            eff, ah, m_inv, g, coup, sig, den = stage
+            eff, ah, m_inv, g, coup, sig, den, _ = stage
             d = dlog_sinr[:, group.users, None]
             sig_bar, den_bar = d / sig, -d / den
             coup_bar = den_bar[..., None].repeat(lt, axis=-1)
@@ -246,11 +248,13 @@ class _Problems:
 
 
 def _one(decomp, channels, reg_vec, power, noise_var):
-    """A batch of one problem and its evaluation at the checked ridge."""
+    """A batch of one problem and its evaluation at the checked ridge, or
+    the error of its failed build, else of its failed scoring."""
     problems = _Problems([(decomp, channels, power, noise_var)])
     reg = check_reg(reg_vec, decomp.dims.total_layers)
     ev = problems.evaluate(np.zeros(1, dtype=int), reg[None])
-    require_positive(ev.ok)
+    require_built(ev.ok, ev.gain)
+    require_scored(ev.ok, ev.stages)
     return problems, ev
 
 
@@ -288,50 +292,25 @@ def _bfgs(h, s, y):
     return h - rho[:, None, None] * (shy + shy.mT) + c[:, None, None] * ss
 
 
-def _try_evaluate(problems, idx, regs):
-    """:meth:`_Problems.evaluate`, or None where the kernel raises."""
-    try:
-        return problems.evaluate(idx, regs)
-    except (PrecodesimError, np.linalg.LinAlgError):
-        return None
-
-
 def _round(problems, idx, regs, bounds, sent):
     """Evaluate the trial ridges ``regs`` with Armijo bounds ``bounds``:
     ``sent[k]`` consecutive rows, a stretch of search ``idx[k]``'s ladder,
-    for each ``k`` in order.  Find each search's first accepted trial: its
-    objective ``j`` is finite and ``-j <= bound``.  Returns the rows of the
-    accepted trials, one per accepting search in search order, and their
-    evaluation and gradient (``None`` if nothing was accepted).  A ridge
-    that is not finite is rejected unevaluated.  One trial's failure fails a
-    stacked LAPACK call for the whole batch, so a failing batch has each
-    trial evaluated alone and the survivors again together; batch
-    independence gives them the same bits."""
+    for each ``k`` in order, in one :meth:`_Problems.evaluate`.  Find each
+    search's first accepted trial: its objective ``j`` is finite (a failed
+    trial's is NaN) and ``-j <= bound``.  Returns the rows of the accepted
+    trials, one per accepting search in search order, and their evaluation
+    and gradient from one :meth:`_Problems.adjoint` (``None`` if nothing was
+    accepted)."""
     owner = idx.repeat(sent)
-    whole = np.isfinite(regs).all()
-    t = np.arange(len(regs)) if whole else np.isfinite(regs).all(axis=-1).nonzero()[0]
-    with np.errstate(all="ignore"):
-        ev = None
-        if len(t):
-            ev = _try_evaluate(problems, owner if whole else owner[t], regs if whole else regs[t])
-        if ev is None and len(t) > 1:
-            t = np.array([k for k in t if _try_evaluate(problems, owner[k:k + 1], regs[k:k + 1])
-                          is not None], dtype=int)
-            whole = False
-            ev = problems.evaluate(owner[t], regs[t]) if len(t) else None
-    if ev is not None:
-        good = (np.isfinite(ev.j) & (-ev.j <= (bounds if whole else bounds[t]))).nonzero()[0]
-        if len(good):
-            # trials run in search order, then step order: keep each search's first
-            who, first, last = owner[t[good]].tolist(), [], None
-            for k, i in enumerate(who):
-                if i != last:
-                    first.append(k)
-                    last = i
-            good = good[first]
-            sub = ev.take(good)
-            return t[good], sub, problems.adjoint(sub)
-    return t[:0], None, None
+    ev = problems.evaluate(owner, regs)
+    good = (np.isfinite(ev.j) & (-ev.j <= bounds)).nonzero()[0]
+    if len(good):
+        # trials run in search order, then step order: keep each search's first
+        who = owner[good]
+        good = good[np.concatenate(([True], who[1:] != who[:-1]))]
+        sub = ev.take(good)
+        return good, sub, problems.adjoint(sub)
+    return good, None, None
 
 
 def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
@@ -484,9 +463,8 @@ def _finish(stack, ended, results, reg, j, traj, done):
     ids = [i for i in sorted(ended) if not isinstance(ended[i], PrecodesimError)]
     if ids:
         at = stack.scene[ids]
-        with np.errstate(all="ignore"):
-            raw, gain, _, _ = ridge_stack(stack.gram[at], stack.vh[at], reg[ids], None,
-                                          stack.power[ids])
+        raw, gain, _, _, _ = ridge_stack(stack.gram[at], stack.vh[at], reg[ids], None,
+                                         stack.power[ids])
         built = dict(zip(ids, zip(raw, gain)))
     for i in sorted(ended):
         if isinstance(ended[i], PrecodesimError):

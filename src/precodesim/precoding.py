@@ -22,7 +22,7 @@ import numpy as np
 
 from .channel import ChannelDecomposition
 from .exceptions import (
-    ConfigError, DimensionError, NotHpdError, SingularGramError, ZeroMatrixError, check_positive)
+    ConfigError, DimensionError, SingularGramError, ZeroMatrixError, check_positive)
 from .numerics import as_complex_matrix, hpd_inverse
 
 __all__ = ["Precoder", "RIDGES", "CLOSED_FORMS", "closed_stack", "mrt", "zf", "rzf", "wrzf", "arzf",
@@ -70,16 +70,12 @@ class Precoder:
         return self.gain * self.raw
 
 
-def normalize(raw: np.ndarray, power, *, row_norms=None):
+def normalize(raw: np.ndarray, power):
     """Scalar gain that makes the largest row norm of ``raw`` equal
-    ``sqrt(power / num_tx)``, one per matrix of a stack ``raw``; ``power`` is
-    one number, or one per matrix trusted to be positive and finite.
-    ``row_norms``, if given, is ``np.linalg.norm(raw, axis=-1)``."""
-    if not isinstance(power, np.ndarray):
-        check_positive("power", power)
-    if row_norms is None:
-        row_norms = np.linalg.norm(raw, axis=-1)
-    denom = row_norms.max(axis=-1) * math.sqrt(raw.shape[-2])
+    ``sqrt(power / num_tx)``, one per matrix of a stack ``raw``; raises
+    ZeroMatrixError for an all-zero matrix."""
+    check_positive("power", power)
+    denom = np.linalg.norm(raw, axis=-1).max(axis=-1) * math.sqrt(raw.shape[-2])
     if not denom.all():
         raise ZeroMatrixError("cannot normalize an all-zero precoder")
     return np.sqrt(power) / denom
@@ -111,23 +107,33 @@ def ridge_stack(gram: np.ndarray, vh: np.ndarray, reg: np.ndarray, scale, power)
     ``(B, layers)``), with ``gram`` from :func:`gram_stack` of the layer rows
     ``v`` and with ``vh = v^H`` and ``scale`` (None: no column scale)
     broadcast against the stack, their :func:`normalize` gains at ``power``,
-    ``X`` and each member's most-loaded antenna (its largest row norm).  The
-    inputs are trusted: finite, ``reg >= 0``, ``scale >= 0`` and
-    ``power > 0``.  Each matrix is its own LAPACK or BLAS call, so members do
-    not change each other's bits.  Dependent rows under a zero ridge raise
-    SingularGramError."""
+    ``X``, each member's most-loaded antenna (its largest row norm) and the
+    mask ``ok`` of members whose gain is finite: a system that is not
+    positive definite gives a NaN gain, all-zero raw weights an infinite one,
+    and neither raises or warns.  The inputs are trusted: finite, ``reg >=
+    0``, ``scale >= 0`` and ``power > 0``.  Each matrix is its own LAPACK or
+    BLAS call, so members do not change each other's bits."""
     k = gram.copy()
     k.reshape(len(k), -1)[:, :: k.shape[-1] + 1] += reg
-    try:
-        x = hpd_inverse(k)
-    except NotHpdError as exc:
-        raise SingularGramError("precoding basis has numerically dependent rows") from exc
-    raw = vh @ x
-    if scale is not None:
-        raw *= scale
-    # np.linalg.norm(raw, axis=-1) without its argument handling
-    norms = np.sqrt(np.add.reduce((raw.conj() * raw).real, axis=-1))
-    return raw, normalize(raw, power, row_norms=norms), x, norms.argmax(axis=-1)
+    x = hpd_inverse(k)[0]
+    with np.errstate(all="ignore"):
+        raw = vh @ x
+        if scale is not None:
+            raw *= scale
+        # np.linalg.norm(raw, axis=-1) without its argument handling
+        norms = np.sqrt(np.add.reduce((raw.conj() * raw).real, axis=-1))
+        gain = np.sqrt(power) / (norms.max(axis=-1) * math.sqrt(raw.shape[-2]))
+    return raw, gain, x, norms.argmax(axis=-1), np.isfinite(gain)
+
+
+def require_built(ok, gain) -> None:
+    """Unless every ``ok`` of :func:`ridge_stack` holds, raise
+    SingularGramError for a NaN gain, else ZeroMatrixError for an infinite one."""
+    if not ok.all():
+        if np.isnan(gain).any():
+            raise SingularGramError("precoding basis has numerically dependent rows")
+        if np.isinf(gain).any():
+            raise ZeroMatrixError("cannot normalize an all-zero precoder")
 
 
 def closed_stack(decomp: ChannelDecomposition, tokens, power: float, noise_vars):
@@ -166,7 +172,8 @@ def closed_stack(decomp: ChannelDecomposition, tokens, power: float, noise_vars)
                 per_level[:, b, 0], per_level[:, b, 1] = RIDGES[t](decomp, power, nv)
         _check_nonnegative("ridge and column scale", rc)
         gram = gram_stack(decomp.v[None]).repeat(len(rc), axis=0)
-        r, g, _, _ = ridge_stack(gram, vh, rc[:, 0], rc[:, 1, None], power)
+        r, g, _, _, ok = ridge_stack(gram, vh, rc[:, 0], rc[:, 1, None], power)
+        require_built(ok, g)
     shape = (levels, len(tokens))
     raw, gain = np.empty((*shape, *vh.shape), dtype=complex), np.empty(shape)
     for j, t in enumerate(tokens):
@@ -227,6 +234,7 @@ def parametric_rzf(decomp: ChannelDecomposition, reg_vec, power: float) -> Preco
     reg_vec = check_reg(reg_vec, decomp.dims.total_layers)
     check_positive("power", power)
     v = decomp.v[None]
-    raw, gain, _, _ = ridge_stack(gram_stack(v), np.conj(v.swapaxes(1, 2)), reg_vec[None], None,
-                                  power)
+    raw, gain, _, _, ok = ridge_stack(gram_stack(v), np.conj(v.swapaxes(1, 2)), reg_vec[None],
+                                      None, power)
+    require_built(ok, gain)
     return Precoder(raw=raw[0], gain=gain[0])

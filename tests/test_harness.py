@@ -29,7 +29,7 @@ from helpers import BUILDERS, evaluate_point, row
 def fail_scoring(monkeypatch, faults):
     """Make the members that the harness scores under the noise variances
     ``faults`` fail: ``"signal"`` clears their :func:`sinr_terms` ``ok``,
-    ``"zero"`` zeroes a layer SINR, so that ``require_positive`` or
+    ``"zero"`` zeroes a layer SINR, so that ``require_scored`` or
     ``effective_sinr`` raises its ZeroSinrError.  The search's kernel is
     untouched."""
     real = metrics.mmse_sinr_stack

@@ -11,7 +11,7 @@ from precodesim.channel import (
     generate_scenario,
 )
 from precodesim.detection import conjugate_detection, mmse_detection
-from precodesim.exceptions import ConfigError, DimensionError, ZeroSinrError
+from precodesim.exceptions import ConfigError, DimensionError, NotHpdError, ZeroSinrError
 from precodesim.metrics import (
     effective_sinr,
     evaluate,
@@ -21,7 +21,7 @@ from precodesim.metrics import (
     user_se,
 )
 from helpers import av_susinr, gaussian_channels
-from precodesim.precoding import arzf, mrt, rzf
+from precodesim.precoding import Precoder, arzf, mrt, rzf
 
 
 def naive_layer_sinr(channels, precoder, detection, noise_var):
@@ -189,6 +189,18 @@ class TestAggregation:
         assert got.layer_sinr.tobytes() == want.layer_sinr.tobytes()
         with pytest.raises(DimensionError, match="weight stack shape"):
             evaluate_many(ch, [w[:, :3] for w in ws], 0.3)
+
+    def test_non_finite_mmse_system_is_not_hpd(self):
+        # weights whose MMSE systems overflow to NaN read as not HPD in every
+        # scoring entry point, alone or in a stack
+        ch = gaussian_channels(seed=6)
+        pre = arzf(decompose(ch), 2.0, 0.3)
+        big = Precoder(raw=pre.raw * 1e200, gain=1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for call in (lambda: mmse_detection(ch, big, 0.3), lambda: evaluate(ch, big, 0.3),
+                         lambda: evaluate_many(ch, np.stack([pre.weights, big.weights]), 0.3)):
+                with pytest.raises(NotHpdError):
+                    call()
 
 
 class TestAvSusinr:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from precodesim.exceptions import DimensionError, NotHpdError
+from precodesim.exceptions import DimensionError
 from precodesim.numerics import as_complex_matrix, complex_normal, hpd_inverse
 from helpers import complex_gaussian
 
@@ -14,15 +14,17 @@ class TestSolveHpd:
         a0 = complex_gaussian(5, 6, 6, 1.0)
         a = a0 @ a0.conj().T + 0.1 * np.eye(6)
         b = complex_gaussian(6, 6, 3, 1.0)
-        x = hpd_inverse(a) @ b
-        assert np.allclose(x, np.linalg.solve(a, b), atol=1e-10)
+        inv, ok = hpd_inverse(a)
+        assert ok
+        assert np.allclose(inv @ b, np.linalg.solve(a, b), atol=1e-10)
 
     def test_residual(self):
         a0 = complex_gaussian(9, 4, 4, 1.0)
         a = a0 @ a0.conj().T + np.eye(4)
         b = complex_gaussian(10, 4, 2, 1.0)
-        x = hpd_inverse(a) @ b
-        assert np.linalg.norm(a @ x - b) < 1e-11
+        inv, ok = hpd_inverse(a)
+        assert ok
+        assert np.linalg.norm(a @ inv @ b - b) < 1e-11
 
 
 def hpd_stack(rng, nb, n, cond):
@@ -42,7 +44,9 @@ class TestHpdInverse:
         rng = np.random.default_rng(seed)
         a = hpd_stack(rng, nb, n, 10.0**log_cond)
         b = complex_normal(rng, (nb, n, k))
-        x = hpd_inverse(a) @ b
+        inv, ok = hpd_inverse(a)
+        assert ok.shape == (nb,) and ok.all()
+        x = inv @ b
         want = np.linalg.solve(a, b)
         rel = np.linalg.norm(x - want, axis=(-2, -1)) / np.linalg.norm(want, axis=(-2, -1))
         assert rel.max() <= 1e-10
@@ -51,11 +55,11 @@ class TestHpdInverse:
         rng = np.random.default_rng(7)
         a = hpd_stack(rng, 6, 8, 1e4)
         b = complex_normal(rng, (6, 64, 8))
-        inv = hpd_inverse(a)
+        inv = hpd_inverse(a)[0]
         for i in range(len(a)):
-            alone = hpd_inverse(a[i])
+            alone = hpd_inverse(a[i])[0]
             assert np.array_equal(inv[i], alone)
-            assert np.array_equal(hpd_inverse(a[i:i + 1])[0], alone)
+            assert np.array_equal(hpd_inverse(a[i:i + 1])[0][0], alone)
             assert np.array_equal((b @ inv)[i], b[i] @ alone)
 
     @pytest.mark.parametrize("bad", [
@@ -63,13 +67,18 @@ class TestHpdInverse:
         np.array([[1.0, 1.0], [1.0, 1.0]]),    # singular
         np.zeros((2, 2)),
     ])
-    def test_member_not_hpd_raises(self, bad):
+    def test_member_not_hpd_is_masked(self, bad):
+        # the failing member reads False and NaN, without a warning; every
+        # other member keeps the bits of its inverse alone
         a = hpd_stack(np.random.default_rng(3), 5, 2, 10.0)
         a[2] = bad
-        with pytest.raises(NotHpdError):
-            hpd_inverse(a)
-        with pytest.raises(NotHpdError):
-            hpd_inverse(a[2])
+        inv, ok = hpd_inverse(a)
+        assert ok.tolist() == [True, True, False, True, True]
+        assert np.isnan(inv[2]).all()
+        for i in (0, 1, 3, 4):
+            assert np.array_equal(inv[i], hpd_inverse(a[i])[0])
+        alone, ok_alone = hpd_inverse(a[2])
+        assert not ok_alone and np.isnan(alone).all()
 
 
 class TestComplexGaussian:

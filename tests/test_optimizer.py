@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import precodesim.optimizer as optimizer
 from precodesim.channel import (
+    ChannelDecomposition,
     ChannelSet,
     ScenarioConfig,
     SystemDims,
@@ -13,10 +14,11 @@ from precodesim.channel import (
     generate_scenario,
 )
 from precodesim.detection import mmse_detection
-from precodesim.exceptions import ConfigError, DimensionError, NotHpdError, NumericalError
+from precodesim.exceptions import (
+    ConfigError, DimensionError, NumericalError, SingularGramError, ZeroMatrixError)
 from precodesim.metrics import evaluate, report
 from precodesim.numerics import complex_normal
-from helpers import evaluate_point, gaussian_channels
+from helpers import complex_gaussian, evaluate_point, gaussian_channels
 from precodesim.optimizer import (
     _PROGRESS_TOL,
     _WINDOW,
@@ -28,7 +30,7 @@ from precodesim.optimizer import (
     optimize,
     optimize_many,
 )
-from precodesim.precoding import arzf, parametric_rzf
+from precodesim.precoding import arzf, parametric_rzf, zf
 from precodesim.verification import central_differences
 
 
@@ -90,6 +92,25 @@ class TestGradient:
         dec = decompose(ch)
         with pytest.raises(ConfigError):
             gradient(dec, ch, np.zeros(4), POWER, NV)
+
+
+class TestPublicErrors:
+    def test_failures_keep_their_error_types(self):
+        # the stacked kernels mask a failed member; every one-point entry
+        # point still raises the error of its first failing stage, and no
+        # RuntimeWarning escapes
+        v = complex_gaussian(5, 1, 8, 1.0)
+        v /= np.linalg.norm(v)
+        u = np.array([[1.0 + 0j, 0.0]])
+        dec = ChannelDecomposition.from_blocks([u, u], [[1.0], [1.0]], [v, v])
+        ch = ChannelSet(dims=dec.dims, blocks=(u.conj().T @ v, u.conj().T @ v))
+        for call in (lambda: zf(dec, 1.0), lambda: parametric_rzf(dec, [0.0, 0.0], 1.0),
+                     lambda: objective(dec, ch, np.zeros(2), 1.0, NV),
+                     lambda: gradient(dec, ch, np.full(2, 1e-300), 1.0, NV)):
+            with pytest.raises(SingularGramError):
+                call()
+        with pytest.raises(ZeroMatrixError):
+            objective(dec, ch, np.full(2, 1e305), 1.0, NV)
 
 
 class TestMixedShapes:
@@ -469,26 +490,31 @@ class TestOptimizeMany:
         assert all(same_search(a, b) for a, b in zip(wide, narrow))
         assert len(wide_rows) < len(rows)
 
-    @pytest.mark.parametrize("kind", ["linalg", "not_hpd", "non_finite"])
+    @pytest.mark.parametrize("kind", ["not_hpd", "zero_gain", "non_finite"])
     def test_failing_member_changes_no_other(self, monkeypatch, kind):
-        # far trial ridges of the failing members fail; a stacked LAPACK
-        # failure takes the whole batch down, so the batch must evaluate its
-        # members apart and the survivors together again
+        # far trial ridges of the failing members are replaced by ones that
+        # fail in the unpatched kernel: a system that is not positive
+        # definite, raw weights that underflow to zero, or an infinite ridge;
+        # each round still evaluates its whole batch once
         problems = sweep_problems((3,), "varied", (0.0, 20.0, 40.0))
         clean = [optimize(*p) for p in problems]
         real_eval, real_adj, real_round = (
             optimizer._Problems.evaluate, optimizer._Problems.adjoint, optimizer._round)
-        failing, hits, adjoints = set(), [], []
+        failing, hits, evaluates, adjoints = set(), [], [], []
 
         def evaluate(self, idx, reg):
+            evaluates[-1] += 1
             bad = [pos for pos, i in enumerate(idx)
                    if self.noise_var[i] in failing and np.any(reg[pos] > 1.5 * self.start[i])]
             if bad:
                 hits.append((len(idx), len(bad)))
-            if bad and kind != "non_finite":
-                raise (np.linalg.LinAlgError if kind == "linalg" else NotHpdError)("synthetic")
+                reg = reg.copy()
+                for pos in bad:
+                    top = np.linalg.eigvalsh(self.gram[self.scene[idx[pos]]]).max()
+                    reg[pos] = {"not_hpd": -2.0 * top, "zero_gain": 1e305,
+                                "non_finite": np.inf}[kind]
             ev = real_eval(self, idx, reg)
-            ev.j[bad] = np.nan
+            assert np.isnan(ev.j[bad]).all() and not ev.ok[bad].any()
             return ev
 
         def adjoint(self, ev):
@@ -496,6 +522,7 @@ class TestOptimizeMany:
             return real_adj(self, ev)
 
         def round_(stack, idx, ridges, bounds, sent):
+            evaluates.append(0)
             adjoints.append(0)
             return real_round(stack, idx, ridges, bounds, sent)
 
@@ -517,7 +544,8 @@ class TestOptimizeMany:
         assert (len(problems), len(problems)) in hits
         for p, res in zip(problems, many):
             assert same_search(res, optimize(*p))
-        assert max(adjoints) == 1  # one adjoint per round, however it split
+        assert set(evaluates) == {1}  # one evaluate per round, however many fail
+        assert max(adjoints) == 1  # and at most one adjoint
 
     def test_failed_start_is_returned(self):
         problems = sweep_problems((4,), "varied", (0.0, 20.0))
