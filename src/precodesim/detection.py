@@ -62,7 +62,7 @@ def mmse_stack(group: UserGroup, w: np.ndarray, noise_var):
     system is singular to working precision at low noise.  Every matrix is
     its own BLAS or LAPACK call, so batch members do not change each other's
     bits.  Last comes the mask ``ok`` of members whose every ``m`` is HPD;
-    any other member's ``m_inv`` and ``g`` are NaN."""
+    an ``m`` that is not has an all-NaN ``m_inv`` and ``g``."""
     eff = group.h @ w[:, None]
     nb, n, rows, _ = eff.shape
     ah = eff.reshape(nb, -1)[:, group.cols].reshape(nb, n, -1, rows).conj()
