@@ -10,7 +10,6 @@ singular values descending inside each user.
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -48,12 +47,15 @@ DOMINANT_PATHS = 2
 SHARED_PATH_WEIGHT = 0.55
 SCATTER_SPREAD_BINS = 2
 
-# Largest per-user path loss magnitude, in dB.  The power gain
-# 10 ** (dB / 10) of a user's channel stays a normal double up to about
-# 3080 dB; past it the squared channel entries of the MMSE system over-
-# or underflow (at 7000 dB the amplitude gain itself overflows, and at
-# -7000 dB it underflows to zero channel blocks).
-MAX_PATH_LOSS_DB = 3000.0
+# The generator's settings: paths per user, candidates per pool, the cap on
+# the squared correlation of kept users' dominant directions, pools tried
+# per seed, and the varied family's range of per-user path loss in dB.
+# generate_scenario reads them when it is called.
+NUM_PATHS = 6
+CANDIDATE_POOL = 64
+CORR_THRESHOLD = 0.3
+MAX_RETRIES = 100
+PATH_LOSS_RANGE_DB = (-10.0, 10.0)
 
 # Lowest target average single-user SINR, in dB.  The squared layer SINRs
 # leave the normal float range near -1540 dB: below it the sum SE of every
@@ -61,11 +63,6 @@ MAX_PATH_LOSS_DB = 3000.0
 # relative, and from about -1600 dB detected powers underflow to zero
 # (seeds 0-39 of both scenario families).
 MIN_SUSINR_DB = -1500.0
-
-# Largest number of scenario candidates drawn and screened at once, which
-# bounds the generator's memory whatever the candidate pool.  The first chunk
-# of a pool is half as long: a default pool needs about 28 candidates.
-CANDIDATE_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -290,67 +287,39 @@ def decompose(channels: ChannelSet) -> ChannelDecomposition:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Synthetic multi-path scenario parameters.
+    """Sizes, path-loss family and seed of one synthetic scenario.
 
-    The generator draws a pool of candidate user channels, keeps a
-    subset whose dominant right singular vectors are mutually weakly
-    correlated, and optionally spreads per-user path loss.  All users
-    share ``rx_per_user`` antennas and ``layers_per_user`` layers.
+    All users share ``rx_per_user`` antennas and ``layers_per_user``
+    layers.  The generator's other settings are the module constants
+    :data:`NUM_PATHS`, :data:`CANDIDATE_POOL`, :data:`CORR_THRESHOLD`,
+    :data:`MAX_RETRIES` and :data:`PATH_LOSS_RANGE_DB`; construction checks
+    ``layers_per_user <= NUM_PATHS <= min(rx_per_user, num_tx)`` and
+    ``num_users <= CANDIDATE_POOL``.
     """
 
     num_tx: int = 64
     num_users: int = 4
     rx_per_user: int = 16
     layers_per_user: int = 2
-    num_paths: int = 6
-    candidate_pool: int = 64
-    corr_threshold: float = 0.3
     path_loss: str = "equal"
-    path_loss_range_db: tuple = (-10.0, 10.0)
     seed: int = 0
-    max_retries: int = 100
 
     def __post_init__(self):
-        for name in ("num_tx", "num_users", "rx_per_user", "layers_per_user", "num_paths",
-                     "candidate_pool", "max_retries", "seed"):
+        for name in ("num_tx", "num_users", "rx_per_user", "layers_per_user", "seed"):
             check_integer(name, getattr(self, name))
-        if self.num_users < 1:
-            raise ConfigError("num_users must be >= 1")
-        if self.candidate_pool < self.num_users:
-            raise ConfigError("candidate_pool must cover num_users")
-        if self.num_paths < self.layers_per_user:
+        if not 1 <= self.num_users <= CANDIDATE_POOL:
+            raise ConfigError(f"num_users must be in [1, CANDIDATE_POOL={CANDIDATE_POOL}], "
+                              f"got {self.num_users}")
+        if NUM_PATHS < self.layers_per_user:
             raise ConfigError(
-                f"num_paths={self.num_paths} cannot support "
-                f"{self.layers_per_user} layers per user"
-            )
-        if self.num_paths > min(self.rx_per_user, self.num_tx):
+                f"NUM_PATHS={NUM_PATHS} cannot support {self.layers_per_user} layers per user")
+        if NUM_PATHS > min(self.rx_per_user, self.num_tx):
             raise ConfigError(
-                f"num_paths={self.num_paths} exceeds the antenna count "
-                f"available for orthonormal path frames "
-                f"(min(rx_per_user, num_tx)={min(self.rx_per_user, self.num_tx)})"
+                f"NUM_PATHS={NUM_PATHS} exceeds the antenna count available for orthonormal "
+                f"path frames (min(rx_per_user, num_tx)={min(self.rx_per_user, self.num_tx)})"
             )
-        check_real("corr_threshold", self.corr_threshold)
-        if not 0 < self.corr_threshold <= 1:
-            raise ConfigError("corr_threshold must be in (0, 1]")
         if self.path_loss not in ("equal", "varied"):
             raise ConfigError(f"path_loss must be 'equal' or 'varied', got {self.path_loss!r}")
-        pair = self.path_loss_range_db
-        if not (isinstance(pair, (tuple, list)) and len(pair) == 2
-                or isinstance(pair, np.ndarray) and pair.shape == (2,)):
-            raise ConfigError(f"path_loss_range_db must be a pair (lo, hi), got {pair!r}")
-        for end in pair:
-            check_real("path_loss_range_db", end)
-        lo, hi = map(float, pair)
-        # hi - lo is not finite if either end is not, or if the spread
-        # overflows, which numpy's uniform draw would refuse; past
-        # MAX_PATH_LOSS_DB the squared gain leaves the normal float range
-        if not (lo <= hi and np.isfinite(hi - lo) and max(-lo, hi) <= MAX_PATH_LOSS_DB):
-            raise ConfigError(
-                "path_loss_range_db must be finite (lo, hi) with lo <= hi, "
-                f"each within +-{MAX_PATH_LOSS_DB:g} dB, got {self.path_loss_range_db}"
-            )
-        if self.max_retries < 1:
-            raise ConfigError("max_retries must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         _ = self.dims  # validates layer/antenna consistency
@@ -439,12 +408,12 @@ def _blocks(z, config: ScenarioConfig, environment):
     the unit-scale layer-row Gram.  The stacked QRs and products give
     each block the bits of its own calls.
     """
-    rx_draws = 2 * config.rx_per_user * config.num_paths
-    a, _ = np.linalg.qr(
-        _complex(z[:, :rx_draws]).reshape(len(z), config.rx_per_user, config.num_paths))
-    mixed = _mixed_directions(z[:, rx_draws:].reshape(len(z), config.num_paths, -1), environment)
+    paths = len(environment[1])
+    rx_draws = 2 * config.rx_per_user * paths
+    a, _ = np.linalg.qr(_complex(z[:, :rx_draws]).reshape(len(z), config.rx_per_user, paths))
+    mixed = _mixed_directions(z[:, rx_draws:].reshape(len(z), paths, -1), environment)
     b, _ = np.linalg.qr(mixed.mT)
-    amp = np.broadcast_to(np.sqrt(_path_powers(config.num_paths)), (len(z), config.num_paths))
+    amp = np.broadcast_to(np.sqrt(_path_powers(paths)), (len(z), paths))
     return (a * amp[:, None]) @ b.conj().mT, a, amp, b
 
 
@@ -456,34 +425,35 @@ def generate_scenario(config: ScenarioConfig) -> ChannelSet:
     reflects user geometry rather than a new world per draw.  Candidates
     are scanned greedily in draw order; a candidate joins the selection
     when the squared correlation of its dominant direction with every
-    already-selected user stays at or below ``corr_threshold``.  If a
-    pool yields fewer than ``num_users`` compatible candidates, the next
-    seed is tried, up to ``max_retries`` pools, after which
-    :class:`SelectionError` is raised.  Output is deterministic in
-    ``config.seed``.
+    already-selected user stays at or below :data:`CORR_THRESHOLD`.  If a
+    pool of :data:`CANDIDATE_POOL` candidates yields fewer than
+    ``num_users`` compatible ones, the next seed is tried, up to
+    :data:`MAX_RETRIES` pools, after which :class:`SelectionError` is
+    raised.  Output is deterministic in ``config.seed``; the module
+    constants are read at each call.
 
-    A pool is drawn in chunks of up to :data:`CANDIDATE_CHUNK` candidates
-    (half that for the first), one ``standard_normal`` call each (the
-    stream of one call per candidate).  A chunk is screened in masked
-    greedy steps: its first allowed candidate is kept, and one product of
-    the chunk with the kept direction strikes out every later candidate
-    too correlated with it.  The kept blocks are built as one stack.
-    Varied path loss redraws the last chunk up to its last kept candidate
-    before drawing the gains.  The set holds its path factors, the blocks'
-    exact reduced SVDs, as :attr:`ChannelSet.factors`: :func:`decompose` runs
-    no SVD.
+    A pool is drawn in two halves, one ``standard_normal`` call each (the
+    stream of one call per candidate); the second is drawn only if the
+    first keeps too few users.  A half is screened in masked greedy steps:
+    its first allowed candidate is kept, and one product of the half with
+    the kept direction strikes out every later candidate too correlated
+    with it.  The kept blocks are built as one stack.  Varied path loss
+    redraws the last half up to its last kept candidate before drawing the
+    gains, uniform in dB over :data:`PATH_LOSS_RANGE_DB`.  The set holds
+    its path factors, the blocks' exact reduced SVDs, as
+    :attr:`ChannelSet.factors`: :func:`decompose` runs no SVD.
     """
-    environment = _scatter_environment(config.num_tx, config.num_paths)
-    rx_draws = 2 * config.rx_per_user * config.num_paths
+    pool, cap = CANDIDATE_POOL, CORR_THRESHOLD
+    environment = _scatter_environment(config.num_tx, NUM_PATHS)
+    rx_draws = 2 * config.rx_per_user * NUM_PATHS
     path_draws = 2 * environment[1].shape[2]
-    size, cap = rx_draws + path_draws * config.num_paths, config.corr_threshold
-    pool, first = config.candidate_pool, CANDIDATE_CHUNK // 2
-    for attempt in range(config.max_retries):
+    size = rx_draws + path_draws * NUM_PATHS
+    for attempt in range(MAX_RETRIES):
         rng = np.random.default_rng(config.seed + attempt)
         kept, directions = [], np.zeros((0, config.num_tx), dtype=complex)
-        for start in chain((0,), range(first, pool, CANDIDATE_CHUNK)):
+        for count in (pool // 2, pool - pool // 2):
             state = rng.bit_generator.state
-            z = rng.standard_normal((min(CANDIDATE_CHUNK if start else first, pool - start), size))
+            z = rng.standard_normal((count, size))
             # Orthonormal path frames and strictly decreasing path powers
             # make b[:, 0], path 0's normalized mixed direction, the
             # block's dominant right singular vector up to phase, and
@@ -491,8 +461,8 @@ def generate_scenario(config: ScenarioConfig) -> ChannelSet:
             # to screen, only to build the blocks that are kept.
             d = _unit(_mixed_directions(z[:, None, rx_draws:rx_draws + path_draws],
                                         environment)[:, 0])
-            # One product per kept direction, never the chunk's Gram
-            # d @ d^H: that 64x64 complex gemm wakes OpenBLAS's second
+            # One product per kept direction, never the half's Gram
+            # d @ d^H: that complex gemm wakes OpenBLAS's second
             # thread, which doubled the CPU time per seed (1.0 to 2.3 ms
             # on 2 vCPUs) and saved no wall time.
             free = np.all(abs(np.vecdot(directions[:, None], d)) ** 2 <= cap, axis=0)
@@ -510,15 +480,15 @@ def generate_scenario(config: ScenarioConfig) -> ChannelSet:
         if config.path_loss == "varied":
             rng.bit_generator.state = state
             rng.standard_normal((i + 1) * size)
-            lo, hi = config.path_loss_range_db
+            lo, hi = PATH_LOSS_RANGE_DB
             gains = 10.0 ** (rng.uniform(lo, hi, size=config.num_users) / 20.0)
             blocks, amp = blocks * gains[:, None, None], amp * gains[:, None]
         channels = ChannelSet(dims=config.dims, blocks=tuple(blocks))
         vars(channels)["factors"] = ((a, amp, b.conj().mT),)
         return channels
     raise SelectionError(
-        f"no {config.num_users}-user subset met corr<= {config.corr_threshold}"
-        f" in {config.max_retries} pools from seed {config.seed}"
+        f"no {config.num_users}-user subset met corr<= {cap}"
+        f" in {MAX_RETRIES} pools from seed {config.seed}"
     )
 
 

@@ -62,12 +62,14 @@ def mmse_stack(group: UserGroup, w: np.ndarray, noise_var):
     system is singular to working precision at low noise.  Every matrix is
     its own BLAS or LAPACK call, so batch members do not change each other's
     bits.  Last comes the mask ``ok`` of members whose every ``m`` is HPD;
-    an ``m`` that is not has an all-NaN ``m_inv`` and ``g``."""
-    eff = group.h @ w[:, None]
-    nb, n, rows, _ = eff.shape
-    ah = eff.reshape(nb, -1)[:, group.cols].reshape(nb, n, -1, rows).conj()
-    m = ah @ np.conj(ah.swapaxes(-1, -2))
-    m.reshape(nb, n, -1)[..., :: m.shape[-1] + 1] += np.asarray(noise_var).reshape(-1, 1, 1)
+    an ``m`` that is not, an overflowed one too, has an all-NaN ``m_inv`` and
+    ``g``, and warns nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        eff = group.h @ w[:, None]
+        nb, n, rows, _ = eff.shape
+        ah = eff.reshape(nb, -1)[:, group.cols].reshape(nb, n, -1, rows).conj()
+        m = ah @ np.conj(ah.swapaxes(-1, -2))
+        m.reshape(nb, n, -1)[..., :: m.shape[-1] + 1] += np.asarray(noise_var).reshape(-1, 1, 1)
     m_inv, ok = hpd_inverse(m)
     return eff, ah, m_inv, m_inv @ ah, ok.all(axis=-1)
 

@@ -149,7 +149,11 @@ class _Problems:
 
     def __init__(self, problems):
         scenes, scene = {}, []
-        for decomp, channels, power, noise_var in problems:
+        for problem in problems:
+            if not (isinstance(problem, (tuple, list)) and len(problem) == 4):
+                raise ConfigError("each problem must be a (decomp, channels, power, noise_var) "
+                                  f"tuple, got {problem!r}")
+            decomp, channels, power, noise_var = problem
             if not (isinstance(decomp, ChannelDecomposition) and isinstance(channels, ChannelSet)):
                 raise ConfigError("each problem needs a ChannelDecomposition, then a ChannelSet, got "
                                   f"{type(decomp).__name__} and {type(channels).__name__}")
@@ -272,9 +276,9 @@ def gradient(decomp: ChannelDecomposition, channels: ChannelSet, reg_vec, power:
     """Gradient of the objective with respect to the elementwise log of
     ``reg_vec``, by reverse-mode differentiation of the objective's own
     evaluation chain, at about the cost of one more objective."""
-    if np.any(np.asarray(reg_vec, dtype=float) <= 0):
-        raise ConfigError("gradient needs strictly positive reg entries")
     problems, ev = _one(decomp, channels, reg_vec, power, noise_var)
+    if np.any(ev.reg <= 0):
+        raise ConfigError("gradient needs strictly positive reg entries")
     return problems.adjoint(ev)[0]
 
 

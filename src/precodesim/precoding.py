@@ -70,15 +70,13 @@ class Precoder:
         return self.gain * self.raw
 
 
-def normalize(raw: np.ndarray, power):
-    """Scalar gain that makes the largest row norm of ``raw`` equal
-    ``sqrt(power / num_tx)``, one per matrix of a stack ``raw``; raises
-    ZeroMatrixError for an all-zero matrix."""
-    check_positive("power", power)
-    denom = np.linalg.norm(raw, axis=-1).max(axis=-1) * math.sqrt(raw.shape[-2])
-    if not denom.all():
-        raise ZeroMatrixError("cannot normalize an all-zero precoder")
-    return np.sqrt(power) / denom
+def _gain(raw: np.ndarray, power):
+    """Row norms of a stack ``raw``, and each matrix's scalar gain that makes
+    its largest row norm ``sqrt(power / num_tx)``: infinite for an all-zero
+    matrix, which warns unless the caller ignores division by zero."""
+    # np.linalg.norm(raw, axis=-1) without its argument handling
+    norms = np.sqrt(np.add.reduce((raw.conj() * raw).real, axis=-1))
+    return norms, np.sqrt(power) / (norms.max(axis=-1) * math.sqrt(raw.shape[-2]))
 
 
 def _check_nonnegative(name: str, a: np.ndarray) -> None:
@@ -88,8 +86,12 @@ def _check_nonnegative(name: str, a: np.ndarray) -> None:
 
 def check_reg(reg_vec, total_layers: int) -> np.ndarray:
     """``reg_vec`` as a float array of ``total_layers`` finite entries
-    ``>= 0``, else DimensionError or ConfigError."""
-    reg_vec = np.asarray(reg_vec, dtype=float)
+    ``>= 0``, else DimensionError or ConfigError (also for complex, bool or
+    text entries)."""
+    reg_vec = np.asarray(reg_vec)
+    if reg_vec.dtype.kind not in "iuf":
+        raise ConfigError(f"reg_vec must hold real numbers, got dtype {reg_vec.dtype}")
+    reg_vec = reg_vec.astype(float, copy=False)
     if reg_vec.shape != (total_layers,):
         raise DimensionError(f"reg_vec shape {reg_vec.shape} != ({total_layers},)")
     _check_nonnegative("reg_vec", reg_vec)
@@ -106,7 +108,7 @@ def ridge_stack(gram: np.ndarray, vh: np.ndarray, reg: np.ndarray, scale, power)
     diag(reg[b]))``, of a stack of per-layer ridges ``reg`` (shape
     ``(B, layers)``), with ``gram`` from :func:`gram_stack` of the layer rows
     ``v`` and with ``vh = v^H`` and ``scale`` (None: no column scale)
-    broadcast against the stack, their :func:`normalize` gains at ``power``,
+    broadcast against the stack, their per-antenna gains at ``power``,
     ``X``, each member's most-loaded antenna (its largest row norm) and the
     mask ``ok`` of members whose gain is finite: a system that is not
     positive definite gives a NaN gain, all-zero raw weights an infinite one,
@@ -120,9 +122,7 @@ def ridge_stack(gram: np.ndarray, vh: np.ndarray, reg: np.ndarray, scale, power)
         raw = vh @ x
         if scale is not None:
             raw *= scale
-        # np.linalg.norm(raw, axis=-1) without its argument handling
-        norms = np.sqrt(np.add.reduce((raw.conj() * raw).real, axis=-1))
-        gain = np.sqrt(power) / (norms.max(axis=-1) * math.sqrt(raw.shape[-2]))
+        norms, gain = _gain(raw, power)
     return raw, gain, x, norms.argmax(axis=-1), np.isfinite(gain)
 
 
@@ -174,11 +174,15 @@ def closed_stack(decomp: ChannelDecomposition, tokens, power: float, noise_vars)
         gram = gram_stack(decomp.v[None]).repeat(len(rc), axis=0)
         r, g, _, _, ok = ridge_stack(gram, vh, rc[:, 0], rc[:, 1, None], power)
         require_built(ok, g)
+    if "mrt" in tokens:  # the ridge forms' gain rule, on V^H
+        with np.errstate(divide="ignore"):
+            mrt_gain = _gain(vh, power)[1]
+        require_built(np.isfinite(mrt_gain), mrt_gain)
     shape = (levels, len(tokens))
     raw, gain = np.empty((*shape, *vh.shape), dtype=complex), np.empty(shape)
     for j, t in enumerate(tokens):
         if t == "mrt":
-            raw[:, j], gain[:, j] = vh, normalize(vh, power)
+            raw[:, j], gain[:, j] = vh, mrt_gain
         else:
             at = free.index(t) if t in free else slice(f + noisy.index(t), None, q)
             raw[:, j], gain[:, j] = r[at], g[at]

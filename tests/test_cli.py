@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import precodesim.cli as cli
+from precodesim import channel
 from precodesim.channel import MIN_SUSINR_DB
 from precodesim.cli import MAX_SUSINR_LEVELS, main, parse_susinr
 from precodesim.exceptions import ConfigError
@@ -160,17 +161,6 @@ class TestRunCommand:
         assert main(args) == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    @pytest.mark.parametrize("db", [7000.0, -7000.0])
-    def test_path_loss_beyond_float_range_exits_2(self, tmp_path, capsys, monkeypatch, db):
-        real = SweepConfig.scenario_config
-        monkeypatch.setattr(SweepConfig, "scenario_config", lambda self, seed: replace(
-            real(self, seed), path_loss_range_db=(db, db)))
-        args, out = run_args(tmp_path, ["--scenario", "varied"])
-        assert main(args) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "path_loss_range_db" in err
-        assert not out.exists()
-
     def test_level_below_floor_fails_before_any_seed(self, tmp_path, capsys):
         # the level floor is checked when the sweep is configured, so no seed
         # is drawn, decomposed or reported
@@ -196,9 +186,7 @@ class TestRunCommand:
         # a 6000 dB path-loss spread underflows the weak users' detected
         # signal and interference to 0 at the lowest level, which must fail
         # the seed instead of writing a 0/0 row
-        real = SweepConfig.scenario_config
-        monkeypatch.setattr(SweepConfig, "scenario_config", lambda self, seed: replace(
-            real(self, seed), path_loss_range_db=(-3000.0, 3000.0)))
+        monkeypatch.setattr(channel, "PATH_LOSS_RANGE_DB", (-3000.0, 3000.0))
         out = tmp_path / "low.csv"
         assert main(["run", "--scenario", "varied", "--susinr", f"{MIN_SUSINR_DB:g}",
                      "--seeds", "2", "--methods", "mrt", "--out", str(out)]) == 2

@@ -9,7 +9,7 @@ import precodesim.harness as harness
 import precodesim.metrics as metrics
 import precodesim.optimizer as optimizer
 from precodesim.channel import (
-    MIN_SUSINR_DB, ScenarioConfig, calibrate_noise, decompose, generate_scenario)
+    MIN_SUSINR_DB, calibrate_noise, decompose, generate_scenario)
 from precodesim.detection import mmse_detection
 from precodesim.exceptions import ConfigError, PrecodesimError, SelectionError
 from precodesim.harness import (
@@ -133,14 +133,6 @@ class TestSweepConfig:
         assert SweepConfig(susinr_db=(MIN_SUSINR_DB,)).susinr_db == (MIN_SUSINR_DB,)
 
     @pytest.mark.parametrize("make, field, value", [
-        (ScenarioConfig, "path_loss_range_db", (0, 1, 2)),
-        (ScenarioConfig, "path_loss_range_db", 5.0),
-        (ScenarioConfig, "path_loss_range_db", np.array(5.0)),
-        (ScenarioConfig, "path_loss_range_db", ("-10", 10.0)),
-        (ScenarioConfig, "path_loss_range_db", (-10.0, True)),
-        (ScenarioConfig, "corr_threshold", "0.3"),
-        (ScenarioConfig, "corr_threshold", True),
-        (ScenarioConfig, "corr_threshold", np.bool_(True)),
         (SweepConfig, "power", True),
         (SweepConfig, "power", "1"),
         (SweepConfig, "power", 1j),
@@ -149,7 +141,6 @@ class TestSweepConfig:
         (SweepConfig, "opt", None),
         (SweepConfig, "opt", {}),
         # integers past the float range
-        (ScenarioConfig, "path_loss_range_db", (0, 10**400)),
         (SweepConfig, "power", 10**400),
         (SweepConfig, "susinr_db", (0.0, -10**400)),
     ])
@@ -173,8 +164,6 @@ class TestSweepConfig:
             SweepConfig(**kw)
 
     def test_numpy_scalars_pass(self):
-        assert ScenarioConfig(corr_threshold=np.float32(0.5),
-                              path_loss_range_db=np.array([-3.0, 3.0])).corr_threshold == 0.5
         cfg = SweepConfig(power=np.float64(2.0), susinr_db=(np.int64(0), np.float32(10.0)))
         assert cfg.power == 2.0 and cfg.susinr_db == (0.0, 10.0)
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from precodesim.channel import (
-    ScenarioConfig,
     SystemDims,
     calibrate_noise,
     decompose,
@@ -196,21 +195,15 @@ class TestAggregation:
         ch = gaussian_channels(seed=6)
         pre = arzf(decompose(ch), 2.0, 0.3)
         big = Precoder(raw=pre.raw * 1e200, gain=1.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for call in (lambda: mmse_detection(ch, big, 0.3), lambda: evaluate(ch, big, 0.3),
-                         lambda: evaluate_many(ch, np.stack([pre.weights, big.weights]), 0.3)):
-                with pytest.raises(NotHpdError):
-                    call()
+        for call in (lambda: mmse_detection(ch, big, 0.3), lambda: evaluate(ch, big, 0.3),
+                     lambda: evaluate_many(ch, np.stack([pre.weights, big.weights]), 0.3)):
+            with pytest.raises(NotHpdError):
+                call()
 
 
 class TestAvSusinr:
-    def test_calibration_round_trip(self):
-        cfg = ScenarioConfig(
-            num_tx=16, num_users=3, rx_per_user=4, layers_per_user=2,
-            num_paths=4, candidate_pool=16, corr_threshold=0.5,
-            path_loss="varied", seed=6,
-        )
-        dec = decompose(generate_scenario(cfg))
+    def test_calibration_round_trip(self, quick_config):
+        dec = decompose(generate_scenario(quick_config(path_loss="varied", seed=6)))
         power = 2.0
         for target_db in (-3.0, 0.0, 12.0):
             nv = calibrate_noise(dec, power, target_db)

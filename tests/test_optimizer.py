@@ -603,6 +603,30 @@ class TestOptimizeMany:
             with pytest.raises(ConfigError, match="got ChannelSet and ChannelDecomposition"):
                 call()
 
+    @pytest.mark.parametrize("entry", [1.0 + 0.5j, True, "1.0"])
+    def test_ridge_entries_must_be_real(self, entry):
+        # a complex ridge dropped its imaginary part, a bool one read as 1.0
+        # and a text one raised a bare ValueError
+        ch = gaussian_channels(seed=1)
+        dec = decompose(ch)
+        reg = [entry] * dec.dims.total_layers
+        for call in (lambda: parametric_rzf(dec, reg, POWER),
+                     lambda: objective(dec, ch, reg, POWER, NV),
+                     lambda: gradient(dec, ch, reg, POWER, NV)):
+            with pytest.raises(ConfigError, match="reg_vec must hold real numbers"):
+                call()
+        with pytest.raises(ConfigError, match="gradient needs strictly positive"):
+            gradient(dec, ch, np.zeros(dec.dims.total_layers), POWER, NV)
+
+    def test_problem_must_be_a_4_tuple(self):
+        # each failed to unpack with a bare ValueError or TypeError
+        ch = gaussian_channels(seed=1)
+        dec = decompose(ch)
+        for bad in ((dec, ch, POWER), (dec, ch, POWER, NV, 0), dec, None):
+            with pytest.raises(ConfigError, match="each problem must be a"):
+                optimize_many([(dec, ch, POWER, NV), bad])
+        assert optimize_many([[dec, ch, POWER, NV]])[0].reason == optimize(dec, ch, POWER, NV).reason
+
 
 class TestConfigAndCsv:
     def test_config_validation(self):

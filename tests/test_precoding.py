@@ -5,7 +5,7 @@ import pytest
 
 from precodesim.channel import (
     ChannelDecomposition,
-    ScenarioConfig,
+    SystemDims,
     decompose,
     generate_scenario,
 )
@@ -25,7 +25,6 @@ from precodesim.precoding import (
     closed_forms,
     closed_stack,
     mrt,
-    normalize,
     parametric_rzf,
     rzf,
     wrzf,
@@ -42,30 +41,31 @@ def inv_ridge_oracle(basis, reg_diag):
     return basis.conj().T @ np.linalg.inv(gram)
 
 
-class TestNormalize:
+class TestGain:
+    """One scalar gain per precoder caps its most-loaded antenna at
+    ``power / num_tx``; read through ``mrt``, whose gain follows the rule of
+    every ridge form."""
+
     def test_per_antenna(self):
-        raw = complex_gaussian(1, 6, 4, 1.0)
-        mu = normalize(raw, power=12.0)
-        rows = np.linalg.norm(mu * raw, axis=1)
-        assert abs(rows.max() - np.sqrt(12.0 / 6)) < 1e-12
-        assert np.all(rows <= np.sqrt(12.0 / 6) + 1e-12)
+        dec = decompose(gaussian_channels(seed=1))
+        rows = np.linalg.norm(mrt(dec, power=12.0).weights, axis=1)
+        cap = np.sqrt(12.0 / dec.dims.num_tx)
+        assert abs(rows.max() - cap) < 1e-12 and np.all(rows <= cap + 1e-12)
 
     def test_per_antenna_total_within_budget(self):
-        raw = complex_gaussian(2, 6, 4, 1.0)
-        mu = normalize(raw, power=5.0)
-        assert np.linalg.norm(mu * raw) ** 2 <= 5.0 + 1e-12
+        dec = decompose(gaussian_channels(seed=2))
+        assert np.linalg.norm(mrt(dec, power=5.0).weights) ** 2 <= 5.0 + 1e-12
 
     def test_zero_matrix(self):
+        dims = SystemDims(num_tx=3, rx=(2,), layers=(2,))
+        dec = ChannelDecomposition(dims=dims, u_blocks=(np.eye(2),), s=np.ones(2),
+                                   v=np.zeros((2, 3)))
         with pytest.raises(ZeroMatrixError):
-            normalize(np.zeros((3, 2)), 1.0)
+            mrt(dec, 1.0)
 
-    def test_bad_mode_and_power(self):
-        # per-antenna is the only normalization; no mode can be chosen
-        raw = np.ones((2, 2))
-        with pytest.raises(TypeError):
-            normalize(raw, 1.0, "per_antenna")
-        with pytest.raises(ConfigError):
-            normalize(raw, 0.0)
+    def test_bad_power(self):
+        with pytest.raises(ConfigError, match="power"):
+            mrt(decompose(gaussian_channels()), 0.0)
 
 
 class TestMrtZf:
@@ -404,11 +404,8 @@ class TestScaleConsistency:
             assert np.linalg.norm(a.raw - b.raw) < 1e-12
             assert abs(b.gain - 2.0 * a.gain) < 1e-12
 
-    def test_scenario_sized_instance(self):
-        dec = decompose(generate_scenario(ScenarioConfig(
-            num_tx=16, num_users=3, rx_per_user=4, layers_per_user=2,
-            num_paths=4, candidate_pool=16, corr_threshold=0.5, seed=1,
-        )))
+    def test_scenario_sized_instance(self, quick_config):
+        dec = decompose(generate_scenario(quick_config(seed=1)))
         p = arzf(dec, 2.0, 0.1)
         assert p.weights.shape == (16, 6)
         rows = np.linalg.norm(p.weights, axis=1)
