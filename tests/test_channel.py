@@ -594,6 +594,49 @@ class TestScreening:
         monkeypatch.setattr(channel, "MAX_RETRIES", 2)
         assert assert_both_families_match(partial(ScenarioConfig, seed=4))[0] == 1
 
+    @pytest.mark.parametrize("cap, users", [(0.05, 2), (0.1, 2), (0.2, 3), (0.2, 4)])
+    def test_large_pools_match_svd_screening(self, monkeypatch, cap, users):
+        # a pool of 200 is two draws of 100; low caps keep candidates deep in it
+        for name, value in (("CANDIDATE_POOL", 200), ("CORR_THRESHOLD", cap), ("MAX_RETRIES", 2)):
+            monkeypatch.setattr(channel, name, value)
+        for seed in range(6):
+            for family in ("equal", "varied"):
+                cfg = ScenarioConfig(seed=seed, num_users=users, path_loss=family)
+                ref = svd_screened_selection(cfg)
+                if ref is None:
+                    with pytest.raises(SelectionError):
+                        generate_scenario(cfg)
+                else:
+                    assert_same_bits(generate_scenario(cfg), with_path_loss(*ref[:2], cfg))
+
+    @pytest.mark.parametrize("seed, cap, users", [(11, 0.05, 2), (0, 0.2, 3), (0, 0.3, 4)])
+    def test_kept_past_the_first_half(self, monkeypatch, seed, cap, users):
+        # one pool: its first half alone fails, so the last kept index lies
+        # in the second draw
+        monkeypatch.setattr(channel, "MAX_RETRIES", 1)
+        monkeypatch.setattr(channel, "CORR_THRESHOLD", cap)
+        make = partial(ScenarioConfig, seed=seed, num_users=users)
+        pool = channel.CANDIDATE_POOL
+        monkeypatch.setattr(channel, "CANDIDATE_POOL", pool // 2)
+        with pytest.raises(SelectionError):
+            generate_scenario(make())
+        monkeypatch.setattr(channel, "CANDIDATE_POOL", pool)
+        attempt, kept = assert_both_families_match(make)
+        assert attempt == 0 and kept >= pool // 2
+
+    def test_full_cap_stops_at_the_last_user(self, monkeypatch):
+        # a cap of 1 keeps the first candidates, so a pool of just the users
+        # gives the same blocks and, after the varied family's rewind, the
+        # same gains
+        monkeypatch.setattr(channel, "CORR_THRESHOLD", 1.0)
+        pool = channel.CANDIDATE_POOL
+        for family in ("equal", "varied"):
+            make = partial(ScenarioConfig, path_loss=family, seed=7)
+            monkeypatch.setattr(channel, "CANDIDATE_POOL", pool)
+            full = generate_scenario(make())
+            monkeypatch.setattr(channel, "CANDIDATE_POOL", make().num_users)
+            assert_same_bits(full, generate_scenario(make()).blocks)
+
     def test_landscape_is_cached_and_read_only(self, monkeypatch):
         centers, surroundings = _scatter_environment(64, 6)
         assert _scatter_environment(64, 6)[0] is centers

@@ -154,6 +154,7 @@ class TestSweepConfig:
         ({"num_users": 40}, "total layers 80 exceed num_tx 64"),
         ({"num_tx": 0}, r"min\(rx_per_user, num_tx\)=0"),
         ({"layers_per_user": 20}, "cannot support 20 layers per user"),
+        ({"num_users": 65}, r"num_users must be in \[1, CANDIDATE_POOL=64\]"),
         ({"num_tx": 64.5}, "num_tx must be an integer"),
         ({"scenario": "urban"}, "path_loss must be 'equal' or 'varied', got 'urban'"),
     ])

@@ -189,16 +189,19 @@ class TestAggregation:
         with pytest.raises(DimensionError, match="weight stack shape"):
             evaluate_many(ch, [w[:, :3] for w in ws], 0.3)
 
-    def test_non_finite_mmse_system_is_not_hpd(self):
+    @pytest.mark.parametrize("entry", ["mmse_detection", "evaluate", "evaluate_many"])
+    def test_non_finite_mmse_system_is_not_hpd(self, entry):
         # weights whose MMSE systems overflow to NaN read as not HPD in every
         # scoring entry point, alone or in a stack
         ch = gaussian_channels(seed=6)
         pre = arzf(decompose(ch), 2.0, 0.3)
         big = Precoder(raw=pre.raw * 1e200, gain=1.0)
-        for call in (lambda: mmse_detection(ch, big, 0.3), lambda: evaluate(ch, big, 0.3),
-                     lambda: evaluate_many(ch, np.stack([pre.weights, big.weights]), 0.3)):
-            with pytest.raises(NotHpdError):
-                call()
+        call = {"mmse_detection": lambda: mmse_detection(ch, big, 0.3),
+                "evaluate": lambda: evaluate(ch, big, 0.3),
+                "evaluate_many": lambda: evaluate_many(
+                    ch, np.stack([pre.weights, big.weights]), 0.3)}[entry]
+        with pytest.raises(NotHpdError):
+            call()
 
 
 class TestAvSusinr:

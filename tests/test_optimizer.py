@@ -603,28 +603,43 @@ class TestOptimizeMany:
             with pytest.raises(ConfigError, match="got ChannelSet and ChannelDecomposition"):
                 call()
 
+    @pytest.mark.parametrize("caller", ["parametric_rzf", "objective", "gradient"])
     @pytest.mark.parametrize("entry", [1.0 + 0.5j, True, "1.0"])
-    def test_ridge_entries_must_be_real(self, entry):
+    def test_ridge_entries_must_be_real(self, caller, entry):
         # a complex ridge dropped its imaginary part, a bool one read as 1.0
         # and a text one raised a bare ValueError
         ch = gaussian_channels(seed=1)
         dec = decompose(ch)
         reg = [entry] * dec.dims.total_layers
-        for call in (lambda: parametric_rzf(dec, reg, POWER),
-                     lambda: objective(dec, ch, reg, POWER, NV),
-                     lambda: gradient(dec, ch, reg, POWER, NV)):
-            with pytest.raises(ConfigError, match="reg_vec must hold real numbers"):
-                call()
+        call = {"parametric_rzf": lambda: parametric_rzf(dec, reg, POWER),
+                "objective": lambda: objective(dec, ch, reg, POWER, NV),
+                "gradient": lambda: gradient(dec, ch, reg, POWER, NV)}[caller]
+        with pytest.raises(ConfigError, match="reg_vec must hold real numbers"):
+            call()
+
+    def test_gradient_needs_a_positive_ridge(self):
+        # the real-number check leaves the gradient's own check in place
+        ch = gaussian_channels(seed=1)
+        dec = decompose(ch)
         with pytest.raises(ConfigError, match="gradient needs strictly positive"):
             gradient(dec, ch, np.zeros(dec.dims.total_layers), POWER, NV)
 
-    def test_problem_must_be_a_4_tuple(self):
+    @pytest.mark.parametrize("make_bad", [
+        lambda dec, ch: (dec, ch, POWER),
+        lambda dec, ch: (dec, ch, POWER, NV, 0),
+        lambda dec, ch: dec,
+        lambda dec, ch: None,
+    ], ids=["3-tuple", "5-tuple", "decomposition", "none"])
+    def test_problem_must_be_a_4_tuple(self, make_bad):
         # each failed to unpack with a bare ValueError or TypeError
         ch = gaussian_channels(seed=1)
         dec = decompose(ch)
-        for bad in ((dec, ch, POWER), (dec, ch, POWER, NV, 0), dec, None):
-            with pytest.raises(ConfigError, match="each problem must be a"):
-                optimize_many([(dec, ch, POWER, NV), bad])
+        with pytest.raises(ConfigError, match="each problem must be a"):
+            optimize_many([(dec, ch, POWER, NV), make_bad(dec, ch)])
+
+    def test_problem_may_be_a_list(self):
+        ch = gaussian_channels(seed=1)
+        dec = decompose(ch)
         assert optimize_many([[dec, ch, POWER, NV]])[0].reason == optimize(dec, ch, POWER, NV).reason
 
 
