@@ -1,7 +1,9 @@
 import csv
+import ctypes
 import json
 import math
 import os
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -292,7 +294,20 @@ class TestRunOptions:
 THREADS = ("import os, precodesim.cli; "
            "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))")
 NO_THREAD_VARS = {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None}
+# whether a fresh 2 MiB array is mmapped by glibc malloc, read from mallinfo2
+MMAPPED = ("import ctypes, {first}, {second}; "
+           "fields = [(n, ctypes.c_size_t) for n in ('arena', 'ordblks', 'smblks', 'hblks', "
+           "'hblkhd', 'usmblks', 'fsmblks', 'uordblks', 'fordblks', 'keepcost')]; "
+           "info = ctypes.CDLL(None).mallinfo2; "
+           "info.restype = type('Info', (ctypes.Structure,), {{'_fields_': fields}}); "
+           "before = info().hblkhd; a = numpy.ones(1 << 18); "
+           "print(info().hblkhd - before >= a.nbytes)")
+NO_MALLOC_VARS = {"GLIBC_TUNABLES": None, "MALLOC_TRIM_THRESHOLD_": None,
+                  "MALLOC_MMAP_THRESHOLD_": None}
 needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc")
+needs_glibc = pytest.mark.skipif(not (sys.platform.startswith("linux")
+                                       and hasattr(ctypes.CDLL(None), "mallinfo2")),
+                                  reason="no glibc mallinfo2")
 
 
 class TestRuntimeDependencies:
@@ -323,6 +338,20 @@ class TestRuntimeDependencies:
         proc = run_child(["-c", "import os, numpy; env = dict(os.environ); import precodesim.cli; "
                                 "assert dict(os.environ) == env"], **NO_THREAD_VARS)
         assert proc.returncode == 0, proc.stderr
+
+    @needs_glibc
+    @pytest.mark.parametrize("first, second, env, mmapped", [
+        ("precodesim.cli", "numpy", {}, "False"),
+        ("numpy", "precodesim.cli", {}, "True"),
+        ("precodesim.cli", "numpy", {"MALLOC_MMAP_THRESHOLD_": "131072"}, "True"),
+    ], ids=["cli-pins", "library-import", "user-setting-stands"])
+    def test_cli_pins_malloc_thresholds(self, first, second, env, mmapped):
+        # the command line keeps arrays under 4 MiB on the heap; a library
+        # import and a user's own malloc setting keep glibc's own thresholds
+        proc = run_child(["-c", MMAPPED.format(first=first, second=second)],
+                         **dict(NO_MALLOC_VARS, **env))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [mmapped]
 
 
 class TestVerifyCommand:
