@@ -12,7 +12,7 @@ import numpy as np
 
 from .channel import ChannelDecomposition, ChannelSet, SystemDims, UserGroup
 from .exceptions import DimensionError, NotHpdError, check_positive
-from .numerics import hpd_inverse
+from .numerics import _hpd_inverse
 from .precoding import Precoder
 
 __all__ = ["check_scoring", "conjugate_detection", "mmse_stack", "mmse_detection"]
@@ -64,13 +64,20 @@ def mmse_stack(group: UserGroup, w: np.ndarray, noise_var):
     bits.  Last comes the mask ``ok`` of members whose every ``m`` is HPD;
     an ``m`` that is not, an overflowed one too, has an all-NaN ``m_inv`` and
     ``g``, and warns nothing."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        eff = group.h @ w[:, None]
-        nb, n, rows, _ = eff.shape
-        ah = eff.reshape(nb, -1)[:, group.cols].reshape(nb, n, -1, rows).conj()
-        m = ah @ np.conj(ah.swapaxes(-1, -2))
-        m.reshape(nb, n, -1)[..., :: m.shape[-1] + 1] += np.asarray(noise_var).reshape(-1, 1, 1)
-    m_inv, ok = hpd_inverse(m)
+    with np.errstate(all="ignore"):
+        return _mmse_stack(group, group.h, w, noise_var)
+
+
+def _mmse_stack(group: UserGroup, h: np.ndarray, w: np.ndarray, noise_var):
+    """:func:`mmse_stack` of ``group`` with the user blocks ``h`` in place of
+    ``group.h``, under the caller's ``np.errstate``."""
+    eff = h @ w[:, None]
+    nb, n, rows, _ = eff.shape
+    a_t = eff.reshape(nb, -1)[:, group.cols].reshape(nb, n, -1, rows)  # A^T
+    ah = a_t.conj()
+    m = ah @ a_t.swapaxes(-1, -2)
+    m.reshape(nb, n, -1)[..., :: m.shape[-1] + 1] += np.asarray(noise_var).reshape(-1, 1, 1)
+    m_inv, ok = _hpd_inverse(m)
     return eff, ah, m_inv, m_inv @ ah, ok.all(axis=-1)
 
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import ChannelSet, UserGroup
-from .detection import check_scoring, mmse_stack
+from .detection import _mmse_stack, check_scoring
 from .exceptions import DimensionError, NotHpdError, ZeroSinrError
 from .precoding import Precoder
 
@@ -74,14 +74,21 @@ def mmse_sinr_stack(groups, w: np.ndarray, noise_var):
     of ``groups`` (see :func:`mmse_stack`) and the mask ``ok`` of members
     whose MMSE systems are HPD, whose :func:`sinr_terms` ``ok`` holds and
     whose layer SINRs do not underflow to 0.  A failed member's SINRs read
-    1, so that aggregates of them stay defined."""
+    1, so that aggregates of them stay defined.  Nothing warns."""
+    with np.errstate(all="ignore"):
+        return _mmse_sinr_stack(groups, [group.h for group in groups], w, noise_var)
+
+
+def _mmse_sinr_stack(groups, hs, w: np.ndarray, noise_var):
+    """:func:`mmse_sinr_stack` with the user blocks ``hs[i]`` in place of
+    ``groups[i].h``, under the caller's ``np.errstate``: a failed member
+    warns unless the caller ignores it."""
     sinrs, ok, stages = np.empty((len(w), w.shape[-1])), True, []
-    for group in groups:
-        eff, ah, m_inv, g, hpd = mmse_stack(group, w, noise_var)
+    for group, h in zip(groups, hs):
+        eff, ah, m_inv, g, hpd = _mmse_stack(group, h, w, noise_var)
         coup, sig, den, ok_group = sinr_terms(g, eff, group, noise_var)
         ok = ok_group & hpd & ok
-        with np.errstate(divide="ignore", invalid="ignore"):  # a failed member's 0 / 0
-            sinrs[:, group.own] = sig / den
+        sinrs[:, group.own] = sig / den
         stages.append((eff, ah, m_inv, g, coup, sig, den, hpd))
     ok &= (sinrs > 0).all(axis=-1)
     if not ok.all():
@@ -110,6 +117,11 @@ def effective_sinr(sinrs: np.ndarray, dims) -> np.ndarray:
         raise DimensionError(f"sinr shape {sinrs.shape} != (..., {dims.total_layers})")
     if not (sinrs > 0).all():
         raise ZeroSinrError("nonpositive SINR cannot enter a geometric mean")
+    return _geomean(sinrs, dims)
+
+
+def _geomean(sinrs: np.ndarray, dims) -> np.ndarray:
+    """:func:`effective_sinr` of a float array of positive SINRs, unchecked."""
     layers, starts, _ = _layer_counts(dims.layers)
     return np.exp(np.add.reduceat(np.log(sinrs), starts, axis=-1) / layers)
 

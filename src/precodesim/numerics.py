@@ -62,10 +62,16 @@ def hpd_inverse(a: np.ndarray):
     ``np.linalg.cholesky`` and ``np.linalg.inv``, called without their
     per-call argument handling, which costs more than a small stack's LAPACK
     work."""
-    sig = "D->D" if a.dtype.kind == "c" else "d->d"
     with np.errstate(all="ignore"):
-        ok = np.isfinite(_umath_linalg.cholesky_lo(a, signature=sig)).all(axis=(-2, -1))
-        inv = _umath_linalg.inv(a, signature=sig)
+        return _hpd_inverse(a)
+
+
+def _hpd_inverse(a: np.ndarray):
+    """:func:`hpd_inverse` under the caller's ``np.errstate``: a member that
+    is not positive definite warns unless the caller ignores invalid values."""
+    sig = "D->D" if a.dtype.kind == "c" else "d->d"
+    ok = np.isfinite(_umath_linalg.cholesky_lo(a, signature=sig)).all(axis=(-2, -1))
+    inv = _umath_linalg.inv(a, signature=sig)
     if not ok.all():
         inv[~ok] = np.nan
     return inv, ok

@@ -36,8 +36,9 @@ from .channel import ChannelDecomposition, ChannelSet, UserGroup
 from .exceptions import (
     ConfigError, DimensionError, NumericalError, PrecodesimError, check_integer, check_positive,
     check_real)
-from .metrics import _LN2, effective_sinr, mmse_sinr_stack, require_scored, user_se
-from .precoding import RIDGES, Precoder, check_reg, gram_stack, require_built, ridge_stack
+from .metrics import _LN2, _geomean, _mmse_sinr_stack, require_scored, user_se
+from .precoding import (
+    RIDGES, Precoder, _ridge_stack, check_reg, gram_stack, require_built, ridge_stack)
 
 __all__ = ["OptConfig", "OptResult", "default_start", "objective", "gradient", "optimize",
            "optimize_many"]
@@ -143,7 +144,8 @@ class _Problems:
     """Per-search constants of one :func:`optimize_many` call, computed
     once and stacked: the layer rows ``v``, ``V^H``, ``V^T``, the gram ``V
     V^H`` and, per :class:`UserGroup` of the channels, the group of the R
-    factors of its users' ``H_k V^H`` (``min(rx_k, L)`` rows each), once per
+    factors of its users' ``H_k V^H`` (``min(rx_k, L)`` rows each) and, for
+    the adjoint, their conjugates with the user and row axes merged, once per
     distinct (decomposition, channels) pair; the power, the noise variance,
     twice the noise variance and the starting ridge once per search."""
 
@@ -177,11 +179,17 @@ class _Problems:
                          same[0].own, self.dims.total_layers)
             for same in zip(*[ch.groups for ch in channel_sets])
         ]
-        # V^T, for the adjoint
+        # V^T, conj(R) and each group's users, for the adjoint
         self.vt = np.ascontiguousarray(self.v.swapaxes(1, 2))
+        self.rc = [np.conj(group.h).reshape(len(decomps), -1, self.dims.total_layers)
+                   for group in self.groups]
+        # a group of consecutive users is a slice of the users axis
+        self.users = [slice(group.users[0], group.users[-1] + 1)
+                      if group.users == tuple(range(group.users[0], group.users[-1] + 1))
+                      else np.array(group.users) for group in self.groups]
         self.power = np.array([p[2] for p in problems])
         self.noise_var = np.array([p[3] for p in problems])
-        self.two_noise_var = 2.0 * self.noise_var
+        self.two_noise_var = 2.0 * self.noise_var[:, None, None, None]
         self.start = [default_start(d, p, nv) for d, _, p, nv in problems]
 
     def evaluate(self, idx, reg) -> _Evaluation:
@@ -190,13 +198,14 @@ class _Problems:
         ridge is not finite (outside :func:`ridge_stack`'s inputs), its
         build fails or its scoring does (:func:`mmse_sinr_stack`)."""
         at = self.scene[idx]
-        groups = [group._replace(h=group.h.take(at, axis=0)) for group in self.groups]
         with np.errstate(all="ignore"):  # a failed build has non-finite weights
-            raw, gain, x, top, built = ridge_stack(
+            raw, gain, x, top, built = _ridge_stack(
                 self.gram.take(at, axis=0), self.vh.take(at, axis=0), reg, None, self.power[idx])
-            sinrs, stages, ok = mmse_sinr_stack(groups, gain[:, None, None] * x, self.noise_var[idx])
+            sinrs, stages, ok = _mmse_sinr_stack(
+                self.groups, [group.h.take(at, axis=0) for group in self.groups],
+                gain[:, None, None] * x, self.noise_var[idx])
         ok &= built & np.isfinite(reg).all(axis=-1)
-        geo = effective_sinr(sinrs, self.dims)
+        geo = _geomean(sinrs, self.dims)
         j = np.where(ok, user_se(geo, self.dims).sum(axis=-1), np.nan)
         top_row = raw[np.arange(len(idx)), top]
         return _Evaluation(idx, j, ok, reg, x, top_row, gain, top, geo, stages)
@@ -211,15 +220,15 @@ class _Problems:
         lt = self.dims.total_layers
         nb = len(ev.idx)
         at = self.scene[ev.idx]
-        two_nv = self.two_noise_var[ev.idx][:, None, None, None]
+        two_nv = self.two_noise_var.take(ev.idx, 0)
         # SE_k = L_k log2(1 + geomean_k) and d geomean_k = geomean_k mean_j d log sinr_j
         dlog_sinr = ev.geo / (1.0 + ev.geo) / _LN2
 
         # w = gain x, the weights the kernel saw
         w_bar = np.zeros(ev.x.shape, dtype=complex)
-        for group, stage in zip(self.groups, ev.stages):
+        for group, users, rc, stage in zip(self.groups, self.users, self.rc, ev.stages):
             eff, ah, m_inv, g, coup, sig, den, _ = stage
-            d = dlog_sinr[:, group.users, None]
+            d = dlog_sinr[:, users, None]
             sig_bar, den_bar = d / sig, -d / den
             coup_bar = den_bar[..., None].repeat(lt, axis=-1)
             coup_bar.reshape(nb, -1)[:, group.lanes] = sig_bar.reshape(nb, -1)
@@ -230,11 +239,10 @@ class _Problems:
             eff_bar = gh @ coup_bar
             # g = m_inv ah with m_inv = inv(ah ah^H + noise_var I), Hermitian
             ah_bar = m_inv @ g_bar
-            m_bar = -ah_bar @ gh
-            ah_bar += (m_bar + np.conj(m_bar.swapaxes(-1, -2))) @ ah
+            m_bar = ah_bar @ gh  # the adjoint of m, negated
+            ah_bar -= (m_bar + np.conj(m_bar.swapaxes(-1, -2))) @ ah
             eff_bar.reshape(nb, -1)[:, group.cols] += ah_bar.conj().reshape(nb, -1)
-            rh = np.conj(group.h.take(at, axis=0)).reshape(nb, -1, lt)
-            w_bar += rh.swapaxes(1, 2) @ eff_bar.reshape(nb, -1, lt)
+            w_bar += rc.take(at, axis=0).swapaxes(1, 2) @ eff_bar.reshape(nb, -1, lt)
 
         # gain = sqrt(power / num_tx) / rho, rho the largest row norm of
         # raw = V^H x; raw_bar is zero off that row, so V raw_bar is the
@@ -305,14 +313,14 @@ def _round(problems, idx, regs, bounds, sent):
     trials, one per accepting search in search order, and their evaluation
     and gradient from one :meth:`_Problems.adjoint` (``None`` if nothing was
     accepted)."""
-    owner = idx.repeat(sent)
-    ev = problems.evaluate(owner, regs)
-    good = (np.isfinite(ev.j) & (-ev.j <= bounds)).nonzero()[0]
-    if len(good):
-        # trials run in search order, then step order: keep each search's first
-        who = owner[good]
-        good = good[np.concatenate(([True], who[1:] != who[:-1]))]
-        sub = ev.take(good)
+    ev = problems.evaluate(idx.repeat(sent), regs)
+    accept = (np.isfinite(ev.j) & (-ev.j <= bounds)).tolist()
+    good, end = [], 0
+    for width in sent.tolist():
+        start, end = end, end + width
+        good += [r for r in range(start, end) if accept[r]][:1]
+    if good:
+        sub = ev if len(good) == len(accept) else ev.take(np.array(good))
         return good, sub, problems.adjoint(sub)
     return good, None, None
 
@@ -344,7 +352,8 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
     n, lt = len(problems), stack.dims.total_layers
     # the step lengths of every ladder, by repeated shrinking
     alphas = np.cumprod([config.init_step] + [config.backtrack] * config.max_backtracks)
-    armijo, rungs, steps = config.armijo_c1 * alphas, len(alphas), alphas.tolist()
+    armijo, rungs, steps = (config.armijo_c1 * alphas).tolist(), len(alphas), alphas.tolist()
+    eye = np.eye(lt)
 
     # One row per search.  It steps in u = log(reg) but evaluates at reg
     # itself, so the start (and a search that never moves) is exactly the
@@ -353,12 +362,13 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
     # bound inf and step 0, tried while the search has no trajectory.
     reg = np.array(stack.start)
     u = np.log(reg)
-    j, slope = np.zeros(n), np.zeros(n)
     g, p = np.zeros((n, lt)), np.zeros((n, lt))
     # each search's inverse Hessian, and whether it has seen curvature
     h, curved = np.zeros((n, lt, lt)), np.zeros(n, dtype=bool)
-    # rungs of the current ladder tried so far, and the next stretch's width
-    tried, width = np.full(n, rungs - 1), np.ones(n, dtype=int)
+    # Python numbers per search, which a round reads one at a time: the
+    # objective and the slope along p, the rungs of the current ladder tried
+    # so far and the next stretch's width
+    j, slope, tried, width = [0.0] * n, [0.0] * n, [rungs - 1] * n, [1] * n
     # (iteration, objective, gradient norm, step) and most-loaded antenna
     # of every iterate
     traj, tops = [[] for _ in range(n)], [[] for _ in range(n)]
@@ -369,55 +379,62 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
         if admitted:
             running += range(begun, begun + admitted)
             begun += admitted
-            run = np.array(running)
         if not running:
             return results
         # every search gets one trial; the rest of the budget widens the
         # stretches in search order
-        rung, wide = tried[run], width[run]
-        sent = np.minimum(wide, rungs - rung)
-        end = sent.cumsum()
-        if end[-1] > _BATCH:
-            want = sent - 1
-            sent = 1 + np.minimum(want, np.maximum(_BATCH - len(run) - (want.cumsum() - want), 0))
-            end = sent.cumsum()
-        after = rung + sent
-        trial = run.repeat(sent)
-        step = np.arange(end[-1]) + (rung - end + sent).repeat(sent)
+        sent = [min(width[i], rungs - tried[i]) for i in running]
+        if sum(sent) > _BATCH:
+            spare = _BATCH - len(running)
+            for q, want in enumerate(sent):
+                sent[q] = 1 + min(want - 1, max(spare, 0))
+                spare -= want - 1
+        trial = [i for i, m in zip(running, sent) for _ in range(m)]
+        step = [tried[i] + r for i, m in zip(running, sent) for r in range(m)]
+        bounds = [armijo[k] * slope[i] - j[i] for i, k in zip(trial, step)]
+        # the log ridges, kept for the accepted rows
+        ut = u.take(trial, 0) + alphas.take(step)[:, None] * p.take(trial, 0)
         with np.errstate(over="ignore"):
-            ridges = np.exp(u.take(trial, 0) + alphas[step][:, None] * p.take(trial, 0))
-        bounds = armijo[step] * slope[trial] - j[trial]
+            ridges = np.exp(ut)
         if admitted:
             # the searches admitted this round run last, each a ladder of
             # one: the start, which is accepted or ends the search
-            ridges[-admitted:], bounds[-admitted:] = reg[run[-admitted:]], np.inf
-        t, sub, g_new = _round(stack, run, ridges, bounds, sent)
-        tried[run], width[run] = after, 2 * wide
+            ridges[-admitted:], bounds[-admitted:] = reg[running[-admitted:]], [np.inf] * admitted
+        t, sub, g_new = _round(stack, np.array(running), ridges, np.array(bounds), np.array(sent))
         # searches that tried their last rung, some of which accepted it
-        failed = run[after == rungs].tolist()
+        failed = []
+        for i, m in zip(running, sent):
+            tried[i] += m
+            width[i] *= 2
+            if tried[i] == rungs:
+                failed.append(i)
 
         ended = {}
-        if len(t):
-            acc, k = trial[t], step[t]
+        if t:
+            acc, k = [trial[r] for r in t], [step[r] for r in t]
             if failed:
-                failed = sorted(set(failed).difference(acc.tolist()))
-            u_old = u.take(acc, 0)
-            u_new = u_old + alphas[k][:, None] * p.take(acc, 0)
+                failed = sorted(set(failed).difference(acc))
+            u_new = ut if len(t) == len(trial) else ut.take(t, 0)
             # the curvature pair of each search; the start steps 0 from itself
-            s, y = u_new - u_old, g.take(acc, 0) - g_new
+            s, y = u_new - u.take(acc, 0), g.take(acc, 0) - g_new
             new = np.vecdot(s, y) > 1e-12
             if new.any():
-                c, s, y = acc[new], s[new], y[new]
-                # a search's first update scales the identity by s y / y y (eq. 6.20)
-                first = (np.vecdot(s, y) / np.vecdot(y, y))[:, None, None] * np.eye(lt)
-                h[c] = _bfgs(np.where(curved[c, None, None], h.take(c, 0), first), s, y)
+                c = acc if new.all() else [i for i, keep in zip(acc, new.tolist()) if keep]
+                if len(c) < len(acc):
+                    s, y = s[new], y[new]
+                h_c, fresh = h.take(c, 0), ~curved.take(c)
+                if fresh.any():
+                    # a search's first update scales the identity by s y / y y (eq. 6.20)
+                    h_c[fresh] = (np.vecdot(s[fresh], y[fresh])
+                                  / np.vecdot(y[fresh], y[fresh]))[:, None, None] * eye
+                h[c] = _bfgs(h_c, s, y)
                 curved[c] = True
-            u[acc], g[acc], reg[acc], j[acc] = u_new, g_new, sub.reg, sub.j
+            u[acc], g[acc], reg[acc] = u_new, g_new, sub.reg
             go = []
-            rows = zip(acc.tolist(), sub.j.tolist(),
-                       np.maximum.reduce(np.abs(g_new), axis=-1).tolist(), k.tolist(),
+            rows = zip(acc, sub.j.tolist(), np.maximum.reduce(np.abs(g_new), axis=-1).tolist(), k,
                        sub.top.tolist())
             for b, (i, obj, gn, rung_k, top) in enumerate(rows):
+                j[i] = obj
                 path, seen = traj[i], tops[i]
                 it = len(path)
                 path.append((it, obj, gn, steps[rung_k] if it else 0.0))
@@ -433,13 +450,21 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
                 else:
                     go.append(b)
             if go:
-                gg = g_new[go]
-                go = acc[go]
+                gg = g_new if len(go) == len(acc) else g_new.take(go, 0)
+                go = [acc[b] for b in go]
                 # the quasi-Newton ascent direction H g, or g before any curvature
-                dirs = np.where(curved[go, None], np.vecdot(h.take(go, 0), gg[:, None]), gg)
+                bent = curved.take(go)
+                dirs = gg
+                if bent.any():
+                    dirs = np.vecdot(h.take(go, 0), gg[:, None])
+                    if not bent.all():
+                        dirs = np.where(bent[:, None], dirs, gg)
                 gp = np.vecdot(gg, dirs)
-                p[go], slope[go], tried[go], width[go] = dirs, -gp, 0, 1
-                failed += go[gp <= 0].tolist()
+                p[go] = dirs
+                for i, v in zip(go, gp.tolist()):
+                    slope[i], tried[i], width[i] = -v, 0, 1
+                    if v <= 0:
+                        failed.append(i)
 
         if failed:
             for i in failed:
@@ -450,14 +475,15 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
             # the curvature can point downhill or across a normalization
             # kink; drop it and retry along the raw gradient
             retry = [i for i in failed if i not in ended]
-            curved[retry] = False
-            p[retry], slope[retry] = g[retry], -np.vecdot(g[retry], g[retry])
-            tried[retry], width[retry] = 0, 1
+            if retry:
+                curved[retry] = False
+                p[retry] = g_r = g.take(retry, 0)
+                for i, v in zip(retry, np.vecdot(g_r, g_r).tolist()):
+                    slope[i], tried[i], width[i] = -v, 0, 1
 
         if ended:
             _finish(stack, ended, results, reg, j, traj, done)
             running = [i for i in running if i not in ended]
-            run = np.array(running, dtype=int)
 
 
 def _finish(stack, ended, results, reg, j, traj, done):

@@ -23,7 +23,7 @@ import numpy as np
 from .channel import ChannelDecomposition
 from .exceptions import (
     ConfigError, DimensionError, SingularGramError, ZeroMatrixError, check_positive)
-from .numerics import as_complex_matrix, hpd_inverse
+from .numerics import _hpd_inverse, as_complex_matrix
 
 __all__ = ["Precoder", "RIDGES", "CLOSED_FORMS", "closed_stack", "mrt", "zf", "rzf", "wrzf", "arzf",
            "parametric_rzf"]
@@ -87,8 +87,11 @@ def _check_nonnegative(name: str, a: np.ndarray) -> None:
 def check_reg(reg_vec, total_layers: int) -> np.ndarray:
     """``reg_vec`` as a float array of ``total_layers`` finite entries
     ``>= 0``, else DimensionError or ConfigError (also for complex, bool or
-    text entries)."""
-    reg_vec = np.asarray(reg_vec)
+    text entries and for a ragged sequence)."""
+    try:
+        reg_vec = np.asarray(reg_vec)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise ConfigError("reg_vec must hold real numbers, got a ragged sequence") from None
     if reg_vec.dtype.kind not in "iuf":
         raise ConfigError(f"reg_vec must hold real numbers, got dtype {reg_vec.dtype}")
     reg_vec = reg_vec.astype(float, copy=False)
@@ -115,14 +118,19 @@ def ridge_stack(gram: np.ndarray, vh: np.ndarray, reg: np.ndarray, scale, power)
     and neither raises or warns.  The inputs are trusted: finite, ``reg >=
     0``, ``scale >= 0`` and ``power > 0``.  Each matrix is its own LAPACK or
     BLAS call, so members do not change each other's bits."""
-    k = gram.copy()
-    k.reshape(len(k), -1)[:, :: k.shape[-1] + 1] += reg
-    x = hpd_inverse(k)[0]
     with np.errstate(all="ignore"):
-        raw = vh @ x
-        if scale is not None:
-            raw *= scale
-        norms, gain = _gain(raw, power)
+        return _ridge_stack(gram.copy(), vh, reg, scale, power)
+
+
+def _ridge_stack(k: np.ndarray, vh: np.ndarray, reg: np.ndarray, scale, power):
+    """:func:`ridge_stack` of the gram stack ``k``, which it overwrites with
+    ``k + diag(reg)``, under the caller's ``np.errstate``."""
+    k.reshape(len(k), -1)[:, :: k.shape[-1] + 1] += reg
+    x = _hpd_inverse(k)[0]
+    raw = vh @ x
+    if scale is not None:
+        raw *= scale
+    norms, gain = _gain(raw, power)
     return raw, gain, x, norms.argmax(axis=-1), np.isfinite(gain)
 
 

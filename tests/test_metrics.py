@@ -1,26 +1,32 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from precodesim.channel import (
+    ChannelDecomposition,
     SystemDims,
     calibrate_noise,
     decompose,
     generate_scenario,
 )
-from precodesim.detection import conjugate_detection, mmse_detection
-from precodesim.exceptions import ConfigError, DimensionError, NotHpdError, ZeroSinrError
+from precodesim.detection import conjugate_detection, mmse_detection, mmse_stack
+from precodesim.exceptions import (
+    ConfigError, DimensionError, NotHpdError, SingularGramError, ZeroMatrixError, ZeroSinrError)
 from precodesim.metrics import (
     effective_sinr,
     evaluate,
     evaluate_many,
     layer_sinr,
+    mmse_sinr_stack,
     report,
     user_se,
 )
-from helpers import av_susinr, gaussian_channels
-from precodesim.precoding import Precoder, arzf, mrt, rzf
+from precodesim.numerics import hpd_inverse
+from helpers import av_susinr, complex_gaussian, gaussian_channels
+from precodesim.precoding import (
+    RIDGES, Precoder, arzf, closed_stack, gram_stack, mrt, parametric_rzf, ridge_stack, rzf)
 
 
 def naive_layer_sinr(channels, precoder, detection, noise_var):
@@ -202,6 +208,60 @@ class TestAggregation:
                     ch, np.stack([pre.weights, big.weights]), 0.3)}[entry]
         with pytest.raises(NotHpdError):
             call()
+
+
+class TestFailedMembersWarnNothing:
+    # Each public kernel is its np.errstate around a private core.  A member
+    # that is not HPD or whose system overflows reads False in the kernel's
+    # mask, and a caller that raises on it raises its documented error; no
+    # RuntimeWarning comes first, whatever the warning filters say.
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_hpd_inverse(self):
+        a = np.array([np.eye(2), np.diag([1.0, -1.0]), [[1e-300, 1e300], [1e300, 1e308]]],
+                     dtype=complex)
+        inv, ok = hpd_inverse(a)
+        assert ok.tolist() == [True, False, False]
+        assert np.array_equal(inv[0], np.eye(2)) and np.isnan(inv[1:]).all()
+
+    def test_ridge_stack_and_its_callers(self):
+        dec = decompose(gaussian_channels(seed=6))
+        gram = gram_stack(dec.v[None]).repeat(3, axis=0)
+        top = np.linalg.eigvalsh(gram[0]).max()
+        reg = np.stack([RIDGES["arzf"](dec, 2.0, 0.3)[0], np.full(4, -2.0 * top), np.full(4, 1e305)])
+        _, gain, _, _, ok = ridge_stack(gram, dec.v.conj().T, reg, None, 2.0)
+        assert ok.tolist() == [True, False, False]
+        assert np.isnan(gain[1]) and np.isinf(gain[2])
+        with pytest.raises(ZeroMatrixError):
+            parametric_rzf(dec, reg[2], 2.0)
+        # rzf_v's ridge at this noise is 2e305, and the rows of a dependent
+        # basis make a gram that is not HPD
+        with pytest.raises(ZeroMatrixError):
+            closed_stack(dec, ("rzf_v",), 2.0, [1e305])
+        v = complex_gaussian(5, 1, 8, 1.0)
+        u = np.array([[1.0 + 0j, 0.0]])
+        dependent = ChannelDecomposition.from_blocks([u, u], [[1.0], [1.0]], [v, v])
+        with pytest.raises(SingularGramError):
+            closed_stack(dependent, ("zf_v",), 2.0, [None])
+
+    def test_mmse_kernels_and_their_callers(self):
+        ch = gaussian_channels(seed=6)
+        pre = arzf(decompose(ch), 2.0, 0.3)
+        big = Precoder(raw=pre.raw * 1e200, gain=1.0)
+        w = np.stack([pre.weights, big.weights])
+        *_, g, ok = mmse_stack(ch.groups[0], w, 0.3)
+        assert ok.tolist() == [True, False] and np.isnan(g[1]).all()
+        sinrs, _, ok = mmse_sinr_stack(ch.groups, w, 0.3)
+        assert ok.tolist() == [True, False] and (sinrs[1] == 1.0).all()
+        with pytest.raises(NotHpdError):
+            evaluate_many(ch, w, 0.3)
+        with pytest.raises(NotHpdError):
+            mmse_detection(ch, big, 0.3)
 
 
 class TestAvSusinr:

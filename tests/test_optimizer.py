@@ -16,7 +16,7 @@ from precodesim.channel import (
 from precodesim.detection import mmse_detection
 from precodesim.exceptions import (
     ConfigError, DimensionError, NumericalError, SingularGramError, ZeroMatrixError)
-from precodesim.metrics import evaluate, report
+from precodesim.metrics import effective_sinr, evaluate, mmse_sinr_stack, report, user_se
 from precodesim.numerics import complex_normal
 from helpers import complex_gaussian, evaluate_point, gaussian_channels
 from precodesim.optimizer import (
@@ -30,7 +30,7 @@ from precodesim.optimizer import (
     optimize,
     optimize_many,
 )
-from precodesim.precoding import arzf, parametric_rzf, zf
+from precodesim.precoding import arzf, parametric_rzf, ridge_stack, zf
 from precodesim.verification import central_differences
 
 
@@ -202,6 +202,65 @@ class TestLayerSpace:
             assert np.array_equal(eff.reshape(nb, -1)[:, group.cols].reshape(nb, n, nl, rows),
                                   eff.swapaxes(-1, -2)[b, i, group.own])
         assert [g.h.shape[-2] for g in problems.groups] == [min(rx[0], lt), rx[1]]
+
+
+    def test_search_kernel_is_the_public_one_bit_for_bit(self):
+        # a batch over two scenes with a non-finite trial ridge and one whose
+        # system is not HPD: member by member, the search's evaluation holds
+        # what ridge_stack and mmse_sinr_stack give that member alone on the
+        # same R factors
+        problems = sweep_problems((3, 4), "varied", (0.0, 20.0))
+        stack = optimizer._Problems(problems)
+        idx = np.array([0, 1, 2, 3, 1, 2])
+        rng = np.random.default_rng(5)
+        reg = np.array(stack.start)[idx] * np.exp(rng.uniform(-1, 1, (len(idx), 8)))
+        reg[4, 2] = np.inf
+        reg[5] = -2.0 * np.linalg.eigvalsh(stack.gram[stack.scene[2]]).max()
+        ev = stack.evaluate(idx, reg)
+        assert ev.ok.tolist() == [True] * 4 + [False] * 2
+
+        def same(a, b):
+            return np.array_equal(a, b, equal_nan=True)
+
+        for b, i in enumerate(idx):
+            at = stack.scene[[i]]
+            raw, gain, x, top, built = ridge_stack(stack.gram[at], stack.vh[at], reg[[b]], None,
+                                                   stack.power[[i]])
+            groups = [group._replace(h=group.h[at]) for group in stack.groups]
+            sinrs, stages, ok = mmse_sinr_stack(groups, gain[:, None, None] * x,
+                                                stack.noise_var[[i]])
+            assert same(ev.gain[b], gain[0]) and same(ev.x[b], x[0]) and ev.top[b] == top[0]
+            assert same(ev.top_row[b], raw[0, top[0]])
+            for got, want in zip(ev.stages, stages):
+                assert all(same(g[b], w[0]) for g, w in zip(got, want))
+            geo = effective_sinr(sinrs, stack.dims)
+            assert same(ev.geo[b], geo[0])
+            assert ev.ok[b] == (built[0] and ok[0] and np.isfinite(reg[b]).all())
+            assert same(ev.j[b], user_se(geo, stack.dims).sum() if ev.ok[b] else np.nan)
+
+    @pytest.mark.parametrize("rejected", [[], [1]])
+    def test_round_adjoint_with_or_without_the_take(self, monkeypatch, rejected):
+        # a round whose every trial is accepted hands its evaluation to the
+        # adjoint as it is; its gradient is the one of the taken members
+        problems = sweep_problems((3,), "varied", (0.0, 20.0, 40.0))
+        stack = optimizer._Problems(problems)
+        n = len(problems)
+        idx, ridges = np.arange(n), np.array(stack.start) * 1.1
+        bounds = np.full(n, np.inf)
+        bounds[rejected] = -np.inf
+        real_take, takes = optimizer._Evaluation.take, []
+
+        def take(ev, sel):
+            takes.append(sel)
+            return real_take(ev, sel)
+
+        monkeypatch.setattr(optimizer._Evaluation, "take", take)
+        good, sub, g_new = optimizer._round(stack, idx, ridges, bounds, np.ones(n, dtype=int))
+        kept = [r for r in range(n) if r not in rejected]
+        assert good == kept and len(takes) == len(rejected)
+        want = stack.adjoint(real_take(stack.evaluate(idx, ridges), np.array(kept)))
+        assert g_new.tobytes() == want.tobytes()
+        assert sub.reg.tobytes() == ridges[kept].tobytes()
 
 
 class TestOptimize:
@@ -604,13 +663,15 @@ class TestOptimizeMany:
                 call()
 
     @pytest.mark.parametrize("caller", ["parametric_rzf", "objective", "gradient"])
-    @pytest.mark.parametrize("entry", [1.0 + 0.5j, True, "1.0"])
+    @pytest.mark.parametrize("entry", [1.0 + 0.5j, True, "1.0",
+                                       pytest.param([[1.0, 2.0], [3.0]], id="ragged")])
     def test_ridge_entries_must_be_real(self, caller, entry):
-        # a complex ridge dropped its imaginary part, a bool one read as 1.0
-        # and a text one raised a bare ValueError
+        # a complex ridge dropped its imaginary part, a bool one read as 1.0,
+        # and a text one and a ragged one raised a bare ValueError
         ch = gaussian_channels(seed=1)
         dec = decompose(ch)
-        reg = [entry] * dec.dims.total_layers
+        lt = dec.dims.total_layers
+        reg = entry * (lt // 2) if isinstance(entry, list) else [entry] * lt
         call = {"parametric_rzf": lambda: parametric_rzf(dec, reg, POWER),
                 "objective": lambda: objective(dec, ch, reg, POWER, NV),
                 "gradient": lambda: gradient(dec, ch, reg, POWER, NV)}[caller]
