@@ -12,7 +12,10 @@ factorization tests definiteness, then the inverse is formed and matrix
 products apply it.  Both are numpy calls that
 loop over a stack one matrix at a time, so there is one solve path, one BLAS
 library and no per-matrix Python loop.  A member that is not positive
-definite fails alone, in a mask that the callers read.
+definite fails alone, in a mask that the callers read.  Each public stacked
+kernel (:func:`hpd_inverse` here, ``ridge_stack``, ``mmse_stack`` and
+``mmse_sinr_stack``) is one ``np.errstate`` around a private core, so none
+warns; the search's evaluation runs the cores under one ``np.errstate``.
 """
 
 import numpy as np

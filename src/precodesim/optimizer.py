@@ -181,12 +181,9 @@ class _Problems:
         ]
         # V^T, conj(R) and each group's users, for the adjoint
         self.vt = np.ascontiguousarray(self.v.swapaxes(1, 2))
-        self.rc = [np.conj(group.h).reshape(len(decomps), -1, self.dims.total_layers)
-                   for group in self.groups]
-        # a group of consecutive users is a slice of the users axis
-        self.users = [slice(group.users[0], group.users[-1] + 1)
-                      if group.users == tuple(range(group.users[0], group.users[-1] + 1))
-                      else np.array(group.users) for group in self.groups]
+        self.r_conj = [np.conj(group.h).reshape(len(decomps), -1, self.dims.total_layers)
+                       for group in self.groups]
+        self.users = [np.array(group.users) for group in self.groups]
         self.power = np.array([p[2] for p in problems])
         self.noise_var = np.array([p[3] for p in problems])
         self.two_noise_var = 2.0 * self.noise_var[:, None, None, None]
@@ -226,9 +223,9 @@ class _Problems:
 
         # w = gain x, the weights the kernel saw
         w_bar = np.zeros(ev.x.shape, dtype=complex)
-        for group, users, rc, stage in zip(self.groups, self.users, self.rc, ev.stages):
+        for group, users, r_conj, stage in zip(self.groups, self.users, self.r_conj, ev.stages):
             eff, ah, m_inv, g, coup, sig, den, _ = stage
-            d = dlog_sinr[:, users, None]
+            d = dlog_sinr.take(users, axis=1)[:, :, None]
             sig_bar, den_bar = d / sig, -d / den
             coup_bar = den_bar[..., None].repeat(lt, axis=-1)
             coup_bar.reshape(nb, -1)[:, group.lanes] = sig_bar.reshape(nb, -1)
@@ -242,7 +239,7 @@ class _Problems:
             m_bar = ah_bar @ gh  # the adjoint of m, negated
             ah_bar -= (m_bar + np.conj(m_bar.swapaxes(-1, -2))) @ ah
             eff_bar.reshape(nb, -1)[:, group.cols] += ah_bar.conj().reshape(nb, -1)
-            w_bar += rc.take(at, axis=0).swapaxes(1, 2) @ eff_bar.reshape(nb, -1, lt)
+            w_bar += r_conj.take(at, axis=0).swapaxes(1, 2) @ eff_bar.reshape(nb, -1, lt)
 
         # gain = sqrt(power / num_tx) / rho, rho the largest row norm of
         # raw = V^H x; raw_bar is zero off that row, so V raw_bar is the
@@ -315,9 +312,10 @@ def _round(problems, idx, regs, bounds, sent):
     accepted)."""
     ev = problems.evaluate(idx.repeat(sent), regs)
     accept = (np.isfinite(ev.j) & (-ev.j <= bounds)).tolist()
+    # trials run in search order, then step order: keep each search's first
     good, end = [], 0
-    for width in sent.tolist():
-        start, end = end, end + width
+    for m in sent.tolist():
+        start, end = end, end + m
         good += [r for r in range(start, end) if accept[r]][:1]
     if good:
         sub = ev if len(good) == len(accept) else ev.take(np.array(good))
@@ -363,12 +361,11 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
     reg = np.array(stack.start)
     u = np.log(reg)
     g, p = np.zeros((n, lt)), np.zeros((n, lt))
-    # each search's inverse Hessian, and whether it has seen curvature
-    h, curved = np.zeros((n, lt, lt)), np.zeros(n, dtype=bool)
-    # Python numbers per search, which a round reads one at a time: the
-    # objective and the slope along p, the rungs of the current ladder tried
-    # so far and the next stretch's width
-    j, slope, tried, width = [0.0] * n, [0.0] * n, [rungs - 1] * n, [1] * n
+    h = np.zeros((n, lt, lt))  # each search's inverse Hessian
+    # Python values per search, which a round reads one at a time: whether
+    # it has seen curvature, the objective and the slope along p, the rungs
+    # of the current ladder tried so far and the next stretch's width
+    curved, j, slope, tried, width = [False] * n, [0.0] * n, [0.0] * n, [rungs - 1] * n, [1] * n
     # (iteration, objective, gradient norm, step) and most-loaded antenna
     # of every iterate
     traj, tops = [[] for _ in range(n)], [[] for _ in range(n)]
@@ -393,7 +390,8 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
         step = [tried[i] + r for i, m in zip(running, sent) for r in range(m)]
         bounds = [armijo[k] * slope[i] - j[i] for i, k in zip(trial, step)]
         # the log ridges, kept for the accepted rows
-        ut = u.take(trial, 0) + alphas.take(step)[:, None] * p.take(trial, 0)
+        rows = np.array(trial)
+        ut = u.take(rows, 0) + alphas.take(step)[:, None] * p.take(rows, 0)
         with np.errstate(over="ignore"):
             ridges = np.exp(ut)
         if admitted:
@@ -414,22 +412,25 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
             acc, k = [trial[r] for r in t], [step[r] for r in t]
             if failed:
                 failed = sorted(set(failed).difference(acc))
+            ix = np.array(acc)
             u_new = ut if len(t) == len(trial) else ut.take(t, 0)
             # the curvature pair of each search; the start steps 0 from itself
-            s, y = u_new - u.take(acc, 0), g.take(acc, 0) - g_new
-            new = np.vecdot(s, y) > 1e-12
-            if new.any():
-                c = acc if new.all() else [i for i, keep in zip(acc, new.tolist()) if keep]
+            s, y = u_new - u.take(ix, 0), g.take(ix, 0) - g_new
+            new = [b for b, sy in enumerate(np.vecdot(s, y).tolist()) if sy > 1e-12]
+            if new:
+                c = [acc[b] for b in new]
                 if len(c) < len(acc):
-                    s, y = s[new], y[new]
-                h_c, fresh = h.take(c, 0), ~curved.take(c)
-                if fresh.any():
+                    s, y = s.take(new, 0), y.take(new, 0)
+                h_c = h.take(c, 0)
+                fresh = [b for b, i in enumerate(c) if not curved[i]]
+                if fresh:
                     # a search's first update scales the identity by s y / y y (eq. 6.20)
-                    h_c[fresh] = (np.vecdot(s[fresh], y[fresh])
-                                  / np.vecdot(y[fresh], y[fresh]))[:, None, None] * eye
+                    s_f, y_f = s.take(fresh, 0), y.take(fresh, 0)
+                    h_c[fresh] = (np.vecdot(s_f, y_f) / np.vecdot(y_f, y_f))[:, None, None] * eye
                 h[c] = _bfgs(h_c, s, y)
-                curved[c] = True
-            u[acc], g[acc], reg[acc] = u_new, g_new, sub.reg
+                for i in c:
+                    curved[i] = True
+            u[ix], g[ix], reg[ix] = u_new, g_new, sub.reg
             go = []
             rows = zip(acc, sub.j.tolist(), np.maximum.reduce(np.abs(g_new), axis=-1).tolist(), k,
                        sub.top.tolist())
@@ -453,12 +454,12 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
                 gg = g_new if len(go) == len(acc) else g_new.take(go, 0)
                 go = [acc[b] for b in go]
                 # the quasi-Newton ascent direction H g, or g before any curvature
-                bent = curved.take(go)
+                bent = [curved[i] for i in go]
                 dirs = gg
-                if bent.any():
+                if any(bent):
                     dirs = np.vecdot(h.take(go, 0), gg[:, None])
-                    if not bent.all():
-                        dirs = np.where(bent[:, None], dirs, gg)
+                    if not all(bent):
+                        dirs = np.where(np.array(bent)[:, None], dirs, gg)
                 gp = np.vecdot(gg, dirs)
                 p[go] = dirs
                 for i, v in zip(go, gp.tolist()):
@@ -476,10 +477,9 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
             # kink; drop it and retry along the raw gradient
             retry = [i for i in failed if i not in ended]
             if retry:
-                curved[retry] = False
                 p[retry] = g_r = g.take(retry, 0)
                 for i, v in zip(retry, np.vecdot(g_r, g_r).tolist()):
-                    slope[i], tried[i], width[i] = -v, 0, 1
+                    curved[i], slope[i], tried[i], width[i] = False, -v, 0, 1
 
         if ended:
             _finish(stack, ended, results, reg, j, traj, done)
