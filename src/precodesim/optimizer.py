@@ -418,9 +418,7 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
             s, y = u_new - u.take(ix, 0), g.take(ix, 0) - g_new
             new = [b for b, sy in enumerate(np.vecdot(s, y).tolist()) if sy > 1e-12]
             if new:
-                c = [acc[b] for b in new]
-                if len(c) < len(acc):
-                    s, y = s.take(new, 0), y.take(new, 0)
+                c, s, y = [acc[b] for b in new], s.take(new, 0), y.take(new, 0)
                 h_c = h.take(c, 0)
                 fresh = [b for b, i in enumerate(c) if not curved[i]]
                 if fresh:
@@ -454,12 +452,8 @@ def optimize_many(problems, config: OptConfig = OptConfig(), done=None) -> list:
                 gg = g_new if len(go) == len(acc) else g_new.take(go, 0)
                 go = [acc[b] for b in go]
                 # the quasi-Newton ascent direction H g, or g before any curvature
-                bent = [curved[i] for i in go]
-                dirs = gg
-                if any(bent):
-                    dirs = np.vecdot(h.take(go, 0), gg[:, None])
-                    if not all(bent):
-                        dirs = np.where(np.array(bent)[:, None], dirs, gg)
+                bent = np.array([curved[i] for i in go])[:, None]
+                dirs = np.where(bent, np.vecdot(h.take(go, 0), gg[:, None]), gg)
                 gp = np.vecdot(gg, dirs)
                 p[go] = dirs
                 for i, v in zip(go, gp.tolist()):
