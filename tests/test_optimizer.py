@@ -203,7 +203,6 @@ class TestLayerSpace:
                                   eff.swapaxes(-1, -2)[b, i, group.own])
         assert [g.h.shape[-2] for g in problems.groups] == [min(rx[0], lt), rx[1]]
 
-
     def test_search_kernel_is_the_public_one_bit_for_bit(self):
         # a batch over two scenes with a non-finite trial ridge and one whose
         # system is not HPD: member by member, the search's evaluation holds
