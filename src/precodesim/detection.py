@@ -54,7 +54,10 @@ def mmse_stack(group: UserGroup, w: np.ndarray, noise_var):
     """MMSE blocks of a :class:`UserGroup` for a batch of weights, batch
     axis first: ``w[b]`` is member b's weights, ``noise_var`` a scalar or
     one value per ``b``, and ``group.h`` one stack of user blocks for every
-    member or one per member (``h[b]``).  Returns ``eff = h @ w``, ``ah =
+    member, or a stack of S such stacks along a leading seed axis that the
+    members follow seed-major: ``h[s]`` serves members ``s * B / S`` to
+    ``(s + 1) * B / S - 1`` (``h[b]`` serves ``b`` when S is B).  Returns
+    ``eff = h @ w``, ``ah =
     A^H`` for the own-layer columns ``A = eff[b, i][:, own[i]]``, the
     inverse ``m_inv`` of ``m = A^H A + noise_var I`` and ``g = m_inv A^H``,
     the minimizer of ``||G A - I||^2 + noise_var ||G||^2``.
@@ -71,8 +74,11 @@ def mmse_stack(group: UserGroup, w: np.ndarray, noise_var):
 def _mmse_stack(group: UserGroup, h: np.ndarray, w: np.ndarray, noise_var):
     """:func:`mmse_stack` of ``group`` with the user blocks ``h`` in place of
     ``group.h``, under the caller's ``np.errstate``."""
-    eff = h @ w[:, None]
-    nb, n, rows, _ = eff.shape
+    nb = len(w)
+    # (seeds, members per seed, users, rows, layers), one product per block
+    eff = h[..., None, :, :, :] @ w.reshape(*h.shape[:-3], -1, 1, *w.shape[1:])
+    eff = eff.reshape(nb, *eff.shape[-3:])
+    _, n, rows, _ = eff.shape
     a_t = eff.reshape(nb, -1)[:, group.cols].reshape(nb, n, -1, rows)  # A^T
     ah = a_t.conj()
     m = ah @ a_t.swapaxes(-1, -2)

@@ -11,10 +11,13 @@ configuration, including the emitted CSV bytes.
 import json
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ScenarioConfig, calibrate_noise, check_level, decompose, generate_scenario
+from .channel import (
+    ChannelDecomposition, ScenarioConfig, calibrate_noise, check_level, decompose,
+    generate_scenario)
 from .exceptions import (
     ConfigError, PrecodesimError, SelectionError, check_integer, check_positive)
 from .metrics import evaluate_many
@@ -27,9 +30,11 @@ __all__ = ["METHODS", "SweepConfig", "SweepRow", "SweepResult", "run_sweep", "fo
 CSV_HEADER = "scenario,susinr_db,method,avg_sum_se,se_std,avg_min_se,min_se_std,seeds,detection"
 
 
-# Whole SINR levels per scoring stack.  On a 20-seed closed-form sweep
-# (default scale, 2 vCPUs) stacks of 1, 4 and 11 levels took 0.13-0.15,
-# 0.09-0.10 and 0.10 ms of CPU per point at 39.0, 39.3 and 41.2 MB peak RSS.
+# (seed, level) points per scoring stack, of whole levels: a seed's grid in
+# stacks of _LEVELS levels, or the grids of _LEVELS // levels seeds in one.
+# On a 20-seed closed-form sweep (default scale, 2 vCPUs) stacks of 1, 4 and
+# 11 levels took 0.13-0.15, 0.09-0.10 and 0.10 ms of CPU per point at 39.0,
+# 39.3 and 41.2 MB peak RSS.
 _LEVELS = 4
 
 # Method tokens in the default sweep's order: the closed forms, then the
@@ -125,22 +130,41 @@ class SweepResult:
     values: np.ndarray = field(default=None, repr=False, compare=False)
 
 
-def _score(channels, decomp, closed, power, noise, found, lo, hi):
-    """Every method of one seed at the noise levels ``noise[lo:hi]``, scored
-    as one stack, level-major: one :func:`closed_stack` of the closed forms
-    ``closed``, then the searched precoders ``found[lo:hi]`` (none without
-    ``opt``), raising the first search error among them, then one
-    :func:`evaluate_many` pass."""
-    raw, gain = closed_stack(decomp, closed, power, noise[lo:hi])
+class _Seed(NamedTuple):
+    """What scoring reads of seed ``i``: its decomposition (``V`` and ``s``),
+    its channel set's ``groups``, which :func:`evaluate_many` reads with
+    ``dims`` in place of the set, and its noise variances."""
+
+    i: int
+    decomp: ChannelDecomposition
+    groups: tuple
+    noise: np.ndarray
+
+    @property
+    def dims(self):
+        return self.decomp.dims
+
+
+def _score(seeds, closed, power, found, lo, hi):
+    """``(seeds, hi - lo, methods, 2)`` sum and min SE of every method of the
+    :class:`_Seed` list ``seeds`` at the levels ``lo:hi``, scored as one
+    stack, seed-major, then level-major: one :func:`closed_stack` of the
+    closed forms ``closed``, then a lone seed's searched precoders
+    ``found[lo:hi]`` (none without ``opt``), raising the first search error
+    among them, then one :func:`evaluate_many` pass."""
+    noise = np.stack([seed.noise[lo:hi] for seed in seeds])
+    raw, gain = closed_stack([seed.decomp for seed in seeds], closed, power, noise)
     c = len(closed)
-    w = np.empty((hi - lo, c + bool(found), *raw.shape[2:]), dtype=complex)
-    np.multiply(raw, gain[..., None, None], out=w[:, :c])
+    w = np.empty((*raw.shape[:2], c + bool(found), *raw.shape[3:]), dtype=complex)
+    np.multiply(raw, gain[..., None, None], out=w[:, :, :c])
     del raw  # not held through detection, which sets the peak memory
     for k, r in enumerate(found[lo:hi]):
         if isinstance(r, PrecodesimError):
             raise r
-        w[k, c] = r.precoder.weights
-    return evaluate_many(channels, w.reshape(-1, *w.shape[2:]), noise[lo:hi].repeat(w.shape[1]))
+        w[0, k, c] = r.precoder.weights
+    rep = evaluate_many(seeds, w.reshape(-1, *w.shape[3:]),
+                        noise.repeat(w.shape[2], axis=1).ravel())
+    return np.stack((rep.sum_se, rep.min_se), axis=-1).reshape(*w.shape[:3], 2)
 
 
 def _values(score, levels):
@@ -153,42 +177,46 @@ def _values(score, levels):
     for lo in range(0, levels, _LEVELS):
         hi = min(lo + _LEVELS, levels)
         try:
-            rep = score(lo, hi)
+            stacks.append(score(lo, hi)[0])
         except PrecodesimError:
             for k in range(lo, hi):
                 score(k, k + 1)
             raise
-        stacks.append(np.stack((rep.sum_se, rep.min_se), axis=-1).reshape(hi - lo, -1, 2))
     return np.concatenate(stacks)
 
 
 def run_sweep(config: SweepConfig, progress=None) -> SweepResult:
     """Full multi-seed sweep.
 
-    Every method of a seed is scored in one pass per stack of at most
-    ``_LEVELS`` whole levels: one :func:`closed_stack` of its closed forms,
-    then its searched ridge (``opt``) precoders, then one
-    :func:`evaluate_many`, so errors within a level come in that order, and a
-    seed records the error of its first failing level.  Every member of a
-    stack has the bits it has alone.  A seed is scored once it has no search
-    left: at once without ``opt``, else when its last search ends; the
-    searches of every (seed, level) run in one :func:`optimize_many`.  A seed
-    whose realization cannot be generated or evaluated, or whose search
-    fails, is recorded in ``failures`` and dropped from aggregation; the
-    per-row ``seeds`` count and ``values`` reflect only successful ones.
-    ``progress(done, total)`` is called as each seed finishes.  Raises
-    :class:`SelectionError` if every seed fails.  A :class:`ConfigError`
-    faults the configuration, not one realization, and ends the sweep.
+    Every method of a seed is scored in stacks of at most ``_LEVELS``
+    (seed, level) points: one :func:`closed_stack` of the closed forms, then
+    the searched ridge (``opt``) precoders, then one :func:`evaluate_many`,
+    so errors within a level come in that order, and a seed records the
+    error of its first failing level.  Every member of a stack has the bits
+    it has alone.  A seed is scored once it has no search left: without
+    ``opt`` as soon as it is drawn, in stacks of ``_LEVELS`` whole levels,
+    or, if its grid is shorter, in one stack with the next seeds that fit,
+    which is replayed seed by seed if it fails, so that each seed records
+    the error it meets alone; with ``opt`` in its own stacks when its last
+    search ends.  The searches of every (seed, level) run in one
+    :func:`optimize_many`.  A seed whose realization cannot be generated or
+    evaluated, or whose search fails, is recorded in ``failures`` and dropped
+    from aggregation; the per-row ``seeds`` count and ``values`` reflect only
+    successful ones.  ``progress(done, total)`` is called as each seed
+    finishes, so a seed scored in a shared stack reports with its stack.
+    Raises :class:`SelectionError` if every seed fails.  A
+    :class:`ConfigError` faults the configuration, not one realization, and
+    ends the sweep.
     """
     levels, n = config.susinr_db, len(config.susinr_db)
     closed = [m for m in config.methods if m != "opt"]
     # the columns of a seed's values: the closed forms, then the searched ridge
     tokens = closed + ["opt"] * ("opt" in config.methods)
-    kept, failures, queue, problems = {}, {}, [], []
+    kept, failures, ready, queue, problems = {}, {}, [], [], []
 
     def finish(i, seed_values, *args):
         """Keep seed ``i``'s ``seed_values(*args)``, or record the error it
-        raises, and report progress; None means its searches are queued."""
+        raises, and report progress; None means it waits to be scored."""
         try:
             values = seed_values(*args)
             if values is None:
@@ -204,24 +232,44 @@ def run_sweep(config: SweepConfig, progress=None) -> SweepResult:
     def start(i):
         channels = generate_scenario(config.scenario_config(config.seed_base + i))
         decomp = decompose(channels)
+        seed = _Seed(i, decomp, channels.groups,
+                     np.array(calibrate_noise(decomp, config.power, levels)))
+        if "opt" not in tokens:
+            ready.append(seed)
+            return
         # decompose copied what it read, and the set is held until the
         # seed's searches end: drop its cached path factors
         vars(channels).pop("factors", None)
-        noise = np.array(calibrate_noise(decomp, config.power, levels))
-        score = partial(_score, channels, decomp, closed, config.power, noise)
-        if "opt" not in tokens:
-            return _values(partial(score, ()), n)
-        queue.append((i, score, [None] * n))
-        problems.extend((decomp, channels, config.power, nv) for nv in noise)
+        queue.append((seed, [None] * n))
+        problems.extend((decomp, channels, config.power, nv) for nv in seed.noise)
+
+    def alone(seed, found=()):
+        return partial(_values, partial(_score, [seed], closed, config.power, found), n)
+
+    def score_ready():
+        """Score the ready seeds: a lone one in stacks of whole levels,
+        several in one stack."""
+        try:
+            values = _score(ready, closed, config.power, (), 0, n) if len(ready) > 1 else None
+        except PrecodesimError:
+            values = None
+        for j, seed in enumerate(ready):
+            if values is None:
+                finish(seed.i, alone(seed))
+            else:
+                finish(seed.i, values.__getitem__, j)
+        ready.clear()
 
     def search_done(q, result):
-        i, score, found = queue[q // n]
+        seed, found = queue[q // n]
         found[q % n] = result
         if all(r is not None for r in found):
-            finish(i, _values, partial(score, found), n)
+            finish(seed.i, alone(seed, found))
 
     for i in range(config.num_seeds):
         finish(i, start, i)
+        if ready and ((len(ready) + 1) * n > _LEVELS or i + 1 == config.num_seeds):
+            score_ready()
     optimize_many(problems, config.opt, done=search_done)
 
     if not kept:

@@ -154,26 +154,45 @@ def evaluate(channels: ChannelSet, precoder: Precoder, noise_var: float) -> Metr
     """All metrics of ``precoder`` under per-user MMSE detection from one
     :func:`mmse_stack` pass, bitwise equal to :func:`report` with
     :func:`mmse_detection`."""
-    return _summary(_mmse_sinrs(channels, precoder.weights[None], noise_var)[0], channels.dims)
+    sinrs, dims = _mmse_sinrs(channels, precoder.weights[None], noise_var)
+    return _summary(sinrs[0], dims)
 
 
-def evaluate_many(channels: ChannelSet, weights: np.ndarray, noise_var) -> MetricsReport:
+def evaluate_many(channels, weights: np.ndarray, noise_var) -> MetricsReport:
     """:func:`evaluate` of each of a stack of weights ``(B, num_tx,
     total_layers)``, member b under ``noise_var[b]`` (or all under one
     ``noise_var``), from one batched :func:`mmse_sinr_stack` call and one
     summary: every array of the report has the batch axis first, and each
-    member is bitwise as alone.  A member whose MMSE system is not HPD
-    raises NotHpdError, and one with a layer SINR that is not positive
+    member is bitwise as alone.  ``channels`` is a :class:`ChannelSet` (or
+    anything with its ``dims`` and ``groups``), or a list of S of one
+    ``dims`` whose members follow seed-major: seed s scores members ``s * B
+    / S`` to ``(s + 1) * B / S - 1``, with each group's channel blocks
+    stacked along a leading seed axis.  A member whose MMSE system is not
+    HPD raises NotHpdError, and one with a layer SINR that is not positive
     ZeroSinrError."""
-    return _summary(_mmse_sinrs(channels, np.asarray(weights, dtype=complex), noise_var),
-                    channels.dims)
+    return _summary(*_mmse_sinrs(channels, np.asarray(weights, dtype=complex), noise_var))
 
 
-def _mmse_sinrs(channels: ChannelSet, w: np.ndarray, noise_var) -> np.ndarray:
-    check_scoring(channels.dims, w, noise_var)
-    sinrs, stages, ok = mmse_sinr_stack(channels.groups, w, noise_var)
+def _mmse_sinrs(channels, w: np.ndarray, noise_var):
+    """The checked layer SINRs of :func:`evaluate_many` and the dims."""
+    many = not hasattr(channels, "groups")
+    if many and not channels:
+        raise DimensionError("the channel stack holds no channel set")
+    dims = channels[0].dims if many else channels.dims
+    check_scoring(dims, w, noise_var)
+    if not many:
+        groups = channels.groups
+    elif any(c.dims != dims for c in channels) or len(w) % len(channels):
+        raise DimensionError(f"{len(channels)} channel sets of one dims cannot score "
+                             f"{len(w)} members seed-major")
+    elif len(channels) == 1:
+        groups = channels[0].groups
+    else:
+        groups = [g._replace(h=np.stack([c.groups[j].h for c in channels]))
+                  for j, g in enumerate(channels[0].groups)]
+    sinrs, stages, ok = mmse_sinr_stack(groups, w, noise_var)
     require_scored(ok, stages)
-    return sinrs
+    return sinrs, dims
 
 
 def _summary(sinrs, dims) -> MetricsReport:

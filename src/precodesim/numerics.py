@@ -2,20 +2,20 @@
 
 Matrices are ``numpy.ndarray`` of ``complex128``, 2-D or stacked along
 leading batch axes.  The entry points are :func:`align_phase`, the phase
-convention of singular pairs, the stacked Hermitian positive definite
-inverse :func:`hpd_inverse` and :func:`complex_normal`; everything here is
+convention of singular pairs, and :func:`complex_normal`; everything here is
 a pure function of its inputs.
 
 Every Hermitian positive definite system of the package (the ridges of all
-precoders and the MMSE blocks) goes through :func:`hpd_inverse`: a Cholesky
+precoders and the MMSE blocks) goes through :func:`_hpd_inverse`: a Cholesky
 factorization tests definiteness, then the inverse is formed and matrix
 products apply it.  Both are numpy calls that
 loop over a stack one matrix at a time, so there is one solve path, one BLAS
 library and no per-matrix Python loop.  A member that is not positive
-definite fails alone, in a mask that the callers read.  Each public stacked
-kernel (:func:`hpd_inverse` here, ``ridge_stack``, ``mmse_stack`` and
-``mmse_sinr_stack``) is one ``np.errstate`` around a private core, so none
-warns; the search's evaluation runs the cores under one ``np.errstate``.
+definite fails alone, in a mask that the callers read.  It runs under its
+caller's ``np.errstate``: each public stacked kernel (``ridge_stack``,
+``mmse_stack`` and ``mmse_sinr_stack``) is one ``np.errstate`` around a
+private core that calls it, so none warns, and the search's evaluation runs
+the cores under one ``np.errstate``.
 """
 
 import numpy as np
@@ -23,8 +23,7 @@ from numpy.linalg import _umath_linalg
 
 from .exceptions import DimensionError, NumericalError, check_positive
 
-__all__ = ["RANK_TOLERANCE", "as_complex_matrix", "align_phase", "hpd_inverse",
-           "complex_normal"]
+__all__ = ["RANK_TOLERANCE", "as_complex_matrix", "align_phase", "complex_normal"]
 
 # Singular values below RANK_TOLERANCE * s_max are treated as rank
 # deficiency by callers that need to invert.
@@ -54,24 +53,18 @@ def align_phase(u, vh):
     return (u * phase.mT).conj().mT, vh * phase.conj()
 
 
-def hpd_inverse(a: np.ndarray):
+def _hpd_inverse(a: np.ndarray):
     """Inverse of each matrix of a stack ``a`` (shape ``(..., n, n)``) of
     finite Hermitian matrices, unchecked otherwise, and the mask ``ok`` of
     those that are positive definite (finite Cholesky factor); any other has
-    an all-NaN inverse, and none raises or warns.  The Cholesky factor only
-    tests definiteness (numpy has no stacked triangular solve); the inverse
-    comes from LU.  Each matrix is its own LAPACK call, so a member's bits do
-    not depend on the rest of the stack.  Both are the gufuncs behind
+    an all-NaN inverse and raises nothing, and warns unless the caller's
+    ``np.errstate`` ignores invalid values.  The Cholesky factor only tests
+    definiteness (numpy has no stacked triangular solve); the inverse comes
+    from LU.  Each matrix is its own LAPACK call, so a member's bits do not
+    depend on the rest of the stack.  Both are the gufuncs behind
     ``np.linalg.cholesky`` and ``np.linalg.inv``, called without their
     per-call argument handling, which costs more than a small stack's LAPACK
     work."""
-    with np.errstate(all="ignore"):
-        return _hpd_inverse(a)
-
-
-def _hpd_inverse(a: np.ndarray):
-    """:func:`hpd_inverse` under the caller's ``np.errstate``: a member that
-    is not positive definite warns unless the caller ignores invalid values."""
     sig = "D->D" if a.dtype.kind == "c" else "d->d"
     ok = np.isfinite(_umath_linalg.cholesky_lo(a, signature=sig)).all(axis=(-2, -1))
     inv = _umath_linalg.inv(a, signature=sig)

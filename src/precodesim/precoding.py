@@ -108,16 +108,17 @@ def gram_stack(v: np.ndarray) -> np.ndarray:
 
 def ridge_stack(gram: np.ndarray, vh: np.ndarray, reg: np.ndarray, scale, power):
     """Raw weights ``vh[b] X[b] diag(scale[b])`` with ``X[b] = inv(gram[b] +
-    diag(reg[b]))``, of a stack of per-layer ridges ``reg`` (shape
-    ``(B, layers)``), with ``gram`` from :func:`gram_stack` of the layer rows
-    ``v`` and with ``vh = v^H`` and ``scale`` (None: no column scale)
-    broadcast against the stack, their per-antenna gains at ``power``,
-    ``X``, each member's most-loaded antenna (its largest row norm) and the
-    mask ``ok`` of members whose gain is finite: a system that is not
-    positive definite gives a NaN gain, all-zero raw weights an infinite one,
-    and neither raises or warns.  The inputs are trusted: finite, ``reg >=
-    0``, ``scale >= 0`` and ``power > 0``.  Each matrix is its own LAPACK or
-    BLAS call, so members do not change each other's bits."""
+    diag(reg[b]))``, of a stack of per-layer ridges ``reg`` (shape ``(*B,
+    layers)``, any batch axes ``B``), with ``gram`` from :func:`gram_stack`
+    of the layer rows ``v`` and with ``vh = v^H`` and ``scale`` (None: no
+    column scale) broadcast against the stack, their per-antenna gains at
+    ``power``, ``X``, each member's most-loaded antenna (its largest row
+    norm) and the mask ``ok`` of members whose gain is finite: a system that
+    is not positive definite gives a NaN gain, all-zero raw weights an
+    infinite one, and neither raises or warns.  The inputs are trusted:
+    finite, ``reg >= 0``, ``scale >= 0`` and ``power > 0``.  Each matrix is
+    its own LAPACK or BLAS call, so members do not change each other's
+    bits."""
     with np.errstate(all="ignore"):
         return _ridge_stack(gram.copy(), vh, reg, scale, power)
 
@@ -125,7 +126,7 @@ def ridge_stack(gram: np.ndarray, vh: np.ndarray, reg: np.ndarray, scale, power)
 def _ridge_stack(k: np.ndarray, vh: np.ndarray, reg: np.ndarray, scale, power):
     """:func:`ridge_stack` of the gram stack ``k``, which it overwrites with
     ``k + diag(reg)``, under the caller's ``np.errstate``."""
-    k.reshape(len(k), -1)[:, :: k.shape[-1] + 1] += reg
+    k.reshape(*k.shape[:-2], -1)[..., :: k.shape[-1] + 1] += reg
     x = _hpd_inverse(k)[0]
     raw = vh @ x
     if scale is not None:
@@ -144,57 +145,72 @@ def require_built(ok, gain) -> None:
             raise ZeroMatrixError("cannot normalize an all-zero precoder")
 
 
-def closed_stack(decomp: ChannelDecomposition, tokens, power: float, noise_vars):
+def closed_stack(decomp, tokens, power: float, noise_vars):
     """Raw weights ``(levels, tokens, num_tx, total_layers)`` and gains
     ``(levels, tokens)`` of the closed forms ``tokens`` (of
     :data:`CLOSED_FORMS`) at each of the noise variances ``noise_vars``, in
-    order.  The :data:`NOISE_FREE` forms are built once and shared by every
-    level: ``mrt`` is one ``V^H``, and ``zf_v`` and ``zf_f`` are one member
-    each of the one gram ``V V^H`` and one :func:`ridge_stack` that also hold
-    every other form at every level.  Its ridges and column scales are
-    checked to be finite and ``>= 0`` (else ConfigError), so each member has
-    the bits of its one-level build.  ``noise_vars`` may be ``[None]`` if only
-    :data:`NOISE_FREE` forms are asked for; otherwise a None is a ConfigError
-    that names the forms needing a noise variance."""
+    order.  Given a list of S decompositions of one dims, ``noise_vars``
+    holds one such row per decomposition, and the results carry a leading
+    seed axis of S: one decomposition is the list of one without that axis.
+    The :data:`NOISE_FREE` forms are built once per decomposition and shared
+    by its levels: ``mrt`` is one ``V^H``, and ``zf_v`` and ``zf_f`` are one
+    member each of the one :func:`ridge_stack`, on each decomposition's gram
+    ``V V^H``, that also holds every other form at every level.  Its ridges
+    and column scales are checked to be finite and ``>= 0`` (else
+    ConfigError), so each member has the bits of its one-level build.
+    ``noise_vars`` may be ``[None]`` if only :data:`NOISE_FREE` forms are
+    asked for; otherwise a None is a ConfigError that names the forms needing
+    a noise variance."""
+    many = not isinstance(decomp, ChannelDecomposition)
+    decomps, rows = (list(decomp), list(noise_vars)) if many else ([decomp], [noise_vars])
     check_positive("power", power)
     unknown = [t for t in tokens if t not in CLOSED_FORMS]
     if unknown:
         raise ConfigError(f"unknown closed forms {unknown}, valid: {CLOSED_FORMS}")
+    if not decomps or len(rows) != len(decomps) or any(
+            d.dims != decomps[0].dims or len(nvs) != len(rows[0]) for d, nvs in zip(decomps, rows)):
+        raise DimensionError("closed_stack needs decompositions of one dims, each with as many "
+                             "noise variances as the first")
     free = [t for t in tokens if t in NOISE_FREE and t != "mrt"]
     noisy = [t for t in tokens if t not in NOISE_FREE]
-    for nv in noise_vars:
+    for nv in (nv for nvs in rows for nv in nvs):
         if nv is not None:
             check_positive("noise_var", nv)
         elif noisy:
             raise ConfigError(f"closed forms {noisy} need a noise variance, got None")
-    vh, levels, f, q = decomp.v.conj().T, len(noise_vars), len(free), len(noisy)
+    v = np.stack([d.v for d in decomps])
+    vh, levels, f, q = v.conj().swapaxes(1, 2), len(rows[0]), len(free), len(noisy)
     if f + q:  # mrt alone inverts nothing
-        # ridge and column scale of each member: the shared forms, then the
-        # rest level by level
-        rc = np.empty((f + levels * q, 2, decomp.dims.total_layers))
-        per_level, nv = rc[f:].reshape(levels, q, *rc.shape[1:]), np.reshape(noise_vars, (-1, 1))
+        # ridge and column scale of each decomposition's members: the shared
+        # forms, then the rest level by level
+        rc = np.empty((len(decomps), f + levels * q, 2, decomps[0].dims.total_layers))
         with np.errstate(over="ignore"):  # an overflowing ridge fails the check
-            for b, t in enumerate(free):
-                rc[b, 0], rc[b, 1] = RIDGES[t](decomp, power, None)
-            for b, t in enumerate(noisy):
-                per_level[:, b, 0], per_level[:, b, 1] = RIDGES[t](decomp, power, nv)
+            for d, nvs, own in zip(decomps, rows, rc):
+                per_level, nv = own[f:].reshape(levels, q, *own.shape[1:]), np.reshape(nvs, (-1, 1))
+                for b, t in enumerate(free):
+                    own[b, 0], own[b, 1] = RIDGES[t](d, power, None)
+                for b, t in enumerate(noisy):
+                    per_level[:, b, 0], per_level[:, b, 1] = RIDGES[t](d, power, nv)
         _check_nonnegative("ridge and column scale", rc)
-        gram = gram_stack(decomp.v[None]).repeat(len(rc), axis=0)
-        r, g, _, _, ok = ridge_stack(gram, vh, rc[:, 0], rc[:, 1, None], power)
+        gram = gram_stack(v)[:, None].repeat(rc.shape[1], axis=1)
+        r, g, _, _, ok = ridge_stack(gram, vh[:, None], rc[:, :, 0], rc[:, :, 1, None], power)
         require_built(ok, g)
     if "mrt" in tokens:  # the ridge forms' gain rule, on V^H
         with np.errstate(divide="ignore"):
             mrt_gain = _gain(vh, power)[1]
         require_built(np.isfinite(mrt_gain), mrt_gain)
-    shape = (levels, len(tokens))
-    raw, gain = np.empty((*shape, *vh.shape), dtype=complex), np.empty(shape)
+    shape = (len(decomps), levels, len(tokens))
+    raw, gain = np.empty((*shape, *vh.shape[1:]), dtype=complex), np.empty(shape)
     for j, t in enumerate(tokens):
         if t == "mrt":
-            raw[:, j], gain[:, j] = vh, mrt_gain
+            raw[:, :, j], gain[:, :, j] = vh[:, None], mrt_gain[:, None]
+        elif t in free:  # one member, shared by the levels
+            b = free.index(t)
+            raw[:, :, j], gain[:, :, j] = r[:, b:b + 1], g[:, b:b + 1]
         else:
-            at = free.index(t) if t in free else slice(f + noisy.index(t), None, q)
-            raw[:, j], gain[:, j] = r[at], g[at]
-    return raw, gain
+            at = slice(f + noisy.index(t), None, q)
+            raw[:, :, j], gain[:, :, j] = r[:, at], g[:, at]
+    return (raw, gain) if many else (raw[0], gain[0])
 
 
 def closed_forms(decomp: ChannelDecomposition, tokens, power: float, noise_var=None) -> tuple:

@@ -31,13 +31,16 @@ def fail_scoring(monkeypatch, faults):
     ``faults`` fail: ``"signal"`` clears their :func:`sinr_terms` ``ok``,
     ``"zero"`` zeroes a layer SINR, so that ``require_scored`` or
     ``effective_sinr`` raises its ZeroSinrError.  The search's kernel is
-    untouched."""
-    real = metrics.mmse_sinr_stack
+    untouched.  Returns the list of ``(noise variance, stack size)`` of each
+    fault that fires, so that a test can tell which stacks reached it."""
+    real, fired = metrics.mmse_sinr_stack, []
 
     def kernel(groups, w, noise_var):
         sinrs, stages, ok = real(groups, w, noise_var)
         noise = np.broadcast_to(np.ravel(noise_var), len(w))
         for nv, kind in faults.items():
+            if (noise == nv).any():
+                fired.append((nv, len(w)))
             if kind == "signal":
                 ok = ok & (noise != nv)
             else:
@@ -45,6 +48,7 @@ def fail_scoring(monkeypatch, faults):
         return sinrs, stages, ok
 
     monkeypatch.setattr(metrics, "mmse_sinr_stack", kernel)
+    return fired
 
 
 def first_failures(cfg):
@@ -76,6 +80,23 @@ def tiny_sweep(**kw):
     )
     base.update(kw)
     return SweepConfig(**base)
+
+
+def public_values(cfg):
+    """The ``values`` of a closed-form sweep, rebuilt method by method and
+    level by level through the public builders and
+    ``report(mmse_detection(...))``."""
+    want = np.empty((len(cfg.susinr_db), len(cfg.methods), 2, cfg.num_seeds))
+    for i in range(cfg.num_seeds):
+        ch = generate_scenario(cfg.scenario_config(cfg.seed_base + i))
+        dec = decompose(ch)
+        for k, su in enumerate(cfg.susinr_db):
+            nv = calibrate_noise(dec, cfg.power, su)
+            for c, m in enumerate(cfg.methods):
+                pre = BUILDERS[m](dec, cfg.power, nv)
+                rep = report(ch, pre, mmse_detection(ch, pre, nv), nv)
+                want[k, c, :, i] = rep.sum_se, rep.min_se
+    return want
 
 
 class TestSweepConfig:
@@ -302,30 +323,43 @@ class TestRunSweep:
                 want[k, ..., seed] = [(reps[m].sum_se, reps[m].min_se) for m in cfg.methods]
         assert np.array_equal(run_sweep(cfg).values, want)
 
-    @pytest.mark.parametrize("scenario, grid", [
-        ("varied", (0.0, 20.0, 40.0)), ("equal", (0.0, 20.0, 40.0)),
-        ("varied", SweepConfig().susinr_db), ("equal", SweepConfig().susinr_db),
-    ], ids=["varied", "equal", "varied-11levels", "equal-11levels"])
-    def test_closed_forms_equal_public_build_then_report(self, scenario, grid):
-        # the sweep builds and scores a seed's closed forms as stacks of whole
-        # levels; each seed's values are those rebuilt method by method and
-        # level by level through the public builders and report(mmse_detection(...)).
-        # The 11-level grid crosses the stack bound and ends in a partly full
-        # stack.
-        if len(grid) > harness._LEVELS:
-            assert len(grid) % harness._LEVELS
-        cfg = SweepConfig(scenario=scenario, susinr_db=grid, num_seeds=2, methods=CLOSED_FORMS)
-        want = np.empty((len(grid), len(CLOSED_FORMS), 2, 2))
-        for seed in range(2):
-            ch = generate_scenario(cfg.scenario_config(seed))
-            dec = decompose(ch)
-            for k, su in enumerate(cfg.susinr_db):
-                nv = calibrate_noise(dec, 1.0, su)
-                for c, m in enumerate(cfg.methods):
-                    pre = BUILDERS[m](dec, 1.0, nv)
-                    rep = report(ch, pre, mmse_detection(ch, pre, nv), nv)
-                    want[k, c, :, seed] = rep.sum_se, rep.min_se
-        assert np.array_equal(run_sweep(cfg).values, want)
+    @pytest.mark.parametrize("scenario, grid, methods, seeds", [
+        ("varied", (0.0, 20.0, 40.0), CLOSED_FORMS, 2),
+        ("equal", (0.0, 20.0, 40.0), CLOSED_FORMS, 2),
+        ("varied", SweepConfig().susinr_db, CLOSED_FORMS, 2),
+        ("equal", SweepConfig().susinr_db, CLOSED_FORMS, 2),
+        ("equal", (20.0,), CLOSED_FORMS, 9),
+        ("varied", (0.0, 40.0), CLOSED_FORMS, 9),
+        ("varied", (0.0, 20.0, 40.0), CLOSED_FORMS, 9),
+        ("varied", (0.0, 20.0), ("mrt",), 9),
+    ], ids=["varied", "equal", "varied-11levels", "equal-11levels", "equal-1level-9seeds",
+            "varied-2levels-9seeds", "varied-3levels-9seeds", "mrt-2levels-9seeds"])
+    def test_closed_forms_equal_public_build_then_report(self, monkeypatch, scenario, grid,
+                                                         methods, seeds):
+        # the sweep builds and scores the closed forms in stacks of at most
+        # _LEVELS points: a seed's grid in stacks of whole levels, or the
+        # grids of as many seeds as fit in one stack.  Each seed's values are
+        # those rebuilt method by method and level by level through the
+        # public builders and report(mmse_detection(...)).  The 11-level grid
+        # crosses the stack bound and ends in a partly full stack, and so do
+        # 9 seeds wherever a stack holds several; mrt alone inverts nothing
+        n = len(grid)
+        if n > harness._LEVELS:
+            assert n % harness._LEVELS
+        cfg = SweepConfig(scenario=scenario, susinr_db=grid, num_seeds=seeds, methods=methods)
+        per, stacks, real = harness._LEVELS // n, [], harness.evaluate_many
+
+        def spy(channels, w, noise_var):
+            stacks.append(len(channels))
+            return real(channels, w, noise_var)
+
+        monkeypatch.setattr(harness, "evaluate_many", spy)
+        got = run_sweep(cfg).values
+        if per > 1:
+            assert stacks == [per] * (seeds // per) + [seeds % per] * bool(seeds % per)
+        else:
+            assert stacks == [1] * seeds * -(-n // harness._LEVELS)
+        assert np.array_equal(got, public_values(cfg))
 
     @pytest.mark.parametrize("scenario", ["varied", "equal"])
     def test_path_factor_rows_match_the_svd(self, monkeypatch, scenario):
@@ -352,11 +386,14 @@ class TestRunSweep:
         assert 5 // harness._LEVELS == 6 // harness._LEVELS
         nv = calibrate_noise(decompose(generate_scenario(cfg.scenario_config(1))), 1.0,
                              cfg.susinr_db)
-        fail_scoring(monkeypatch, {nv[5]: "zero", nv[6]: "signal"})
+        fired = fail_scoring(monkeypatch, {nv[5]: "zero", nv[6]: "signal"})
         want = first_failures(cfg)
         assert want == ((1, "ZeroSinrError: nonpositive SINR cannot enter a geometric mean"),)
+        fired.clear()
         res = run_sweep(cfg)
         assert res.failures == want
+        # both in the stack of levels 4-7, then level 5 alone
+        assert fired == [(nv[5], 28), (nv[6], 28), (nv[5], 7)]
         monkeypatch.undo()
         assert np.array_equal(res.values, run_sweep(cfg).values[..., [0, 2]])
 
@@ -372,13 +409,23 @@ class TestRunSweep:
         cfg = tiny_sweep(methods=("opt",), susinr_db=(0.0, 12.0, 24.0))
         nv = calibrate_noise(decompose(generate_scenario(cfg.scenario_config(1))), 1.0,
                              cfg.susinr_db)
-        fail_scoring(monkeypatch, {nv[1]: "zero", nv[2]: "signal"})
+        fired = fail_scoring(monkeypatch, {nv[1]: "zero", nv[2]: "signal"})
         real = optimizer.default_start
         monkeypatch.setattr(optimizer, "default_start", lambda d, p, v: real(d, p, v) * (
             np.inf if v == nv[search_fails_at] else 1.0))
         res = run_sweep(cfg)
         assert res.failures == ((1, message),)
+        # the failed search stops the seed's stack before scoring, and the
+        # replay scores the levels before it, level 1's zero SINR included
+        assert fired == [(nv[1], 1)] * (search_fails_at > 1)
         assert all(row.seeds == 2 for row in res.rows)
+        # with every search kept, both faults fire in the seed's stack, and
+        # the replay stops at level 1
+        monkeypatch.setattr(optimizer, "default_start", real)
+        fired.clear()
+        assert run_sweep(cfg).failures == (
+            (1, "ZeroSinrError: nonpositive SINR cannot enter a geometric mean"),)
+        assert fired == [(nv[1], 3), (nv[2], 3), (nv[1], 1)]
 
     def test_search_failure_before_a_later_closed_form_failure(self, monkeypatch):
         # seed 1's search fails at level 0 and its arzf scores a zero SINR at
@@ -387,7 +434,7 @@ class TestRunSweep:
         cfg = tiny_sweep(methods=("arzf", "opt"), susinr_db=(0.0, 12.0, 24.0))
         nv = calibrate_noise(decompose(generate_scenario(cfg.scenario_config(1))), 1.0,
                              cfg.susinr_db)
-        fail_scoring(monkeypatch, {nv[2]: "zero"})
+        fired = fail_scoring(monkeypatch, {nv[2]: "zero"})
         real = optimizer.default_start
         monkeypatch.setattr(optimizer, "default_start", lambda d, p, v: real(d, p, v) * (
             np.inf if v == nv[0] else 1.0))
@@ -395,13 +442,47 @@ class TestRunSweep:
         assert want == ((1, "NumericalError: objective undefined at the starting ridge"),)
         res = run_sweep(cfg)
         assert res.failures == want
+        assert fired == []  # level 2 is never scored
         assert all(row.seeds == 2 for row in res.rows)
+        # with the search kept, level 2's fault fires and fails the seed
+        monkeypatch.setattr(optimizer, "default_start", real)
+        assert run_sweep(cfg).failures == (
+            (1, "ZeroSinrError: nonpositive SINR cannot enter a geometric mean"),)
+        assert fired == [(nv[2], 6), (nv[2], 2)]
 
-    def test_closed_stacks_bound_peak_memory(self, monkeypatch):
-        # one seed's 7 closed forms at 11 levels: stacks of 4 levels peaked
-        # at 1.02 MB traced (numpy 2.4, default scale), about 0.2 MB per level
-        # of a stack, and one stack of all 11 levels at 2.45 MB
-        cfg = SweepConfig(num_seeds=1, methods=CLOSED_FORMS)
+    def test_failure_inside_a_shared_stack_fails_as_alone(self, monkeypatch):
+        # one level, so _LEVELS seeds share each stack: in the first one,
+        # seed 1 clears a signal and seed 2 zeroes a layer SINR.  Each records
+        # the error it meets alone, the others keep their bits, and progress
+        # comes once per seed
+        per = harness._LEVELS
+        cfg = SweepConfig(susinr_db=(20.0,), num_seeds=2 * per + 1, methods=("mrt", "arzf"))
+        nv = [calibrate_noise(decompose(generate_scenario(cfg.scenario_config(i))), 1.0, 20.0)
+              for i in range(cfg.num_seeds)]
+        assert per > 2 and nv.count(nv[1]) == nv.count(nv[2]) == 1
+        fired = fail_scoring(monkeypatch, {nv[1]: "signal", nv[2]: "zero"})
+        want = first_failures(cfg)
+        assert want == (
+            (1, "ZeroSinrError: a layer SINR, signal or interference-plus-noise power is "
+                "not positive"),
+            (2, "ZeroSinrError: nonpositive SINR cannot enter a geometric mean"))
+        fired.clear()
+        seen = []
+        res = run_sweep(cfg, progress=lambda d, t: seen.append((d, t)))
+        assert res.failures == want
+        assert seen == [(d, cfg.num_seeds) for d in range(1, cfg.num_seeds + 1)]
+        # both in the shared stack of 2 methods a seed, then each seed alone,
+        # whose failing stack is replayed level by level
+        assert fired == [(nv[1], 2 * per), (nv[2], 2 * per), *[(nv[1], 2)] * 2,
+                         *[(nv[2], 2)] * 2]
+        monkeypatch.undo()
+        kept = [0, *range(3, cfg.num_seeds)]
+        assert np.array_equal(res.values, run_sweep(cfg).values[..., kept])
+
+    @staticmethod
+    def assert_stacks_bound_peak_memory(monkeypatch, cfg):
+        """Traced peak of ``run_sweep(cfg)`` below 1.2 MB with stacks of
+        ``_LEVELS`` points and above it with one stack of every point."""
         run_sweep(cfg)
 
         def peak():
@@ -414,8 +495,22 @@ class TestRunSweep:
 
         bound = 1.2e6
         assert peak() < bound
-        monkeypatch.setattr(harness, "_LEVELS", len(cfg.susinr_db))
+        monkeypatch.setattr(harness, "_LEVELS", cfg.num_seeds * len(cfg.susinr_db))
         assert peak() > bound
+
+    def test_closed_stacks_bound_peak_memory(self, monkeypatch):
+        # one seed's 7 closed forms at 11 levels: stacks of 4 levels peaked
+        # at 0.78 MB traced (numpy 2.4, default scale), about 0.17 MB per
+        # level of a stack, and one stack of all 11 levels at 1.98 MB
+        self.assert_stacks_bound_peak_memory(monkeypatch, SweepConfig(num_seeds=1,
+                                                                      methods=CLOSED_FORMS))
+
+    def test_shared_stacks_bound_peak_memory(self, monkeypatch):
+        # 12 seeds of a one-level mrt,arzf sweep: stacks of 4 seeds peaked at
+        # 0.79 MB traced, about 0.19 MB per seed of a stack, and one stack of
+        # all 12 seeds at 2.34 MB
+        self.assert_stacks_bound_peak_memory(monkeypatch, SweepConfig(
+            scenario="equal", susinr_db=(20.0,), num_seeds=12, methods=("mrt", "arzf")))
 
 
 class TestEmit:

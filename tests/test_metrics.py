@@ -23,7 +23,7 @@ from precodesim.metrics import (
     report,
     user_se,
 )
-from precodesim.numerics import hpd_inverse
+from precodesim.numerics import _hpd_inverse
 from helpers import av_susinr, complex_gaussian, gaussian_channels
 from precodesim.precoding import (
     RIDGES, Precoder, arzf, closed_stack, gram_stack, mrt, parametric_rzf, ridge_stack, rzf)
@@ -185,6 +185,27 @@ class TestAggregation:
             with pytest.raises(ConfigError, match="noise_var"):
                 evaluate_many(ch, w, bad)
 
+    def test_channel_list_scores_seed_major(self):
+        # a list of S channel sets scores the stack seed-major, B / S members
+        # each, every member bitwise as on its own set; a list of one is
+        # its set
+        chs = [gaussian_channels(seed=s) for s in (6, 7, 8)]
+        noise = np.array([0.05, 0.3, 2.0, 0.3, 0.7, 1.0])
+        w = np.stack([arzf(decompose(ch), 2.0, nv).weights
+                      for ch, nv in zip([ch for ch in chs for _ in range(2)], noise)])
+        rep = evaluate_many(chs, w, noise)
+        for s, ch in enumerate(chs):
+            part = slice(2 * s, 2 * s + 2)
+            for one in (evaluate_many(ch, w[part], noise[part]),
+                        evaluate_many([ch], w[part], noise[part])):
+                for name in ("layer_sinr", "eff_sinr", "user_se", "sum_se", "min_se"):
+                    assert getattr(rep, name)[part].tobytes() == getattr(one, name).tobytes()
+        for bad in ([chs[0], gaussian_channels(num_tx=10)], chs[:2] + chs[:2]):
+            with pytest.raises(DimensionError, match="seed-major"):
+                evaluate_many(bad, w, noise)
+        with pytest.raises(DimensionError, match="no channel set"):
+            evaluate_many([], w, noise)
+
     def test_evaluate_many_takes_a_list(self):
         # a list of weight matrices was a bare AttributeError: no attribute 'shape'
         ch = gaussian_channels(seed=6)
@@ -223,9 +244,11 @@ class TestFailedMembersWarnNothing:
             yield
 
     def test_hpd_inverse(self):
+        # the core runs under its caller's errstate, which every caller enters
         a = np.array([np.eye(2), np.diag([1.0, -1.0]), [[1e-300, 1e300], [1e300, 1e308]]],
                      dtype=complex)
-        inv, ok = hpd_inverse(a)
+        with np.errstate(all="ignore"):
+            inv, ok = _hpd_inverse(a)
         assert ok.tolist() == [True, False, False]
         assert np.array_equal(inv[0], np.eye(2)) and np.isnan(inv[1:]).all()
 

@@ -289,16 +289,39 @@ class TestClosedForms:
 
     def test_one_ridge_stack_per_call(self, monkeypatch):
         # the noise-free zf_v and zf_f are one member each, shared by the
-        # levels, in the same ridge_stack as the 4 noisy forms at 3 levels
+        # levels, in the same ridge_stack as the 4 noisy forms at 3 levels,
+        # and a list of decompositions has one such row each; one
+        # decomposition is the list of one
         real, sizes = precoding.ridge_stack, []
 
         def counted(gram, *args):
-            sizes.append(len(gram))
+            sizes.append(gram.shape[:-2])
             return real(gram, *args)
 
         monkeypatch.setattr(precoding, "ridge_stack", counted)
-        closed_stack(decompose(gaussian_channels(seed=19)), STACK_TOKENS, 2.0, (0.3, 1e-3, 7.0))
-        assert sizes == [2 + 3 * 4]
+        decs, noise = [decompose(gaussian_channels(seed=s)) for s in (19, 20)], (0.3, 1e-3, 7.0)
+        closed_stack(decs[0], STACK_TOKENS, 2.0, noise)
+        closed_stack(decs, STACK_TOKENS, 2.0, [noise] * 2)
+        assert sizes == [(1, 2 + 3 * 4), (2, 2 + 3 * 4)]
+
+    @pytest.mark.parametrize("tokens", [STACK_TOKENS, ("mrt",), ("zf_f", "arzf")])
+    def test_list_member_equals_its_decomposition_alone(self, tokens):
+        # each decomposition of a list, at its own noise levels, has the bits
+        # of its own closed_stack; mrt alone inverts nothing
+        decs = [decompose(gaussian_channels(seed=s)) for s in (19, 20, 21)]
+        noise = np.array([[0.3, 1e-3], [2.0, 0.5], [7.0, 0.3]])
+        raw, gain = closed_stack(decs, tokens, 2.0, noise)
+        assert raw.shape[:3] == gain.shape == (3, 2, len(tokens))
+        for dec, nvs, r, g in zip(decs, noise, raw, gain):
+            one_raw, one_gain = closed_stack(dec, tokens, 2.0, nvs)
+            assert r.tobytes() == one_raw.tobytes() and g.tobytes() == one_gain.tobytes()
+
+    def test_list_needs_one_dims_and_one_grid(self):
+        dec, other = decompose(gaussian_channels()), decompose(gaussian_channels(num_tx=10))
+        for decs, noise in [([dec, other], [[0.3], [0.3]]), ([dec, dec], [[0.3], [0.3, 0.4]]),
+                            ([dec, dec], [[0.3]]), ([], [])]:
+            with pytest.raises(DimensionError, match="decompositions of one dims"):
+                closed_stack(decs, ("arzf",), 1.0, noise)
 
     def test_f_forms_are_column_scaled_v_ridges(self):
         dec = decompose(gaussian_channels(seed=20))
