@@ -152,7 +152,7 @@ def _score(seeds, closed, power, found, lo, hi):
     closed forms ``closed``, then a lone seed's searched precoders
     ``found[lo:hi]`` (none without ``opt``), raising the first search error
     among them, then one :func:`evaluate_many` pass."""
-    noise = np.stack([seed.noise[lo:hi] for seed in seeds])
+    noise = np.array([seed.noise[lo:hi] for seed in seeds])
     raw, gain = closed_stack([seed.decomp for seed in seeds], closed, power, noise)
     c = len(closed)
     w = np.empty((*raw.shape[:2], c + bool(found), *raw.shape[3:]), dtype=complex)

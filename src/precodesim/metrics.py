@@ -175,21 +175,16 @@ def evaluate_many(channels, weights: np.ndarray, noise_var) -> MetricsReport:
 
 def _mmse_sinrs(channels, w: np.ndarray, noise_var):
     """The checked layer SINRs of :func:`evaluate_many` and the dims."""
-    many = not hasattr(channels, "groups")
-    if many and not channels:
+    sets = [channels] if hasattr(channels, "groups") else list(channels)
+    if not sets:
         raise DimensionError("the channel stack holds no channel set")
-    dims = channels[0].dims if many else channels.dims
+    dims = sets[0].dims
     check_scoring(dims, w, noise_var)
-    if not many:
-        groups = channels.groups
-    elif any(c.dims != dims for c in channels) or len(w) % len(channels):
-        raise DimensionError(f"{len(channels)} channel sets of one dims cannot score "
+    if any(c.dims != dims for c in sets[1:]) or len(w) % len(sets):
+        raise DimensionError(f"{len(sets)} channel sets of one dims cannot score "
                              f"{len(w)} members seed-major")
-    elif len(channels) == 1:
-        groups = channels[0].groups
-    else:
-        groups = [g._replace(h=np.stack([c.groups[j].h for c in channels]))
-                  for j, g in enumerate(channels[0].groups)]
+    groups = sets[0].groups if len(sets) == 1 else [
+        g._replace(h=np.array([c.groups[j].h for c in sets])) for j, g in enumerate(sets[0].groups)]
     sinrs, stages, ok = mmse_sinr_stack(groups, w, noise_var)
     require_scored(ok, stages)
     return sinrs, dims

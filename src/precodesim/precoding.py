@@ -168,7 +168,8 @@ def closed_stack(decomp, tokens, power: float, noise_vars):
     if unknown:
         raise ConfigError(f"unknown closed forms {unknown}, valid: {CLOSED_FORMS}")
     if not decomps or len(rows) != len(decomps) or any(
-            d.dims != decomps[0].dims or len(nvs) != len(rows[0]) for d, nvs in zip(decomps, rows)):
+            d.dims != decomps[0].dims or len(nvs) != len(rows[0])
+            for d, nvs in zip(decomps[1:], rows[1:])):
         raise DimensionError("closed_stack needs decompositions of one dims, each with as many "
                              "noise variances as the first")
     free = [t for t in tokens if t in NOISE_FREE and t != "mrt"]
@@ -178,7 +179,7 @@ def closed_stack(decomp, tokens, power: float, noise_vars):
             check_positive("noise_var", nv)
         elif noisy:
             raise ConfigError(f"closed forms {noisy} need a noise variance, got None")
-    v = np.stack([d.v for d in decomps])
+    v = np.array([d.v for d in decomps])
     vh, levels, f, q = v.conj().swapaxes(1, 2), len(rows[0]), len(free), len(noisy)
     if f + q:  # mrt alone inverts nothing
         # ridge and column scale of each decomposition's members: the shared
