@@ -57,10 +57,10 @@ def mmse_stack(group: UserGroup, w: np.ndarray, noise_var):
     member, or a stack of S such stacks along a leading seed axis that the
     members follow seed-major: ``h[s]`` serves members ``s * B / S`` to
     ``(s + 1) * B / S - 1`` (``h[b]`` serves ``b`` when S is B).  Returns
-    ``eff = h @ w``, ``ah =
-    A^H`` for the own-layer columns ``A = eff[b, i][:, own[i]]``, the
-    inverse ``m_inv`` of ``m = A^H A + noise_var I`` and ``g = m_inv A^H``,
-    the minimizer of ``||G A - I||^2 + noise_var ||G||^2``.
+    ``eff = h @ w``, ``ah = A^H`` for the own-layer columns ``A = eff[b,
+    i][:, own[i]]``, the inverse ``m_inv`` of ``m = A^H A + noise_var I``
+    and ``g = m_inv A^H``, the minimizer of ``||G A - I||^2 + noise_var
+    ||G||^2``.
     This L x L form equals ``A^H inv(A A^H + noise_var I)``, whose rx x rx
     system is singular to working precision at low noise.  Every matrix is
     its own BLAS or LAPACK call, so batch members do not change each other's

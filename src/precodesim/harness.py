@@ -15,9 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import (
-    ChannelDecomposition, ScenarioConfig, calibrate_noise, check_level, decompose,
-    generate_scenario)
+from .channel import ScenarioConfig, calibrate_noise, check_level, decompose, generate_scenario
 from .exceptions import (
     ConfigError, PrecodesimError, SelectionError, check_integer, check_positive)
 from .metrics import evaluate_many
@@ -34,7 +32,10 @@ CSV_HEADER = "scenario,susinr_db,method,avg_sum_se,se_std,avg_min_se,min_se_std,
 # stacks of _LEVELS levels, or the grids of _LEVELS // levels seeds in one.
 # On a 20-seed closed-form sweep (default scale, 2 vCPUs) stacks of 1, 4 and
 # 11 levels took 0.13-0.15, 0.09-0.10 and 0.10 ms of CPU per point at 39.0,
-# 39.3 and 41.2 MB peak RSS.
+# 39.3 and 41.2 MB peak RSS.  On 100 seeds of one level (equal path loss,
+# mrt and arzf, one BLAS thread) stacks of 1, 2, 4, 8 and 16 seeds took
+# 1, 0.91, 0.85, 0.80 and 0.79 times the CPU of the first at 38.7, 38.7,
+# 39.0, 39.7 and 41.0 MB.
 _LEVELS = 4
 
 # Method tokens in the default sweep's order: the closed forms, then the
@@ -132,17 +133,14 @@ class SweepResult:
 
 class _Seed(NamedTuple):
     """What scoring reads of seed ``i``: its decomposition (``V`` and ``s``),
-    its channel set's ``groups``, which :func:`evaluate_many` reads with
-    ``dims`` in place of the set, and its noise variances."""
+    its channel set's ``dims`` and ``groups``, which :func:`evaluate_many`
+    reads in place of the set, and its noise variances."""
 
     i: int
-    decomp: ChannelDecomposition
+    decomp: object
+    dims: object
     groups: tuple
     noise: np.ndarray
-
-    @property
-    def dims(self):
-        return self.decomp.dims
 
 
 def _score(seeds, closed, power, found, lo, hi):
@@ -232,7 +230,7 @@ def run_sweep(config: SweepConfig, progress=None) -> SweepResult:
     def start(i):
         channels = generate_scenario(config.scenario_config(config.seed_base + i))
         decomp = decompose(channels)
-        seed = _Seed(i, decomp, channels.groups,
+        seed = _Seed(i, decomp, channels.dims, channels.groups,
                      np.array(calibrate_noise(decomp, config.power, levels)))
         if "opt" not in tokens:
             ready.append(seed)

@@ -167,9 +167,9 @@ def closed_stack(decomp, tokens, power: float, noise_vars):
     unknown = [t for t in tokens if t not in CLOSED_FORMS]
     if unknown:
         raise ConfigError(f"unknown closed forms {unknown}, valid: {CLOSED_FORMS}")
-    if not decomps or len(rows) != len(decomps) or any(
+    if many and (not decomps or len(rows) != len(decomps) or any(
             d.dims != decomps[0].dims or len(nvs) != len(rows[0])
-            for d, nvs in zip(decomps[1:], rows[1:])):
+            for d, nvs in zip(decomps[1:], rows[1:]))):
         raise DimensionError("closed_stack needs decompositions of one dims, each with as many "
                              "noise variances as the first")
     free = [t for t in tokens if t in NOISE_FREE and t != "mrt"]
