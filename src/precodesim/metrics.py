@@ -184,7 +184,7 @@ def _mmse_sinrs(channels, w: np.ndarray, noise_var):
         raise DimensionError(f"{len(sets)} channel sets of one dims cannot score "
                              f"{len(w)} members seed-major")
     groups = sets[0].groups if len(sets) == 1 else [
-        g._replace(h=np.array([c.groups[j].h for c in sets])) for j, g in enumerate(sets[0].groups)]
+        g._replace(h=np.stack([c.groups[j].h for c in sets])) for j, g in enumerate(sets[0].groups)]
     sinrs, stages, ok = mmse_sinr_stack(groups, w, noise_var)
     require_scored(ok, stages)
     return sinrs, dims

@@ -179,7 +179,9 @@ def closed_stack(decomp, tokens, power: float, noise_vars):
             check_positive("noise_var", nv)
         elif noisy:
             raise ConfigError(f"closed forms {noisy} need a noise variance, got None")
-    v = np.array([d.v for d in decomps])
+    # stacked, each V keeps its memory layout, and so the order of the row
+    # norms' sums, as alone
+    v = np.stack([d.v for d in decomps])
     vh, levels, f, q = v.conj().swapaxes(1, 2), len(rows[0]), len(free), len(noisy)
     if f + q:  # mrt alone inverts nothing
         # ridge and column scale of each decomposition's members: the shared

@@ -6,6 +6,7 @@ import pytest
 from precodesim.channel import (
     ChannelDecomposition,
     SystemDims,
+    calibrate_noise,
     decompose,
     generate_scenario,
 )
@@ -17,6 +18,7 @@ from precodesim.exceptions import (
     ZeroMatrixError,
 )
 import precodesim.precoding as precoding
+from precodesim.harness import SweepConfig
 from helpers import BUILDERS, complex_gaussian, gaussian_channels
 from precodesim.precoding import (
     CLOSED_FORMS,
@@ -315,6 +317,20 @@ class TestClosedForms:
         for dec, nvs, r, g in zip(decs, noise, raw, gain):
             one_raw, one_gain = closed_stack(dec, tokens, 2.0, nvs)
             assert r.tobytes() == one_raw.tobytes() and g.tobytes() == one_gain.tobytes()
+
+    @pytest.mark.parametrize("scenario", ["varied", "equal"])
+    def test_gain_is_the_rule_of_the_returned_raw(self, scenario):
+        # every gain is the gain rule of its own returned raw weights, bit for
+        # bit, alone and in a list.  A generated V is F-ordered; a stack that
+        # made it C-ordered summed mrt's row norms in another order and moved
+        # the gains of seeds 0 and 1 (varied) in their last bit
+        cfg = SweepConfig(scenario=scenario)
+        decs = [decompose(generate_scenario(cfg.scenario_config(s))) for s in range(4)]
+        noise = np.array([calibrate_noise(d, 1.0, (0.0, 20.0)) for d in decs])
+        built = [closed_stack(decs, CLOSED_FORMS, 1.0, noise),
+                 *(closed_stack(d, CLOSED_FORMS, 1.0, nvs) for d, nvs in zip(decs, noise))]
+        for raw, gain in built:
+            assert np.array_equal(gain, precoding._gain(raw, 1.0)[1])
 
     def test_list_needs_one_dims_and_one_grid(self):
         dec, other = decompose(gaussian_channels()), decompose(gaussian_channels(num_tx=10))
